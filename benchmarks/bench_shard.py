@@ -37,9 +37,8 @@ from repro.faults.recovery import RecoveryPipeline
 from repro.shard.engine import fleet_reference, run_shard
 from repro.shard.plan import plan_shards
 from repro.shard.reduce import reduce_states
-from repro.stream.estimators import P2Quantile, RunningCovariance
 from repro.stream.ingest import SampleBatch
-from repro.stream.monitor import ComplianceMonitor
+from repro.stream.session import FleetFold
 from repro.traces.synth import SimulatedRun, simulate_run
 from repro.workloads.hpl import HplWorkload
 
@@ -80,11 +79,7 @@ def _materialised_pass(run: SimulatedRun) -> tuple[float, int]:
     lo_s, hi_s = run.core_window
     times, watts = run.node_power_matrix(lo_s, hi_s)
     ids = np.arange(run.system.n_nodes, dtype=np.int64)
-    monitor = ComplianceMonitor(
-        run.core_window, required_interval_s=max(run.dt, 1.0)
-    )
-    covar = RunningCovariance()
-    p2 = {q: P2Quantile(q) for q in (0.5, 0.95)}
+    fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
     pipeline = RecoveryPipeline(gap_policy="hold", original_level=2)
     for lo in range(0, times.size, _TICKS_PER_BATCH):
         hi = min(lo + _TICKS_PER_BATCH, times.size)
@@ -93,14 +88,7 @@ def _materialised_pass(run: SimulatedRun) -> tuple[float, int]:
             watts=watts[lo:hi].copy(),
             node_ids=ids,
         )
-        fleet_w = batch.fleet_means()
-        monitor.observe(batch, fleet_w=fleet_w)
-        for est in p2.values():
-            est.push_batch(batch.watts)
-        covar.push_batch(
-            batch.watts,
-            np.broadcast_to(fleet_w[:, None], batch.watts.shape),
-        )
+        fold.push(batch, batch.fleet_means())
         pipeline.observe(batch)
     elapsed = time.perf_counter() - t0
     return elapsed, times.size * run.system.n_nodes

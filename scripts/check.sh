@@ -58,6 +58,13 @@ echo "== serve smoke (service self-test over one TCP lifecycle)"
 # and require the verdict to match the directly computed one.
 python -m repro.cli serve --self-test
 
+echo "== end-to-end benchmark self-test (tiny workloads, traced)"
+# Runs every benchmark workload at toy size through its correctness
+# checks and the outside-in layer trace: fails when a traced callable
+# no longer resolves or a workload's output stops matching its
+# independent reference.
+python3 benchmarks/e2e/selftest.py
+
 echo "== compileall"
 python -m compileall -q src
 

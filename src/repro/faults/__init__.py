@@ -17,7 +17,8 @@ Layout:
   error bounds.
 * :mod:`repro.faults.chaos` — the end-to-end harness auditing that
   recovery accounts for every injected fault and stays within the
-  bounds it states.
+  bounds it states, and the :class:`~repro.faults.chaos.AuditOutcome`
+  verdict every chaos harness shares.
 * :mod:`repro.faults.wire` — frame-level transport faults (drops and
   CRC-detectable corruption) over the :mod:`repro.wire` protocol,
   under the same determinism and disjointness contracts.
@@ -67,7 +68,7 @@ from repro.faults.recovery import (
     FlakySource,
     MaskedRunningMoments,
     RecoveryPipeline,
-    ResilientIngestLoop,
+    RetryingSource,
     RetryPolicy,
     TransientMeterError,
 )
@@ -107,7 +108,7 @@ __all__ = [
     "PersistentOffsetDetector",
     "QualityReport",
     "RecoveryPipeline",
-    "ResilientIngestLoop",
+    "RetryingSource",
     "RetryPolicy",
     "SampleDropout",
     "SpikeGlitch",

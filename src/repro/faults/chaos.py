@@ -22,6 +22,7 @@ X-FAULT experiment and the ``repro chaos`` CLI are thin shells over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.faults.models import (
     BurstDropout,
     ClockDrift,
     ClockJitter,
+    FaultInjection,
     FaultLedger,
     FaultModel,
     FaultPlan,
@@ -44,12 +46,19 @@ from repro.faults.quality import QualityReport
 from repro.faults.recovery import (
     FlakySource,
     RecoveryPipeline,
-    ResilientIngestLoop,
+    RetryingSource,
     RetryPolicy,
 )
-from repro.stream.ingest import SimClock
+from repro.stream.ingest import IngestLoop, SimClock
 
-__all__ = ["ChaosScenario", "ChaosOutcome", "run_chaos", "chaos_sweep"]
+__all__ = [
+    "AuditOutcome",
+    "ChaosScenario",
+    "ChaosOutcome",
+    "clean_truth",
+    "run_chaos",
+    "chaos_sweep",
+]
 
 
 @dataclass(frozen=True)
@@ -109,20 +118,26 @@ class ChaosScenario:
         return FaultPlan.canonical(self.models(), seed)
 
 
-@dataclass(frozen=True)
-class ChaosOutcome:
-    """One chaos trial: degraded estimates, label, and both verdicts."""
+@dataclass(frozen=True, kw_only=True)
+class AuditOutcome:
+    """The verdict every chaos harness renders, whatever it broke.
 
-    scenario: ChaosScenario
-    gap_policy: str
-    seed: int | None
+    Degraded estimates in ``report`` are judged twice: against the
+    clean truth of the same run (each error must sit inside the bound
+    the report itself states) and against the injected faults
+    (``reconciliation``: named exact-accounting checks).  The sample,
+    wire and pathology harnesses subclass it with their own provenance.
+    """
+
     clean_fleet_mean_w: float
     clean_node_cv: float
     report: QualityReport
-    ledger: FaultLedger
     reconciliation: dict = field(default_factory=dict)
-    retries: int = 0
-    batches_abandoned: int = 0
+
+    #: Slack for comparing errors against a stated bound of 0.0: a
+    #: fault-free run's Welford-accumulated statistics differ from the
+    #: direct numpy truth in the last bit or two.
+    _BOUND_EPS = 1e-12
 
     @property
     def rel_err_fleet_mean(self) -> float:
@@ -133,15 +148,16 @@ class ChaosOutcome:
 
     @property
     def rel_err_node_cv(self) -> float:
-        """|degraded − clean| / clean for the node σ/μ estimate."""
+        """|degraded − clean| / clean for the node σ/μ estimate.
+
+        Infinite when the clean σ/μ is not positive: no relative error
+        is defined, and none can sit inside a finite bound.
+        """
+        if self.clean_node_cv <= 0:
+            return math.inf
         return abs(
             self.report.node_cv - self.clean_node_cv
         ) / self.clean_node_cv
-
-    #: Slack for comparing errors against a stated bound of 0.0: a
-    #: fault-free run's Welford-accumulated statistics differ from the
-    #: direct numpy truth in the last bit or two.
-    _BOUND_EPS = 1e-12
 
     @property
     def mean_within_bound(self) -> bool:
@@ -162,14 +178,13 @@ class ChaosOutcome:
 
     def ok(self) -> bool:
         """Reconciled *and* within both stated bounds."""
-        return self.reconciled and self.mean_within_bound and self.cv_within_bound
+        return (
+            self.reconciled and self.mean_within_bound and self.cv_within_bound
+        )
 
-    def to_dict(self) -> dict:
-        """JSON-friendly rendering."""
+    def _audit_rows(self) -> dict:
+        """The verdict rows every outcome's ``to_dict`` carries."""
         return {
-            "scenario": self.scenario.name,
-            "gap_policy": self.gap_policy,
-            "seed": self.seed,
             "clean_fleet_mean_w": self.clean_fleet_mean_w,
             "clean_node_cv": self.clean_node_cv,
             "rel_err_fleet_mean": self.rel_err_fleet_mean,
@@ -177,6 +192,50 @@ class ChaosOutcome:
             "mean_within_bound": self.mean_within_bound,
             "cv_within_bound": self.cv_within_bound,
             "reconciliation": dict(self.reconciliation),
+        }
+
+    def _audit_lines(self) -> list[str]:
+        """Fleet-mean, node σ/μ and reconciliation verdict lines."""
+        bound_mean = self.report.error_bound_fleet_mean()
+        bound_cv = self.report.error_bound_node_cv()
+        return [
+            f"  fleet mean    {self.report.fleet_mean_w:.2f} W degraded "
+            f"vs {self.clean_fleet_mean_w:.2f} W clean "
+            f"(err {100 * self.rel_err_fleet_mean:.3f}% <= "
+            f"bound {100 * bound_mean:.3f}%: "
+            f"{'ok' if self.mean_within_bound else 'VIOLATED'})",
+            f"  node sigma/mu {100 * self.report.node_cv:.3f}% degraded "
+            f"vs {100 * self.clean_node_cv:.3f}% clean "
+            f"(err {100 * self.rel_err_node_cv:.3f}% <= "
+            f"bound {100 * bound_cv:.3f}%: "
+            f"{'ok' if self.cv_within_bound else 'VIOLATED'})",
+            f"  reconciliation {'exact' if self.reconciled else 'FAILED'} ("
+            + ", ".join(
+                f"{k}={'ok' if v else 'FAIL'}"
+                for k, v in self.reconciliation.items()
+            )
+            + ")",
+        ]
+
+
+@dataclass(frozen=True)
+class ChaosOutcome(AuditOutcome):
+    """One chaos trial: degraded estimates, label, and both verdicts."""
+
+    scenario: ChaosScenario
+    gap_policy: str
+    seed: int | None
+    ledger: FaultLedger
+    retries: int = 0
+    batches_abandoned: int = 0
+
+    def to_dict(self) -> dict:
+        """JSON-friendly rendering."""
+        return {
+            "scenario": self.scenario.name,
+            "gap_policy": self.gap_policy,
+            "seed": self.seed,
+            **self._audit_rows(),
             "retries": self.retries,
             "batches_abandoned": self.batches_abandoned,
             "report": self.report.to_dict(),
@@ -185,40 +244,61 @@ class ChaosOutcome:
 
     def lines(self) -> list[str]:
         """Human-readable verdict block."""
-        bound_mean = self.report.error_bound_fleet_mean()
-        bound_cv = self.report.error_bound_node_cv()
-        out = [
+        return [
             f"scenario {self.scenario.name} (policy={self.gap_policy})",
-            f"  fleet mean   {self.report.fleet_mean_w:.2f} W degraded vs "
-            f"{self.clean_fleet_mean_w:.2f} W clean "
-            f"(err {100 * self.rel_err_fleet_mean:.3f}% <= "
-            f"bound {100 * bound_mean:.3f}%: "
-            f"{'ok' if self.mean_within_bound else 'VIOLATED'})",
-            f"  node sigma/mu {100 * self.report.node_cv:.3f}% degraded vs "
-            f"{100 * self.clean_node_cv:.3f}% clean "
-            f"(err {100 * self.rel_err_node_cv:.3f}% <= "
-            f"bound {100 * bound_cv:.3f}%: "
-            f"{'ok' if self.cv_within_bound else 'VIOLATED'})",
-            f"  reconciliation {'exact' if self.reconciled else 'FAILED'} "
-            + "("
-            + ", ".join(
-                f"{k}={'ok' if v else 'FAIL'}"
-                for k, v in self.reconciliation.items()
-            )
-            + ")",
+            *self._audit_lines(),
+            *("  " + line for line in self.report.lines()),
         ]
-        out.extend("  " + line for line in self.report.lines())
-        return out
 
 
-def _clean_truth(run, node_indices) -> tuple[float, float]:
-    """Fault-free fleet mean and node sigma/mu over the core phase."""
-    t0_s, t1_s = run.core_window
-    _, watts = run.node_power_matrix(t0_s, t1_s, node_indices)
+def clean_truth(watts: np.ndarray) -> tuple[float, float]:
+    """Fleet mean and node σ/μ of a fault-free ``(ticks, nodes)`` matrix."""
     node_means = watts.mean(axis=0)
     fleet_mean_w = float(node_means.mean())
     node_cv = float(node_means.std(ddof=1)) / fleet_mean_w
     return fleet_mean_w, node_cv
+
+
+def _inject_and_recover(
+    run,
+    plan: FaultPlan,
+    *,
+    seed: int | None,
+    ticks_per_batch: int,
+    node_indices: np.ndarray | None,
+    retry_policy: RetryPolicy | None = None,
+    delivery_failure_rate: float = 0.0,
+    delivery_label: str = "",
+    **pipeline_options,
+) -> tuple[FaultInjection, RetryingSource, QualityReport]:
+    """Inject ``plan``, stream the result through recovery, finalize.
+
+    The step every matrix-fault harness shares: the faulted batches
+    (optionally behind a :class:`FlakySource`) pass through a
+    :class:`RetryingSource` into the plain
+    :class:`~repro.stream.ingest.IngestLoop`, whose consumer is a
+    :class:`RecoveryPipeline` built from ``pipeline_options``.
+    """
+    injection = inject_run(run, plan, node_indices=node_indices)
+    batches = injection.batches(ticks_per_batch)
+    if delivery_failure_rate > 0:
+        batches = FlakySource(
+            batches,
+            failure_rate=delivery_failure_rate,
+            seed=seed,
+            label=delivery_label,
+        )
+    source = RetryingSource(
+        batches, clock=SimClock(run.dt), policy=retry_policy, seed=seed
+    )
+    pipeline = RecoveryPipeline(**pipeline_options)
+    IngestLoop(source, pipeline.observe).run()
+    report = pipeline.finalize(
+        expected_ticks=injection.ledger.n_ticks_planned,
+        batches_retried=source.retries,
+        batches_abandoned=source.batches_abandoned,
+    )
+    return injection, source, report
 
 
 def run_chaos(
@@ -238,39 +318,28 @@ def run_chaos(
     Pure function of its arguments: the same ``(run, scenario, seed)``
     produces a bit-identical :class:`ChaosOutcome` on every call.
     """
-    clean_mean_w, clean_cv = _clean_truth(run, node_indices)
-    injection = inject_run(run, scenario.plan(seed), node_indices=node_indices)
-    source = injection.batches(ticks_per_batch)
-    if scenario.delivery_failure_rate > 0:
-        source = FlakySource(
-            source,
-            failure_rate=scenario.delivery_failure_rate,
-            seed=seed,
-            label=f"chaos:{scenario.name}:delivery",
-        )
-    pipeline = RecoveryPipeline(
+    t0_s, t1_s = run.core_window
+    clean_mean_w, clean_cv = clean_truth(
+        run.node_power_matrix(t0_s, t1_s, node_indices)[1]
+    )
+    injection, source, report = _inject_and_recover(
+        run,
+        scenario.plan(seed),
+        seed=seed,
+        ticks_per_batch=ticks_per_batch,
+        node_indices=node_indices,
+        retry_policy=retry_policy,
+        delivery_failure_rate=scenario.delivery_failure_rate,
+        delivery_label=f"chaos:{scenario.name}:delivery",
         gap_policy=gap_policy,
         quarantine_after=quarantine_after,
         original_level=original_level,
-    )
-    loop = ResilientIngestLoop(
-        source,
-        pipeline.observe,
-        clock=SimClock(run.dt),
-        policy=retry_policy,
-        seed=seed,
-    )
-    loop.run()
-    report = pipeline.finalize(
-        expected_ticks=injection.ledger.n_ticks_planned,
-        batches_retried=loop.retries,
-        batches_abandoned=loop.batches_abandoned,
     )
     # Which delivered ticks actually arrived (abandoned batches never
     # reached the pipeline)?  Needed to reconcile exactly: the report
     # can only account for faults on cells it was shown.
     arrived = np.ones(injection.n_ticks, dtype=bool)
-    for batch in loop.abandoned:
+    for batch in source.abandoned:
         lo = int(np.searchsorted(injection.times, batch.t0_s))
         arrived[lo: lo + batch.n_ticks] = False
     ledger = injection.ledger
@@ -282,7 +351,7 @@ def run_chaos(
         "spiked": report.samples_spiked
         == int(injection.spike_mask[arrived].sum()),
         "never_arrived": report.samples_never_arrived
-        == ledger.samples_truncated + loop.samples_abandoned,
+        == ledger.samples_truncated + source.samples_abandoned,
         "repairs": report.samples_repaired
         == report.samples_missing + report.samples_flagged,
         "quarantine_covers_lost": set(ledger.nodes_lost)
@@ -297,8 +366,8 @@ def run_chaos(
         report=report,
         ledger=ledger,
         reconciliation=reconciliation,
-        retries=loop.retries,
-        batches_abandoned=loop.batches_abandoned,
+        retries=source.retries,
+        batches_abandoned=source.batches_abandoned,
     )
 
 

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.analysis.gaming import optimal_window_gain
 from repro.core.sampling import recommend_sample_size
+from repro.faults.chaos import AuditOutcome, _inject_and_recover, clean_truth
 from repro.faults.detectors import CorrelatedDetectors, CorrelatedVerdict
 from repro.faults.models import (
     FaultModel,
@@ -61,11 +62,7 @@ from repro.faults.models import (
     SampleDropout,
     SpikeGlitch,
     _InjectionState,
-    inject_run,
 )
-from repro.faults.quality import QualityReport
-from repro.faults.recovery import RecoveryPipeline, ResilientIngestLoop
-from repro.stream.ingest import SimClock
 from repro.traces.powertrace import PowerTrace
 
 __all__ = [
@@ -579,17 +576,13 @@ def sampling_cost(
 
 
 @dataclass(frozen=True)
-class PathologyOutcome:
+class PathologyOutcome(AuditOutcome):
     """One pathology trial: audit verdicts, detection, gaming, cost."""
 
     scenario: PathologyScenario
     gap_policy: str
     seed: int | None
-    clean_fleet_mean_w: float
-    clean_node_cv: float
-    report: QualityReport
     ledger_dict: dict
-    reconciliation: dict
     detection: CorrelatedVerdict | None
     gaming: GamingAssessment | None
     cost: SamplingCost | None
@@ -599,38 +592,6 @@ class PathologyOutcome:
     #: error equals the bound up to float summation order), so the
     #: slack must absorb Welford-vs-matrix-mean rounding differences.
     _BOUND_EPS = 1e-9
-
-    @property
-    def rel_err_fleet_mean(self) -> float:
-        """|degraded − clean| / clean for the fleet-mean estimate."""
-        return abs(
-            self.report.fleet_mean_w - self.clean_fleet_mean_w
-        ) / self.clean_fleet_mean_w
-
-    @property
-    def rel_err_node_cv(self) -> float:
-        """|degraded − clean| / clean for the node σ/μ estimate."""
-        if self.clean_node_cv <= 0:
-            return math.inf
-        return abs(
-            self.report.node_cv - self.clean_node_cv
-        ) / self.clean_node_cv
-
-    @property
-    def mean_within_bound(self) -> bool:
-        """Fleet-mean error inside the correlation-widened bound?"""
-        return (
-            self.rel_err_fleet_mean
-            <= self.report.error_bound_fleet_mean() + self._BOUND_EPS
-        )
-
-    @property
-    def cv_within_bound(self) -> bool:
-        """σ/μ error inside the correlation-widened bound?"""
-        return (
-            self.rel_err_node_cv
-            <= self.report.error_bound_node_cv() + self._BOUND_EPS
-        )
 
     @property
     def independent_bound_mean_violated(self) -> bool:
@@ -652,33 +613,16 @@ class PathologyOutcome:
             > stripped.error_bound_fleet_mean() + self._BOUND_EPS
         )
 
-    @property
-    def reconciled(self) -> bool:
-        """Did every exact-accounting check pass?"""
-        return all(self.reconciliation.values())
-
-    def ok(self) -> bool:
-        """Reconciled *and* within both widened bounds."""
-        return (
-            self.reconciled and self.mean_within_bound and self.cv_within_bound
-        )
-
     def to_dict(self) -> dict:
         """JSON-friendly rendering."""
         return {
             "scenario": self.scenario.name,
             "gap_policy": self.gap_policy,
             "seed": self.seed,
-            "clean_fleet_mean_w": self.clean_fleet_mean_w,
-            "clean_node_cv": self.clean_node_cv,
-            "rel_err_fleet_mean": self.rel_err_fleet_mean,
-            "rel_err_node_cv": self.rel_err_node_cv,
-            "mean_within_bound": self.mean_within_bound,
-            "cv_within_bound": self.cv_within_bound,
+            **self._audit_rows(),
             "independent_bound_mean_violated": (
                 self.independent_bound_mean_violated
             ),
-            "reconciliation": dict(self.reconciliation),
             "report": self.report.to_dict(),
             "ledger": dict(self.ledger_dict),
             "detection": (
@@ -690,33 +634,15 @@ class PathologyOutcome:
 
     def lines(self) -> list[str]:
         """Human-readable verdict block."""
-        bound_mean = self.report.error_bound_fleet_mean()
-        bound_cv = self.report.error_bound_node_cv()
         out = [
             f"pathology {self.scenario.name} (policy={self.gap_policy})",
-            f"  fleet mean   {self.report.fleet_mean_w:.2f} W degraded vs "
-            f"{self.clean_fleet_mean_w:.2f} W clean "
-            f"(err {100 * self.rel_err_fleet_mean:.3f}% <= "
-            f"bound {100 * bound_mean:.3f}%: "
-            f"{'ok' if self.mean_within_bound else 'VIOLATED'})",
-            f"  node sigma/mu {100 * self.report.node_cv:.3f}% degraded vs "
-            f"{100 * self.clean_node_cv:.3f}% clean "
-            f"(err {100 * self.rel_err_node_cv:.3f}% <= "
-            f"bound {100 * bound_cv:.3f}%: "
-            f"{'ok' if self.cv_within_bound else 'VIOLATED'})",
+            *self._audit_lines(),
             "  independence-only bound would have "
             + (
                 "LIED (violated)"
                 if self.independent_bound_mean_violated
                 else "held"
             ),
-            f"  reconciliation {'exact' if self.reconciled else 'FAILED'} "
-            + "("
-            + ", ".join(
-                f"{k}={'ok' if v else 'FAIL'}"
-                for k, v in self.reconciliation.items()
-            )
-            + ")",
         ]
         if self.detection is not None:
             out.extend("  " + line for line in self.detection.lines())
@@ -768,16 +694,6 @@ def _bias_terms(injection) -> tuple[float, float, tuple[str, ...]]:
     return common_bias_w, spread_sigma_w, tuple(models)
 
 
-def _clean_truth(run, node_indices) -> tuple[float, float]:
-    """Fault-free fleet mean and node sigma/mu over the core phase."""
-    t0_s, t1_s = run.core_window
-    _, watts = run.node_power_matrix(t0_s, t1_s, node_indices)
-    node_means = watts.mean(axis=0)
-    fleet_mean_w = float(node_means.mean())
-    node_cv = float(node_means.std(ddof=1)) / fleet_mean_w
-    return fleet_mean_w, node_cv
-
-
 def run_pathology(
     run,
     scenario: PathologyScenario,
@@ -815,27 +731,22 @@ def run_pathology(
       missing cells), the Level 1–3 gaming deltas and the Table 5
       sampling cost are computed on the delivered matrix.
     """
-    clean_mean_w, clean_cv = _clean_truth(run, node_indices)
-    injection = inject_run(run, scenario.plan(seed), node_indices=node_indices)
-    pipeline = RecoveryPipeline(
+    t0_s, t1_s = run.core_window
+    clean_mean_w, clean_cv = clean_truth(
+        run.node_power_matrix(t0_s, t1_s, node_indices)[1]
+    )
+    injection, _, report = _inject_and_recover(
+        run,
+        scenario.plan(seed),
+        seed=seed,
+        ticks_per_batch=ticks_per_batch,
+        node_indices=node_indices,
         gap_policy=gap_policy,
         quarantine_after=quarantine_after,
         original_level=original_level,
         stuck_min_repeats=10**9,
     )
-    loop = ResilientIngestLoop(
-        injection.batches(ticks_per_batch),
-        pipeline.observe,
-        clock=SimClock(run.dt),
-        seed=seed,
-    )
-    loop.run()
     common_bias_w, spread_sigma_w, correlated_models = _bias_terms(injection)
-    report = pipeline.finalize(
-        expected_ticks=injection.ledger.n_ticks_planned,
-        batches_retried=loop.retries,
-        batches_abandoned=loop.batches_abandoned,
-    )
     if correlated_models:
         report = replace(
             report,

@@ -74,9 +74,7 @@ class QualityReport:
       bounds below.
     - ``frames_dropped`` / ``frames_corrupt``: transport-level frame
       losses the reader detected via sequence gaps and CRC failures.
-    - ``notes``: provenance caveats that do not fit a count — e.g. the
-      :class:`~repro.stream.estimators.P2Quantile` approximate-merge
-      caveat when quantile statistics crossed a lossy codec.
+    - ``notes``: provenance caveats that do not fit a count.
 
     Correlated-fault provenance (defaulted so pre-pathology call sites
     are unchanged):
@@ -205,8 +203,8 @@ class QualityReport:
         """Notes as rendered: ``notes`` plus the independence caveat.
 
         A computed view, not a mutation of :attr:`notes` — callers that
-        compare raw ``notes`` tuples (the wire layer does) are
-        unaffected, but every human- or JSON-facing rendering states
+        compare raw ``notes`` tuples are unaffected, but every human-
+        or JSON-facing rendering states
         the independence assumption whenever the bounds rely on it.
         """
         if self.assumes_independence:

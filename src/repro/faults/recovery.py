@@ -4,11 +4,11 @@ The clean pipeline (:mod:`repro.stream.ingest`) assumes every sample
 arrives finite and on time.  This module is the hardened version a real
 collector needs, in four deterministic pieces:
 
-* :class:`RetryPolicy` + :class:`ResilientIngestLoop` — transient
+* :class:`RetryPolicy` + :class:`RetryingSource` — transient
   delivery failures (:class:`TransientMeterError`) are absorbed by
   bounded retry with exponential backoff and seeded jitter, all on the
   :class:`~repro.stream.ingest.SimClock`; after ``max_retries`` the
-  batch is abandoned, *counted*, and the loop moves on.
+  batch is abandoned, *counted*, and the source moves on.
 * :class:`FlakySource` — a deterministic fault wrapper that makes any
   batch source raise a seeded number of transient failures per batch;
   the chaos harness's delivery-failure channel.
@@ -36,14 +36,14 @@ import numpy as np
 
 from repro.faults.quality import QualityReport
 from repro.rng import stream
-from repro.stream.ingest import BoundedQueue, SampleBatch, SimClock
+from repro.stream.ingest import SampleBatch, SimClock
 
 __all__ = [
     "breaker_level",
     "TransientMeterError",
     "RetryPolicy",
     "FlakySource",
-    "ResilientIngestLoop",
+    "RetryingSource",
     "MaskedRunningMoments",
     "GAP_POLICIES",
     "RecoveryState",
@@ -98,9 +98,9 @@ class FlakySource:
     Each underlying batch is preceded by a seeded geometric number of
     :class:`TransientMeterError` raises (``failure_rate`` is the
     per-attempt failure probability).  The wrapper is itself a batch
-    iterator, so it drops straight into :class:`ResilientIngestLoop` —
-    or into the plain :class:`~repro.stream.ingest.IngestLoop`, where
-    the first failure crashes the run and motivates this module.
+    iterator, so it drops straight into :class:`RetryingSource` — or
+    straight into the plain :class:`~repro.stream.ingest.IngestLoop`,
+    where the first failure crashes the run and motivates this module.
     """
 
     def __init__(
@@ -153,42 +153,31 @@ class FlakySource:
         return batch
 
 
-class ResilientIngestLoop:
-    """An ingest loop that survives transient source failures.
+class RetryingSource:
+    """A batch source that survives transient delivery failures.
 
-    Same deterministic producer/consumer schedule and bounded-queue
-    backpressure as :class:`~repro.stream.ingest.IngestLoop`, but
-    ``next(source)`` raising :class:`TransientMeterError` triggers the
-    :class:`RetryPolicy`: back off on the simulated clock, retry, and
-    after ``max_retries`` abandon the batch (via the source's
-    ``abandon_current`` hook when it has one) and continue.  Every
-    retry, abandonment and lost sample is counted — faults never
-    disappear silently.
+    Wraps any batch iterator.  When ``next(source)`` raises
+    :class:`TransientMeterError` the :class:`RetryPolicy` kicks in:
+    back off on the simulated clock, retry, and after ``max_retries``
+    abandon the batch (via the source's ``abandon_current`` hook when it
+    has one) and move on.  Every retry, abandonment and lost sample is
+    counted — faults never disappear silently.  It is itself a batch
+    iterator, so the plain :class:`~repro.stream.ingest.IngestLoop`
+    drives it with its one put/drain schedule.
     """
 
     def __init__(
         self,
         source,
-        consumer,
         *,
         clock: SimClock,
         policy: RetryPolicy | None = None,
         seed: int | None = None,
-        queue_capacity: int = 8,
-        drain_per_step: int = 1,
     ) -> None:
-        if drain_per_step < 1:
-            raise ValueError("drain_per_step must be >= 1")
         self._source = iter(source)
-        self._consumer = consumer
         self._clock = clock
         self._policy = policy if policy is not None else RetryPolicy()
         self._rng = stream(seed, "resilient-ingest:retry-jitter")
-        self.queue = BoundedQueue(queue_capacity)
-        self._drain_per_step = int(drain_per_step)
-        self.stalls = 0
-        self.batches_ingested = 0
-        self.samples_ingested = 0
         self.retries = 0
         self.backoff_ticks = 0
         self.batches_abandoned = 0
@@ -196,26 +185,14 @@ class ResilientIngestLoop:
         #: Abandoned batches, kept for exact fault reconciliation.
         self.abandoned: list[SampleBatch] = []
 
-    def _abandon(self) -> None:
-        self.batches_abandoned += 1
-        abandon = getattr(self._source, "abandon_current", None)
-        if abandon is None:
-            return
-        batch = abandon()
-        if batch is not None:
-            self.samples_abandoned += batch.n_samples
-            self.abandoned.append(batch)
+    def __iter__(self) -> "RetryingSource":
+        return self
 
-    _EXHAUSTED = object()
-
-    def _next_batch(self):
-        """Fetch the next batch, retrying through transient failures."""
+    def __next__(self) -> SampleBatch:
         attempt = 0
         while True:
             try:
                 return next(self._source)
-            except StopIteration:
-                return self._EXHAUSTED
             except TransientMeterError:
                 if attempt >= self._policy.max_retries:
                     self._abandon()
@@ -228,27 +205,15 @@ class ResilientIngestLoop:
                 self.retries += 1
                 attempt += 1
 
-    def _drain(self, max_items: int) -> None:
-        for _ in range(max_items):
-            if not len(self.queue):
-                return
-            batch = self.queue.get()
-            self._consumer(batch)
-            self.batches_ingested += 1
-            self.samples_ingested += batch.n_samples
-
-    def run(self) -> "ResilientIngestLoop":
-        """Drive the loop until the source and queue are empty."""
-        while True:
-            batch = self._next_batch()
-            if batch is self._EXHAUSTED:
-                break
-            while not self.queue.put(batch):
-                self.stalls += 1
-                self._drain(1)
-            self._drain(self._drain_per_step)
-        self._drain(len(self.queue))
-        return self
+    def _abandon(self) -> None:
+        self.batches_abandoned += 1
+        abandon = getattr(self._source, "abandon_current", None)
+        if abandon is None:
+            return
+        batch = abandon()
+        if batch is not None:
+            self.samples_abandoned += batch.n_samples
+            self.abandoned.append(batch)
 
 
 class MaskedRunningMoments:

@@ -472,7 +472,7 @@ class TelemetryApp:
             "samples_ingested": state.samples_ingested,
             "queue_depth": session.queue_depth,
             "snapshot": snapshot,
-            "monitor": state.monitor.report().to_dict(),
+            "monitor": state.fold.monitor.report().to_dict(),
             "stopping": state.decision.to_dict(),
         })
 

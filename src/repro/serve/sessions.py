@@ -22,6 +22,7 @@ property in ``tests/serve/test_registry.py``).
 from __future__ import annotations
 
 import asyncio
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,49 +305,61 @@ class TelemetrySession:
         :meth:`try_submit` path as JSON batches; all-NaN gap batches
         (sequence holes the reader declares missing) are *counted* into
         the quality provenance but never pushed into the estimators.
-        Refusal semantics are all-or-nothing per decoded batch: once a
-        batch is refused for backpressure the rest of the body's
-        batches are refused too, keeping the accepted prefix in order.
+        Refusal is all-or-nothing per body: when the queue cannot take
+        every batch the body decodes to, nothing is submitted and the
+        reader is left as it was, so the client's retry of the same
+        body decodes afresh.  Only a body that might not fit is decoded
+        on a copy of the reader; the common path feeds it directly.
         """
         if self.closed:
             raise ValueError("session is closed")
         if self._reader is None:
             self._reader = WireReader(dt_s=self.config.interval_s)
-        corrupt_before = (
-            self._reader.crc_failures + self._reader.frames_undecodable
-        )
-        batches = self._reader.feed(body)
-        accepted = 0
-        samples = 0
-        refused = False
-        for batch in batches:
+        free = self.queue.maxsize - self.queue.qsize()
+        if free == 0:
+            return self._refuse_body()
+        reader = self._reader
+        if reader.max_batches(len(body)) > free:
+            reader = copy.deepcopy(reader)  # adopted only if it all fits
+        data: list[SampleBatch] = []
+        gap_cells = 0
+        for batch in reader.feed(body):
+            # Gap batches (sequence holes the reader reconstructs) are
+            # all-NaN by construction; their cells go into the
+            # provenance ledger, never into the estimators.  A
+            # hypothetical mixed frame is written off whole, which errs
+            # conservative.
             if np.isnan(batch.watts).any():
-                # Gap batches (sequence holes the reader reconstructs)
-                # are all-NaN by construction; their cells go into the
-                # provenance ledger, never into the estimators.  A
-                # hypothetical mixed frame is written off whole, which
-                # errs conservative.
-                self._gap_cells += int(batch.watts.size)
-                continue
-            if refused or not self.try_submit(
-                batch, n_bytes=0, now_s=now_s
-            ):
-                refused = True
-                continue
-            accepted += 1
-            samples += batch.n_samples
-        if accepted:
+                gap_cells += int(batch.watts.size)
+            else:
+                data.append(batch)
+        if len(data) > free:
+            return self._refuse_body()
+        self._reader = reader
+        self._gap_cells += gap_cells
+        for batch in data:
+            self.try_submit(batch, n_bytes=0, now_s=now_s)
+        if data:
             self.bytes_ingested += len(body)
-        corrupt_now = (
-            self._reader.crc_failures + self._reader.frames_undecodable
-        )
+        corrupt_now = reader.crc_failures + reader.frames_undecodable
+        corrupt_new = corrupt_now - self._frames_corrupt_seen
         self._frames_corrupt_seen = corrupt_now
         return FrameIngest(
-            batches_accepted=accepted,
-            samples_accepted=samples,
-            frames_corrupt=corrupt_now - corrupt_before,
+            batches_accepted=len(data),
+            samples_accepted=sum(b.n_samples for b in data),
+            frames_corrupt=corrupt_new,
             gap_cells=self._gap_cells,
-            refused=refused,
+            refused=False,
+        )
+
+    def _refuse_body(self) -> FrameIngest:
+        self.batches_rejected += 1
+        return FrameIngest(
+            batches_accepted=0,
+            samples_accepted=0,
+            frames_corrupt=0,
+            gap_cells=self._gap_cells,
+            refused=True,
         )
 
     async def drain(self) -> None:
@@ -401,7 +414,7 @@ class TelemetrySession:
             return None
         arrived = state.samples_ingested + self._gap_cells
         coverage = state.samples_ingested / arrived if arrived else 0.0
-        node_means = np.asarray(state.monitor.node_moments.mean)
+        node_means = np.asarray(state.fold.monitor.node_moments.mean)
         fleet_mean_w = float(node_means.mean())
         sigma_node_w = (
             float(node_means.std(ddof=1)) if node_means.size > 1 else 0.0
@@ -448,7 +461,7 @@ class TelemetrySession:
                 "samples_ingested": 0,
                 "insufficient_data": True,
                 "stopping": state.decision.to_dict(),
-                "monitor": state.monitor.report().to_dict(),
+                "monitor": state.fold.monitor.report().to_dict(),
             }
         result = state.result(
             queue_high_watermark=self.queue_high_watermark

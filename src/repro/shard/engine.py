@@ -8,9 +8,9 @@ The driver for the million-node hot path:
   per-shard state the exact column slice of a full-fleet run's.
 * :func:`run_shard` — the per-shard kernel: synthesize the shard's node
   columns straight into a :class:`~repro.shard.slab.SlabRing` (zero
-  copies, no per-batch allocation), feed the compliance monitor, the
-  covariance tracker, the P² quantiles and the masked row-push recovery
-  kernel, and snapshot the result as a picklable
+  copies, no per-batch allocation), feed the shared
+  :class:`~repro.stream.session.FleetFold` and the masked row-push
+  recovery kernel, and snapshot the result as a picklable
   :class:`~repro.shard.reduce.ShardState`.
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
   pool (or run them inline when ``processes`` is 0, the deterministic
@@ -33,8 +33,9 @@ from repro.faults.recovery import RecoveryPipeline, build_quality_report
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 from repro.shard.reduce import FleetState, ShardState, reduce_states
 from repro.shard.slab import SlabRing
-from repro.stream.estimators import P2Quantile, RunningCovariance, RunningMoments
-from repro.stream.monitor import ComplianceMonitor, MonitorReport
+from repro.stream.estimators import P2Quantile, RunningMoments
+from repro.stream.monitor import MonitorReport
+from repro.stream.session import FleetFold
 from repro.stream.stopping import SequentialStopper, StoppingDecision
 from repro.traces.synth import SimulatedRun
 
@@ -92,11 +93,11 @@ def run_shard(
     tick count.
     """
     ring = SlabRing(ticks_per_batch, spec.n_nodes)
-    monitor = ComplianceMonitor(
-        run.core_window, required_interval_s=max(run.dt, 1.0)
+    fold = FleetFold(
+        run.core_window,
+        required_interval_s=max(run.dt, 1.0),
+        quantiles=quantiles,
     )
-    covar = RunningCovariance()
-    p2 = {q: P2Quantile(q) for q in quantiles}
     pipeline = RecoveryPipeline(
         gap_policy=gap_policy, original_level=original_level
     )
@@ -112,14 +113,7 @@ def run_shard(
             raise ValueError(
                 "reference series shorter than the shard's tick stream"
             )
-        ref_w = reference_w[ticks_seen : ticks_seen + n_t]
-        monitor.observe(batch, fleet_w=ref_w)
-        for est in p2.values():
-            est.push_batch(batch.watts)
-        covar.push_batch(
-            batch.watts,
-            np.broadcast_to(ref_w[:, None], batch.watts.shape),
-        )
+        fold.push(batch, reference_w[ticks_seen : ticks_seen + n_t])
         pipeline.observe(batch)
         ticks_seen += n_t
     if ticks_seen != reference_w.size:
@@ -129,9 +123,7 @@ def run_shard(
         )
     return ShardState(
         spec=spec,
-        monitor=monitor,
-        covar=covar,
-        quantiles=p2,
+        fold=fold,
         recovery=pipeline.state_snapshot(),
         samples_ingested=ticks_seen * spec.n_nodes,
     )
@@ -359,15 +351,15 @@ def sharded_session(
     )
     return ShardSessionResult(
         plan=plan,
-        monitor_report=fleet.monitor.report(),
+        monitor_report=fleet.fold.monitor.report(),
         stopping=decision,
         quality=quality,
         fleet_moments=fleet.fleet_moments(),
         node_moments=fleet.node_moments,
         node_fleet_correlation=float(
-            np.mean(np.asarray(fleet.covar.correlation()))
+            np.mean(np.asarray(fleet.fold.covar.correlation()))
         ),
-        quantiles_w={q: est.value for q, est in fleet.quantiles.items()},
+        quantiles_w=fleet.fold.quantiles_w(),
         samples_ingested=fleet.samples_ingested,
         notes=notes,
     )

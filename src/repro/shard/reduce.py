@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from repro.faults.recovery import RecoveryState
 from repro.shard.plan import ShardPlan, ShardSpec
-from repro.stream.estimators import P2Quantile, RunningCovariance, RunningMoments
-from repro.stream.monitor import ComplianceMonitor
+from repro.stream.estimators import RunningMoments
+from repro.stream.session import FleetFold
 
 __all__ = ["ShardState", "FleetState", "concat_tree", "reduce_states"]
 
@@ -60,15 +60,13 @@ def concat_tree(parts: list, combine, *, arity: int = 2):
 class ShardState:
     """Everything one shard worker learned about its node range.
 
-    Picklable — the unit a worker process returns.  ``monitor`` was fed
-    the *global* fleet reference series, so its ratio/excursion state
-    is the exact column slice of a full-fleet monitor's.
+    Picklable — the unit a worker process returns.  ``fold`` was fed
+    the *global* fleet reference series, so its monitor and covariance
+    state is the exact column slice of a full-fleet fold's.
     """
 
     spec: ShardSpec
-    monitor: ComplianceMonitor
-    covar: RunningCovariance
-    quantiles: dict[float, P2Quantile]
+    fold: FleetFold
     recovery: RecoveryState
     samples_ingested: int
 
@@ -84,13 +82,15 @@ class FleetState:
     """
 
     plan: ShardPlan
-    monitor: ComplianceMonitor
-    node_moments: RunningMoments
-    covar: RunningCovariance
-    quantiles: dict[float, P2Quantile]
+    fold: FleetFold
     recovery: RecoveryState
     samples_ingested: int
     quantile_merge_approximate: bool
+
+    @property
+    def node_moments(self) -> RunningMoments:
+        """Per-node moments of the merged fleet, in node order."""
+        return self.fold.monitor.node_moments
 
     def fleet_moments(self) -> RunningMoments:
         """Pooled scalar moments over every node's every sample.
@@ -105,9 +105,9 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
     """Merge per-shard states into the fleet state (exact).
 
     Validates that the states tile the plan exactly — every planned
-    shard present once, keys matching — then reduces every per-node
-    estimator through :func:`concat_tree` and merges the P² summaries
-    (approximate; flagged).
+    shard present once, keys matching — then concatenates the folds in
+    node order (:meth:`FleetFold.concat`; its P² merge is approximate
+    and flagged) and the recovery state through :func:`concat_tree`.
     """
     if len(states) != plan.n_shards:
         raise ValueError(
@@ -122,32 +122,12 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
                 f"the plan's shard {spec.shard_index}: keys or ranges "
                 "disagree"
             )
-    monitor = concat_tree(
-        [s.monitor for s in ordered], ComplianceMonitor.merge_shards
-    )
-    covar = concat_tree(
-        [s.covar for s in ordered], RunningCovariance.concat
-    )
-    recovery = concat_tree(
-        [s.recovery for s in ordered], RecoveryState.concat
-    )
-    qs = sorted(ordered[0].quantiles)
-    for i, s in enumerate(ordered):
-        if sorted(s.quantiles) != qs:
-            raise ValueError(f"shard {i} tracked different quantiles")
-    quantiles: dict[float, P2Quantile] = {}
-    for q in qs:
-        est = P2Quantile(q)
-        for s in ordered:
-            est.merge(s.quantiles[q])
-        quantiles[q] = est
     return FleetState(
         plan=plan,
-        monitor=monitor,
-        node_moments=monitor.node_moments,
-        covar=covar,
-        quantiles=quantiles,
-        recovery=recovery,
+        fold=FleetFold.concat([s.fold for s in ordered]),
+        recovery=concat_tree(
+            [s.recovery for s in ordered], RecoveryState.concat
+        ),
         samples_ingested=sum(s.samples_ingested for s in ordered),
         quantile_merge_approximate=len(ordered) > 1,
     )

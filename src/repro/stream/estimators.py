@@ -459,14 +459,13 @@ class P2Quantile:
     :meth:`RunningMoments.merge` it is not exact — quantiles, unlike
     moments, cannot be merged exactly from constant-size summaries.
     Any pipeline that reports a merged quantile must surface
-    :data:`MERGE_CAVEAT` in its provenance (``QualityReport.notes`` /
-    ``MonitorReport.notes``), not just rely on this docstring.
+    :data:`MERGE_CAVEAT` in its provenance, not just rely on this
+    docstring.
     """
 
-    #: Provenance caveat for reports built on merged P² summaries.
-    #: The wire chaos harness stamps this into ``QualityReport.notes``
-    #: whenever quantile-bearing statistics cross a lossy codec or a
-    #: merged summary.
+    #: Provenance caveat for reports built on merged P² summaries; a
+    #: sharded session with more than one shard carries it in
+    #: ``ShardSessionResult.notes``.
     MERGE_CAVEAT = (
         "P2 quantile merge is approximate (count-weighted marker "
         "interpolation), not an exact roll-up"

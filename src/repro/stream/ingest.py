@@ -14,9 +14,7 @@ backpressure.  This module reproduces that shape *deterministically*:
   from aligned per-node :class:`~repro.traces.powertrace.PowerTrace`
   objects.
 * :class:`BoundedQueue` + :class:`IngestLoop` — a single-threaded,
-  deterministic producer/consumer loop with bounded-queue backpressure:
-  when the queue is full the producer stalls (counted) until the
-  consumer drains, exactly as a real collector would.
+  deterministic producer/consumer loop: offer a batch, fold a batch.
 """
 
 from __future__ import annotations
@@ -250,14 +248,15 @@ class BoundedQueue:
 
 
 class IngestLoop:
-    """Deterministic producer/consumer schedule with backpressure.
+    """Deterministic single-threaded producer/consumer schedule.
 
     Each iteration the producer offers the next batch to the bounded
-    queue; on refusal (queue full) the consumer drains one batch and
-    the offer is retried — a cooperative, single-threaded rendering of
-    collector backpressure.  After the source is exhausted the queue is
-    drained to empty.  The schedule is a pure function of the source,
-    so replays are reproducible.
+    queue and the consumer then drains one batch, so the queue holds at
+    most one batch at a time and a replay never stalls (``stalls``
+    stays 0).  The schedule is a pure function of the source, so
+    replays are reproducible.  Real bounded-queue backpressure, where a
+    slow consumer makes producers wait, lives in :mod:`repro.serve` (a
+    full session queue answers 429).
     """
 
     def __init__(
@@ -266,35 +265,27 @@ class IngestLoop:
         consumer: Callable[[SampleBatch], None],
         *,
         queue_capacity: int = 8,
-        drain_per_step: int = 1,
     ) -> None:
-        if drain_per_step < 1:
-            raise ValueError("drain_per_step must be >= 1")
         self._source = iter(source)
         self._consumer = consumer
         self.queue = BoundedQueue(queue_capacity)
-        self._drain_per_step = int(drain_per_step)
         self.stalls = 0
         self.batches_ingested = 0
         self.samples_ingested = 0
 
-    def _drain(self, max_items: int) -> None:
-        for _ in range(max_items):
-            if not len(self.queue):
-                return
-            batch = self.queue.get()
-            self._consumer(batch)
-            self.batches_ingested += 1
-            self.samples_ingested += batch.n_samples
+    def _drain_one(self) -> None:
+        batch = self.queue.get()
+        self._consumer(batch)
+        self.batches_ingested += 1
+        self.samples_ingested += batch.n_samples
 
     def run(self) -> "IngestLoop":
-        """Drive the loop until the source and queue are empty."""
+        """Drive the loop until the source is exhausted."""
         for batch in self._source:
             while not self.queue.put(batch):
                 self.stalls += 1
-                self._drain(1)
-            self._drain(self._drain_per_step)
-        self._drain(len(self.queue))
+                self._drain_one()
+            self._drain_one()
         return self
 
 

@@ -67,10 +67,7 @@ class MonitorReport:
     conservative (not-compliant) and this flag tells the reader the
     report is a *non-verdict*, not a failure.
 
-    ``notes`` carries provenance caveats that are not verdicts — e.g.
-    :data:`~repro.stream.estimators.P2Quantile.MERGE_CAVEAT` when
-    quantile summaries were merged approximately, or when the samples
-    crossed a lossy wire codec.
+    ``notes`` carries provenance caveats that are not verdicts.
 
     ``correlated`` is the rendered verdict of an attached
     correlated-excursion detector bundle (see

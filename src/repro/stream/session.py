@@ -1,9 +1,14 @@
 """End-to-end streaming sessions: replay → estimate → monitor → stop.
 
-:class:`LiveStreamState` is the incremental core: one object holding
-every streaming estimator, the compliance monitor and the sequential
-stopping boundary, advanced one :class:`~repro.stream.ingest.SampleBatch`
-at a time.  Two drivers share it:
+:class:`FleetFold` is the per-node fold every route shares — the
+compliance monitor, the node-vs-fleet covariance and the fleet power
+quantiles, advanced one batch at a time against a per-tick fleet
+series, with an exact node-order :meth:`FleetFold.concat` for shards.
+
+:class:`LiveStreamState` is the incremental session core: one fold plus
+the pooled fleet moments and the sequential stopping boundary, advanced
+one :class:`~repro.stream.ingest.SampleBatch` at a time.  Two drivers
+share it:
 
 * :func:`stream_session` — the batch driver the ``repro stream`` CLI
   subcommand runs: replay a :class:`~repro.traces.synth.SimulatedRun`
@@ -34,11 +39,83 @@ from repro.stream.stopping import SequentialStopper, StoppingDecision
 from repro.traces.synth import SimulatedRun
 
 __all__ = [
+    "FleetFold",
     "StreamSnapshot",
     "StreamSessionResult",
     "LiveStreamState",
     "stream_session",
 ]
+
+
+class FleetFold:
+    """Monitor, covariance and quantiles over one node set, per batch.
+
+    :meth:`push` judges a batch against ``fleet_w``, the per-tick fleet
+    mean series: the batch's own :meth:`SampleBatch.fleet_means` for a
+    whole-fleet stream, or the global reference slice for a shard, so a
+    shard's fold is the exact column slice of the full-fleet fold.
+    Recovery is not part of the fold; drivers that repair gaps run their
+    own :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
+    """
+
+    __slots__ = ("monitor", "covar", "quantiles")
+
+    def __init__(
+        self,
+        core_window: tuple[float, float],
+        *,
+        required_interval_s: float,
+        quantiles: tuple[float, ...] = (0.5, 0.95),
+    ) -> None:
+        for q in quantiles:
+            if not (0.0 < q < 1.0):
+                raise ValueError(f"quantiles must be in (0, 1), got {q}")
+        self.monitor = ComplianceMonitor(
+            core_window, required_interval_s=required_interval_s
+        )
+        self.covar = RunningCovariance()
+        self.quantiles = {q: P2Quantile(q) for q in quantiles}
+
+    def push(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
+        """Fold one batch, judged against its per-tick fleet series."""
+        self.monitor.observe(batch, fleet_w=fleet_w)
+        for est in self.quantiles.values():
+            est.push_batch(batch.watts)
+        self.covar.push_batch(
+            batch.watts, np.broadcast_to(fleet_w[:, None], batch.watts.shape)
+        )
+
+    def quantiles_w(self) -> dict[float, float]:
+        """Current estimate of every tracked quantile."""
+        return {q: est.value for q, est in self.quantiles.items()}
+
+    @classmethod
+    def concat(cls, parts: list["FleetFold"]) -> "FleetFold":
+        """Reassemble node-ordered, node-partitioned folds.
+
+        Monitor and covariance state is column-independent, so they
+        concatenate exactly.  P² summaries cannot be sliced and their
+        merge is approximate and not associative, so they always merge
+        flat: a fresh estimator per quantile, then every part in order.
+        """
+        if not parts:
+            raise ValueError("concat needs at least one part")
+        qs = sorted(parts[0].quantiles)
+        for i, part in enumerate(parts):
+            if sorted(part.quantiles) != qs:
+                raise ValueError(f"shard {i} tracked different quantiles")
+        out = cls.__new__(cls)
+        out.monitor = ComplianceMonitor.merge_shards(
+            [p.monitor for p in parts]
+        )
+        out.covar = RunningCovariance.concat([p.covar for p in parts])
+        out.quantiles = {}
+        for q in qs:
+            est = P2Quantile(q)
+            for part in parts:
+                est.merge(part.quantiles[q])
+            out.quantiles[q] = est
+        return out
 
 
 @dataclass(frozen=True)
@@ -199,7 +276,7 @@ class LiveStreamState:
     required_interval_s:
         Maximum legal sample spacing (the Level 1/2 cadence rule).
     quantiles:
-        Fleet power quantiles tracked by P² estimators.
+        Fleet power quantiles tracked by the fold's P² estimators.
     accuracy / confidence:
         Sequential stopping target (λ, 1 − α).
     report_every_s:
@@ -219,15 +296,12 @@ class LiveStreamState:
     ) -> None:
         if report_every_s <= 0:
             raise ValueError("report_every_s must be positive")
-        for q in quantiles:
-            if not (0.0 < q < 1.0):
-                raise ValueError(f"quantiles must be in (0, 1), got {q}")
-        self.monitor = ComplianceMonitor(
-            core_window, required_interval_s=required_interval_s
+        self.fold = FleetFold(
+            core_window,
+            required_interval_s=required_interval_s,
+            quantiles=quantiles,
         )
         self.fleet = RunningMoments()
-        self.p2 = {q: P2Quantile(q) for q in quantiles}
-        self.covar = RunningCovariance()
         self.stopper = SequentialStopper(
             accuracy=accuracy,
             population=population,
@@ -258,15 +332,8 @@ class LiveStreamState:
         """Ingest one batch: estimators, compliance, stopping."""
         if self._finalized:
             raise ValueError("cannot push into a finalized stream state")
-        self.monitor.observe(batch)
+        self.fold.push(batch, batch.fleet_means())
         self.fleet.push_batch(batch.watts.ravel())
-        for est in self.p2.values():
-            est.push_batch(batch.watts)
-        self.covar.push_batch(
-            batch.watts, np.broadcast_to(
-                batch.fleet_means()[:, None], batch.watts.shape
-            ),
-        )
         self.samples_ingested += batch.n_samples
         self.batches_ingested += 1
 
@@ -274,7 +341,7 @@ class LiveStreamState:
         # stream progresses — node k's running mean is admitted once
         # the stream has warmed up past k batches, modelling staggered
         # instrumentation roll-out across the fleet.
-        node_means = np.asarray(self.monitor.node_moments.mean)
+        node_means = np.asarray(self.fold.monitor.node_moments.mean)
         admitted = min(
             self._nodes_fed + max(1, batch.n_nodes // 8),
             node_means.size,
@@ -299,10 +366,10 @@ class LiveStreamState:
 
     def snapshot_at(self, t_s: float) -> StreamSnapshot:
         """Build a snapshot of the current state, stamped ``t_s``."""
-        report = self.monitor.report()
+        report = self.fold.monitor.report()
         decision = self._decision
         have_sd = self.fleet.count >= 2
-        node_means = np.asarray(self.monitor.node_moments.mean)
+        node_means = np.asarray(self.fold.monitor.node_moments.mean)
         mu = float(node_means.mean())
         sd_nodes = (
             float(node_means.std(ddof=1)) if node_means.size > 1 else 0.0
@@ -315,7 +382,7 @@ class LiveStreamState:
                 float(np.asarray(self.fleet.std())) if have_sd else 0.0
             ),
             node_cv=(sd_nodes / mu if mu > 0 else 0.0),
-            quantiles_w={q: est.value for q, est in self.p2.items()},
+            quantiles_w=self.fold.quantiles_w(),
             rolling_mean_w=report.rolling_mean_w,
             coverage=report.window_fraction_covered,
             interval_ok=report.interval_ok,
@@ -334,7 +401,7 @@ class LiveStreamState:
         """
         if self.samples_ingested == 0:
             raise ValueError("cannot snapshot an empty stream")
-        return self.snapshot_at(self.monitor.report().t_now_s)
+        return self.snapshot_at(self.fold.monitor.report().t_now_s)
 
     def finalize(self) -> StoppingDecision:
         """Close the stream: admit any not-yet-reported node means.
@@ -344,8 +411,8 @@ class LiveStreamState:
         if self._finalized:
             return self._decision
         self._finalized = True
-        if self.monitor.samples_seen > 0:
-            node_means = np.asarray(self.monitor.node_moments.mean)
+        if self.fold.monitor.samples_seen > 0:
+            node_means = np.asarray(self.fold.monitor.node_moments.mean)
             if self._nodes_fed < node_means.size:
                 self._decision = self._stopper_feed(
                     node_means[self._nodes_fed:]
@@ -370,12 +437,14 @@ class LiveStreamState:
             raise ValueError("finalize() the state before result()")
         if self.samples_ingested == 0:
             raise ValueError("cannot summarise an empty stream")
-        final_monitor = self.monitor.report()
+        final_monitor = self.fold.monitor.report()
         snapshots = list(self.snapshots)
         if not snapshots:
             snapshots.append(self.snapshot_at(final_monitor.t_now_s))
         try:
-            correlation = float(np.mean(np.asarray(self.covar.correlation())))
+            correlation = float(
+                np.mean(np.asarray(self.fold.covar.correlation()))
+            )
         except ValueError:
             # Degenerate stream (a single tick, or constant readings):
             # the correlation is undefined, not zero — surface as NaN.
@@ -385,9 +454,9 @@ class LiveStreamState:
             monitor_report=final_monitor,
             stopping=self._decision,
             fleet_moments=self.fleet,
-            node_moments=self.monitor.node_moments,
+            node_moments=self.fold.monitor.node_moments,
             node_fleet_correlation=correlation,
-            quantiles_w={q: est.value for q, est in self.p2.items()},
+            quantiles_w=self.fold.quantiles_w(),
             queue_stalls=queue_stalls,
             queue_high_watermark=queue_high_watermark,
             samples_ingested=(

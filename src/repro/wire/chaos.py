@@ -18,20 +18,19 @@ and then puts the result on trial twice:
   per-sample error.
 
 The emitted report carries the wire provenance: codec spec, per-sample
-error bound, frame-loss counters, and — when quantile-bearing
-statistics crossed a lossy codec — the
-:data:`~repro.stream.estimators.P2Quantile.MERGE_CAVEAT` note.
+error bound and frame-loss counters.  The verdict is the shared
+:class:`~repro.faults.chaos.AuditOutcome`.
 
 Everything is a pure function of ``(run, codec, rates, seed)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.faults.quality import QualityReport
+from repro.faults.chaos import AuditOutcome, clean_truth
 from repro.faults.recovery import RecoveryPipeline
 from repro.faults.wire import (
     FrameCorruption,
@@ -40,8 +39,7 @@ from repro.faults.wire import (
     WireFaultPlan,
     WireLedger,
 )
-from repro.stream.estimators import P2Quantile
-from repro.stream.ingest import replay_run
+from repro.stream.ingest import SampleBatch, replay_run
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
 from repro.wire.session import WireReader, WireWriter
 
@@ -83,72 +81,28 @@ class WireScenario:
 
 
 @dataclass(frozen=True)
-class WireChaosOutcome:
+class WireChaosOutcome(AuditOutcome):
     """One wire chaos trial: estimates, label, and both verdicts."""
 
     scenario: WireScenario
     gap_policy: str
     seed: int
-    clean_fleet_mean_w: float
-    clean_node_cv: float
-    report: QualityReport
     monitor_report: MonitorReport
     ledger: WireLedger
     bytes_on_wire: int
     samples_sent: int
-    quantile_estimates: dict = field(default_factory=dict)
-    reconciliation: dict = field(default_factory=dict)
-
-    @property
-    def rel_err_fleet_mean(self) -> float:
-        """|degraded − clean| / clean for the fleet-mean estimate."""
-        return abs(
-            self.report.fleet_mean_w - self.clean_fleet_mean_w
-        ) / self.clean_fleet_mean_w
-
-    @property
-    def rel_err_node_cv(self) -> float:
-        """|degraded − clean| / clean for the node σ/μ estimate."""
-        return abs(
-            self.report.node_cv - self.clean_node_cv
-        ) / self.clean_node_cv
 
     @property
     def bytes_per_sample(self) -> float:
         """Wire bytes per scalar sample actually framed."""
         return self.bytes_on_wire / max(self.samples_sent, 1)
 
-    #: Slack against a stated bound of 0.0 — Welford accumulation vs
-    #: direct numpy truth differs in the last bit or two.
-    _BOUND_EPS = 1e-12
-
-    @property
-    def mean_within_bound(self) -> bool:
-        """Does the fleet-mean error sit inside the stated bound?"""
-        bound = self.report.error_bound_fleet_mean()
-        return self.rel_err_fleet_mean <= bound + self._BOUND_EPS
-
-    @property
-    def cv_within_bound(self) -> bool:
-        """Does the σ/μ error sit inside the stated bound?"""
-        bound = self.report.error_bound_node_cv()
-        return self.rel_err_node_cv <= bound + self._BOUND_EPS
-
-    @property
-    def reconciled(self) -> bool:
-        """Did every exact-accounting check pass?"""
-        return all(self.reconciliation.values())
-
-    def ok(self) -> bool:
-        """Reconciled *and* within both stated bounds."""
-        return (
-            self.reconciled
-            and self.mean_within_bound
-            and self.cv_within_bound
-        )
-
     def to_dict(self) -> dict:
-        """JSON-friendly rendering."""
+        """JSON-friendly rendering.
+
+        ``quantile_estimates`` stays in the rendering, always empty, so
+        the JSON shape is unchanged: the harness tracks no quantiles.
+        """
         return {
             "scenario": self.scenario.name,
             "codec": self.scenario.codec,
@@ -156,17 +110,11 @@ class WireChaosOutcome:
             "corrupt_rate": self.scenario.corrupt_rate,
             "gap_policy": self.gap_policy,
             "seed": self.seed,
-            "clean_fleet_mean_w": self.clean_fleet_mean_w,
-            "clean_node_cv": self.clean_node_cv,
-            "rel_err_fleet_mean": self.rel_err_fleet_mean,
-            "rel_err_node_cv": self.rel_err_node_cv,
+            **self._audit_rows(),
             "bytes_on_wire": self.bytes_on_wire,
             "samples_sent": self.samples_sent,
             "bytes_per_sample": self.bytes_per_sample,
-            "mean_within_bound": self.mean_within_bound,
-            "cv_within_bound": self.cv_within_bound,
-            "quantile_estimates": dict(self.quantile_estimates),
-            "reconciliation": dict(self.reconciliation),
+            "quantile_estimates": {},
             "report": self.report.to_dict(),
             "monitor_report": self.monitor_report.to_dict(),
             "ledger": self.ledger.to_dict(),
@@ -174,41 +122,14 @@ class WireChaosOutcome:
 
     def lines(self) -> list[str]:
         """Human-readable verdict block."""
-        bound_mean = self.report.error_bound_fleet_mean()
-        bound_cv = self.report.error_bound_node_cv()
-        out = [
+        return [
             f"wire scenario {self.scenario.name} "
             f"(codec={self.scenario.codec}, policy={self.gap_policy})",
             f"  wire cost     {self.bytes_per_sample:.2f} B/sample over "
             f"{self.ledger.frames_sent} frames",
-            f"  fleet mean    {self.report.fleet_mean_w:.2f} W degraded "
-            f"vs {self.clean_fleet_mean_w:.2f} W clean "
-            f"(err {100 * self.rel_err_fleet_mean:.3f}% <= "
-            f"bound {100 * bound_mean:.3f}%: "
-            f"{'ok' if self.mean_within_bound else 'VIOLATED'})",
-            f"  node sigma/mu {100 * self.report.node_cv:.3f}% degraded "
-            f"vs {100 * self.clean_node_cv:.3f}% clean "
-            f"(err {100 * self.rel_err_node_cv:.3f}% <= "
-            f"bound {100 * bound_cv:.3f}%: "
-            f"{'ok' if self.cv_within_bound else 'VIOLATED'})",
-            f"  reconciliation {'exact' if self.reconciled else 'FAILED'} ("
-            + ", ".join(
-                f"{k}={'ok' if v else 'FAIL'}"
-                for k, v in self.reconciliation.items()
-            )
-            + ")",
+            *self._audit_lines(),
+            *("  " + line for line in self.report.lines()),
         ]
-        out.extend("  " + line for line in self.report.lines())
-        return out
-
-
-def _clean_truth(batches) -> tuple[float, float, int, int]:
-    """Fleet mean, node σ/μ, tick and node counts of a clean stream."""
-    watts = np.vstack([b.watts for b in batches])
-    node_means = watts.mean(axis=0)
-    fleet_mean_w = float(node_means.mean())
-    node_cv = float(node_means.std(ddof=1)) / fleet_mean_w
-    return fleet_mean_w, node_cv, watts.shape[0], watts.shape[1]
 
 
 def run_wire_chaos(
@@ -220,7 +141,6 @@ def run_wire_chaos(
     ticks_per_batch: int = 20,
     node_indices: np.ndarray | None = None,
     original_level: int = 2,
-    quantiles: tuple[float, ...] = (),
 ) -> WireChaosOutcome:
     """Send ``run`` through a faulty wire, recover, and audit the label.
 
@@ -235,7 +155,7 @@ def run_wire_chaos(
             core_only=True,
         )
     )
-    clean_mean_w, clean_cv, n_ticks_clean, n_nodes = _clean_truth(batches)
+    clean_mean_w, clean_cv = clean_truth(np.vstack([b.watts for b in batches]))
 
     writer = WireWriter(scenario.codec)
     frames = writer.write_all(batches)
@@ -254,20 +174,11 @@ def run_wire_chaos(
         core_window_s=(float(t0_s), float(t1_s)),
         required_interval_s=float(run.dt),
     )
-    # Two shards merged at the end: the same count-weighted P² roll-up
-    # a distributed collector would do, so the merge caveat is honest.
-    shards = [
-        {q: P2Quantile(q) for q in quantiles},
-        {q: P2Quantile(q) for q in quantiles},
-    ]
-    half_tick = n_ticks_clean // 2
 
     def _observe(batch) -> None:
         pipeline.observe(batch)
         finite = np.all(np.isfinite(batch.watts), axis=1)
         if finite.any():
-            from repro.stream.ingest import SampleBatch
-
             monitor.observe(
                 SampleBatch(
                     times=batch.times[finite],
@@ -275,12 +186,6 @@ def run_wire_chaos(
                     node_ids=batch.node_ids,
                 )
             )
-        for t, row in zip(batch.times, batch.watts):
-            if not np.all(np.isfinite(row)):
-                continue
-            shard = shards[int(t >= t0_s + half_tick * run.dt)]
-            for est in shard.values():
-                est.push(float(row.mean()))
 
     for chunk in delivery.chunks:
         for batch in reader.feed(chunk):
@@ -288,36 +193,17 @@ def run_wire_chaos(
     for batch in reader.close():
         _observe(batch)
 
-    report = pipeline.finalize(
-        expected_ticks=n_ticks_clean,
-        batches_retried=0,
-        batches_abandoned=0,
-    )
-
-    merged = {}
-    for q in quantiles:
-        est = shards[0][q]
-        if shards[1][q].count:
-            est = est.merge(shards[1][q])
-        merged[q] = est.value if est.count else float("nan")
-
-    notes: list[str] = []
-    if quantiles and writer.error_bound_w > 0.0:
-        notes.append(
-            f"quantile statistics crossed lossy codec "
-            f"{writer.codec.name}; {P2Quantile.MERGE_CAVEAT}"
-        )
-    elif quantiles:
-        notes.append(P2Quantile.MERGE_CAVEAT)
     report = replace(
-        report,
+        pipeline.finalize(
+            expected_ticks=sum(b.n_ticks for b in batches),
+            batches_retried=0,
+            batches_abandoned=0,
+        ),
         codec=writer.codec.name,
         codec_error_bound_w=writer.error_bound_w,
         frames_dropped=ledger.frames_dropped,
         frames_corrupt=ledger.frames_corrupted,
-        notes=tuple(notes),
     )
-    monitor_report = replace(monitor.report(), notes=tuple(notes))
 
     samples_accounted = report.samples_missing + report.samples_never_arrived
     reconciliation = {
@@ -341,10 +227,9 @@ def run_wire_chaos(
         clean_fleet_mean_w=clean_mean_w,
         clean_node_cv=clean_cv,
         report=report,
-        monitor_report=monitor_report,
+        monitor_report=monitor.report(),
         ledger=ledger,
         bytes_on_wire=writer.bytes_written,
         samples_sent=writer.samples_written,
-        quantile_estimates=merged,
         reconciliation=reconciliation,
     )

@@ -222,6 +222,11 @@ class FrameParser:
         self.bytes_fed = 0
         self._closed = False
 
+    @property
+    def buffered(self) -> int:
+        """Bytes held back as the start of a not yet complete frame."""
+        return len(self._buf)
+
     def feed(self, data: bytes) -> list[FrameEvent]:
         """Consume a chunk; return the events it completed."""
         if self._closed:

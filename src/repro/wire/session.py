@@ -23,6 +23,8 @@ from repro.stream.ingest import SampleBatch
 from repro.wire.codecs import Codec, codec_for_frame, make_codec
 from repro.wire.framing import (
     FLAG_ZLIB,
+    HEADER_LEN,
+    TRAILER_LEN,
     FrameHeader,
     FrameParser,
     encode_frame,
@@ -201,6 +203,18 @@ class WireReader:
     def truncated_frames(self) -> int:
         """Partial frames dangling at end of stream."""
         return self._parser.truncated_frames
+
+    def max_batches(self, n_bytes: int) -> int:
+        """Most decoded batches a :meth:`feed` of ``n_bytes`` can return.
+
+        Each frame those bytes complete releases at most its own batch
+        plus the frames waiting in the reorder window; gap batches carry
+        no samples and are not counted.
+        """
+        n_frames = (self._parser.buffered + n_bytes) // (
+            HEADER_LEN + TRAILER_LEN
+        )
+        return n_frames + len(self._pending)
 
     # ------------------------------------------------------------------
     def feed(self, data: bytes) -> list[SampleBatch]:

@@ -8,7 +8,7 @@ from repro.faults.recovery import (
     FlakySource,
     MaskedRunningMoments,
     RecoveryPipeline,
-    ResilientIngestLoop,
+    RetryingSource,
     RetryPolicy,
     TransientMeterError,
 )
@@ -87,55 +87,57 @@ class TestFlakySource:
 
 
 class TestResilientIngestLoop:
+    """A :class:`RetryingSource` feeding the plain :class:`IngestLoop`."""
+
     def test_retries_absorb_every_failure(self):
         batches = _batches(np.ones((24, 3)))
-        source = FlakySource(iter(batches), failure_rate=0.4, seed=3)
-        seen = []
-        loop = ResilientIngestLoop(
-            source,
-            seen.append,
+        flaky = FlakySource(iter(batches), failure_rate=0.4, seed=3)
+        source = RetryingSource(
+            flaky,
             clock=SimClock(2.0),
             policy=RetryPolicy(max_retries=50),
             seed=3,
         )
-        loop.run()
+        seen = []
+        loop = IngestLoop(source, seen.append).run()
         assert loop.batches_ingested == len(batches)
         assert [float(b.t0_s) for b in seen] == [
             float(b.t0_s) for b in batches
         ]
-        assert loop.retries == source.failures_raised > 0
-        assert loop.batches_abandoned == 0
-        assert loop.backoff_ticks >= loop.retries
+        assert source.retries == flaky.failures_raised > 0
+        assert source.batches_abandoned == 0
+        assert source.backoff_ticks >= source.retries
 
     def test_retry_exhaustion_abandons_and_continues(self):
         batches = _batches(np.ones((40, 3)), per=4)
-        source = FlakySource(iter(batches), failure_rate=0.75, seed=5)
-        loop = ResilientIngestLoop(
-            source,
-            lambda b: None,
+        source = RetryingSource(
+            FlakySource(iter(batches), failure_rate=0.75, seed=5),
             clock=SimClock(2.0),
             policy=RetryPolicy(max_retries=1),
             seed=5,
         )
-        loop.run()
-        assert loop.batches_abandoned > 0
-        assert len(loop.abandoned) == loop.batches_abandoned
-        assert loop.samples_abandoned == sum(
-            b.n_samples for b in loop.abandoned
+        loop = IngestLoop(source, lambda b: None).run()
+        assert source.batches_abandoned > 0
+        assert len(source.abandoned) == source.batches_abandoned
+        assert source.samples_abandoned == sum(
+            b.n_samples for b in source.abandoned
         )
         # Nothing vanishes: every batch is either ingested or abandoned.
-        assert loop.batches_ingested + loop.batches_abandoned == len(batches)
+        assert (
+            loop.batches_ingested + source.batches_abandoned == len(batches)
+        )
 
     def test_backoff_advances_the_sim_clock_only(self):
-        source = FlakySource(
-            iter(_batches(np.ones((8, 2)))), failure_rate=0.5, seed=9
-        )
         clock = SimClock(2.0)
-        loop = ResilientIngestLoop(
-            source, lambda b: None, clock=clock, seed=9
+        source = RetryingSource(
+            FlakySource(
+                iter(_batches(np.ones((8, 2)))), failure_rate=0.5, seed=9
+            ),
+            clock=clock,
+            seed=9,
         )
-        loop.run()
-        assert clock.tick == loop.backoff_ticks
+        IngestLoop(source, lambda b: None).run()
+        assert clock.tick == source.backoff_ticks
 
 
 class TestMaskedRunningMoments:

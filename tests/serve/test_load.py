@@ -25,6 +25,7 @@ from repro.serve import (
     TenantQuota,
     make_request,
 )
+from repro.serve.app import RPWR_CONTENT_TYPE
 from repro.stream.ingest import SimClock
 from repro.wire.session import WireWriter
 
@@ -221,6 +222,46 @@ class TestRateLimiting:
         assert used[1] == 240  # refused batches never billed
 
 
+async def _stall_then_retry(app, config, bodies, content_type):
+    """Ingest ``bodies`` into a session whose drain worker is stalled,
+    then wake the worker, retry every refused body in order, and close.
+    """
+    response = await app.dispatch(make_request(
+        "POST", "/v1/sessions", tenant="acme",
+        body=json.dumps(config).encode(),
+    ))
+    sid = json.loads(response.body)["session"]["session_id"]
+    session = app.registry.get("acme", sid)
+    session.gate.clear()  # stall the consumer
+
+    def post(body):
+        return app.dispatch(make_request(
+            "POST", f"/v1/sessions/{sid}/batches",
+            tenant="acme", body=body, content_type=content_type,
+        ))
+
+    statuses: list[int] = []
+    refused: list[bytes] = []
+    retry_after = None
+    for body in bodies:
+        r = await post(body)
+        statuses.append(r.status)
+        if r.status == 429:
+            refused.append(body)
+            retry_after = r.headers.get("Retry-After")
+
+    session.gate.set()  # consumer wakes up
+    await session.drain()
+    for body in refused:  # client retries, in order
+        r = await post(body)
+        assert r.status == 202
+    await session.drain()
+    closed = await app.dispatch(make_request(
+        "DELETE", f"/v1/sessions/{sid}", tenant="acme"
+    ))
+    return session, statuses, retry_after, closed
+
+
 class TestBackpressure:
     def test_slow_consumer_429_then_recovers(
         self, app, session_config, json_payloads, direct_summary
@@ -229,50 +270,35 @@ class TestBackpressure:
         answers 429 + Retry-After, and once the consumer catches up the
         session still converges on the exact direct verdict."""
         config = dict(session_config, queue_capacity=2)
-
-        async def scenario():
-            response = await app.dispatch(make_request(
-                "POST", "/v1/sessions", tenant="acme",
-                body=json.dumps(config).encode(),
-            ))
-            sid = json.loads(response.body)["session"]["session_id"]
-            session = app.registry.get("acme", sid)
-            session.gate.clear()  # stall the consumer
-
-            statuses: list[int] = []
-            refused: list[bytes] = []
-            retry_after = None
-            for payload in json_payloads:
-                r = await app.dispatch(make_request(
-                    "POST", f"/v1/sessions/{sid}/batches",
-                    tenant="acme", body=payload,
-                ))
-                statuses.append(r.status)
-                if r.status == 429:
-                    refused.append(payload)
-                    retry_after = r.headers.get("Retry-After")
-
-            session.gate.set()  # consumer wakes up
-            await session.drain()
-            for payload in refused:  # client retries, in order
-                r = await app.dispatch(make_request(
-                    "POST", f"/v1/sessions/{sid}/batches",
-                    tenant="acme", body=payload,
-                ))
-                assert r.status == 202
-            await session.drain()
-            closed = await app.dispatch(make_request(
-                "DELETE", f"/v1/sessions/{sid}", tenant="acme"
-            ))
-            return session, statuses, retry_after, closed
-
-        session, statuses, retry_after, closed = asyncio.run(scenario())
+        session, statuses, retry_after, closed = asyncio.run(
+            _stall_then_retry(app, config, json_payloads, "application/json")
+        )
         assert 429 in statuses  # the queue really filled
         assert statuses[0] == 202  # and really accepted some first
         assert retry_after is not None and float(retry_after) > 0
         assert session.batches_rejected > 0
         assert session.queue_high_watermark == 2
         summary = json.loads(closed.body)["summary"]
+        assert strip_queue_stats(summary) == direct_summary
+
+    def test_slow_consumer_rpwr_429_then_recovers(
+        self, app, session_config, serve_batches, direct_summary
+    ):
+        """The same stall over RPWR frames: a refused body leaves the
+        session's wire reader untouched, so its retry is decoded afresh
+        instead of being dropped as duplicate frames."""
+        config = dict(session_config, queue_capacity=2)
+        writer = WireWriter(codec="raw64")
+        bodies = [writer.write(b).data for b in serve_batches]
+        session, statuses, retry_after, closed = asyncio.run(
+            _stall_then_retry(app, config, bodies, RPWR_CONTENT_TYPE)
+        )
+        assert 429 in statuses
+        assert statuses[0] == 202
+        assert retry_after is not None and float(retry_after) > 0
+        assert session.batches_rejected > 0
+        summary = json.loads(closed.body)["summary"]
+        assert summary["quality"]["frames_corrupt"] == 0
         assert strip_queue_stats(summary) == direct_summary
 
 

@@ -98,12 +98,12 @@ class TestArbitraryPartitions:
             np.asarray(reference.node_moments.std()),
         )
         assert np.array_equal(
-            np.asarray(fleet.covar.correlation()),
-            np.asarray(reference.covar.correlation()),
+            np.asarray(fleet.fold.covar.correlation()),
+            np.asarray(reference.fold.covar.correlation()),
         )
         assert (
-            fleet.monitor.report().to_dict()
-            == reference.monitor.report().to_dict()
+            fleet.fold.monitor.report().to_dict()
+            == reference.fold.monitor.report().to_dict()
         )
         assert float(
             np.asarray(fleet.fleet_moments().mean)

@@ -97,33 +97,24 @@ class TestIngestLoop:
         assert loop.samples_ingested == sum(b.n_samples for b in batches)
 
     def test_backpressure_stalls_counted(self):
-        # Capacity 1 with no interleaved draining beyond the schedule:
-        # every batch after the first must stall at least once.
+        # Offer one, fold one: even a capacity-1 queue never fills.
         batches = [_batch(10.0 * i) for i in range(5)]
         loop = IngestLoop(
             iter(batches), lambda b: None, queue_capacity=1
         )
         loop.run()
         assert loop.batches_ingested == 5
-        assert loop.stalls == 0  # drain_per_step=1 keeps pace exactly
+        assert loop.stalls == 0
         assert loop.queue.high_watermark == 1
 
     def test_slow_consumer_drain(self):
-        # drain_per_step=1 but two batches offered per drain via a
-        # generator that yields in bursts is not expressible here; use
-        # capacity 1 and verify nothing is lost even when the producer
-        # outpaces the consumer.
+        # Nothing is lost or left queued whatever the capacity.
         batches = [_batch(10.0 * i) for i in range(7)]
         seen = []
-        loop = IngestLoop(
-            iter(batches), seen.append, queue_capacity=2, drain_per_step=1
-        )
+        loop = IngestLoop(iter(batches), seen.append, queue_capacity=2)
         loop.run()
         assert len(seen) == 7
-
-    def test_bad_drain(self):
-        with pytest.raises(ValueError, match="drain_per_step"):
-            IngestLoop(iter([]), lambda b: None, drain_per_step=0)
+        assert len(loop.queue) == 0
 
 
 class TestReplayRun:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.faults.recovery import GAP_POLICIES
-from repro.stream.estimators import P2Quantile
 from repro.wire.chaos import WireScenario, run_wire_chaos
 from repro.wire.codecs import available_codecs
 from repro.wire.frontier import frontier_cell, wire_frontier
@@ -138,52 +137,10 @@ class TestEveryCodec:
 
 
 class TestQuantileCaveat:
-    def test_lossy_codec_note_names_codec_and_caveat(self, run):
-        out = run_wire_chaos(
-            run,
-            WireScenario(name="q8", codec="quant8"),
-            seed=3,
-            node_indices=np.arange(8),
-            ticks_per_batch=10,
-            quantiles=(0.5,),
-        )
-        assert len(out.report.notes) == 1
-        note = out.report.notes[0]
-        assert "quant8" in note
-        assert P2Quantile.MERGE_CAVEAT in note
-        assert out.monitor_report.notes == out.report.notes
-        assert 0.5 in out.quantile_estimates
-        assert np.isfinite(out.quantile_estimates[0.5])
-
-    def test_lossless_codec_still_declares_the_merge(self, run):
-        out = run_wire_chaos(
-            run,
-            WireScenario(name="raw", codec="raw64"),
-            seed=3,
-            node_indices=np.arange(8),
-            ticks_per_batch=10,
-            quantiles=(0.5,),
-        )
-        assert out.report.notes == (P2Quantile.MERGE_CAVEAT,)
-
     def test_no_quantiles_no_note(self, lossy_outcome):
+        # The harness tracks no quantiles, so it stamps no merge caveat.
         assert lossy_outcome.report.notes == ()
         assert lossy_outcome.monitor_report.notes == ()
-
-    def test_merged_quantile_tracks_the_fleet_row_mean(self, run):
-        out = run_wire_chaos(
-            run,
-            WireScenario(name="med", codec="raw64"),
-            seed=3,
-            node_indices=np.arange(8),
-            ticks_per_batch=10,
-            quantiles=(0.5,),
-        )
-        # Clean wire: the P2 median of row means must sit inside the
-        # observed fleet-mean neighbourhood.
-        assert out.quantile_estimates[0.5] == pytest.approx(
-            out.report.fleet_mean_w, rel=0.05
-        )
 
 
 class TestFrontier:
