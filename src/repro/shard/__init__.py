@@ -1,15 +1,13 @@
-"""Million-node hot path: slabs, shard planning, exact reduction.
+"""Sharded hot path: slabs, shard planning, exact reduction.
 
 The scale layer of the pipeline.  A fleet too large for one process is
 partitioned into contiguous node ranges (:mod:`repro.shard.plan`), each
-range streams through the full per-node kernel with zero-copy columnar
-slab storage (:mod:`repro.shard.slab`,
+range streams through the full per-node kernel over preallocated
+columnar slabs (:mod:`repro.shard.slab`,
 :meth:`~repro.traces.synth.SimulatedRun.stream_run`), and the per-shard
-estimator states reassemble through an exact merge tree
+estimator states reassemble by node-order concatenation
 (:mod:`repro.shard.reduce`) into fleet statistics that are
 **bit-identical for any shard count** (:mod:`repro.shard.engine`).
-Wire-transported fleets decode straight into shard slabs by node-range
-header (:mod:`repro.shard.wire`).
 """
 
 from repro.shard.engine import (
@@ -20,27 +18,17 @@ from repro.shard.engine import (
     sharded_session,
 )
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
-from repro.shard.reduce import (
-    FleetState,
-    ShardState,
-    concat_tree,
-    reduce_states,
-)
-from repro.shard.slab import ColumnBatch, Slab, SlabRing
-from repro.shard.wire import FrameShardRouter, RoutedBatch
+from repro.shard.reduce import FleetState, ShardState, reduce_states
+from repro.shard.slab import Slab, SlabRing
 
 __all__ = [
-    "ColumnBatch",
     "FleetState",
-    "FrameShardRouter",
-    "RoutedBatch",
     "ShardPlan",
     "ShardSessionResult",
     "ShardSpec",
     "ShardState",
     "Slab",
     "SlabRing",
-    "concat_tree",
     "fleet_reference",
     "plan_shards",
     "reduce_states",

@@ -14,7 +14,7 @@ The driver for the million-node hot path:
   :class:`~repro.shard.reduce.ShardState`.
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
   pool (or run them inline when ``processes`` is 0, the deterministic
-  default), then reduce through the exact merge tree.
+  default), then reduce by exact node-order concatenation.
 * :func:`sharded_session` — the full-session entry point: Eq. 1–5
   sequential stopping, the merged :class:`MonitorReport` and the
   :class:`~repro.faults.quality.QualityReport` all rendered from merged
@@ -23,6 +23,7 @@ The driver for the million-node hot path:
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 
@@ -49,14 +50,11 @@ __all__ = [
 
 
 def fleet_reference(
-    run: SimulatedRun,
-    *,
-    ticks_per_batch: int = 60,
-    core_only: bool = True,
+    run: SimulatedRun, *, ticks_per_batch: int = 60
 ) -> np.ndarray:
     """The global per-tick fleet mean power, computed in one pass.
 
-    Streams the whole fleet through
+    Streams the whole fleet's core phase through
     :meth:`~repro.traces.synth.SimulatedRun.stream_run` (slab-backed,
     never materialising the run) and keeps only the across-node mean of
     each tick — O(n_ticks) memory.  The values are bit-identical to the
@@ -67,9 +65,7 @@ def fleet_reference(
     ring = SlabRing(ticks_per_batch, run.system.n_nodes)
     chunks = [
         batch.fleet_means()
-        for batch in run.stream_run(
-            ticks_per_batch=ticks_per_batch, core_only=core_only, ring=ring
-        )
+        for batch in run.stream_run(ticks_per_batch=ticks_per_batch, ring=ring)
     ]
     return np.concatenate(chunks)
 
@@ -80,10 +76,6 @@ def run_shard(
     *,
     ticks_per_batch: int,
     reference_w: np.ndarray,
-    quantiles: tuple[float, ...] = (0.5, 0.95),
-    core_only: bool = True,
-    gap_policy: str = "hold",
-    original_level: int = 2,
 ) -> ShardState:
     """Run the full per-shard kernel over one contiguous node range.
 
@@ -93,19 +85,12 @@ def run_shard(
     tick count.
     """
     ring = SlabRing(ticks_per_batch, spec.n_nodes)
-    fold = FleetFold(
-        run.core_window,
-        required_interval_s=max(run.dt, 1.0),
-        quantiles=quantiles,
-    )
-    pipeline = RecoveryPipeline(
-        gap_policy=gap_policy, original_level=original_level
-    )
+    fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
+    pipeline = RecoveryPipeline()
     ticks_seen = 0
     for batch in run.stream_run(
         node_indices=spec.node_indices,
         ticks_per_batch=ticks_per_batch,
-        core_only=core_only,
         ring=ring,
     ):
         n_t = batch.n_ticks
@@ -129,40 +114,11 @@ def run_shard(
     )
 
 
-def _shard_worker(payload: tuple) -> ShardState:
-    """Pool entry point: unpack one shard task and run its kernel."""
-    (
-        run,
-        spec,
-        ticks_per_batch,
-        reference_w,
-        quantiles,
-        core_only,
-        gap_policy,
-        original_level,
-    ) = payload
-    return run_shard(
-        run,
-        spec,
-        ticks_per_batch=ticks_per_batch,
-        reference_w=reference_w,
-        quantiles=quantiles,
-        core_only=core_only,
-        gap_policy=gap_policy,
-        original_level=original_level,
-    )
-
-
 def run_sharded(
     run: SimulatedRun,
     plan: ShardPlan,
     *,
     processes: int = 0,
-    quantiles: tuple[float, ...] = (0.5, 0.95),
-    core_only: bool = True,
-    gap_policy: str = "hold",
-    original_level: int = 2,
-    reference_w: np.ndarray | None = None,
 ) -> FleetState:
     """Execute every shard of a plan and reduce to the fleet state.
 
@@ -170,8 +126,7 @@ def run_sharded(
     shard inline in this process — still through the identical kernel,
     so results are bit-identical either way; ``>= 2`` fans shards over
     a ``fork`` multiprocessing pool (falling back to inline where fork
-    is unavailable).  ``reference_w`` lets a caller reuse an already
-    computed :func:`fleet_reference` series.
+    is unavailable).
     """
     if plan.n_nodes != run.system.n_nodes:
         raise ValueError(
@@ -180,25 +135,12 @@ def run_sharded(
         )
     if processes < 0:
         raise ValueError("processes must be >= 0")
-    if reference_w is None:
-        reference_w = fleet_reference(
-            run,
-            ticks_per_batch=plan.ticks_per_batch,
-            core_only=core_only,
-        )
-    payloads = [
-        (
-            run,
-            spec,
-            plan.ticks_per_batch,
-            reference_w,
-            quantiles,
-            core_only,
-            gap_policy,
-            original_level,
-        )
-        for spec in plan
-    ]
+    work = functools.partial(
+        run_shard,
+        run,
+        ticks_per_batch=plan.ticks_per_batch,
+        reference_w=fleet_reference(run, ticks_per_batch=plan.ticks_per_batch),
+    )
     use_pool = (
         processes >= 2
         and plan.n_shards >= 2
@@ -207,9 +149,9 @@ def run_sharded(
     if use_pool:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(processes, plan.n_shards)) as pool:
-            states = pool.map(_shard_worker, payloads)
+            states = pool.map(work, plan.shards)
     else:
-        states = [_shard_worker(p) for p in payloads]
+        states = [work(spec) for spec in plan]
     return reduce_states(states, plan)
 
 
@@ -233,7 +175,6 @@ class ShardSessionResult:
         pooled = self.fleet_moments
         return {
             "n_shards": self.plan.n_shards,
-            "plan_key": self.plan.plan_key,
             "samples_ingested": self.samples_ingested,
             "fleet_mean_w": float(np.asarray(pooled.mean)),
             "fleet_std_w": float(np.asarray(pooled.std())),
@@ -287,14 +228,9 @@ def sharded_session(
     *,
     n_shards: int = 1,
     ticks_per_batch: int = 60,
-    quantiles: tuple[float, ...] = (0.5, 0.95),
     accuracy: float = 0.01,
     confidence: float = 0.95,
-    core_only: bool = True,
     processes: int = 0,
-    gap_policy: str = "hold",
-    original_level: int = 2,
-    expected_ticks: int | None = None,
 ) -> ShardSessionResult:
     """Run a full streaming session through the shard engine.
 
@@ -305,26 +241,16 @@ def sharded_session(
     for any ``n_shards``** — the per-node reductions are exact
     concatenations and every fleet scalar derives from the merged
     vectors by the same deterministic expressions.  The one documented
-    exception is the P² quantile set, whose cross-shard merge is
-    approximate; sessions with more than one shard carry
+    exception is the P² quantile set (the median and p95 of
+    :class:`~repro.stream.session.FleetFold`), whose cross-shard merge
+    is approximate; sessions with more than one shard carry
     :data:`~repro.stream.estimators.P2Quantile.MERGE_CAVEAT` in
     ``notes``.
     """
-    for q in quantiles:
-        if not (0.0 < q < 1.0):
-            raise ValueError(f"quantiles must be in (0, 1), got {q}")
     plan = plan_shards(
         run.system.n_nodes, n_shards, ticks_per_batch=ticks_per_batch
     )
-    fleet = run_sharded(
-        run,
-        plan,
-        processes=processes,
-        quantiles=quantiles,
-        core_only=core_only,
-        gap_policy=gap_policy,
-        original_level=original_level,
-    )
+    fleet = run_sharded(run, plan, processes=processes)
     # Eq. 1–5 sequential stopping over the merged node means, admitted
     # in node order — deterministic and shard-count independent.
     stopper = SequentialStopper(
@@ -337,12 +263,7 @@ def sharded_session(
     for mean_w in np.asarray(fleet.node_moments.mean):
         decision = stopper.update(float(mean_w))
     quality = build_quality_report(
-        fleet.recovery,
-        expected_ticks=(
-            fleet.recovery.ticks_seen
-            if expected_ticks is None
-            else expected_ticks
-        ),
+        fleet.recovery, expected_ticks=fleet.recovery.ticks_seen
     )
     notes = (
         (P2Quantile.MERGE_CAVEAT,)

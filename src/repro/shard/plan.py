@@ -4,43 +4,25 @@
 near-equal ranges — the partition under which every per-node estimator
 in the pipeline is column-independent, so shard results reassemble
 bit-identically (see :mod:`repro.shard.reduce`).
-
-Each shard carries a **content-address key** built with the PR 3
-machinery (:mod:`repro.parallel.hashing`): a digest over the shard
-package's import-closure source plus the shard's coordinates.  Two
-plans agree on a shard key exactly when re-running that shard would
-execute the same code over the same node range with the same batching —
-which is what lets a scheduler cache or dedupe shard work safely.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-from repro.parallel.hashing import closure_digest
 
 __all__ = ["ShardSpec", "ShardPlan", "plan_shards"]
 
 
-@lru_cache(maxsize=1)
-def _shard_code_digest() -> str:
-    """Digest of the shard package's import closure (cached per process)."""
-    return closure_digest("repro.shard")
-
-
 @dataclass(frozen=True)
 class ShardSpec:
-    """One shard: a contiguous node range and its content-address key."""
+    """One shard: a contiguous node range."""
 
     shard_index: int
     n_shards: int
     node_lo: int
     node_hi: int
-    key: str
 
     def __post_init__(self) -> None:
         if not (0 <= self.shard_index < self.n_shards):
@@ -66,7 +48,6 @@ class ShardPlan:
     n_nodes: int
     ticks_per_batch: int
     shards: tuple[ShardSpec, ...]
-    plan_key: str
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -99,34 +80,17 @@ class ShardPlan:
     def __len__(self) -> int:
         return len(self.shards)
 
-    def shard_for_range(
-        self, node_lo: int, n_nodes: int
-    ) -> ShardSpec | None:
-        """The shard exactly matching ``[node_lo, node_lo + n_nodes)``.
-
-        The wire router's lookup: a frame header's node range either
-        names a planned shard exactly or the frame is unroutable
-        (``None``) — partial overlaps are never silently split.
-        """
-        for spec in self.shards:
-            if spec.node_lo == node_lo and spec.n_nodes == n_nodes:
-                return spec
-        return None
-
 
 def plan_shards(
     n_nodes: int,
     n_shards: int,
     *,
     ticks_per_batch: int = 60,
-    code_digest: str | None = None,
 ) -> ShardPlan:
     """Partition ``n_nodes`` into ``n_shards`` contiguous ranges.
 
     Ranges are near-equal: the first ``n_nodes % n_shards`` shards get
-    one extra node (``np.array_split`` semantics).  ``code_digest``
-    overrides the shard package's import-closure digest — injectable so
-    tests can pin keys without hashing real sources.
+    one extra node (``np.array_split`` semantics).
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
@@ -136,31 +100,19 @@ def plan_shards(
         )
     if ticks_per_batch < 1:
         raise ValueError("ticks_per_batch must be >= 1")
-    digest = code_digest if code_digest is not None else _shard_code_digest()
     base, extra = divmod(n_nodes, n_shards)
     shards = []
     lo = 0
     for i in range(n_shards):
         hi = lo + base + (1 if i < extra else 0)
-        key = hashlib.sha256(
-            f"{digest}:{i}/{n_shards}:[{lo},{hi}):{ticks_per_batch}".encode()
-        ).hexdigest()
         shards.append(
             ShardSpec(
-                shard_index=i,
-                n_shards=n_shards,
-                node_lo=lo,
-                node_hi=hi,
-                key=key,
+                shard_index=i, n_shards=n_shards, node_lo=lo, node_hi=hi
             )
         )
         lo = hi
-    plan_key = hashlib.sha256(
-        f"{digest}:{n_nodes}:{n_shards}:{ticks_per_batch}".encode()
-    ).hexdigest()
     return ShardPlan(
         n_nodes=n_nodes,
         ticks_per_batch=ticks_per_batch,
         shards=tuple(shards),
-        plan_key=plan_key,
     )

@@ -6,10 +6,9 @@ counter — each depends only on its own node's sample stream.  Under a
 contiguous node partition, a shard therefore holds exactly the column
 slice of the state a full-fleet run would hold, and the fleet state is
 the node-ordered **concatenation** of the shard states.  Concatenation
-is associative and involves no floating-point combination at all, so
-the reduction is exact to the bit and independent of both the shard
-count and the shape of the merge tree — the property the hypothesis
-suite drives with random partitions and random tree arities.
+involves no floating-point combination at all, so the reduction is
+exact to the bit and independent of the shard count — the property the
+hypothesis suite drives with random partitions.
 
 Fleet *scalars* (pooled mean/σ, correlations, Eq. 1–5 stopping) are
 derived **after** the concatenation, from the full per-node vectors,
@@ -29,31 +28,7 @@ from repro.shard.plan import ShardPlan, ShardSpec
 from repro.stream.estimators import RunningMoments
 from repro.stream.session import FleetFold
 
-__all__ = ["ShardState", "FleetState", "concat_tree", "reduce_states"]
-
-
-def concat_tree(parts: list, combine, *, arity: int = 2):
-    """Reduce ``parts`` through a merge tree of the given arity.
-
-    ``combine`` maps a list of adjacent parts to one part (e.g.
-    :meth:`RunningMoments.concat`).  Because the shard reductions are
-    pure ordered concatenations, the tree shape cannot change the
-    result — a flat ``combine(parts)`` and any tree are bit-identical —
-    but reducing as a tree keeps peak intermediate sizes logarithmic
-    when thousands of shards stream their states in.
-    """
-    if not parts:
-        raise ValueError("concat_tree needs at least one part")
-    if arity < 2:
-        raise ValueError("arity must be >= 2")
-    level = list(parts)
-    while len(level) > 1:
-        level = [
-            level[i] if len(level[i : i + arity]) == 1
-            else combine(level[i : i + arity])
-            for i in range(0, len(level), arity)
-        ]
-    return level[0]
+__all__ = ["ShardState", "FleetState", "reduce_states"]
 
 
 @dataclass
@@ -81,7 +56,6 @@ class FleetState:
     (:data:`~repro.stream.estimators.P2Quantile.MERGE_CAVEAT`).
     """
 
-    plan: ShardPlan
     fold: FleetFold
     recovery: RecoveryState
     samples_ingested: int
@@ -105,9 +79,10 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
     """Merge per-shard states into the fleet state (exact).
 
     Validates that the states tile the plan exactly — every planned
-    shard present once, keys matching — then concatenates the folds in
-    node order (:meth:`FleetFold.concat`; its P² merge is approximate
-    and flagged) and the recovery state through :func:`concat_tree`.
+    shard present once — then concatenates the folds
+    (:meth:`FleetFold.concat`; its P² merge is approximate and flagged)
+    and the recovery states (:meth:`RecoveryState.concat`) in node
+    order.
     """
     if len(states) != plan.n_shards:
         raise ValueError(
@@ -119,15 +94,11 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
         if state.spec != spec:
             raise ValueError(
                 f"shard state {state.spec.shard_index} does not match "
-                f"the plan's shard {spec.shard_index}: keys or ranges "
-                "disagree"
+                f"the plan's shard {spec.shard_index}: ranges disagree"
             )
     return FleetState(
-        plan=plan,
         fold=FleetFold.concat([s.fold for s in ordered]),
-        recovery=concat_tree(
-            [s.recovery for s in ordered], RecoveryState.concat
-        ),
+        recovery=RecoveryState.concat([s.recovery for s in ordered]),
         samples_ingested=sum(s.samples_ingested for s in ordered),
         quantile_merge_approximate=len(ordered) > 1,
     )

@@ -1,220 +1,61 @@
-"""Zero-copy columnar slab storage for the million-node hot path.
+"""Preallocated columnar slab storage for the shard hot path.
 
 A :class:`Slab` is one preallocated struct-of-arrays block — a
 ``times`` column, a C-contiguous ``(capacity_ticks, n_nodes)`` float64
 ``watts`` matrix, and an integer ``node_ids`` column — sized once and
 reused for every batch a producer emits, so the hot path performs no
-per-batch allocation.  :class:`SlabRing` cycles a fixed set of slabs
-(double-buffered by default) with explicit acquire/release borrow
-tracking: cycling onto a slab that is still borrowed raises instead of
-silently aliasing a live view, which is the property the ring's
-hypothesis suite locks.
-
-Slabs can optionally be backed by
-:class:`multiprocessing.shared_memory.SharedMemory`, so a producer
-process can synthesize or decode directly into memory a consumer
-process reads without a copy.  The backing is an implementation detail:
-the column views behave identically either way.
+per-batch allocation.  :class:`SlabRing` double-buffers two slabs with
+explicit acquire/release borrow tracking: cycling onto a slab that is
+still borrowed raises instead of silently aliasing a live view, which
+is the property the ring's hypothesis suite locks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.stream.ingest import SampleBatch
-
-__all__ = ["ColumnBatch", "Slab", "SlabRing"]
-
-
-class ColumnBatch:
-    """A struct-of-arrays view of one batch inside a slab.
-
-    Lightweight column handles (no copies): ``times`` ``(n_ticks,)``
-    float64, ``watts`` ``(n_ticks, n_nodes)`` C-contiguous float64,
-    ``node_ids`` ``(n_nodes,)`` int64.  :meth:`as_batch` wraps the same
-    views in a :class:`~repro.stream.ingest.SampleBatch` via the strict
-    zero-copy constructor.
-    """
-
-    __slots__ = ("times", "watts", "node_ids")
-
-    def __init__(
-        self,
-        times: np.ndarray,
-        watts: np.ndarray,
-        node_ids: np.ndarray,
-    ) -> None:
-        self.times = times
-        self.watts = watts
-        self.node_ids = node_ids
-
-    @property
-    def n_ticks(self) -> int:
-        """Rows in the view."""
-        return int(self.times.size)
-
-    @property
-    def n_nodes(self) -> int:
-        """Columns in the view."""
-        return int(self.node_ids.size)
-
-    def as_batch(self) -> SampleBatch:
-        """The same views as a :class:`SampleBatch` (zero-copy)."""
-        return SampleBatch.from_columns(
-            times=self.times, watts=self.watts, node_ids=self.node_ids
-        )
+__all__ = ["Slab", "SlabRing"]
 
 
 class Slab:
     """One preallocated columnar block of batch storage.
 
-    Parameters
-    ----------
-    capacity_ticks:
-        Maximum rows a batch written into this slab may have.
-    n_nodes:
-        Fixed column count (the shard's node range width).
-    shared:
-        Back the columns with one
-        :class:`multiprocessing.shared_memory.SharedMemory` segment so
-        another process can map the same bytes.  The creator must call
-        :meth:`close` (and :meth:`unlink` exactly once fleet-wide) when
-        done; private slabs need no cleanup.
+    ``capacity_ticks`` is the most rows a batch written into the slab
+    may have; ``n_nodes`` is its fixed column count (the shard's node
+    range width).
     """
 
-    def __init__(
-        self, capacity_ticks: int, n_nodes: int, *, shared: bool = False
-    ) -> None:
+    __slots__ = ("times", "watts", "node_ids")
+
+    def __init__(self, capacity_ticks: int, n_nodes: int) -> None:
         if capacity_ticks < 1:
             raise ValueError("capacity_ticks must be >= 1")
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        self._capacity = int(capacity_ticks)
-        self._n_nodes = int(n_nodes)
-        times_b = self._capacity * 8
-        watts_b = self._capacity * self._n_nodes * 8
-        ids_b = self._n_nodes * 8
-        self._shm = None
-        if shared:
-            from multiprocessing import shared_memory
-
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=times_b + watts_b + ids_b
-            )
-            buf = self._shm.buf
-            self.times = np.frombuffer(
-                buf, dtype=np.float64, count=self._capacity
-            )
-            self.watts = np.frombuffer(
-                buf,
-                dtype=np.float64,
-                count=self._capacity * self._n_nodes,
-                offset=times_b,
-            ).reshape(self._capacity, self._n_nodes)
-            self.node_ids = np.frombuffer(
-                buf,
-                dtype=np.int64,
-                count=self._n_nodes,
-                offset=times_b + watts_b,
-            )
-        else:
-            self.times = np.zeros(self._capacity)
-            self.watts = np.zeros((self._capacity, self._n_nodes))
-            self.node_ids = np.zeros(self._n_nodes, dtype=np.int64)
-
-    @property
-    def capacity_ticks(self) -> int:
-        """Maximum batch rows this slab can hold."""
-        return self._capacity
-
-    @property
-    def n_nodes(self) -> int:
-        """Fixed column count."""
-        return self._n_nodes
-
-    @property
-    def shared(self) -> bool:
-        """Whether the columns live in a shared-memory segment."""
-        return self._shm is not None
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of column storage."""
-        return (
-            self.times.nbytes + self.watts.nbytes + self.node_ids.nbytes
-        )
-
-    def view(self, n_ticks: int) -> ColumnBatch:
-        """A :class:`ColumnBatch` over the first ``n_ticks`` rows."""
-        if not (1 <= n_ticks <= self._capacity):
-            raise ValueError(
-                f"n_ticks must be in [1, {self._capacity}], got {n_ticks}"
-            )
-        return ColumnBatch(
-            times=self.times[:n_ticks],
-            watts=self.watts[:n_ticks],
-            node_ids=self.node_ids,
-        )
-
-    def close(self) -> None:
-        """Release this process's mapping of a shared slab (no-op else).
-
-        The numpy views become invalid afterwards; drop them first.
-        """
-        if self._shm is None:
-            return
-        # The views hold references into the mapped buffer; break them
-        # before closing or the mapping cannot be released.
-        self.times = self.watts = self.node_ids = None
-        shm, self._shm = self._shm, None
-        shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the shared segment (creator only; no-op if private)."""
-        if self._shm is None:
-            return
-        shm = self._shm
-        self.close()
-        shm.unlink()
+        self.times = np.zeros(capacity_ticks)
+        self.watts = np.zeros((capacity_ticks, n_nodes))
+        self.node_ids = np.zeros(n_nodes, dtype=np.int64)
 
 
 class SlabRing:
-    """A fixed cycle of slabs with aliasing-safe borrow tracking.
+    """Two slabs handed out in turn, with aliasing-safe borrow tracking.
 
-    ``depth`` slabs (2 = double buffering) are handed out round-robin by
-    :meth:`acquire` and returned by :meth:`release`.  Acquiring a slab
-    that has not been released raises — the producer is about to
-    overwrite rows a consumer may still be reading through a zero-copy
-    view, and that must be an error, never silent corruption.  The
-    property suite drives random acquire/release schedules against this
-    invariant.
+    :meth:`acquire` hands the slabs out round-robin and :meth:`release`
+    returns them.  Acquiring a slab that has not been released raises —
+    the producer is about to overwrite rows a consumer may still be
+    reading through a zero-copy view, and that must be an error, never
+    silent corruption.  The property suite drives random
+    acquire/release schedules against this invariant.
     """
 
-    def __init__(
-        self,
-        capacity_ticks: int,
-        n_nodes: int,
-        *,
-        depth: int = 2,
-        shared: bool = False,
-    ) -> None:
-        if depth < 2:
-            raise ValueError(
-                "depth must be >= 2: with a single slab every acquire "
-                "would alias the view handed out before it"
-            )
-        self._slabs = [
-            Slab(capacity_ticks, n_nodes, shared=shared)
-            for _ in range(depth)
-        ]
-        self._borrowed = [False] * depth
-        self._next = 0
-        self.acquired_total = 0
+    depth = 2
 
-    @property
-    def depth(self) -> int:
-        """Number of slabs in the cycle."""
-        return len(self._slabs)
+    def __init__(self, capacity_ticks: int, n_nodes: int) -> None:
+        self._slabs = [
+            Slab(capacity_ticks, n_nodes) for _ in range(self.depth)
+        ]
+        self._borrowed = [False] * self.depth
+        self._next = 0
 
     @property
     def borrowed(self) -> int:
@@ -225,20 +66,18 @@ class SlabRing:
         """Borrow the next slab in the cycle.
 
         Raises :class:`RuntimeError` when the cycle comes back around
-        to a slab that was never released — the caller is holding too
-        many live views for the ring's depth.
+        to a slab that was never released — the caller is holding more
+        live views than the ring has slabs.
         """
         i = self._next
         if self._borrowed[i]:
             raise RuntimeError(
                 f"slab {i} is still borrowed; a ring of depth "
                 f"{self.depth} cannot hand out another view without "
-                "aliasing one still live — release it first or deepen "
-                "the ring"
+                "aliasing one still live — release it first"
             )
         self._borrowed[i] = True
-        self._next = (i + 1) % len(self._slabs)
-        self.acquired_total += 1
+        self._next = (i + 1) % self.depth
         return self._slabs[i]
 
     def release(self, slab: Slab) -> None:
@@ -250,13 +89,3 @@ class SlabRing:
                 self._borrowed[i] = False
                 return
         raise ValueError("slab does not belong to this ring")
-
-    def close(self) -> None:
-        """Close every slab's shared mapping (no-op for private slabs)."""
-        for slab in self._slabs:
-            slab.close()
-
-    def unlink(self) -> None:
-        """Destroy every slab's shared segment (creator only)."""
-        for slab in self._slabs:
-            slab.unlink()

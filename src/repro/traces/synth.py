@@ -256,15 +256,13 @@ class SimulatedRun:
             Restrict to the core phase, as a methodology measurement
             would; ``False`` streams the full run.
         ring:
-            Optional :class:`~repro.shard.slab.SlabRing` (anything with
-            ``acquire()``/``release()`` and slab ``times``/``watts``/
-            ``node_ids`` columns of capacity ``ticks_per_batch`` ×
-            ``len(node_indices)``).  When given, batches are
-            zero-copy views into the ring's preallocated slabs and a
-            yielded view stays valid until one further batch has been
-            yielded (double buffering); when ``None`` each batch is a
-            fresh allocation, matching :func:`~repro.stream.ingest.replay_run`
-            semantics.
+            Optional :class:`~repro.shard.slab.SlabRing` of capacity
+            ``ticks_per_batch`` × ``len(node_indices)``.  When given,
+            batches are zero-copy views into the ring's preallocated
+            slabs and a yielded view stays valid until one further
+            batch has been yielded (double buffering); when ``None``
+            each batch is a fresh allocation, matching
+            :func:`~repro.stream.ingest.replay_run` semantics.
         """
         if ticks_per_batch < 1:
             raise ValueError("ticks_per_batch must be >= 1")
@@ -311,8 +309,8 @@ class SimulatedRun:
                 hi = min(lo + ticks_per_batch, times.size)
                 n_t = hi - lo
                 if ring is not None:
-                    while len(held) >= max(ring.depth - 1, 1):
-                        ring.release(held.pop(0))
+                    if held:
+                        ring.release(held.pop())
                     slab = ring.acquire()
                     out = slab.watts[:n_t]
                     slab.times[:n_t] = times[lo:hi]

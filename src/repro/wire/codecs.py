@@ -103,24 +103,6 @@ class Codec:
         """Decode a payload; returns ``(watts, error_bound_w)``."""
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def decode_into(self, payload: bytes, out: np.ndarray) -> float:
-        """Decode a payload straight into a preallocated matrix view.
-
-        ``out`` is a C-contiguous float64 ``(n_ticks, n_nodes)`` view —
-        typically a :class:`~repro.shard.slab.Slab` region — so frame
-        decode lands in shard storage without allocating a fresh batch
-        matrix per frame.  Returns the error bound.  The base
-        implementation decodes then copies; codecs with a natural
-        in-place path override it.
-        """
-        if out.ndim != 2 or out.dtype != np.float64:
-            raise ValueError("out must be a 2-D float64 matrix view")
-        if not out.flags["C_CONTIGUOUS"] or not out.flags["WRITEABLE"]:
-            raise ValueError("out must be C-contiguous and writeable")
-        watts, bound_w = self.decode(payload, out.shape[0], out.shape[1])
-        np.copyto(out, watts)
-        return bound_w
-
 
 def _as_matrix(watts: np.ndarray) -> np.ndarray:
     watts = np.asarray(watts, dtype=np.float64)
@@ -156,18 +138,6 @@ class Raw64Codec(Codec):
             n_ticks, n_nodes
         )
         return watts.copy(), 0.0
-
-    def decode_into(self, payload: bytes, out: np.ndarray) -> float:
-        """Copy the payload bytes straight into the target view."""
-        if out.ndim != 2 or out.dtype != np.float64:
-            raise ValueError("out must be a 2-D float64 matrix view")
-        if not out.flags["C_CONTIGUOUS"] or not out.flags["WRITEABLE"]:
-            raise ValueError("out must be C-contiguous and writeable")
-        _expect_len(payload, out.size * 8, self.name)
-        np.copyto(
-            out, np.frombuffer(payload, dtype="<f8").reshape(out.shape)
-        )
-        return 0.0
 
 
 def _zigzag(deltas: np.ndarray) -> np.ndarray:

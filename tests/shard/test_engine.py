@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.shard.engine import fleet_reference, run_sharded, sharded_session
+from repro.shard.engine import (
+    fleet_reference,
+    run_shard,
+    run_sharded,
+    sharded_session,
+)
 from repro.shard.plan import plan_shards
 from repro.stream.estimators import P2Quantile
 from repro.stream.session import stream_session
@@ -121,14 +126,17 @@ class TestValidation:
     def test_reference_length_is_checked(self, tiny_run):
         plan = plan_shards(tiny_run.system.n_nodes, 2, ticks_per_batch=16)
         with pytest.raises(ValueError, match="reference series"):
-            run_sharded(tiny_run, plan, reference_w=np.zeros(3))
+            run_shard(
+                tiny_run,
+                plan.shards[0],
+                ticks_per_batch=16,
+                reference_w=np.zeros(3),
+            )
 
-    def test_negative_processes_and_bad_quantiles(self, tiny_run):
+    def test_negative_processes_are_refused(self, tiny_run):
         plan = plan_shards(tiny_run.system.n_nodes, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="processes"):
             run_sharded(tiny_run, plan, processes=-1)
-        with pytest.raises(ValueError, match="quantiles"):
-            sharded_session(tiny_run, quantiles=(1.5,))
 
     def test_render_text_and_to_dict_are_complete(self, tiny_run):
         result = sharded_session(tiny_run, n_shards=2, ticks_per_batch=16)

@@ -1,4 +1,4 @@
-"""Shard planning: tiling invariants and content-address keys."""
+"""Shard planning: tiling invariants."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 
 class TestPlanShards:
     def test_near_equal_contiguous_tiling(self):
-        plan = plan_shards(10, 3, code_digest="d")
+        plan = plan_shards(10, 3)
         sizes = [spec.n_nodes for spec in plan]
         assert sizes == [4, 3, 3]
         assert plan.n_shards == 3
@@ -22,7 +22,7 @@ class TestPlanShards:
         assert lo == plan.n_nodes
 
     def test_single_shard_covers_everything(self):
-        plan = plan_shards(7, 1, code_digest="d")
+        plan = plan_shards(7, 1)
         (spec,) = list(plan)
         assert (spec.node_lo, spec.node_hi) == (0, 7)
         np.testing.assert_array_equal(
@@ -39,32 +39,10 @@ class TestPlanShards:
         with pytest.raises(ValueError):
             plan_shards(4, 2, ticks_per_batch=0)
 
-    def test_keys_are_deterministic_and_distinct(self):
-        a = plan_shards(10, 3, code_digest="d")
-        b = plan_shards(10, 3, code_digest="d")
-        assert a.plan_key == b.plan_key
-        assert [s.key for s in a] == [s.key for s in b]
-        assert len({s.key for s in a}) == a.n_shards
-
-    def test_keys_track_code_batching_and_coordinates(self):
-        base = plan_shards(10, 3, code_digest="d")
-        assert plan_shards(10, 3, code_digest="e").plan_key != base.plan_key
-        assert (
-            plan_shards(10, 3, code_digest="d", ticks_per_batch=7).plan_key
-            != base.plan_key
-        )
-        assert plan_shards(10, 2, code_digest="d").plan_key != base.plan_key
-
-    def test_default_digest_comes_from_the_import_closure(self):
-        # No injected digest: the key must still be stable per process.
-        assert plan_shards(6, 2).plan_key == plan_shards(6, 2).plan_key
-
 
 class TestShardPlanValidation:
     def _spec(self, i, n, lo, hi):
-        return ShardSpec(
-            shard_index=i, n_shards=n, node_lo=lo, node_hi=hi, key=f"k{i}"
-        )
+        return ShardSpec(shard_index=i, n_shards=n, node_lo=lo, node_hi=hi)
 
     def test_gap_is_rejected(self):
         with pytest.raises(ValueError, match="tile"):
@@ -72,7 +50,6 @@ class TestShardPlanValidation:
                 n_nodes=8,
                 ticks_per_batch=4,
                 shards=(self._spec(0, 2, 0, 3), self._spec(1, 2, 4, 8)),
-                plan_key="p",
             )
 
     def test_short_coverage_is_rejected(self):
@@ -81,7 +58,6 @@ class TestShardPlanValidation:
                 n_nodes=8,
                 ticks_per_batch=4,
                 shards=(self._spec(0, 2, 0, 3), self._spec(1, 2, 3, 7)),
-                plan_key="p",
             )
 
     def test_misordered_indices_are_rejected(self):
@@ -90,26 +66,14 @@ class TestShardPlanValidation:
                 n_nodes=8,
                 ticks_per_batch=4,
                 shards=(self._spec(1, 2, 0, 4), self._spec(0, 2, 4, 8)),
-                plan_key="p",
             )
 
     def test_empty_plan_is_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ShardPlan(
-                n_nodes=8, ticks_per_batch=4, shards=(), plan_key="p"
-            )
+            ShardPlan(n_nodes=8, ticks_per_batch=4, shards=())
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             self._spec(2, 2, 0, 4)
         with pytest.raises(ValueError):
             self._spec(0, 2, 4, 4)
-
-    def test_shard_for_range_is_exact_match_only(self):
-        plan = plan_shards(10, 2, code_digest="d")
-        first = plan.shard_for_range(0, 5)
-        assert first is not None and first.shard_index == 0
-        assert plan.shard_for_range(5, 5).shard_index == 1
-        assert plan.shard_for_range(0, 10) is None
-        assert plan.shard_for_range(1, 5) is None
-        assert plan.shard_for_range(0, 4) is None

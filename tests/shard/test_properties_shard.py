@@ -3,9 +3,8 @@
 Three contracts the ISSUE pins down:
 
 * shard-merge equivalence: for **any** contiguous partition of the
-  fleet — not just the planner's near-equal one — and any merge-tree
-  arity, the reduced fleet state is bit-identical to the single-shard
-  state;
+  fleet — not just the planner's near-equal one — the reduced fleet
+  state is bit-identical to the single-shard state;
 * the slab ring never aliases a live view, under arbitrary
   acquire/release schedules;
 * ``stream_run`` reproduces ``node_power_matrix`` cell-for-cell for
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.shard.engine import fleet_reference, run_shard
 from repro.shard.plan import ShardPlan, ShardSpec
-from repro.shard.reduce import concat_tree, reduce_states
+from repro.shard.reduce import reduce_states
 from repro.shard.slab import SlabRing
 
 TINY_NODES = 12
@@ -31,8 +30,6 @@ TICKS_PER_BATCH = 16
 cut_sets = st.sets(
     st.integers(min_value=1, max_value=TINY_NODES - 1), max_size=5
 )
-
-arities = st.integers(min_value=2, max_value=5)
 
 
 def _plan_from_cuts(cuts: set) -> ShardPlan:
@@ -44,7 +41,6 @@ def _plan_from_cuts(cuts: set) -> ShardPlan:
             n_shards=n,
             node_lo=bounds[i],
             node_hi=bounds[i + 1],
-            key=f"cut-{i}-{bounds[i]}-{bounds[i + 1]}",
         )
         for i in range(n)
     )
@@ -52,7 +48,6 @@ def _plan_from_cuts(cuts: set) -> ShardPlan:
         n_nodes=TINY_NODES,
         ticks_per_batch=TICKS_PER_BATCH,
         shards=shards,
-        plan_key="cuts",
     )
 
 
@@ -112,43 +107,14 @@ class TestArbitraryPartitions:
         assert fleet.quantile_merge_approximate == (plan.n_shards > 1)
 
 
-class TestConcatTree:
-    @settings(max_examples=50)
-    @given(
-        parts=st.lists(
-            st.lists(st.integers(), max_size=4), min_size=1, max_size=12
-        ),
-        arity=arities,
-    )
-    def test_tree_shape_never_changes_an_ordered_concatenation(
-        self, parts, arity
-    ):
-        flat = [x for part in parts for x in part]
-
-        def combine(chunk):
-            return [x for part in chunk for x in part]
-
-        assert concat_tree(parts, combine, arity=arity) == flat
-
-    def test_rejects_empty_parts_and_degenerate_arity(self):
-        with pytest.raises(ValueError):
-            concat_tree([], lambda c: c)
-        with pytest.raises(ValueError):
-            concat_tree([[1]], lambda c: c, arity=1)
-
-
 class TestRingAliasing:
     @settings(max_examples=60)
-    @given(
-        depth=st.integers(min_value=2, max_value=4),
-        program=st.lists(st.booleans(), max_size=40),
-    )
-    def test_random_schedules_never_alias_a_live_view(
-        self, depth, program
-    ):
+    @given(program=st.lists(st.booleans(), max_size=40))
+    def test_random_schedules_never_alias_a_live_view(self, program):
         """True = acquire, False = release oldest; checked against a
         reference model of the round-robin borrow state."""
-        ring = SlabRing(4, 2, depth=depth)
+        ring = SlabRing(4, 2)
+        depth = ring.depth
         held: list = []
         cursor = 0
         for op in program:
