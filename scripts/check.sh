@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Pre-merge gate: domain lint, tier-1 tests, bytecode compile.
+# Pre-merge gate: domain lint, tier-1 tests, bench collection, smokes,
+# bytecode compile.
 #
 # Run from anywhere inside the repo:
 #     sh scripts/check.sh
@@ -28,6 +29,11 @@ if python -c "import xdist" 2>/dev/null; then
 else
     python -m pytest -x -q --durations=5
 fi
+
+echo "== benchmark collection (every bench file still imports)"
+# benchmarks/ sits outside testpaths, so the tier-1 run never imports
+# it; collecting catches an API cut that breaks a bench file.
+python -m pytest benchmarks --collect-only -q
 
 echo "== chaos smoke (fault injection + recovery reconciliation)"
 # A small end-to-end chaos sweep: inject dropout + a node loss, stream

@@ -42,6 +42,7 @@ from repro.cluster.registry import (
     PAPER_TABLE4,
     TRACE_SYSTEMS,
     get_system,
+    get_trace_setup,
     workload_utilisation,
 )
 from repro.core.accuracy import assess_accuracy
@@ -68,6 +69,29 @@ def _parse_watts(text: str) -> np.ndarray:
     if np.any(values < 0):
         raise SystemExit("error: watts values must be non-negative")
     return values
+
+
+def _registry_system(name: str):
+    """Resolve ``--system``: ``(system, trace workload or None)``.
+
+    Trace systems come with their recorded workload; node-variability
+    systems have none.  An unknown name exits listing the known ones.
+    """
+    if name in TRACE_SYSTEMS:
+        return get_trace_setup(name)
+    if name in NODE_VARIABILITY_SYSTEMS:
+        return get_system(name), None
+    known = ", ".join((*TRACE_SYSTEMS, *NODE_VARIABILITY_SYSTEMS))
+    raise SystemExit(f"error: unknown system {name!r} (known: {known})")
+
+
+def _node_indices(max_nodes: int | None, n_nodes: int) -> np.ndarray | None:
+    """The leading-node subset ``--max-nodes`` selects (``None``: all)."""
+    if max_nodes is None:
+        return None
+    if max_nodes < 1:
+        raise SystemExit("error: --max-nodes must be >= 1")
+    return np.arange(min(max_nodes, n_nodes))
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -298,24 +322,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster.registry import TRACE_SYSTEMS as _TRACE
-    from repro.cluster.registry import get_trace_setup
     from repro.stream.session import stream_session
     from repro.traces.synth import simulate_run
     from repro.workloads.base import ConstantWorkload
 
-    name = args.system
-    if name in _TRACE:
-        system, workload = get_trace_setup(name)
-    elif name in NODE_VARIABILITY_SYSTEMS:
-        system = get_system(name)
+    system, workload = _registry_system(args.system)
+    if workload is None:
         workload = ConstantWorkload(
-            utilisation=workload_utilisation(name),
+            utilisation=workload_utilisation(args.system),
             core_s=args.core_seconds,
         )
-    else:
-        known = ", ".join((*_TRACE, *NODE_VARIABILITY_SYSTEMS))
-        raise SystemExit(f"error: unknown system {name!r} (known: {known})")
 
     quantiles = tuple(
         float(q) for q in args.quantiles.split(",") if q.strip()
@@ -323,12 +339,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if not quantiles or not all(0.0 < q < 1.0 for q in quantiles):
         raise SystemExit("error: quantiles must be in (0, 1)")
 
-    node_indices = None
-    if args.max_nodes is not None:
-        if args.max_nodes < 1:
-            raise SystemExit("error: --max-nodes must be >= 1")
-        n = min(args.max_nodes, system.n_nodes)
-        node_indices = np.arange(n)
+    node_indices = _node_indices(args.max_nodes, system.n_nodes)
 
     run = simulate_run(system, workload, dt=args.dt, seed=args.seed)
     result = stream_session(
@@ -355,24 +366,16 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.cluster.registry import TRACE_SYSTEMS as _TRACE
-    from repro.cluster.registry import get_trace_setup
     from repro.shard import sharded_session
     from repro.traces.synth import simulate_run
     from repro.workloads.base import ConstantWorkload
 
-    name = args.system
-    if name in _TRACE:
-        system, workload = get_trace_setup(name)
-    elif name in NODE_VARIABILITY_SYSTEMS:
-        system = get_system(name)
+    system, workload = _registry_system(args.system)
+    if workload is None:
         workload = ConstantWorkload(
-            utilisation=workload_utilisation(name),
+            utilisation=workload_utilisation(args.system),
             core_s=args.core_seconds,
         )
-    else:
-        known = ", ".join((*_TRACE, *NODE_VARIABILITY_SYSTEMS))
-        raise SystemExit(f"error: unknown system {name!r} (known: {known})")
 
     if args.shards < 1:
         raise SystemExit("error: --shards must be >= 1")
@@ -405,27 +408,14 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster.registry import TRACE_SYSTEMS as _TRACE
-    from repro.cluster.registry import get_trace_setup
     from repro.faults.chaos import ChaosScenario, run_chaos
     from repro.traces.synth import simulate_run
     from repro.workloads.base import ConstantWorkload
 
-    name = args.system
-    if name in _TRACE:
-        system, _ = get_trace_setup(name)
-    elif name in NODE_VARIABILITY_SYSTEMS:
-        system = get_system(name)
-    else:
-        known = ", ".join((*_TRACE, *NODE_VARIABILITY_SYSTEMS))
-        raise SystemExit(f"error: unknown system {name!r} (known: {known})")
-
-    node_indices = None
-    if args.max_nodes is not None:
-        if args.max_nodes < 1:
-            raise SystemExit("error: --max-nodes must be >= 1")
-        n = min(args.max_nodes, system.n_nodes)
-        node_indices = np.arange(n)
+    # The trace workload is ignored: chaos degrades a constant-load (or,
+    # with --pathology, an HPL tail-off) run of the system.
+    system, _ = _registry_system(args.system)
+    node_indices = _node_indices(args.max_nodes, system.n_nodes)
 
     if args.pathology:
         from repro.faults.pathology import run_pathology, standard_scenarios
@@ -514,8 +504,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_wire(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster.registry import TRACE_SYSTEMS as _TRACE
-    from repro.cluster.registry import get_trace_setup
     from repro.traces.synth import simulate_run
     from repro.wire.codecs import available_codecs
     from repro.wire.frontier import wire_frontier
@@ -524,14 +512,9 @@ def _cmd_wire(args: argparse.Namespace) -> int:
     if args.fuzz is not None:
         return _wire_fuzz(args.fuzz, seed=args.seed)
 
-    name = args.system
-    if name in _TRACE:
-        system, _ = get_trace_setup(name)
-    elif name in NODE_VARIABILITY_SYSTEMS:
-        system = get_system(name)
-    else:
-        known = ", ".join((*_TRACE, *NODE_VARIABILITY_SYSTEMS))
-        raise SystemExit(f"error: unknown system {name!r} (known: {known})")
+    # The trace workload is ignored: the frontier streams a
+    # constant-load run of the system.
+    system, _ = _registry_system(args.system)
 
     codecs = tuple(c.strip() for c in args.codecs.split(",") if c.strip())
     unknown = [c for c in codecs if c not in available_codecs()]
@@ -547,11 +530,7 @@ def _cmd_wire(args: argparse.Namespace) -> int:
         (drop, corrupt) for drop in args.drop for corrupt in args.corrupt
     )
 
-    node_indices = None
-    if args.max_nodes is not None:
-        if args.max_nodes < 1:
-            raise SystemExit("error: --max-nodes must be >= 1")
-        node_indices = np.arange(min(args.max_nodes, system.n_nodes))
+    node_indices = _node_indices(args.max_nodes, system.n_nodes)
 
     workload = ConstantWorkload(utilisation=0.95, core_s=args.core_seconds)
     run = simulate_run(system, workload, dt=args.dt, seed=args.seed)
@@ -982,11 +961,15 @@ def build_parser() -> argparse.ArgumentParser:
     shard = sub.add_parser(
         "shard",
         help="replay a registry system through the sharded multiprocess "
-             "pipeline — bit-identical to serial for any shard count",
+             "pipeline — bit-identical to serial for any shard count, "
+             "except the approximately merged quantiles",
         description="Partition the fleet into contiguous node ranges, "
                     "run the full per-node kernel per shard (in a fork "
                     "worker pool, or inline with --processes 0), and "
-                    "reduce through the exact merge tree.",
+                    "concatenate the per-shard states in node order.  "
+                    "Every output is bit-identical to a serial run for "
+                    "any shard count, except the P2 quantiles, whose "
+                    "cross-shard merge is approximate.",
     )
     shard.add_argument("--system", default="l-csc",
                        help="registry system to replay")

@@ -66,10 +66,7 @@ _EXPECTED_DETECTOR = {
 
 
 def _detector_flag(outcome: PathologyOutcome, which: str) -> bool:
-    verdict = outcome.detection
-    if verdict is None:
-        return False
-    return bool(getattr(verdict, which).suspected)
+    return bool(getattr(outcome.detection, which).suspected)
 
 
 @dataclass
@@ -174,10 +171,7 @@ class PathologyResult(ExperimentResult):
             Comparison(
                 label="clean: detectors stay quiet",
                 paper=1.0,
-                measured=float(
-                    self.clean.detection is not None
-                    and not self.clean.detection.any_suspected
-                ),
+                measured=float(not self.clean.detection.any_suspected),
                 abs_tol=0.0,
             )
         )

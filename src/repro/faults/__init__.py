@@ -31,7 +31,7 @@ Layout:
   segment-boundary jumps) the per-cell recovery layer cannot see.
 """
 
-from repro.faults.chaos import ChaosOutcome, ChaosScenario, chaos_sweep, run_chaos
+from repro.faults.chaos import ChaosOutcome, ChaosScenario, run_chaos
 from repro.faults.detectors import (
     AliasingDetector,
     CorrelatedDetectors,
@@ -119,7 +119,6 @@ __all__ = [
     "WireFaultModel",
     "WireFaultPlan",
     "WireLedger",
-    "chaos_sweep",
     "inject_run",
     "run_chaos",
     "run_pathology",

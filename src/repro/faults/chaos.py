@@ -17,7 +17,7 @@ result on trial twice:
 
 Everything is a pure function of ``(run, scenario, seed)``; the
 X-FAULT experiment and the ``repro chaos`` CLI are thin shells over
-:func:`run_chaos` / :func:`chaos_sweep`.
+:func:`run_chaos`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "ChaosOutcome",
     "clean_truth",
     "run_chaos",
-    "chaos_sweep",
 ]
 
 
@@ -310,7 +309,6 @@ def run_chaos(
     ticks_per_batch: int = 60,
     node_indices: np.ndarray | None = None,
     original_level: int = 2,
-    quarantine_after: int = 30,
     retry_policy: RetryPolicy | None = None,
 ) -> ChaosOutcome:
     """Inject ``scenario`` into ``run``, recover, and audit the label.
@@ -332,7 +330,6 @@ def run_chaos(
         delivery_failure_rate=scenario.delivery_failure_rate,
         delivery_label=f"chaos:{scenario.name}:delivery",
         gap_policy=gap_policy,
-        quarantine_after=quarantine_after,
         original_level=original_level,
     )
     # Which delivered ticks actually arrived (abandoned batches never
@@ -370,17 +367,3 @@ def run_chaos(
         batches_abandoned=source.batches_abandoned,
     )
 
-
-def chaos_sweep(
-    run,
-    scenarios: list[ChaosScenario],
-    *,
-    gap_policy: str = "hold",
-    seed: int | None = None,
-    **kwargs,
-) -> list[ChaosOutcome]:
-    """Run several scenarios against one run (same seed discipline)."""
-    return [
-        run_chaos(run, sc, gap_policy=gap_policy, seed=seed, **kwargs)
-        for sc in scenarios
-    ]

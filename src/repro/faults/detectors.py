@@ -24,9 +24,6 @@ that correlated structure:
 
 All three are deterministic, pure functions of the observed stream —
 no RNG, no wall clock — so detection verdicts replay bit-identically.
-They are deliberately decoupled from :mod:`repro.stream.monitor`: the
-:class:`~repro.stream.monitor.ComplianceMonitor` accepts any object
-with this ``observe``/``verdict`` shape as a plug-in.
 """
 
 from __future__ import annotations
@@ -45,6 +42,23 @@ __all__ = [
     "EntropyVerdict",
     "CorrelatedVerdict",
 ]
+
+#: Aliasing: the fleet-mean series is suspect when at least this share
+#: of consecutive tick pairs repeat exactly ...
+ALIAS_REPEAT_FRAC = 0.05
+#: ... in at least this many separate stale runs.
+ALIAS_MIN_STALE_RUNS = 3
+#: Longest meter period the phase comb sweeps.
+ALIAS_MAX_PERIOD_TICKS = 64
+#: Offset: a node is persistent when its mean ratio to the fleet sits at
+#: least this far from 1 ...
+OFFSET_MIN_FRAC = 0.01
+#: ... with the same sign in at least this share of its segments.
+OFFSET_PERSIST_FRAC = 0.8
+#: Offset suspicion threshold on the cross-node spread of mean ratios.
+OFFSET_CV_THRESHOLD = 0.02
+#: Entropy drift: boundary-over-interior step ratio that flags.
+ENTROPY_JUMP_RATIO = 3.0
 
 
 def _fleet_means(watts: np.ndarray) -> np.ndarray:
@@ -179,21 +193,6 @@ class AliasingDetector:
     re-averaging would remove.
     """
 
-    def __init__(
-        self,
-        *,
-        repeat_threshold_frac: float = 0.05,
-        min_stale_runs: int = 3,
-        max_period_ticks: int = 64,
-    ) -> None:
-        if not (0.0 < repeat_threshold_frac < 1.0):
-            raise ValueError("repeat_threshold_frac must be in (0, 1)")
-        if max_period_ticks < 2:
-            raise ValueError("max_period_ticks must be >= 2")
-        self.repeat_threshold_frac = float(repeat_threshold_frac)
-        self.min_stale_runs = int(min_stale_runs)
-        self.max_period_ticks = int(max_period_ticks)
-
     def verdict(self, series_w: np.ndarray) -> AliasingVerdict:
         """Judge a fleet-mean-per-tick series (NaNs tolerated)."""
         v = np.asarray(series_w, dtype=float)
@@ -214,7 +213,7 @@ class AliasingDetector:
         fresh_mean = float(v[fresh].mean()) if fresh.any() else raw_mean
         bias_w_est = raw_mean - fresh_mean
         best_period, best_spread = 0, 0.0
-        max_p = min(self.max_period_ticks, max(2, v.size // 4))
+        max_p = min(ALIAS_MAX_PERIOD_TICKS, max(2, v.size // 4))
         for p in range(2, max_p + 1):
             spreads = []
             for phase in range(p):
@@ -227,8 +226,8 @@ class AliasingDetector:
                 if spread > best_spread:
                     best_period, best_spread = p, spread
         suspected = (
-            repeat_frac >= self.repeat_threshold_frac
-            and stale_runs >= self.min_stale_runs
+            repeat_frac >= ALIAS_REPEAT_FRAC
+            and stale_runs >= ALIAS_MIN_STALE_RUNS
         )
         return AliasingVerdict(
             suspected=suspected,
@@ -246,30 +245,14 @@ class PersistentOffsetDetector:
 
     Each segment yields one power ratio per node (node segment mean over
     fleet segment mean).  A node is *persistent* when its mean ratio
-    sits at least ``min_offset_frac`` from 1 **and** the ratio keeps the
-    same sign in at least ``persist_frac`` of the segments it appears
-    in.  ``persistent_cv`` — the cross-node standard deviation of the
-    mean ratios — measures how much of the fleet's node CV is carried by
-    such standing offsets; device spread inflates it directly, which is
-    why the suspicion threshold is on the CV, not on the node count.
+    sits at least :data:`OFFSET_MIN_FRAC` from 1 **and** the ratio keeps
+    the same sign in at least :data:`OFFSET_PERSIST_FRAC` of the
+    segments it appears in.  ``persistent_cv`` — the cross-node
+    standard deviation of the mean ratios — measures how much of the
+    fleet's node CV is carried by such standing offsets; device spread
+    inflates it directly, which is why the suspicion threshold
+    (:data:`OFFSET_CV_THRESHOLD`) is on the CV, not on the node count.
     """
-
-    def __init__(
-        self,
-        *,
-        min_offset_frac: float = 0.01,
-        persist_frac: float = 0.8,
-        cv_threshold: float = 0.02,
-    ) -> None:
-        if min_offset_frac <= 0.0:
-            raise ValueError("min_offset_frac must be positive")
-        if not (0.5 <= persist_frac <= 1.0):
-            raise ValueError("persist_frac must be in [0.5, 1]")
-        if cv_threshold <= 0.0:
-            raise ValueError("cv_threshold must be positive")
-        self.min_offset_frac = float(min_offset_frac)
-        self.persist_frac = float(persist_frac)
-        self.cv_threshold = float(cv_threshold)
 
     def verdict(self, ratios: np.ndarray) -> OffsetVerdict:
         """Judge a ``(n_segments, n_nodes)`` matrix of node/fleet ratios."""
@@ -288,14 +271,14 @@ class PersistentOffsetDetector:
         pos = (finite & (dev > 0.0)).sum(axis=0)
         neg = (finite & (dev < 0.0)).sum(axis=0)
         consistent = (
-            np.maximum(pos, neg) >= self.persist_frac * np.maximum(seen, 1)
+            np.maximum(pos, neg) >= OFFSET_PERSIST_FRAC * np.maximum(seen, 1)
         )
-        offset = np.abs(mean_ratio - 1.0) >= self.min_offset_frac
+        offset = np.abs(mean_ratio - 1.0) >= OFFSET_MIN_FRAC
         persistent = consistent & offset & (seen >= 2)
         judged = mean_ratio[seen >= 2]
         cv = float(judged.std(ddof=1)) if judged.size >= 2 else 0.0
         return OffsetVerdict(
-            suspected=cv >= self.cv_threshold,
+            suspected=cv >= OFFSET_CV_THRESHOLD,
             persistent_nodes=int(persistent.sum()),
             n_nodes=int(r.shape[1]),
             persistent_cv=cv,
@@ -318,15 +301,10 @@ class EntropyDriftDetector:
     aliasing meter's held ticks do not deflate the baseline.
     """
 
-    def __init__(
-        self, *, segment_ticks: int = 60, jump_ratio_threshold: float = 3.0
-    ) -> None:
+    def __init__(self, *, segment_ticks: int = 60) -> None:
         if segment_ticks < 2:
             raise ValueError("segment_ticks must be >= 2")
-        if jump_ratio_threshold <= 1.0:
-            raise ValueError("jump_ratio_threshold must be > 1")
         self.segment_ticks = int(segment_ticks)
-        self.jump_ratio_threshold = float(jump_ratio_threshold)
 
     def verdict(self, series_w: np.ndarray) -> EntropyVerdict:
         """Judge a fleet-mean-per-tick series (NaNs tolerated)."""
@@ -350,7 +328,7 @@ class EntropyDriftDetector:
         step_w = float(np.median(interior))
         ratio = jump_w / step_w if step_w > 0 else float("inf")
         return EntropyVerdict(
-            suspected=ratio >= self.jump_ratio_threshold,
+            suspected=ratio >= ENTROPY_JUMP_RATIO,
             boundary_jump_w=jump_w,
             interior_step_w=step_w,
             jump_ratio=ratio,
@@ -368,23 +346,10 @@ class CorrelatedDetectors:
     full power matrix.
     """
 
-    def __init__(
-        self,
-        *,
-        aliasing: AliasingDetector | None = None,
-        offset: PersistentOffsetDetector | None = None,
-        entropy: EntropyDriftDetector | None = None,
-        segment_ticks: int = 60,
-    ) -> None:
-        self.aliasing = aliasing if aliasing is not None else AliasingDetector()
-        self.offset = (
-            offset if offset is not None else PersistentOffsetDetector()
-        )
-        self.entropy = (
-            entropy
-            if entropy is not None
-            else EntropyDriftDetector(segment_ticks=segment_ticks)
-        )
+    def __init__(self, *, segment_ticks: int = 60) -> None:
+        self.aliasing = AliasingDetector()
+        self.offset = PersistentOffsetDetector()
+        self.entropy = EntropyDriftDetector(segment_ticks=segment_ticks)
         self.segment_ticks = int(segment_ticks)
         self._fleet_chunks: list[np.ndarray] = []
         # Rows of the segment currently filling; a segment is always
@@ -393,15 +358,6 @@ class CorrelatedDetectors:
         self._seg_rows: list[np.ndarray] = []
         self._ratio_rows: list[np.ndarray] = []
         self.ticks_seen = 0
-
-    @classmethod
-    def for_run(
-        cls, *, dt_s: float, segment_ticks: int = 60
-    ) -> "CorrelatedDetectors":
-        """Detectors for a tick-driven run (``dt_s`` kept for symmetry)."""
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
-        return cls(segment_ticks=max(2, segment_ticks))
 
     @staticmethod
     def _ratio_row(segment_watts: np.ndarray) -> np.ndarray | None:

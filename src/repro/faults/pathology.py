@@ -583,7 +583,7 @@ class PathologyOutcome(AuditOutcome):
     gap_policy: str
     seed: int | None
     ledger_dict: dict
-    detection: CorrelatedVerdict | None
+    detection: CorrelatedVerdict
     gaming: GamingAssessment | None
     cost: SamplingCost | None
 
@@ -625,9 +625,7 @@ class PathologyOutcome(AuditOutcome):
             ),
             "report": self.report.to_dict(),
             "ledger": dict(self.ledger_dict),
-            "detection": (
-                None if self.detection is None else self.detection.to_dict()
-            ),
+            "detection": self.detection.to_dict(),
             "gaming": None if self.gaming is None else self.gaming.to_dict(),
             "cost": None if self.cost is None else self.cost.to_dict(),
         }
@@ -643,9 +641,8 @@ class PathologyOutcome(AuditOutcome):
                 if self.independent_bound_mean_violated
                 else "held"
             ),
+            *("  " + line for line in self.detection.lines()),
         ]
-        if self.detection is not None:
-            out.extend("  " + line for line in self.detection.lines())
         if self.gaming is not None:
             for level in sorted(self.gaming.reported_w):
                 out.append(
@@ -702,10 +699,6 @@ def run_pathology(
     seed: int | None = None,
     ticks_per_batch: int = 60,
     node_indices: np.ndarray | None = None,
-    original_level: int = 2,
-    quarantine_after: int = 30,
-    detect: bool = True,
-    assess_gaming: bool = True,
 ) -> PathologyOutcome:
     """Inject a pathology, recover, detect, and audit the widened label.
 
@@ -724,12 +717,12 @@ def run_pathology(
       the exact correlated bias terms from the injection ledger, and
       the audit checks both that the widened bounds hold and (for
       real pathologies) that the unwidened bounds would not;
-    * when ``detect`` is on, the delivered stream also feeds the
+    * the delivered stream also feeds the
       :class:`~repro.faults.detectors.CorrelatedDetectors`, and the
       verdict rides along in the outcome;
-    * when ``assess_gaming`` is on and the pathology is pure (no
-      missing cells), the Level 1–3 gaming deltas and the Table 5
-      sampling cost are computed on the delivered matrix.
+    * when the pathology is pure (no missing cells), the Level 1–3
+      gaming deltas and the Table 5 sampling cost are computed on the
+      delivered matrix.
     """
     t0_s, t1_s = run.core_window
     clean_mean_w, clean_cv = clean_truth(
@@ -742,8 +735,6 @@ def run_pathology(
         ticks_per_batch=ticks_per_batch,
         node_indices=node_indices,
         gap_policy=gap_policy,
-        quarantine_after=quarantine_after,
-        original_level=original_level,
         stuck_min_repeats=10**9,
     )
     common_bias_w, spread_sigma_w, correlated_models = _bias_terms(injection)
@@ -784,18 +775,14 @@ def run_pathology(
         "quarantine_covers_lost": set(ledger.nodes_lost)
         <= set(report.nodes_quarantined),
     }
-    detection = None
-    if detect:
-        detectors = CorrelatedDetectors.for_run(
-            dt_s=run.dt, segment_ticks=scenario.entropy_segment_ticks
-        )
-        for batch in injection.batches(ticks_per_batch):
-            detectors.observe(batch)
-        detection = detectors.verdict()
+    detectors = CorrelatedDetectors(
+        segment_ticks=max(2, scenario.entropy_segment_ticks)
+    )
+    for batch in injection.batches(ticks_per_batch):
+        detectors.observe(batch)
     gaming = None
     cost = None
-    pure = not injection.missing_mask.any()
-    if assess_gaming and pure:
+    if not injection.missing_mask.any():
         gaming = gaming_assessment(
             injection.times, injection.watts, clean_mean_w
         )
@@ -815,7 +802,7 @@ def run_pathology(
         report=report,
         ledger_dict=ledger.to_dict(),
         reconciliation=reconciliation,
-        detection=detection,
+        detection=detectors.verdict(),
         gaming=gaming,
         cost=cost,
     )

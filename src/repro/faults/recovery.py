@@ -54,6 +54,17 @@ __all__ = [
 #: Supported gap-repair policies.
 GAP_POLICIES = ("hold", "interpolate", "exclude")
 
+#: Retry backoff: attempt ``k`` (0-based) waits
+#: ``BACKOFF_BASE_S * BACKOFF_FACTOR**k``, perturbed by
+#: ±``BACKOFF_JITTER_FRAC``.
+BACKOFF_BASE_S = 1.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER_FRAC = 0.1
+
+#: A finite reading above this multiple of the node's last trusted
+#: reading is a spike glitch.
+SPIKE_RATIO = 4.0
+
 
 class TransientMeterError(RuntimeError):
     """A retryable delivery failure (collector timeout, bus glitch)."""
@@ -63,32 +74,23 @@ class TransientMeterError(RuntimeError):
 class RetryPolicy:
     """Bounded retry with exponential backoff and seeded jitter.
 
-    Attempt ``k`` (0-based) waits ``base_delay_s * factor**k``,
-    perturbed by ±``jitter_frac`` (drawn from the caller's seeded
-    stream so replays back off identically).
+    Attempt ``k`` (0-based) waits ``BACKOFF_BASE_S * BACKOFF_FACTOR**k``,
+    perturbed by ±``BACKOFF_JITTER_FRAC`` (drawn from the caller's
+    seeded stream so replays back off identically).
     """
 
     max_retries: int = 3
-    base_delay_s: float = 1.0
-    factor: float = 2.0
-    jitter_frac: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.base_delay_s <= 0:
-            raise ValueError("base_delay_s must be positive")
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1")
-        if not (0.0 <= self.jitter_frac < 1.0):
-            raise ValueError("jitter_frac must be in [0, 1)")
 
     def delay_s(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff delay before retry number ``attempt`` (0-based)."""
         if attempt < 0:
             raise ValueError("attempt must be >= 0")
-        nominal_s = self.base_delay_s * self.factor ** attempt
-        jitter = 1.0 + self.jitter_frac * (2.0 * rng.random() - 1.0)
+        nominal_s = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt
+        jitter = 1.0 + BACKOFF_JITTER_FRAC * (2.0 * rng.random() - 1.0)
         return nominal_s * jitter
 
 
@@ -484,15 +486,14 @@ class RecoveryPipeline:
        reading for at least ``stuck_min_repeats`` consecutive ticks (a
        latched meter; genuine continuous readings never repeat
        exactly).
-    3. **spiked**: the reading exceeds ``spike_ratio`` × the node's
-       last trusted reading (an isolated ADC glitch).
+    3. **spiked**: the reading exceeds :data:`SPIKE_RATIO` × the
+       node's last trusted reading (an isolated ADC glitch).
 
     Repair — what a flagged/missing cell contributes to statistics:
 
     * ``hold``: the node's last trusted reading.
     * ``interpolate``: linear fill once the gap closes (tail gaps fall
-      back to hold); the *live* repaired feed still holds, because a
-      streaming consumer cannot wait for the future.
+      back to hold).
     * ``exclude``: nothing — the cell is excised.
 
     A node whose readings go missing for ``quarantine_after``
@@ -507,28 +508,22 @@ class RecoveryPipeline:
         self,
         *,
         gap_policy: str = "hold",
-        spike_ratio: float = 4.0,
         stuck_min_repeats: int = 1,
         quarantine_after: int = 30,
         original_level: int = 2,
-        deliver=None,
     ) -> None:
         if gap_policy not in GAP_POLICIES:
             raise ValueError(
                 f"gap_policy must be one of {GAP_POLICIES}, got {gap_policy!r}"
             )
-        if spike_ratio <= 1.0:
-            raise ValueError("spike_ratio must exceed 1")
         if stuck_min_repeats < 1:
             raise ValueError("stuck_min_repeats must be >= 1")
         if quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
         self.gap_policy = gap_policy
-        self.spike_ratio = float(spike_ratio)
         self.stuck_min_repeats = int(stuck_min_repeats)
         self.quarantine_after = int(quarantine_after)
         self.original_level = int(original_level)
-        self._deliver = deliver
         # Established on the first batch.
         self._nodes: _NodeState | None = None
         self._moments: MaskedRunningMoments | None = None
@@ -554,28 +549,27 @@ class RecoveryPipeline:
     def _push_stat(self, j: int, value: float) -> None:
         self._moments.push_value(j, value)
 
-    def _repair_cell(self, j: int, nodes: _NodeState) -> tuple[float, bool]:
+    def _repair_cell(self, j: int, nodes: _NodeState) -> bool:
         """Dispose of one unusable cell.
 
-        Returns ``(delivered value, counts toward the statistics)``;
-        the caller folds counted values into the tick's single
-        vectorised moment push.
+        Returns whether the node's last trusted reading stands in for
+        the cell in the statistics (``hold``); the caller folds it into
+        the tick's single vectorised moment push.
         """
         have_ref = bool(np.isfinite(nodes.last_good[j]))
-        if nodes.quarantined[j] or not have_ref:
+        if nodes.quarantined[j] or not have_ref or (
+            self.gap_policy == "exclude"
+        ):
             self.samples_excluded += 1
-            return np.nan, False
-        if self.gap_policy == "exclude":
-            self.samples_excluded += 1
-            return np.nan, False
+            return False
         if self.gap_policy == "interpolate":
             # Defer: filled linearly when the gap closes (or held at
-            # finalize for tail gaps).  The live feed holds meanwhile.
+            # finalize for tail gaps).
             nodes.gap_len[j] += 1
-            return float(nodes.last_good[j]), False
+            return False
         # hold
         self.samples_held += 1
-        return float(nodes.last_good[j]), True
+        return True
 
     def _close_gap(self, j: int, nodes: _NodeState, new_value: float) -> None:
         """Linear-fill a closed interpolation gap into the statistics."""
@@ -596,8 +590,6 @@ class RecoveryPipeline:
         elif not np.array_equal(batch.node_ids, self._node_ids):
             raise ValueError("batch node_ids changed mid-stream")
         nodes = self._nodes
-        repaired = np.array(batch.watts, dtype=float, copy=True)
-        keep_tick = np.zeros(batch.n_ticks, dtype=bool)
         for i in range(batch.n_ticks):
             row = np.asarray(batch.watts[i], dtype=float)
             finite = np.isfinite(row)
@@ -608,14 +600,14 @@ class RecoveryPipeline:
             nodes.repeat_run = np.where(eq, nodes.repeat_run + 1, 0)
             stuck = eq & (nodes.repeat_run >= self.stuck_min_repeats)
             self.samples_stuck += int(stuck.sum())
-            # Spike: a jump past spike_ratio x the last trusted reading.
+            # Spike: a jump past SPIKE_RATIO x the last trusted reading.
             ref = nodes.last_good
             with np.errstate(invalid="ignore"):
                 spiked = (
                     finite
                     & ~stuck
                     & np.isfinite(ref)
-                    & (row > self.spike_ratio * ref)
+                    & (row > SPIKE_RATIO * ref)
                 )
             self.samples_spiked += int(spiked.sum())
             usable = finite & ~stuck & ~spiked
@@ -634,25 +626,14 @@ class RecoveryPipeline:
             push_mask = active.copy()
             for j in np.flatnonzero(~usable):
                 j = int(j)
-                value, counted = self._repair_cell(j, nodes)
-                repaired[i, j] = value
-                if counted:
-                    push_vals[j] = value
+                if self._repair_cell(j, nodes):
+                    push_vals[j] = nodes.last_good[j]
                     push_mask[j] = True
             self._moments.push_row(push_vals, push_mask)
             self._usable_per_node += active
             nodes.last_good = np.where(usable, row, nodes.last_good)
             nodes.last_raw = np.where(finite, row, nodes.last_raw)
-            keep_tick[i] = bool(np.isfinite(repaired[i]).any())
             self.ticks_seen += 1
-        if self._deliver is not None and keep_tick.any():
-            self._deliver(
-                SampleBatch(
-                    times=np.asarray(batch.times)[keep_tick],
-                    watts=repaired[keep_tick],
-                    node_ids=self._node_ids,
-                )
-            )
 
     # ------------------------------------------------------------------
     def _flush_tail_gaps(self) -> None:

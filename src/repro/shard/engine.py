@@ -259,9 +259,7 @@ def sharded_session(
         confidence=confidence,
         method="t",
     )
-    decision = stopper.evaluate()
-    for mean_w in np.asarray(fleet.node_moments.mean):
-        decision = stopper.update(float(mean_w))
+    decision = stopper.update_many(fleet.node_moments.mean)
     quality = build_quality_report(
         fleet.recovery, expected_ticks=fleet.recovery.ticks_seen
     )

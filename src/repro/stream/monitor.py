@@ -41,6 +41,24 @@ from repro.stream.ring import TimeRing
 
 __all__ = ["NodeFlags", "MonitorReport", "ComplianceMonitor"]
 
+#: |z| threshold on a node's running mean vs the fleet's node-to-node
+#: distribution.  By Samuelson's bound no node of an ``n``-node fleet
+#: can sit further than ``(n - 1) / sqrt(n)`` sample deviations from the
+#: mean, so a lone hot node can flag only in fleets of 18 or more.
+OUTLIER_Z = 4.0
+#: Threshold, in units of a node's running σ of its power ratio to the
+#: fleet, for a transient excursion (Fig. 4-style step changes).
+EXCURSION_Z = 6.0
+#: Floor on that σ (ratio units): a private step must move a node by at
+#: least ``EXCURSION_Z × 0.5%`` of fleet power to flag, so near-identical
+#: nodes do not flag on harmless shape noise.
+EXCURSION_RATIO_FLOOR = 0.005
+#: Warm-up sample count before anomaly flags are emitted — early means
+#: are too noisy to accuse nodes with.
+MIN_SAMPLES_FOR_FLAGS = 30
+#: Length of the rolling fleet-power window reported live.
+ROLLING_HORIZON_S = 60.0
+
 
 @dataclass(frozen=True)
 class NodeFlags:
@@ -68,13 +86,6 @@ class MonitorReport:
     report is a *non-verdict*, not a failure.
 
     ``notes`` carries provenance caveats that are not verdicts.
-
-    ``correlated`` is the rendered verdict of an attached
-    correlated-excursion detector bundle (see
-    :class:`repro.faults.detectors.CorrelatedDetectors`); ``None`` —
-    and absent from :meth:`to_dict` — when no detectors are attached,
-    so reports from detector-less monitors are byte-identical to
-    pre-pathology ones.
     """
 
     t_now_s: float
@@ -92,11 +103,10 @@ class MonitorReport:
     excursion_nodes: tuple[NodeFlags, ...] = field(default_factory=tuple)
     insufficient_data: bool = False
     notes: tuple[str, ...] = ()
-    correlated: dict | None = None
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering."""
-        out = {
+        return {
             "t_now_s": self.t_now_s,
             "insufficient_data": self.insufficient_data,
             "notes": list(self.notes),
@@ -121,9 +131,6 @@ class MonitorReport:
                 for f in self.excursion_nodes
             ],
         }
-        if self.correlated is not None:
-            out["correlated"] = self.correlated
-        return out
 
     def lines(self) -> list[str]:
         """Human-readable verdict lines."""
@@ -155,12 +162,6 @@ class MonitorReport:
                 + ", ".join(str(f.node_id) for f in self.excursion_nodes)
             )
         out.extend(f"note: {note}" for note in self.notes)
-        if self.correlated is not None:
-            sus = self.correlated.get("any_suspected", False)
-            out.append(
-                "correlated pathology: "
-                + ("SUSPECTED" if sus else "none detected")
-            )
         return out
 
 
@@ -174,31 +175,10 @@ class ComplianceMonitor:
         measures against.
     required_interval_s:
         Maximum legal sample spacing (1 s for Levels 1/2).
-    outlier_z:
-        |z| threshold on a node's running mean vs the fleet's
-        node-to-node distribution.
-    excursion_z:
-        Threshold, in units of the node's running σ of its power ratio
-        to the fleet, for a transient excursion (Fig. 4-style step
-        changes).  The σ is floored at ``excursion_ratio_floor`` so
-        near-identical nodes do not flag on harmless shape noise.
-    excursion_ratio_floor:
-        Minimum σ (in ratio units) used in the excursion test; 0.005
-        means a private step must move the node by at least
-        ``excursion_z × 0.5%`` of fleet power to flag.
-    min_samples_for_flags:
-        Warm-up sample count before anomaly flags are emitted — early
-        means are too noisy to accuse nodes with.
-    rolling_horizon_s:
-        Length of the rolling fleet-power window reported live.
-    correlated_detectors:
-        Optional correlated-excursion detector bundle — any object with
-        ``observe(batch)`` and ``verdict()`` (duck-typed so the stream
-        layer stays import-decoupled from :mod:`repro.faults`;
-        :class:`repro.faults.detectors.CorrelatedDetectors` is the
-        intended plug-in).  When attached, every observed batch is also
-        fed to the detectors and :meth:`report` carries their rendered
-        verdict in ``correlated``.
+
+    The anomaly thresholds are the module constants
+    :data:`OUTLIER_Z`, :data:`EXCURSION_Z`,
+    :data:`EXCURSION_RATIO_FLOOR` and :data:`MIN_SAMPLES_FOR_FLAGS`.
     """
 
     def __init__(
@@ -206,40 +186,17 @@ class ComplianceMonitor:
         core_window_s: tuple[float, float],
         *,
         required_interval_s: float = 1.0,
-        outlier_z: float = 4.0,
-        excursion_z: float = 6.0,
-        excursion_ratio_floor: float = 0.005,
-        min_samples_for_flags: int = 30,
-        rolling_horizon_s: float = 60.0,
-        correlated_detectors=None,
     ) -> None:
         c0, c1 = float(core_window_s[0]), float(core_window_s[1])
         if c1 <= c0:
             raise ValueError("core window must have positive duration")
         if required_interval_s <= 0:
             raise ValueError("required_interval_s must be positive")
-        if outlier_z <= 0 or excursion_z <= 0:
-            raise ValueError("z thresholds must be positive")
-        if excursion_ratio_floor < 0:
-            raise ValueError("excursion_ratio_floor must be >= 0")
         self._core = (c0, c1)
         self._required_interval_s = float(required_interval_s)
-        self._outlier_z = float(outlier_z)
-        self._excursion_z = float(excursion_z)
-        self._ratio_floor = float(excursion_ratio_floor)
-        self._min_flag_samples = int(min_samples_for_flags)
-        if correlated_detectors is not None and not (
-            callable(getattr(correlated_detectors, "observe", None))
-            and callable(getattr(correlated_detectors, "verdict", None))
-        ):
-            raise TypeError(
-                "correlated_detectors must provide observe(batch) and "
-                "verdict()"
-            )
-        self._correlated = correlated_detectors
         self.node_moments = RunningMoments()
         self._ratio_moments = RunningMoments()
-        self._rolling = TimeRing(rolling_horizon_s)
+        self._rolling = TimeRing(ROLLING_HORIZON_S)
         self._node_ids: np.ndarray | None = None
         self._excursions: np.ndarray | None = None
         self._span: tuple[float, float] | None = None
@@ -310,21 +267,19 @@ class ComplianceMonitor:
                 batch.watts / fleet_w[:, None],
                 1.0,
             )
-        if self._ratio_moments.count >= max(self._min_flag_samples, 2):
+        if self._ratio_moments.count >= MIN_SAMPLES_FOR_FLAGS:
             mean = np.asarray(self._ratio_moments.mean)
             sd = np.maximum(
-                np.asarray(self._ratio_moments.std()), self._ratio_floor
+                np.asarray(self._ratio_moments.std()), EXCURSION_RATIO_FLOOR
             )
             dev = np.abs(ratios - mean) / sd
-            self._excursions += (dev > self._excursion_z).sum(axis=0)
+            self._excursions += (dev > EXCURSION_Z).sum(axis=0)
 
         self.node_moments.push_batch(batch.watts)
         self._ratio_moments.push_batch(ratios)
         for t_s, ref_w in zip(times, fleet_w):
             self._rolling.push(float(t_s), float(ref_w))
         self._samples += batch.n_samples
-        if self._correlated is not None:
-            self._correlated.observe(batch)
 
     @classmethod
     def merge_shards(
@@ -344,15 +299,6 @@ class ComplianceMonitor:
         """
         if not monitors:
             raise ValueError("merge_shards needs at least one monitor")
-        for i, m in enumerate(monitors):
-            if m._correlated is not None:
-                raise ValueError(
-                    f"shard monitor {i} carries correlated detectors; "
-                    "their fleet-series state is not column-separable, "
-                    "so sharded monitors cannot be merged exactly — "
-                    "attach the detectors to the merged fleet stream "
-                    "instead"
-                )
         first = monitors[0]
         for i, m in enumerate(monitors):
             if m._node_ids is None:
@@ -364,14 +310,7 @@ class ComplianceMonitor:
                     f"shard monitor {i} covered a different tick span; "
                     "shards must replay the same stream"
                 )
-        out = cls(
-            first._core,
-            required_interval_s=first._required_interval_s,
-            outlier_z=first._outlier_z,
-            excursion_z=first._excursion_z,
-            excursion_ratio_floor=first._ratio_floor,
-            min_samples_for_flags=first._min_flag_samples,
-        )
+        out = cls(first._core, required_interval_s=first._required_interval_s)
         out.node_moments = RunningMoments.concat(
             [m.node_moments for m in monitors]
         )
@@ -413,7 +352,7 @@ class ComplianceMonitor:
         """Current per-node anomaly state (post warm-up; else empty)."""
         if (
             self._node_ids is None
-            or self.node_moments.count < max(self._min_flag_samples, 2)
+            or self.node_moments.count < MIN_SAMPLES_FOR_FLAGS
         ):
             return []
         means = np.asarray(self.node_moments.mean)
@@ -427,7 +366,7 @@ class ComplianceMonitor:
             NodeFlags(
                 node_id=int(nid),
                 z_score=float(zi),
-                flagged_outlier=bool(abs(zi) > self._outlier_z),
+                flagged_outlier=bool(abs(zi) > OUTLIER_Z),
                 excursion_count=int(exc),
             )
             for nid, zi, exc in zip(self._node_ids, z, self._excursions)
@@ -479,10 +418,5 @@ class ComplianceMonitor:
             outlier_nodes=tuple(f for f in flags if f.flagged_outlier),
             excursion_nodes=tuple(
                 f for f in flags if f.excursion_count > 0
-            ),
-            correlated=(
-                None
-                if self._correlated is None
-                else self._correlated.verdict().to_dict()
             ),
         )

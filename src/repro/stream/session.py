@@ -348,7 +348,7 @@ class LiveStreamState:
         )
         if admitted > self._nodes_fed:
             fresh = node_means[self._nodes_fed:admitted]
-            self._decision = self._stopper_feed(fresh)
+            self._decision = self.stopper.update_many(fresh)
             self._nodes_fed = admitted
 
         t_now = batch.t1_s
@@ -357,12 +357,6 @@ class LiveStreamState:
         while t_now >= self._next_report_s - 1e-9:
             self.snapshots.append(self.snapshot_at(t_now))
             self._next_report_s += self.report_every_s
-
-    def _stopper_feed(self, means: np.ndarray) -> StoppingDecision:
-        decision = self._decision
-        for w in means:
-            decision = self.stopper.update(float(w))
-        return decision
 
     def snapshot_at(self, t_s: float) -> StreamSnapshot:
         """Build a snapshot of the current state, stamped ``t_s``."""
@@ -414,7 +408,7 @@ class LiveStreamState:
         if self.fold.monitor.samples_seen > 0:
             node_means = np.asarray(self.fold.monitor.node_moments.mean)
             if self._nodes_fed < node_means.size:
-                self._decision = self._stopper_feed(
+                self._decision = self.stopper.update_many(
                     node_means[self._nodes_fed:]
                 )
                 self._nodes_fed = node_means.size

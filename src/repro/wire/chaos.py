@@ -5,7 +5,7 @@
 through the full wire path::
 
     replay_run -> WireWriter(codec) -> WireFaultPlan -> WireReader
-               -> RecoveryPipeline + ComplianceMonitor
+               -> RecoveryPipeline
 
 and then puts the result on trial twice:
 
@@ -39,8 +39,7 @@ from repro.faults.wire import (
     WireFaultPlan,
     WireLedger,
 )
-from repro.stream.ingest import SampleBatch, replay_run
-from repro.stream.monitor import ComplianceMonitor, MonitorReport
+from repro.stream.ingest import replay_run
 from repro.wire.session import WireReader, WireWriter
 
 __all__ = ["WireScenario", "WireChaosOutcome", "run_wire_chaos"]
@@ -87,7 +86,6 @@ class WireChaosOutcome(AuditOutcome):
     scenario: WireScenario
     gap_policy: str
     seed: int
-    monitor_report: MonitorReport
     ledger: WireLedger
     bytes_on_wire: int
     samples_sent: int
@@ -98,11 +96,7 @@ class WireChaosOutcome(AuditOutcome):
         return self.bytes_on_wire / max(self.samples_sent, 1)
 
     def to_dict(self) -> dict:
-        """JSON-friendly rendering.
-
-        ``quantile_estimates`` stays in the rendering, always empty, so
-        the JSON shape is unchanged: the harness tracks no quantiles.
-        """
+        """JSON-friendly rendering."""
         return {
             "scenario": self.scenario.name,
             "codec": self.scenario.codec,
@@ -114,9 +108,7 @@ class WireChaosOutcome(AuditOutcome):
             "bytes_on_wire": self.bytes_on_wire,
             "samples_sent": self.samples_sent,
             "bytes_per_sample": self.bytes_per_sample,
-            "quantile_estimates": {},
             "report": self.report.to_dict(),
-            "monitor_report": self.monitor_report.to_dict(),
             "ledger": self.ledger.to_dict(),
         }
 
@@ -140,7 +132,6 @@ def run_wire_chaos(
     gap_policy: str = "hold",
     ticks_per_batch: int = 20,
     node_indices: np.ndarray | None = None,
-    original_level: int = 2,
 ) -> WireChaosOutcome:
     """Send ``run`` through a faulty wire, recover, and audit the label.
 
@@ -167,31 +158,12 @@ def run_wire_chaos(
         gap_policy=gap_policy,
         stuck_min_repeats=_DETECTORS_OFF,
         quarantine_after=_DETECTORS_OFF,
-        original_level=original_level,
     )
-    t0_s, t1_s = run.core_window
-    monitor = ComplianceMonitor(
-        core_window_s=(float(t0_s), float(t1_s)),
-        required_interval_s=float(run.dt),
-    )
-
-    def _observe(batch) -> None:
-        pipeline.observe(batch)
-        finite = np.all(np.isfinite(batch.watts), axis=1)
-        if finite.any():
-            monitor.observe(
-                SampleBatch(
-                    times=batch.times[finite],
-                    watts=batch.watts[finite],
-                    node_ids=batch.node_ids,
-                )
-            )
-
     for chunk in delivery.chunks:
         for batch in reader.feed(chunk):
-            _observe(batch)
+            pipeline.observe(batch)
     for batch in reader.close():
-        _observe(batch)
+        pipeline.observe(batch)
 
     report = replace(
         pipeline.finalize(
@@ -227,7 +199,6 @@ def run_wire_chaos(
         clean_fleet_mean_w=clean_mean_w,
         clean_node_cv=clean_cv,
         report=report,
-        monitor_report=monitor.report(),
         ledger=ledger,
         bytes_on_wire=writer.bytes_written,
         samples_sent=writer.samples_written,

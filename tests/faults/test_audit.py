@@ -25,8 +25,8 @@ WIRE_KEYS = {
     "scenario", "codec", "drop_rate", "corrupt_rate", "gap_policy", "seed",
     "clean_fleet_mean_w", "clean_node_cv", "rel_err_fleet_mean",
     "rel_err_node_cv", "bytes_on_wire", "samples_sent", "bytes_per_sample",
-    "mean_within_bound", "cv_within_bound", "quantile_estimates",
-    "reconciliation", "report", "monitor_report", "ledger",
+    "mean_within_bound", "cv_within_bound", "reconciliation", "report",
+    "ledger",
 }
 PATHOLOGY_KEYS = {
     "scenario", "gap_policy", "seed", "clean_fleet_mean_w",
@@ -74,7 +74,6 @@ class TestDegenerateCleanCv:
             scenario=out.scenario,
             gap_policy=out.gap_policy,
             seed=out.seed,
-            monitor_report=out.monitor_report,
             ledger=out.ledger,
             bytes_on_wire=out.bytes_on_wire,
             samples_sent=out.samples_sent,
@@ -97,7 +96,5 @@ class TestJsonShape:
 
     def test_pathology_keys(self, small_run):
         scenario = standard_scenarios(("aliasing",), intensity="low")[0]
-        out = run_pathology(
-            small_run, scenario, seed=3, node_indices=NODES, detect=False
-        )
+        out = run_pathology(small_run, scenario, seed=3, node_indices=NODES)
         assert set(out.to_dict()) == PATHOLOGY_KEYS

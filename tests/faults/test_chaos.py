@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults.chaos import ChaosScenario, chaos_sweep, run_chaos
+from repro.faults.chaos import ChaosScenario, run_chaos
 from repro.faults.recovery import GAP_POLICIES, RetryPolicy
 
 ACCEPTANCE = ChaosScenario(
@@ -142,9 +142,10 @@ class TestSweep:
             ChaosScenario(name=f"d{r:g}", dropout_rate=r)
             for r in (0.0, 0.10, 0.30)
         ]
-        outs = chaos_sweep(
-            run, scenarios, gap_policy="hold", seed=17, original_level=3
-        )
+        outs = [
+            run_chaos(run, sc, gap_policy="hold", seed=17, original_level=3)
+            for sc in scenarios
+        ]
         coverages = [o.report.effective_coverage for o in outs]
         levels = [o.report.effective_level for o in outs]
         assert coverages == sorted(coverages, reverse=True)

@@ -337,7 +337,7 @@ class TestStackedReconciliation:
         )
         out = run_pathology(
             small_run, scenario, seed=42,
-            node_indices=np.arange(12), detect=False,
+            node_indices=np.arange(12),
         )
         assert out.reconciled, out.reconciliation
         assert out.mean_within_bound and out.cv_within_bound
@@ -357,7 +357,7 @@ class TestStackedReconciliation:
         )[0]
         out = run_pathology(
             small_run, scenario, seed=42,
-            node_indices=np.arange(12), detect=False,
+            node_indices=np.arange(12),
         )
         assert out.ok()
         assert out.independent_bound_mean_violated

@@ -30,7 +30,7 @@ def _batches(watts_rows, *, per=4, dt_s=2.0):
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_within_jitter(self):
-        policy = RetryPolicy(base_delay_s=1.0, factor=2.0, jitter_frac=0.1)
+        policy = RetryPolicy()
         rng = stream(0, "test-retry")
         for attempt in range(4):
             d = policy.delay_s(attempt, rng)
@@ -40,12 +40,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_retries"):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="base_delay_s"):
-            RetryPolicy(base_delay_s=0.0)
-        with pytest.raises(ValueError, match="factor"):
-            RetryPolicy(factor=0.5)
-        with pytest.raises(ValueError, match="jitter_frac"):
-            RetryPolicy(jitter_frac=1.0)
         policy = RetryPolicy()
         with pytest.raises(ValueError, match="attempt"):
             policy.delay_s(-1, stream(0, "x"))
@@ -210,7 +204,7 @@ class TestRecoveryPipelineDetection:
     def test_spike_detected_and_isolated(self):
         rows = 100.0 + np.arange(20)[:, None] * [0.1, 0.2]
         rows[7, 1] *= 8.0
-        pipe = _feed(RecoveryPipeline(spike_ratio=4.0), rows)
+        pipe = _feed(RecoveryPipeline(), rows)
         assert pipe.samples_spiked == 1
         assert pipe.samples_stuck == 0
 
@@ -303,16 +297,6 @@ class TestQuarantineAndBreaker:
 
 
 class TestLiveFeedAndValidation:
-    def test_delivered_feed_is_finite_under_hold(self):
-        rows = 100.0 + np.arange(40)[:, None] * [0.1, 0.2]
-        rows[5:9, 0] = np.nan
-        delivered = []
-        pipe = RecoveryPipeline(gap_policy="hold", deliver=delivered.append)
-        _feed(pipe, rows)
-        watts = np.vstack([b.watts for b in delivered])
-        assert np.isfinite(watts).all()
-        assert watts.shape[0] == 40
-
     def test_node_set_change_rejected(self):
         pipe = RecoveryPipeline()
         batches = _batches(np.ones((8, 3)))
@@ -336,7 +320,5 @@ class TestLiveFeedAndValidation:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="gap_policy"):
             RecoveryPipeline(gap_policy="zero-fill")
-        with pytest.raises(ValueError, match="spike_ratio"):
-            RecoveryPipeline(spike_ratio=1.0)
         with pytest.raises(ValueError, match="quarantine_after"):
             RecoveryPipeline(quarantine_after=0)

@@ -93,7 +93,6 @@ class TestAnomalyFlags:
         mon = ComplianceMonitor(
             small_run.core_window,
             required_interval_s=max(small_run.dt, 1.0),
-            outlier_z=3.0,
         )
         for batch in replay_run(small_run, ticks_per_batch=64):
             watts = batch.watts.copy()
@@ -108,6 +107,22 @@ class TestAnomalyFlags:
         rep = mon.report()
         assert 7 in [f.node_id for f in rep.outlier_nodes]
 
+    @pytest.mark.parametrize(("n_nodes", "flagged"), [(17, False), (18, True)])
+    def test_lone_outlier_needs_eighteen_nodes(self, n_nodes, flagged):
+        # Samuelson's bound: no node of an n-node fleet sits more than
+        # (n - 1) / sqrt(n) sample deviations from the mean (3.88 at
+        # n = 17, 4.01 at n = 18), so even a node at 10x power cannot
+        # pass OUTLIER_Z = 4 in a fleet below 18 nodes.
+        times = np.arange(60.0)
+        watts = np.tile(100.0 + 0.01 * np.arange(n_nodes), (times.size, 1))
+        watts[:, 0] *= 10.0
+        mon = ComplianceMonitor((0.0, 60.0))
+        mon.observe(
+            SampleBatch(times=times, watts=watts, node_ids=np.arange(n_nodes))
+        )
+        outliers = [f.node_id for f in mon.report().outlier_nodes]
+        assert outliers == ([0] if flagged else [])
+
     def test_validation(self, small_run):
         with pytest.raises(ValueError, match="duration"):
             ComplianceMonitor((10.0, 10.0))
@@ -115,8 +130,6 @@ class TestAnomalyFlags:
             ComplianceMonitor(
                 small_run.core_window, required_interval_s=0.0
             )
-        with pytest.raises(ValueError, match="thresholds"):
-            ComplianceMonitor(small_run.core_window, outlier_z=-1.0)
 
 
 class TestInsufficientData:

@@ -84,6 +84,19 @@ class TestSequentialBehaviour:
         # sampling error.
         assert finite[-1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_update_many_equals_the_update_loop(self):
+        means = np.random.default_rng(5).normal(200.0, 3.0, size=40)
+        looped = SequentialStopper(accuracy=0.005, population=100)
+        decisions = [looped.update(float(w)) for w in means]
+        batched = SequentialStopper(accuracy=0.005, population=100)
+        assert batched.update_many(means[:15]) == decisions[14]
+        assert batched.update_many(means[15:]) == decisions[-1]
+        assert batched.stopped_at == looped.stopped_at is not None
+        # Empty input adds nothing and returns the current evaluation.
+        assert batched.update_many(np.empty(0)) == batched.evaluate()
+        fresh = SequentialStopper(accuracy=0.005, population=100)
+        assert fresh.update_many([]) == fresh.evaluate()
+
     def test_update_validation(self):
         stopper = SequentialStopper(accuracy=0.01, population=10)
         with pytest.raises(ValueError, match="finite"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.cluster.registry import NODE_VARIABILITY_SYSTEMS, TRACE_SYSTEMS
 
 
 class TestPlan:
@@ -108,17 +109,28 @@ class TestStream:
         assert payload["stopping"]["should_stop"] is True
         assert payload["samples_ingested"] > 0
 
-    def test_unknown_system(self):
-        with pytest.raises(SystemExit, match="unknown system"):
-            main(["stream", "--system", "not-a-machine"])
-
     def test_bad_quantiles(self):
         with pytest.raises(SystemExit, match="quantiles"):
             main(["stream", "--system", "l-csc", "--quantiles", "1.5"])
 
-    def test_bad_max_nodes(self):
-        with pytest.raises(SystemExit, match="max-nodes"):
-            main(["stream", "--system", "l-csc", "--max-nodes", "0"])
+
+class TestReplayArgs:
+    """``--system`` and ``--max-nodes`` behave alike in every subcommand."""
+
+    @pytest.mark.parametrize("command", ["stream", "shard", "chaos", "wire"])
+    def test_unknown_system(self, command):
+        known = ", ".join((*TRACE_SYSTEMS, *NODE_VARIABILITY_SYSTEMS))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--system", "not-a-machine"])
+        assert str(exc.value) == (
+            f"error: unknown system 'not-a-machine' (known: {known})"
+        )
+
+    @pytest.mark.parametrize("command", ["stream", "chaos", "wire"])
+    def test_bad_max_nodes(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--system", "l-csc", "--max-nodes", "0"])
+        assert str(exc.value) == "error: --max-nodes must be >= 1"
 
 
 class TestBudget:

@@ -140,7 +140,6 @@ class TestQuantileCaveat:
     def test_no_quantiles_no_note(self, lossy_outcome):
         # The harness tracks no quantiles, so it stamps no merge caveat.
         assert lossy_outcome.report.notes == ()
-        assert lossy_outcome.monitor_report.notes == ()
 
 
 class TestFrontier:
