@@ -1,10 +1,11 @@
-"""Telemetry service benchmarks — requests/s and samples/s in-process.
+"""Telemetry service benchmark — JSON ingest samples/s in-process.
 
-The service's sizing question mirrors the wire layer's: one asyncio
-loop fronts a whole fleet's collectors, so dispatch overhead (routing,
-tenant auth, token bucket, metrics) must stay far below the per-request
-work, and the ingest path (HTTP body → validated batch → bounded queue
-→ estimator fold) must clear a 10 000-node × 1 Hz fleet with headroom.
+Collectors that cannot speak RPWR post JSON bodies, so the service's
+JSON path (body -> validated batch -> bounded queue -> estimator fold)
+must clear a 10 000-node x 1 Hz fleet with headroom.  Dispatch and
+RPWR ingest are gated end to end by the ``serve-mixed`` workload in
+``benchmarks/e2e``; JSON bodies have no end-to-end workload, so this
+bench is their only gate.
 
 Everything runs through :meth:`TelemetryApp.dispatch` on a
 :class:`SimClock` — no sockets — so the numbers isolate service-layer
@@ -22,22 +23,13 @@ import os
 import numpy as np
 
 from repro.serve import ServiceConfig, TelemetryApp, make_request
-from repro.serve.app import RPWR_CONTENT_TYPE
-from repro.stream.ingest import SampleBatch, SimClock
-from repro.wire.session import WireWriter
-
-#: Dispatch bench: enough requests that per-call overhead dominates
-#: and the round is long enough for the 30% regression gate to sit
-#: well above single-core scheduling noise.
-_N_REQUESTS = 10_000
-_FLOOR_REQUESTS_PER_S = 5_000.0
+from repro.stream.ingest import SimClock
 
 #: Ingest bench: 20 batches x 50 ticks x 500 nodes = 500k samples.
 _N_BATCHES, _N_TICKS, _N_NODES = 20, 50, 500
 _FLOOR_JSON_SAMPLES_PER_S = 100_000.0
-_FLOOR_RPWR_SAMPLES_PER_S = 150_000.0
 
-#: A bucket the benches can never drain (rate limiting is not the
+#: A bucket the bench can never drain (rate limiting is not the
 #: thing under measurement here; the load suite covers it).
 _OPEN_THROTTLE = ServiceConfig(
     rate_capacity=1e9, rate_refill_per_request_s=1e9
@@ -52,153 +44,63 @@ _SESSION_CONFIG = {
 }
 
 
-def _batches() -> list[SampleBatch]:
+def _json_bodies() -> list[bytes]:
     rng = np.random.default_rng(2015)
-    return [
-        SampleBatch(
-            times=np.arange(i * _N_TICKS, (i + 1) * _N_TICKS) * 1.0,
-            watts=1500.0
-            + 10.0 * rng.standard_normal((_N_TICKS, _N_NODES)),
-            node_ids=np.arange(_N_NODES, dtype=np.int64),
-        )
-        for i in range(_N_BATCHES)
-    ]
+    bodies = []
+    for i in range(_N_BATCHES):
+        times = np.arange(i * _N_TICKS, (i + 1) * _N_TICKS) * 1.0
+        watts = 1500.0 + 10.0 * rng.standard_normal((_N_TICKS, _N_NODES))
+        bodies.append(json.dumps({
+            "times": times.tolist(),
+            "watts": watts.tolist(),
+            "node_ids": list(range(_N_NODES)),
+        }).encode())
+    return bodies
 
 
-def _json_bodies(batches: list[SampleBatch]) -> list[bytes]:
-    return [
-        json.dumps({
-            "times": batch.times.tolist(),
-            "watts": batch.watts.tolist(),
-            "node_ids": batch.node_ids.tolist(),
-        }).encode()
-        for batch in batches
-    ]
-
-
-def _rpwr_bodies(batches: list[SampleBatch]) -> list[bytes]:
-    writer = WireWriter(codec="raw64")
-    return [writer.write(batch).data for batch in batches]
-
-
-async def _open_session(app: TelemetryApp) -> str:
-    response = await app.dispatch(make_request(
-        "POST", "/v1/sessions", tenant="bench",
-        body=json.dumps(_SESSION_CONFIG).encode(),
-    ))
-    assert response.status == 201
-    return json.loads(response.body)["session"]["session_id"]
-
-
-def bench_dispatch_requests(benchmark, report_sink):
-    """Middleware + routing cost: requests/s through dispatch()."""
-
-    def burst() -> int:
-        async def run() -> int:
-            clock = SimClock(dt_s=1.0)
-            app = TelemetryApp(clock, _OPEN_THROTTLE)
-            sid = await _open_session(app)
-            requests = [
-                make_request("GET", "/healthz"),
-                make_request(
-                    "GET", "/v1/plan",
-                    query={"population": "10000", "cv": "0.05"},
-                ),
-                make_request(
-                    "GET", f"/v1/sessions/{sid}", tenant="bench"
-                ),
-            ]
-            n_ok = 0
-            for i in range(_N_REQUESTS):
-                response = await app.dispatch(
-                    requests[i % len(requests)]
-                )
-                n_ok += response.status == 200
-            await app.shutdown()
-            return n_ok
-
-        return asyncio.run(run())
-
-    n_ok = benchmark.pedantic(burst, rounds=3, iterations=1)
-    rate = _N_REQUESTS / benchmark.stats.stats.min
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-    benchmark.extra_info["n_requests"] = _N_REQUESTS
-    report_sink(
-        "serve dispatch",
-        f"{_N_REQUESTS:,} requests (healthz/plan/info mix), "
-        f"{rate / 1e3:.1f} k requests/s in-process",
-    )
-    assert n_ok == _N_REQUESTS
-    assert rate >= _FLOOR_REQUESTS_PER_S, (
-        f"dispatch at {rate:.0f} requests/s is below the "
-        f"{_FLOOR_REQUESTS_PER_S:.0f} requests/s floor"
-    )
-
-
-def _bench_ingest(benchmark, bodies: list[bytes], content_type: str):
-    """Shared driver: open, ingest every body, drain, close."""
+def bench_ingest_json(benchmark, report_sink):
+    """End-to-end JSON ingest: body -> batch -> queue -> fold -> close."""
+    bodies = _json_bodies()
     n_samples = _N_BATCHES * _N_TICKS * _N_NODES
 
     def session_run() -> int:
         async def run() -> int:
-            clock = SimClock(dt_s=1.0)
-            app = TelemetryApp(clock, _OPEN_THROTTLE)
-            sid = await _open_session(app)
+            app = TelemetryApp(SimClock(dt_s=1.0), _OPEN_THROTTLE)
+            response = await app.dispatch(make_request(
+                "POST", "/v1/sessions", tenant="bench",
+                body=json.dumps(_SESSION_CONFIG).encode(),
+            ))
+            assert response.status == 201
+            sid = json.loads(response.body)["session"]["session_id"]
             for body in bodies:
                 response = await app.dispatch(make_request(
                     "POST", f"/v1/sessions/{sid}/batches",
                     tenant="bench", body=body,
-                    content_type=content_type,
+                    content_type="application/json",
                 ))
                 assert response.status == 202
             await app.registry.get("bench", sid).drain()
             response = await app.dispatch(make_request(
                 "DELETE", f"/v1/sessions/{sid}", tenant="bench"
             ))
-            summary = json.loads(response.body)["summary"]
-            return summary["samples_ingested"]
+            return json.loads(response.body)["summary"]["samples_ingested"]
 
         return asyncio.run(run())
 
     ingested = benchmark.pedantic(session_run, rounds=3, iterations=1)
     assert ingested == n_samples
     rate = n_samples / benchmark.stats.stats.min
+    body_bytes = sum(len(b) for b in bodies)
     benchmark.extra_info["cpu_count"] = os.cpu_count()
     benchmark.extra_info["n_samples"] = n_samples
-    benchmark.extra_info["body_bytes"] = sum(len(b) for b in bodies)
-    return rate
-
-
-def bench_ingest_json(benchmark, report_sink):
-    """End-to-end JSON ingest: body -> batch -> queue -> fold -> close."""
-    bodies = _json_bodies(_batches())
-    rate = _bench_ingest(benchmark, bodies, "application/json")
+    benchmark.extra_info["body_bytes"] = body_bytes
     report_sink(
         "serve JSON ingest",
-        f"{_N_BATCHES} batches, "
-        f"{_N_BATCHES * _N_TICKS * _N_NODES:,} samples, "
-        f"{sum(len(b) for b in bodies):,} B of JSON, "
+        f"{_N_BATCHES} batches, {n_samples:,} samples, "
+        f"{body_bytes:,} B of JSON, "
         f"{rate / 1e3:.0f} k samples/s end to end",
     )
     assert rate >= _FLOOR_JSON_SAMPLES_PER_S, (
         f"JSON ingest at {rate / 1e3:.0f} k samples/s is below the "
         f"{_FLOOR_JSON_SAMPLES_PER_S / 1e3:.0f} k samples/s floor"
-    )
-
-
-def bench_ingest_rpwr(benchmark, report_sink):
-    """End-to-end RPWR ingest: frames -> parser -> queue -> fold."""
-    bodies = _rpwr_bodies(_batches())
-    rate = _bench_ingest(benchmark, bodies, RPWR_CONTENT_TYPE)
-    report_sink(
-        "serve RPWR ingest",
-        f"{_N_BATCHES} frames, "
-        f"{_N_BATCHES * _N_TICKS * _N_NODES:,} samples, "
-        f"{sum(len(b) for b in bodies):,} B on the wire, "
-        f"{rate / 1e3:.0f} k samples/s end to end "
-        "(estimator fold dominates; wire decode is noise next to it)",
-    )
-    assert rate >= _FLOOR_RPWR_SAMPLES_PER_S, (
-        f"RPWR ingest at {rate / 1e3:.0f} k samples/s is below the "
-        f"{_FLOOR_RPWR_SAMPLES_PER_S / 1e3:.0f} k samples/s floor"
     )

@@ -5,7 +5,9 @@ baseline (e.g. ``BENCH_shard.json``):
 
 * same machine (CPU model, core count, architecture): any benchmark
   whose mean time regressed more than the threshold (default 30%)
-  fails the gate with exit code 1;
+  fails the gate with exit code 1, and so does any baseline benchmark
+  missing from the current run — retiring a gate means editing its
+  baseline, not dropping the bench silently;
 * different machine: timings are not comparable — the gate prints a
   note and exits 0, so CI runners never fail against numbers committed
   from another box.
@@ -70,9 +72,9 @@ def compare(
     cur = _benchmarks_by_name(current)
     missing = sorted(set(base) - set(cur))
     for name in missing:
-        lines.append(f"NOTE: {name} missing from the current run")
+        lines.append(f"FAIL: {name} missing from the current run")
 
-    failed = False
+    failed = bool(missing)
     for name in sorted(set(base) & set(cur)):
         ratio = cur[name] / base[name]
         if ratio > 1.0 + threshold:

@@ -825,37 +825,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return runner_main(argv)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import experiments_markdown, run_all
-    from repro.parallel.cache import ResultCache
-
-    cache = ResultCache(args.cache_dir) if args.cache else None
-    try:
-        results = run_all(
-            ids=args.ids or None,
-            verbose=not args.quiet,
-            jobs=args.jobs if args.jobs is not None else 1,
-            cache=cache,
-            refresh=args.refresh,
-        )
-    except (KeyError, ValueError) as exc:
-        # Bad experiment ids are a usage error: exit 2, like argparse.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as fh:
-            fh.write(experiments_markdown(results))
-        print(f"wrote {args.markdown}")
-    failed = [i for i, r in results.items() if not r.all_ok()]
-    if failed:
-        print(f"FAILED experiments: {failed}", file=sys.stderr)
-        return 1
-    print(f"all {len(results)} experiments within tolerance")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.experiments.runner import add_run_arguments, run_from_args
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="EE HPC WG power-measurement methodology tools "
@@ -1124,28 +1097,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the paper-reproduction experiment sweep. "
                     "Experiments are scheduled longest-first onto a "
                     "process pool; unchanged experiments replay from "
-                    "the content-addressed cache under --cache-dir. "
-                    "Every layout (serial, --jobs N, cached) produces "
-                    "byte-identical records.",
+                    "the content-addressed cache under --cache-dir "
+                    "(on by default; --no-cache disables it; --jobs "
+                    "defaults to 1). Every layout (serial, --jobs N, "
+                    "cached) produces byte-identical records.",
     )
-    run.add_argument("ids", nargs="*",
-                     help="experiment ids to run (default: all)")
-    run.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                     help="worker processes (default: 1, serial)")
-    run.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="replay unchanged experiments from the result "
-                          "cache (default: on; --no-cache disables)")
-    run.add_argument("--cache-dir", default=".repro-cache", metavar="PATH",
-                     help="cache location (default: %(default)s)")
-    run.add_argument("--refresh", action="store_true",
-                     help="re-run every experiment and overwrite its "
-                          "cache entry")
-    run.add_argument("--markdown", default=None, metavar="PATH",
-                     help="write the EXPERIMENTS.md body to PATH")
-    run.add_argument("--quiet", action="store_true",
-                     help="suppress per-experiment output")
-    run.set_defaults(func=_cmd_run)
+    add_run_arguments(run)
+    run.set_defaults(func=run_from_args, cache=True, jobs=1)
 
     experiments = sub.add_parser(
         "experiments",

@@ -47,6 +47,7 @@ __all__ = [
     "add_run_arguments",
     "experiments_markdown",
     "run_all",
+    "run_from_args",
     "main",
 ]
 
@@ -229,14 +230,9 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        description="Run the paper-reproduction experiments."
-    )
-    add_run_arguments(parser)
-    args = parser.parse_args(argv)
-
+def run_from_args(args: argparse.Namespace) -> int:
+    """Run the sweep :func:`add_run_arguments` parsed; return the exit
+    code (0 all within tolerance, 1 some failed, 2 bad ids)."""
     cache = None
     if args.cache:
         from repro.parallel.cache import ResultCache
@@ -263,6 +259,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"all {len(results)} experiments within tolerance")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point."""
+    parser = argparse.ArgumentParser(
+        description="Run the paper-reproduction experiments."
+    )
+    add_run_arguments(parser)
+    return run_from_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

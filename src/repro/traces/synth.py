@@ -132,13 +132,7 @@ class SimulatedRun:
         differ.  Meter-level noise belongs to the metering layer, not
         here.
         """
-        idx = np.asarray(node_indices, dtype=np.int64).ravel()
-        if idx.size == 0:
-            raise ValueError("subset must be non-empty")
-        if np.any(idx < 0) or np.any(idx >= self.system.n_nodes):
-            raise ValueError("node index out of range")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("node indices must be unique")
+        idx = self._validated_indices(node_indices)
         if self._freq_mult is None:
             u_grid, p_grid = _power_curve(self.system, idx)
             watts = np.interp(self._util, u_grid, p_grid)
@@ -164,40 +158,14 @@ class SimulatedRun:
         the per-node view the streaming layer
         (:mod:`repro.stream.ingest`) replays tick by tick.
         """
-        if node_indices is None:
-            idx = np.arange(self.system.n_nodes, dtype=np.int64)
-        else:
-            idx = np.asarray(node_indices, dtype=np.int64).ravel()
-            if idx.size == 0:
-                raise ValueError("node subset must be non-empty")
-            if np.any(idx < 0) or np.any(idx >= self.system.n_nodes):
-                raise ValueError("node index out of range")
-            if np.unique(idx).size != idx.size:
-                raise ValueError("node indices must be unique")
-        lo = self._times[0] if t0_s is None else float(t0_s)
-        hi = self._times[-1] if t1_s is None else float(t1_s)
-        if hi < lo:
-            raise ValueError(f"need t0_s <= t1_s, got [{lo}, {hi}]")
-        in_span = (self._times >= lo - 1e-9) & (self._times <= hi + 1e-9)
+        idx = self._validated_indices(node_indices)
+        in_span = self._in_span(t0_s, t1_s)
         times = self._times[in_span]
-        if times.size == 0:
-            raise ValueError("no grid samples inside the requested span")
         util = self._util[in_span]
         noise = self._noise[in_span]
-        u_grid = np.linspace(0.0, 1.0, _U_GRID)
-        if self._freq_mult is None:
-            levels = np.array([1.0])
-            level_of = np.zeros(times.size, dtype=np.int64)
-        else:
-            fm = self._freq_mult[in_span]
-            levels, level_of = np.unique(fm, return_inverse=True)
+        u_grid, level_of, grids = self._level_grids(idx, in_span)
         watts = np.empty((times.size, idx.size))
-        for li, mult in enumerate(levels):
-            per_node = np.empty((_U_GRID, idx.size))
-            for gi, ui in enumerate(u_grid):
-                per_node[gi] = self.system.node_total_powers(
-                    float(ui), indices=idx, freq_multiplier=float(mult)
-                )
+        for li, per_node in enumerate(grids):
             mask = level_of == li
             u_sel = util[mask]
             cell = np.clip(
@@ -224,6 +192,48 @@ class SimulatedRun:
         if np.unique(idx).size != idx.size:
             raise ValueError("node indices must be unique")
         return idx
+
+    def _in_span(
+        self, t0_s: float | None, t1_s: float | None
+    ) -> np.ndarray:
+        """Mask of grid samples inside ``[t0_s, t1_s]`` (default: all)."""
+        lo = self._times[0] if t0_s is None else float(t0_s)
+        hi = self._times[-1] if t1_s is None else float(t1_s)
+        if hi < lo:
+            raise ValueError(f"need t0_s <= t1_s, got [{lo}, {hi}]")
+        in_span = (self._times >= lo - 1e-9) & (self._times <= hi + 1e-9)
+        if not in_span.any():
+            raise ValueError("no grid samples inside the requested span")
+        return in_span
+
+    def _level_grids(
+        self, idx: np.ndarray, in_span: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Per-level utilisation→per-node power grids, tabulated once.
+
+        Returns ``(u_grid, level_of, grids)``: ``grids[li][g, j]`` is
+        node ``idx[j]``'s power at utilisation ``u_grid[g]`` under the
+        span's ``li``-th distinct frequency multiplier, and
+        ``level_of[k]`` is the level of the span's ``k``-th tick.
+        O(G · n_idx · n_levels) memory, independent of run length.
+        """
+        u_grid = np.linspace(0.0, 1.0, _U_GRID)
+        if self._freq_mult is None:
+            levels = np.array([1.0])
+            level_of = np.zeros(int(in_span.sum()), dtype=np.int64)
+        else:
+            levels, level_of = np.unique(
+                self._freq_mult[in_span], return_inverse=True
+            )
+        grids = []
+        for mult in levels:
+            per_node = np.empty((_U_GRID, idx.size))
+            for gi, ui in enumerate(u_grid):
+                per_node[gi] = self.system.node_total_powers(
+                    float(ui), indices=idx, freq_multiplier=float(mult)
+                )
+            grids.append(per_node)
+        return u_grid, level_of, grids
 
     def stream_run(
         self,
@@ -267,35 +277,12 @@ class SimulatedRun:
         if ticks_per_batch < 1:
             raise ValueError("ticks_per_batch must be >= 1")
         idx = self._validated_indices(node_indices)
-        if core_only:
-            t0_s, t1_s = self.core_window
-            in_span = (self._times >= t0_s - 1e-9) & (
-                self._times <= t1_s + 1e-9
-            )
-        else:
-            in_span = np.ones(self._times.size, dtype=bool)
+        span = self.core_window if core_only else (None, None)
+        in_span = self._in_span(*span)
         times = self._times[in_span]
-        if times.size == 0:
-            raise ValueError("no grid samples inside the requested span")
         util = self._util[in_span]
         noise = self._noise[in_span]
-        u_grid = np.linspace(0.0, 1.0, _U_GRID)
-        if self._freq_mult is None:
-            levels = np.array([1.0])
-            level_of = np.zeros(times.size, dtype=np.int64)
-        else:
-            fm = self._freq_mult[in_span]
-            levels, level_of = np.unique(fm, return_inverse=True)
-        # Per-level utilisation→per-node power grids, tabulated once:
-        # O(G · n_idx · n_levels) memory, independent of run length.
-        grids = []
-        for mult in levels:
-            per_node = np.empty((_U_GRID, idx.size))
-            for gi, ui in enumerate(u_grid):
-                per_node[gi] = self.system.node_total_powers(
-                    float(ui), indices=idx, freq_multiplier=float(mult)
-                )
-            grids.append(per_node)
+        u_grid, level_of, grids = self._level_grids(idx, in_span)
         ids = idx.copy()
         # Scratch buffers reused across batches (single-level fast path).
         scratch_lo = np.empty((ticks_per_batch, idx.size))
@@ -323,7 +310,7 @@ class SimulatedRun:
                     batch_times = times[lo:hi]
                     batch_ids = ids
                 chunk_levels = level_of[lo:hi]
-                if levels.size == 1:
+                if len(grids) == 1:
                     u_sel = util[lo:hi]
                     cell = np.clip(
                         np.searchsorted(u_grid, u_sel) - 1, 0, _U_GRID - 2
@@ -342,7 +329,7 @@ class SimulatedRun:
                     b *= w[:, None]
                     np.add(a, b, out=out)
                 else:
-                    for li in range(levels.size):
+                    for li in range(len(grids)):
                         mask = chunk_levels == li
                         if not mask.any():
                             continue
@@ -371,23 +358,12 @@ class SimulatedRun:
     def node_average_powers(self) -> np.ndarray:
         """True per-node time-averaged power over the core phase.
 
-        Computed from the utilisation profile's core-phase average; used
-        as ground truth by sampling experiments.
+        The column mean of the core-phase :meth:`node_power_matrix`, so
+        it sees the DVFS governor and the common-mode noise exactly as
+        the per-node traces do; used as ground truth by sampling
+        experiments.
         """
-        t0, t1 = self.core_window
-        in_core = (self._times >= t0) & (self._times <= t1)
-        u_core = self._util[in_core]
-        noise_core = self._noise[in_core]
-        # Per-node power is affine-ish in u; average over the core grid.
-        u_grid = np.linspace(0.0, 1.0, _U_GRID)
-        per_node = np.empty((_U_GRID, self.system.n_nodes))
-        for i, ui in enumerate(u_grid):
-            per_node[i] = self.system.node_total_powers(float(ui))
-        # Interpolate each node's power at the core utilisation samples.
-        idx = np.clip(np.searchsorted(u_grid, u_core) - 1, 0, _U_GRID - 2)
-        w = (u_core - u_grid[idx]) / (u_grid[idx + 1] - u_grid[idx])
-        powers = per_node[idx] * (1 - w)[:, None] + per_node[idx + 1] * w[:, None]
-        return (powers * noise_core[:, None]).mean(axis=0)
+        return self.node_power_matrix(*self.core_window)[1].mean(axis=0)
 
 
 def simulate_run(

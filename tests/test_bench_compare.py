@@ -47,13 +47,29 @@ class TestCompare:
         assert lines[0].startswith("SKIP")
         assert any("cpu.brand_raw" in line for line in lines)
 
-    def test_missing_benchmark_is_noted_not_failed(self):
+    def test_missing_benchmark_fails(self):
         code, lines = bench_compare.compare(
             _payload(1.0), _payload(1.0, name="bench_y"), 0.30
         )
-        assert code == 0
-        assert any("missing" in line for line in lines)
+        assert code == 1
+        assert "FAIL: bench_x missing from the current run" in lines
         assert any("no common benchmarks" in line for line in lines)
+
+    def test_missing_benchmark_on_another_machine_skips(self):
+        code, lines = bench_compare.compare(
+            _payload(1.0), _payload(1.0, brand="cpu-b", name="bench_y"),
+            0.30,
+        )
+        assert code == 0
+        assert lines[0].startswith("SKIP")
+
+    def test_extra_benchmark_in_current_run_passes(self):
+        current = _payload(1.0)
+        current["benchmarks"].append(
+            {"name": "bench_y", "stats": {"mean": 5.0}}
+        )
+        code, _ = bench_compare.compare(_payload(1.0), current, 0.30)
+        assert code == 0
 
     def test_main_round_trips_files(self, tmp_path):
         import json

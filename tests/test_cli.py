@@ -183,6 +183,35 @@ class TestExperiments:
         assert "S1" in text and "paper" in text
 
 
+class TestRun:
+    def test_unknown_id_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["run", "NOPE", "--cache-dir", str(tmp_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_no_cache_writes_markdown(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "exp.md"
+        rc = main(["run", "--no-cache", "S1", "--quiet",
+                   "--markdown", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"wrote {path}" in out
+        assert "all 1 experiments within tolerance" in out
+        assert "S1" in path.read_text()
+        assert not (tmp_path / ".repro-cache").exists()
+
+    def test_cache_is_on_by_default(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        first, second = tmp_path / "first.md", tmp_path / "second.md"
+        for path in (first, second):
+            rc = main(["run", "S1", "--quiet", "--cache-dir",
+                       str(cache_dir), "--markdown", str(path)])
+            assert rc == 0
+        assert list((cache_dir / "results").rglob("*.pkl"))
+        assert first.read_text() == second.read_text()
+
+
 class TestLint:
     CLEAN = '"""Clean."""\n\n__all__ = ["f"]\n\n\ndef f(x):\n    """Id."""\n    return x\n'
     DIRTY = '"""Dirty."""\n\nHOUR = 3600.0\n'

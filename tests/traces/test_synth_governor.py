@@ -58,6 +58,20 @@ class TestGovernedRuns:
         late = sub.window(mid, core_t1).mean_power()
         assert late < early
 
+    def test_node_averages_respect_governor(self, small_system):
+        gov = DvfsGovernor.stepped([0.5], [1.0, 0.75])
+        run = simulate_run(small_system, ConstantWorkload(0.9, core_s=600.0),
+                           governor=gov, seed=3)
+        matrix = run.node_power_matrix(*run.core_window)[1]
+        np.testing.assert_array_equal(
+            run.node_average_powers(), matrix.mean(axis=0)
+        )
+        plain = simulate_run(small_system, ConstantWorkload(0.9, core_s=600.0),
+                             seed=3)
+        assert run.node_average_powers().sum() < (
+            0.95 * plain.node_average_powers().sum()
+        )
+
     def test_continuous_governor_rejected(self, small_system, flat_wl):
         gov = DvfsGovernor(name="cont", profile=lambda x: 1.0 - 0.3 * x)
         with pytest.raises(ValueError, match="stepped"):
