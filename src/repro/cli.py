@@ -934,15 +934,14 @@ def build_parser() -> argparse.ArgumentParser:
     shard = sub.add_parser(
         "shard",
         help="replay a registry system through the sharded multiprocess "
-             "pipeline — bit-identical to serial for any shard count, "
-             "except the approximately merged quantiles",
+             "pipeline — bit-identical to serial for any shard count",
         description="Partition the fleet into contiguous node ranges, "
                     "run the full per-node kernel per shard (in a fork "
                     "worker pool, or inline with --processes 0), and "
                     "concatenate the per-shard states in node order.  "
-                    "Every output is bit-identical to a serial run for "
-                    "any shard count, except the P2 quantiles, whose "
-                    "cross-shard merge is approximate.",
+                    "Every output, the quantile sketch included, is "
+                    "bit-identical to a one-shard run for any shard "
+                    "count.",
     )
     shard.add_argument("--system", default="l-csc",
                        help="registry system to replay")

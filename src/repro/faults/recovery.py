@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.faults.quality import QualityReport
 from repro.rng import stream
+from repro.stream.estimators import axis0_sum
 from repro.stream.ingest import SampleBatch, SimClock
 
 __all__ = [
@@ -589,51 +590,130 @@ class RecoveryPipeline:
             self._start(batch)
         elif not np.array_equal(batch.node_ids, self._node_ids):
             raise ValueError("batch node_ids changed mid-stream")
+        watts = np.asarray(batch.watts, dtype=float)
+        if self._is_clean(watts):
+            self._observe_clean(watts)
+            return
+        for row in watts:
+            self._observe_row(row)
+
+    def _is_clean(self, watts: np.ndarray) -> bool:
+        """Whether every cell of a non-empty batch is plainly usable.
+
+        True when every reading is finite, none exactly repeats the
+        node's previous reading, none is a :data:`SPIKE_RATIO` jump past
+        the previous reading, no node is quarantined and no
+        interpolation gap is open.  Each row's references are then the
+        row before it (or the node's last reading), because every
+        earlier row is usable too.  Any exact repeat falls back to the
+        per-tick loop, whatever ``stuck_min_repeats`` is: below the
+        threshold a repeat is usable but must still advance the node's
+        repeat run, which only the loop tracks.
+        """
         nodes = self._nodes
-        for i in range(batch.n_ticks):
-            row = np.asarray(batch.watts[i], dtype=float)
-            finite = np.isfinite(row)
-            missing = ~finite
-            self.samples_missing += int(missing.sum())
-            # Stuck: exact repeat of the previous finite reading.
-            eq = finite & np.isfinite(nodes.last_raw) & (row == nodes.last_raw)
-            nodes.repeat_run = np.where(eq, nodes.repeat_run + 1, 0)
-            stuck = eq & (nodes.repeat_run >= self.stuck_min_repeats)
-            self.samples_stuck += int(stuck.sum())
-            # Spike: a jump past SPIKE_RATIO x the last trusted reading.
-            ref = nodes.last_good
-            with np.errstate(invalid="ignore"):
-                spiked = (
-                    finite
-                    & ~stuck
-                    & np.isfinite(ref)
-                    & (row > SPIKE_RATIO * ref)
-                )
-            self.samples_spiked += int(spiked.sum())
-            usable = finite & ~stuck & ~spiked
-            # Quarantine on sustained outage (sticky).
-            nodes.missing_run = np.where(missing, nodes.missing_run + 1, 0)
-            nodes.quarantined |= nodes.missing_run >= self.quarantine_after
-            # Account + repair.  Columns are independent in the Welford
-            # update, so the tick's scalar pushes fold into one masked
-            # row push — bit-identical to pushing column by column, but
-            # O(n) per tick instead of O(n^2).
-            active = usable & ~nodes.quarantined
-            if self.gap_policy == "interpolate":
-                for j in np.flatnonzero(active & (nodes.gap_len > 0)):
-                    self._close_gap(int(j), nodes, float(row[j]))
-            push_vals = np.where(active, row, 0.0)
-            push_mask = active.copy()
-            for j in np.flatnonzero(~usable):
-                j = int(j)
-                if self._repair_cell(j, nodes):
-                    push_vals[j] = nodes.last_good[j]
-                    push_mask[j] = True
-            self._moments.push_row(push_vals, push_mask)
-            self._usable_per_node += active
-            nodes.last_good = np.where(usable, row, nodes.last_good)
-            nodes.last_raw = np.where(finite, row, nodes.last_raw)
-            self.ticks_seen += 1
+        if watts.shape[0] == 0 or nodes.quarantined.any():
+            return False
+        if self.gap_policy == "interpolate" and nodes.gap_len.any():
+            return False
+        if not np.isfinite(watts).all():
+            return False
+        first, rest, prev = watts[0], watts[1:], watts[:-1]
+        if (first == nodes.last_raw).any() or (rest == prev).any():
+            return False
+        # NaN references (no reading yet) compare False, quietly.
+        return not (
+            (first > SPIKE_RATIO * nodes.last_good).any()
+            or (rest > SPIKE_RATIO * prev).any()
+        )
+
+    def _observe_clean(self, watts: np.ndarray) -> None:
+        """Fold a batch :meth:`_is_clean` accepted, all rows at once.
+
+        Bit-identical to the per-tick loop: nothing is missing, stuck,
+        spiked, repaired or quarantined, so every column takes the
+        unmasked Welford update, which equals
+        :meth:`MaskedRunningMoments.push_row` with an all-true mask.
+        Only its mean recurrence is inherently sequential, so the loop
+        runs just that, row by row, keeping every row's deltas and
+        means; the ``m2`` increments ``delta · (x − mean)`` then come out
+        of one vectorised product and fold in row order
+        (:func:`~repro.stream.estimators.axis0_sum`).
+        """
+        n_ticks = watts.shape[0]
+        moments = self._moments
+        counts = (
+            moments._count + np.arange(1, n_ticks + 1)[:, None]
+        ).astype(float)
+        means = np.empty((n_ticks + 1, watts.shape[1]))
+        means[0] = moments._mean
+        deltas = np.empty_like(watts)
+        step = np.empty(watts.shape[1])
+        sub, div, add = np.subtract, np.divide, np.add
+        mean = means[0]
+        for row, delta, count, nxt in zip(watts, deltas, counts, means[1:]):
+            sub(row, mean, delta)
+            div(delta, count, step)
+            add(mean, step, nxt)
+            mean = nxt
+        increments = deltas * (watts - means[1:])
+        moments._m2 = axis0_sum(
+            np.concatenate((moments._m2[None, :], increments))
+        )
+        moments._mean = means[-1].copy()
+        moments._count = moments._count + n_ticks
+        nodes = self._nodes
+        nodes.repeat_run[:] = 0
+        nodes.missing_run[:] = 0
+        self._usable_per_node += n_ticks
+        nodes.last_good = watts[-1].copy()
+        nodes.last_raw = watts[-1].copy()
+        self.ticks_seen += n_ticks
+
+    def _observe_row(self, row: np.ndarray) -> None:
+        """Detect, repair and fold one tick (the general path)."""
+        nodes = self._nodes
+        finite = np.isfinite(row)
+        missing = ~finite
+        self.samples_missing += int(missing.sum())
+        # Stuck: exact repeat of the previous finite reading.
+        eq = finite & np.isfinite(nodes.last_raw) & (row == nodes.last_raw)
+        nodes.repeat_run = np.where(eq, nodes.repeat_run + 1, 0)
+        stuck = eq & (nodes.repeat_run >= self.stuck_min_repeats)
+        self.samples_stuck += int(stuck.sum())
+        # Spike: a jump past SPIKE_RATIO x the last trusted reading.
+        ref = nodes.last_good
+        with np.errstate(invalid="ignore"):
+            spiked = (
+                finite
+                & ~stuck
+                & np.isfinite(ref)
+                & (row > SPIKE_RATIO * ref)
+            )
+        self.samples_spiked += int(spiked.sum())
+        usable = finite & ~stuck & ~spiked
+        # Quarantine on sustained outage (sticky).
+        nodes.missing_run = np.where(missing, nodes.missing_run + 1, 0)
+        nodes.quarantined |= nodes.missing_run >= self.quarantine_after
+        # Account + repair.  Columns are independent in the Welford
+        # update, so the tick's scalar pushes fold into one masked
+        # row push — bit-identical to pushing column by column, but
+        # O(n) per tick instead of O(n^2).
+        active = usable & ~nodes.quarantined
+        if self.gap_policy == "interpolate":
+            for j in np.flatnonzero(active & (nodes.gap_len > 0)):
+                self._close_gap(int(j), nodes, float(row[j]))
+        push_vals = np.where(active, row, 0.0)
+        push_mask = active.copy()
+        for j in np.flatnonzero(~usable):
+            j = int(j)
+            if self._repair_cell(j, nodes):
+                push_vals[j] = nodes.last_good[j]
+                push_mask[j] = True
+        self._moments.push_row(push_vals, push_mask)
+        self._usable_per_node += active
+        nodes.last_good = np.where(usable, row, nodes.last_good)
+        nodes.last_raw = np.where(finite, row, nodes.last_raw)
+        self.ticks_seen += 1
 
     # ------------------------------------------------------------------
     def _flush_tail_gaps(self) -> None:

@@ -326,10 +326,11 @@ class TelemetrySession:
         for batch in reader.feed(body):
             # Gap batches (sequence holes the reader reconstructs) are
             # all-NaN by construction; their cells go into the
-            # provenance ledger, never into the estimators.  A
-            # hypothetical mixed frame is written off whole, which errs
-            # conservative.
-            if np.isnan(batch.watts).any():
+            # provenance ledger, never into the estimators.  A frame
+            # with a negative or infinite reading cannot be folded
+            # either, and a hypothetical mixed frame is written off
+            # whole, which errs conservative.
+            if not batch.readings_valid():
                 gap_cells += int(batch.watts.size)
             else:
                 data.append(batch)

@@ -34,7 +34,7 @@ from repro.faults.recovery import RecoveryPipeline, build_quality_report
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 from repro.shard.reduce import FleetState, ShardState, reduce_states
 from repro.shard.slab import SlabRing
-from repro.stream.estimators import P2Quantile, RunningMoments
+from repro.stream.estimators import QUANTILE_REL_ERROR, RunningMoments
 from repro.stream.monitor import MonitorReport
 from repro.stream.session import FleetFold
 from repro.stream.stopping import SequentialStopper, StoppingDecision
@@ -135,23 +135,31 @@ def run_sharded(
         )
     if processes < 0:
         raise ValueError("processes must be >= 0")
-    work = functools.partial(
-        run_shard,
-        run,
-        ticks_per_batch=plan.ticks_per_batch,
-        reference_w=fleet_reference(run, ticks_per_batch=plan.ticks_per_batch),
-    )
     use_pool = (
         processes >= 2
         and plan.n_shards >= 2
         and "fork" in multiprocessing.get_all_start_methods()
     )
-    if use_pool:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(processes, plan.n_shards)) as pool:
-            states = pool.map(work, plan.shards)
-    else:
-        states = [work(spec) for spec in plan]
+    try:
+        # The reference pass tabulates the whole fleet's power grid;
+        # the shards slice it (see SimulatedRun._level_grids) until the
+        # pass ends.
+        work = functools.partial(
+            run_shard,
+            run,
+            ticks_per_batch=plan.ticks_per_batch,
+            reference_w=fleet_reference(
+                run, ticks_per_batch=plan.ticks_per_batch
+            ),
+        )
+        if use_pool:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(min(processes, plan.n_shards)) as pool:
+                states = pool.map(work, plan.shards)
+        else:
+            states = [work(spec) for spec in plan]
+    finally:
+        run.drop_fleet_grids()
     return reduce_states(states, plan)
 
 
@@ -168,7 +176,6 @@ class ShardSessionResult:
     node_fleet_correlation: float
     quantiles_w: dict[float, float]
     samples_ingested: int
-    notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering of the final state."""
@@ -181,11 +188,11 @@ class ShardSessionResult:
             "quantiles_w": {
                 f"{q:g}": v for q, v in self.quantiles_w.items()
             },
+            "quantile_rel_error": QUANTILE_REL_ERROR,
             "node_fleet_correlation": self.node_fleet_correlation,
             "stopping": self.stopping.to_dict(),
             "monitor": self.monitor_report.to_dict(),
             "quality": self.quality.to_dict(),
-            "notes": list(self.notes),
         }
 
     def render_text(self) -> str:
@@ -199,7 +206,10 @@ class ShardSessionResult:
             f"sd {float(np.asarray(self.fleet_moments.std())):.1f} W",
         ]
         for q, v in self.quantiles_w.items():
-            lines.append(f"  p{int(round(q * 100))}: {v:.1f} W")
+            lines.append(
+                f"  p{int(round(q * 100))}: {v:.1f} W "
+                f"(+/-{QUANTILE_REL_ERROR:.1%})"
+            )
         lines.append(
             f"node-vs-fleet correlation: {self.node_fleet_correlation:.3f}"
         )
@@ -219,7 +229,6 @@ class ShardSessionResult:
             f"quality: coverage {self.quality.effective_coverage:.1%}, "
             f"effective level L{self.quality.effective_level}"
         )
-        lines.extend(f"note: {note}" for note in self.notes)
         return "\n".join(lines)
 
 
@@ -239,13 +248,9 @@ def sharded_session(
     stopping mathematics, compliance monitoring and quality labelling,
     evaluated over merged shard state.  The result is **bit-identical
     for any ``n_shards``** — the per-node reductions are exact
-    concatenations and every fleet scalar derives from the merged
-    vectors by the same deterministic expressions.  The one documented
-    exception is the P² quantile set (the median and p95 of
-    :class:`~repro.stream.session.FleetFold`), whose cross-shard merge
-    is approximate; sessions with more than one shard carry
-    :data:`~repro.stream.estimators.P2Quantile.MERGE_CAVEAT` in
-    ``notes``.
+    concatenations, the quantile sketches merge by integer count
+    addition, and every fleet scalar derives from the merged vectors by
+    the same deterministic expressions.
     """
     plan = plan_shards(
         run.system.n_nodes, n_shards, ticks_per_batch=ticks_per_batch
@@ -263,11 +268,6 @@ def sharded_session(
     quality = build_quality_report(
         fleet.recovery, expected_ticks=fleet.recovery.ticks_seen
     )
-    notes = (
-        (P2Quantile.MERGE_CAVEAT,)
-        if fleet.quantile_merge_approximate
-        else ()
-    )
     return ShardSessionResult(
         plan=plan,
         monitor_report=fleet.fold.monitor.report(),
@@ -280,5 +280,4 @@ def sharded_session(
         ),
         quantiles_w=fleet.fold.quantiles_w(),
         samples_ingested=fleet.samples_ingested,
-        notes=notes,
     )

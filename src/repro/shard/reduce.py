@@ -48,18 +48,11 @@ class ShardState:
 
 @dataclass
 class FleetState:
-    """The merged fleet view, ready for report rendering.
-
-    ``quantile_merge_approximate`` is True when more than one shard's
-    P² summaries were merged — the one non-exact reduction, which the
-    session layer must surface as a provenance note
-    (:data:`~repro.stream.estimators.P2Quantile.MERGE_CAVEAT`).
-    """
+    """The merged fleet view, ready for report rendering."""
 
     fold: FleetFold
     recovery: RecoveryState
     samples_ingested: int
-    quantile_merge_approximate: bool
 
     @property
     def node_moments(self) -> RunningMoments:
@@ -80,9 +73,8 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
 
     Validates that the states tile the plan exactly — every planned
     shard present once — then concatenates the folds
-    (:meth:`FleetFold.concat`; its P² merge is approximate and flagged)
-    and the recovery states (:meth:`RecoveryState.concat`) in node
-    order.
+    (:meth:`FleetFold.concat`) and the recovery states
+    (:meth:`RecoveryState.concat`) in node order.
     """
     if len(states) != plan.n_shards:
         raise ValueError(
@@ -100,5 +92,4 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
         fold=FleetFold.concat([s.fold for s in ordered]),
         recovery=RecoveryState.concat([s.recovery for s in ordered]),
         samples_ingested=sum(s.samples_ingested for s in ordered),
-        quantile_merge_approximate=len(ordered) > 1,
     )

@@ -6,8 +6,9 @@ and post-processes it; this package answers the same questions *while
 the samples arrive*:
 
 * :mod:`repro.stream.estimators` — single-pass Welford moments,
-  covariance, min/max and P²-quantile estimators with ``merge()`` for
-  per-node → fleet roll-up;
+  covariance and min/max, and a relative-error quantile sketch, all
+  with exact ``merge()`` for per-node → fleet roll-up (plus the P²
+  quantile baseline);
 * :mod:`repro.stream.ring` — fixed-capacity sample/time ring buffers
   backing rolling windows;
 * :mod:`repro.stream.ingest` — a deterministic tick-driven ingestion
@@ -26,6 +27,7 @@ time advances only via the simulated tick clock, never the wall clock.
 
 from repro.stream.estimators import (
     P2Quantile,
+    QuantileSketch,
     RunningCovariance,
     RunningMoments,
 )
@@ -49,6 +51,7 @@ from repro.stream.stopping import SequentialStopper, StoppingDecision
 
 __all__ = [
     "P2Quantile",
+    "QuantileSketch",
     "RunningCovariance",
     "RunningMoments",
     "BoundedQueue",

@@ -14,10 +14,16 @@ quantity:
   rounding.
 * :class:`RunningCovariance` — single-pass co-moment with the same
   exact ``merge``.
+* :class:`QuantileSketch` — a log-bucketed relative-error quantile
+  sketch (DDSketch, Masson et al., VLDB 2019): one integer count per
+  bucket of width ``γ = (1 + α) / (1 − α)``, so every quantile it
+  reports lies within ``α`` (:data:`QUANTILE_REL_ERROR`) of the order
+  statistic it stands for.  Its ``merge`` is integer count addition —
+  exact, associative and independent of how the stream was chunked —
+  and one sketch serves every tracked quantile.
 * :class:`P2Quantile` — the Jain–Chlamtac P² marker estimator: a fixed
-  five-marker summary of one quantile.  Its ``merge`` is a documented
-  *approximation* (count-weighted marker interpolation); the exact
-  roll-ups above are the ones campaign arithmetic relies on.
+  five-marker summary of one quantile, kept as the stationary-stream
+  baseline the X-STR audit compares against.
 
 No estimator here ever reads a clock or an RNG — push order and values
 fully determine the state.
@@ -29,7 +35,18 @@ import math
 
 import numpy as np
 
-__all__ = ["RunningMoments", "RunningCovariance", "P2Quantile"]
+__all__ = [
+    "QUANTILE_REL_ERROR",
+    "axis0_sum",
+    "RunningMoments",
+    "RunningCovariance",
+    "QuantileSketch",
+    "P2Quantile",
+]
+
+#: Relative accuracy α of :class:`QuantileSketch`: a reported quantile
+#: lies within ``α · x`` of the order statistic ``x`` it stands for.
+QUANTILE_REL_ERROR = 0.005
 
 
 def _as_observation(x) -> np.ndarray:
@@ -39,22 +56,25 @@ def _as_observation(x) -> np.ndarray:
     return arr
 
 
-def _axis0_sum(xs: np.ndarray) -> np.ndarray:
+def axis0_sum(xs: np.ndarray) -> np.ndarray:
     """Row-sequential sum over the observation axis of a matrix.
 
     ``ndarray.sum(axis=0)`` takes numpy's pairwise-summation path when
-    the reduction stride happens to be contiguous (a single-column
-    matrix) and a row-sequential path otherwise — so the *same column
-    of samples* would accumulate with different roundings depending on
-    how many columns ride along in the batch.  Summing rows explicitly
-    pins the sequential order for every width, which is what makes a
-    one-node shard's estimator state bit-identical to that node's
-    column inside any wider batch (the shard layer's contract).
+    the reduction axis is the contiguous one (a single-column matrix,
+    or a column-major one) and a row-sequential path when the rows are
+    the outer loop — so the *same column of samples* would accumulate
+    with different roundings depending on how many columns ride along
+    in the batch.  Pinning the sequential order for every width is
+    what makes a one-node shard's estimator state bit-identical to that
+    node's column inside any wider batch (the shard layer's contract):
+    a row-major matrix with more than one column reduces row by row,
+    and a single column goes through a cumulative sum, which adds row
+    ``k`` to the total of rows ``0..k-1``.
     """
-    total = np.array(xs[0], dtype=np.float64, copy=True)
-    for k in range(1, xs.shape[0]):
-        total += xs[k]
-    return total
+    xs = np.ascontiguousarray(xs)
+    if xs.size > xs.shape[0]:
+        return np.add.reduce(xs, axis=0)
+    return np.cumsum(xs, axis=0)[-1]
 
 
 class RunningMoments:
@@ -158,10 +178,10 @@ class RunningMoments:
         batch = RunningMoments()
         batch._count = n
         if xs.ndim >= 2:
-            # Width-independent accumulation (see _axis0_sum); for
+            # Width-independent accumulation (see axis0_sum); for
             # multi-column batches the bits match numpy's own path.
-            batch._mean = _axis0_sum(xs) / n
-            batch._m2 = _axis0_sum((xs - batch._mean) ** 2)
+            batch._mean = axis0_sum(xs) / n
+            batch._m2 = axis0_sum((xs - batch._mean) ** 2)
         else:
             batch._mean = xs.mean(axis=0)
             batch._m2 = ((xs - batch._mean) ** 2).sum(axis=0)
@@ -355,14 +375,14 @@ class RunningCovariance:
         batch = RunningCovariance()
         batch._count = n
         if xs.ndim >= 2:
-            # Width-independent accumulation (see _axis0_sum).
-            batch._mean_x = _axis0_sum(xs) / n
-            batch._mean_y = _axis0_sum(ys) / n
-            batch._c = _axis0_sum(
+            # Width-independent accumulation (see axis0_sum).
+            batch._mean_x = axis0_sum(xs) / n
+            batch._mean_y = axis0_sum(ys) / n
+            batch._c = axis0_sum(
                 (xs - batch._mean_x) * (ys - batch._mean_y)
             )
-            batch._m2x = _axis0_sum((xs - batch._mean_x) ** 2)
-            batch._m2y = _axis0_sum((ys - batch._mean_y) ** 2)
+            batch._m2x = axis0_sum((xs - batch._mean_x) ** 2)
+            batch._m2y = axis0_sum((ys - batch._mean_y) ** 2)
         else:
             batch._mean_x = xs.mean(axis=0)
             batch._mean_y = ys.mean(axis=0)
@@ -446,30 +466,135 @@ class RunningCovariance:
         return RunningMoments._unwrap(self._c / denom)
 
 
+class QuantileSketch:
+    """Log-bucketed relative-error quantile sketch (DDSketch).
+
+    A positive reading ``w`` falls in bucket ``k = ceil(log(w) / log γ)``
+    with ``γ = (1 + α) / (1 − α)``, i.e. ``γ^(k−1) < w <= γ^k``; exact
+    zeros keep their own count and negative readings are refused (power
+    is non-negative).  Counts live in one dense ``int64`` array that
+    spans exactly the lowest to the highest bucket seen, so the state is
+    a pure function of the *multiset* of readings: any chunking, order
+    or partition of the same samples gives an identical sketch.
+
+    :meth:`quantile` returns the bucket value ``2γ^k / (γ + 1)`` of the
+    lower order statistic at rank ``q·(n − 1)`` — within ``α`` of that
+    order statistic, relative.  :meth:`merge` adds counts: exact and
+    associative, so sharded, served and serial folds report the same
+    quantiles bit for bit.
+    """
+
+    __slots__ = ("_offset", "_counts", "_zeros", "_count")
+
+    #: log γ, with γ = (1 + α) / (1 − α) and α = QUANTILE_REL_ERROR.
+    _LOG_GAMMA = math.log(
+        (1.0 + QUANTILE_REL_ERROR) / (1.0 - QUANTILE_REL_ERROR)
+    )
+
+    def __init__(self) -> None:
+        self._offset = 0  # bucket key of _counts[0]
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._zeros = 0
+        self._count = 0
+
+    @property
+    def count(self) -> int:
+        """Number of observations pushed."""
+        return self._count
+
+    def push_batch(self, xs) -> None:
+        """Add any array of readings (one ``np.bincount`` per call)."""
+        arr = _as_observation(xs).ravel()
+        if arr.size == 0:
+            return
+        lowest = arr.min()
+        if lowest < 0.0:
+            raise ValueError("observation contains negative values")
+        positive = arr if lowest > 0.0 else arr[arr > 0.0]
+        self._zeros += arr.size - positive.size
+        self._count += arr.size
+        if positive.size == 0:
+            return
+        keys = np.ceil(np.log(positive) / self._LOG_GAMMA).astype(np.int64)
+        lo, hi = int(keys.min()), int(keys.max())
+        self._cover(lo, hi)
+        self._counts[lo - self._offset : hi - self._offset + 1] += np.bincount(
+            keys - lo, minlength=hi - lo + 1
+        )
+
+    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
+        """Fold another sketch's counts into this one (exact).
+
+        Returns ``self`` for chaining.
+        """
+        if other._counts.size:
+            lo = other._offset
+            hi = lo + other._counts.size - 1
+            self._cover(lo, hi)
+            self._counts[lo - self._offset : hi - self._offset + 1] += (
+                other._counts
+            )
+        self._zeros += other._zeros
+        self._count += other._count
+        return self
+
+    def quantile(self, q: float) -> float:
+        """Value of the lower order statistic at rank ``q·(n − 1)``."""
+        if not (0.0 <= q <= 1.0):
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if self._count == 0:
+            raise ValueError("no observations yet")
+        rank = math.floor(q * (self._count - 1))
+        if rank < self._zeros:
+            return 0.0
+        cumulative = np.cumsum(self._counts)
+        i = int(np.searchsorted(cumulative, rank - self._zeros, side="right"))
+        return (
+            2.0 * math.exp((self._offset + i) * self._LOG_GAMMA)
+            / (math.exp(self._LOG_GAMMA) + 1.0)
+        )
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Grow the dense count array to span bucket keys ``[lo, hi]``."""
+        if self._counts.size == 0:
+            self._offset = lo
+            self._counts = np.zeros(hi - lo + 1, dtype=np.int64)
+            return
+        cur_hi = self._offset + self._counts.size - 1
+        new_lo, new_hi = min(lo, self._offset), max(hi, cur_hi)
+        if new_lo == self._offset and new_hi == cur_hi:
+            return
+        grown = np.zeros(new_hi - new_lo + 1, dtype=np.int64)
+        start = self._offset - new_lo
+        grown[start : start + self._counts.size] = self._counts
+        self._offset, self._counts = new_lo, grown
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuantileSketch):
+            return NotImplemented
+        return (
+            self._count == other._count
+            and self._zeros == other._zeros
+            and self._offset == other._offset
+            and np.array_equal(self._counts, other._counts)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"QuantileSketch(count={self._count})"
+
+
 class P2Quantile:
     """The P² (piecewise-parabolic) streaming quantile estimator.
 
     Jain & Chlamtac's five-marker summary: O(1) state, no stored
-    samples once warmed up.  Accuracy is excellent for the smooth,
-    near-normal per-node power distributions the paper studies
-    (typically well under 1% relative error by a few hundred samples).
-
-    ``merge`` approximates the combined stream by count-weighted
-    interpolation between the two marker sets; unlike
-    :meth:`RunningMoments.merge` it is not exact — quantiles, unlike
-    moments, cannot be merged exactly from constant-size summaries.
-    Any pipeline that reports a merged quantile must surface
-    :data:`MERGE_CAVEAT` in its provenance, not just rely on this
-    docstring.
+    samples once warmed up.  Accuracy is good on smooth, stationary
+    streams (typically well under 1% relative error by a few hundred
+    samples) but drifts on non-stationary ones, and it has no exact
+    merge.  The streaming fold uses :class:`QuantileSketch`; P² stays
+    as the baseline the X-STR audit measures on a stationary stream.
     """
-
-    #: Provenance caveat for reports built on merged P² summaries; a
-    #: sharded session with more than one shard carries it in
-    #: ``ShardSessionResult.notes``.
-    MERGE_CAVEAT = (
-        "P2 quantile merge is approximate (count-weighted marker "
-        "interpolation), not an exact roll-up"
-    )
 
     __slots__ = ("q", "_heights", "_positions", "_desired", "_rate", "_buffer")
 
@@ -520,48 +645,6 @@ class P2Quantile:
         arr = _as_observation(xs).ravel()
         for v in arr:
             self.push(float(v))
-
-    def merge(self, other: "P2Quantile") -> "P2Quantile":
-        """Approximate roll-up of another P² summary (count-weighted)."""
-        if abs(self.q - other.q) > 1e-12:
-            raise ValueError("cannot merge estimators of different quantiles")
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self._heights = None if other._heights is None else list(other._heights)
-            self._positions = list(other._positions)
-            self._buffer = list(other._buffer)
-            return self
-        if self._heights is None or other._heights is None:
-            # At least one side is still buffering: replay raw samples.
-            small, big = (self, other) if self._heights is None else (other, self)
-            samples = list(small._buffer)
-            if big._heights is None:
-                samples += big._buffer
-                self._heights = None
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._buffer = []
-            else:
-                self._heights = list(big._heights)
-                self._positions = list(big._positions)
-                self._buffer = []
-            for v in samples:
-                self.push(v)
-            return self
-        na, nb = self.count, other.count
-        wa, wb = na / (na + nb), nb / (na + nb)
-        merged = [
-            wa * ha + wb * hb for ha, hb in zip(self._heights, other._heights)
-        ]
-        # The outer markers are true extremes and merge exactly; inner
-        # heights interpolate.  Positions re-anchor to the ideal marker
-        # positions for the combined count.
-        merged[0] = min(self._heights[0], other._heights[0])
-        merged[4] = max(self._heights[4], other._heights[4])
-        self._heights = sorted(merged)
-        n = float(na + nb)
-        self._positions = [1.0 + r * (n - 1.0) for r in self._rate]
-        return self
 
     # ------------------------------------------------------------------
     def _push_marker(self, v: float) -> None:

@@ -184,6 +184,11 @@ class SampleBatch:
         """Last tick timestamp."""
         return float(self.times[-1])
 
+    def readings_valid(self) -> bool:
+        """Whether every reading is finite and non-negative."""
+        w = self.watts
+        return w.size == 0 or bool(w.min() >= 0.0 and np.isfinite(w.max()))
+
     def fleet_means(self) -> np.ndarray:
         """Across-node mean power per tick, shape ``(n_ticks,)``."""
         return self.watts.mean(axis=1)

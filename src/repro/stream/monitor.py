@@ -277,8 +277,7 @@ class ComplianceMonitor:
 
         self.node_moments.push_batch(batch.watts)
         self._ratio_moments.push_batch(ratios)
-        for t_s, ref_w in zip(times, fleet_w):
-            self._rolling.push(float(t_s), float(ref_w))
+        self._rolling.push_batch(times, fleet_w)
         self._samples += batch.n_samples
 
     @classmethod

@@ -137,6 +137,38 @@ class TimeRing:
             self._size += 1
         self._evict(t)
 
+    def push_batch(self, times, values) -> None:
+        """Append many timestamped samples; equivalent to a :meth:`push`
+        loop.
+
+        Sorted timestamps are validated once, written with wraparound
+        and evicted once, by a binary search against the newest one's
+        horizon; anything else takes the :meth:`push` loop.
+        """
+        t = np.asarray(times, dtype=float).ravel()
+        v = np.asarray(values, dtype=float).ravel()
+        if t.shape != v.shape:
+            raise ValueError("times and values must have the same length")
+        n = t.size
+        if n == 0:
+            return
+        if (self._size and t[0] < self._newest_time()) or (
+            t[1:] < t[:-1]
+        ).any():
+            for t_s, value in zip(t, v):
+                self.push(t_s, value)
+            return
+        cap = self._times.size
+        keep = min(n, cap)  # a push loop overwrites all but the last cap
+        slots = (self._head + np.arange(n - keep, n)) % cap
+        self._times[slots] = t[n - keep :]
+        self._values[slots] = v[n - keep :]
+        self._head = (self._head + n) % cap
+        self._size = min(self._size + n, cap)
+        # Evict as _evict would: the newest sample is never stale.
+        cutoff = float(t[-1]) - self._horizon_s
+        self._size -= int(np.searchsorted(self.times(), cutoff - 1e-12))
+
     def _newest_time(self) -> float:
         return float(self._times[(self._head - 1) % self._times.size])
 

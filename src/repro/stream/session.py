@@ -2,8 +2,8 @@
 
 :class:`FleetFold` is the per-node fold every route shares — the
 compliance monitor, the node-vs-fleet covariance and the fleet power
-quantiles, advanced one batch at a time against a per-tick fleet
-series, with an exact node-order :meth:`FleetFold.concat` for shards.
+quantile sketch, advanced one batch at a time against a per-tick fleet
+series, with an exact :meth:`FleetFold.concat` for shards.
 
 :class:`LiveStreamState` is the incremental session core: one fold plus
 the pooled fleet moments and the sequential stopping boundary, advanced
@@ -32,7 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.stream.estimators import P2Quantile, RunningCovariance, RunningMoments
+from repro.stream.estimators import (
+    QUANTILE_REL_ERROR,
+    QuantileSketch,
+    RunningCovariance,
+    RunningMoments,
+)
 from repro.stream.ingest import IngestLoop, SampleBatch, replay_run
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
 from repro.stream.stopping import SequentialStopper, StoppingDecision
@@ -58,7 +63,7 @@ class FleetFold:
     own :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
     """
 
-    __slots__ = ("monitor", "covar", "quantiles")
+    __slots__ = ("monitor", "covar", "quantiles", "sketch")
 
     def __init__(
         self,
@@ -74,47 +79,50 @@ class FleetFold:
             core_window, required_interval_s=required_interval_s
         )
         self.covar = RunningCovariance()
-        self.quantiles = {q: P2Quantile(q) for q in quantiles}
+        self.quantiles = tuple(quantiles)
+        self.sketch = QuantileSketch()
 
     def push(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
-        """Fold one batch, judged against its per-tick fleet series."""
+        """Fold one batch, judged against its per-tick fleet series.
+
+        A batch with a non-finite or negative reading is refused before
+        any estimator changes, so a refused batch leaves the fold as it
+        was.
+        """
+        if not batch.readings_valid():
+            raise ValueError("readings must be finite and non-negative")
         self.monitor.observe(batch, fleet_w=fleet_w)
-        for est in self.quantiles.values():
-            est.push_batch(batch.watts)
+        self.sketch.push_batch(batch.watts)
         self.covar.push_batch(
             batch.watts, np.broadcast_to(fleet_w[:, None], batch.watts.shape)
         )
 
     def quantiles_w(self) -> dict[float, float]:
         """Current estimate of every tracked quantile."""
-        return {q: est.value for q, est in self.quantiles.items()}
+        return {q: self.sketch.quantile(q) for q in self.quantiles}
 
     @classmethod
     def concat(cls, parts: list["FleetFold"]) -> "FleetFold":
-        """Reassemble node-ordered, node-partitioned folds.
+        """Reassemble node-ordered, node-partitioned folds (exact).
 
         Monitor and covariance state is column-independent, so they
-        concatenate exactly.  P² summaries cannot be sliced and their
-        merge is approximate and not associative, so they always merge
-        flat: a fresh estimator per quantile, then every part in order.
+        concatenate; the quantile sketches add their counts.  Every
+        piece is exact, so the result is independent of the partition.
         """
         if not parts:
             raise ValueError("concat needs at least one part")
-        qs = sorted(parts[0].quantiles)
         for i, part in enumerate(parts):
-            if sorted(part.quantiles) != qs:
+            if part.quantiles != parts[0].quantiles:
                 raise ValueError(f"shard {i} tracked different quantiles")
         out = cls.__new__(cls)
         out.monitor = ComplianceMonitor.merge_shards(
             [p.monitor for p in parts]
         )
         out.covar = RunningCovariance.concat([p.covar for p in parts])
-        out.quantiles = {}
-        for q in qs:
-            est = P2Quantile(q)
-            for part in parts:
-                est.merge(part.quantiles[q])
-            out.quantiles[q] = est
+        out.quantiles = parts[0].quantiles
+        out.sketch = QuantileSketch()
+        for part in parts:
+            out.sketch.merge(part.sketch)
         return out
 
 
@@ -205,6 +213,7 @@ class StreamSessionResult:
             "fleet_min_w": float(np.asarray(pooled.minimum)),
             "fleet_max_w": float(np.asarray(pooled.maximum)),
             "quantiles_w": {f"{q:g}": v for q, v in self.quantiles_w.items()},
+            "quantile_rel_error": QUANTILE_REL_ERROR,
             "node_fleet_correlation": self.node_fleet_correlation,
             "queue_stalls": self.queue_stalls,
             "queue_high_watermark": self.queue_high_watermark,
@@ -232,7 +241,10 @@ class StreamSessionResult:
             f"{float(np.asarray(self.fleet_moments.maximum)):.1f}] W"
         )
         for q, v in self.quantiles_w.items():
-            lines.append(f"  p{int(round(q * 100))}: {v:.1f} W")
+            lines.append(
+                f"  p{int(round(q * 100))}: {v:.1f} W "
+                f"(+/-{QUANTILE_REL_ERROR:.1%})"
+            )
         lines.append(
             f"node-vs-fleet correlation: {self.node_fleet_correlation:.3f}"
         )
@@ -276,7 +288,7 @@ class LiveStreamState:
     required_interval_s:
         Maximum legal sample spacing (the Level 1/2 cadence rule).
     quantiles:
-        Fleet power quantiles tracked by the fold's P² estimators.
+        Fleet power quantiles read from the fold's quantile sketch.
     accuracy / confidence:
         Sequential stopping target (λ, 1 − α).
     report_every_s:
@@ -485,7 +497,7 @@ def stream_session(
     ticks_per_batch:
         Collector flush interval in ticks.
     quantiles:
-        Fleet power quantiles tracked by P² estimators.
+        Fleet power quantiles read from the fold's quantile sketch.
     accuracy / confidence:
         Sequential stopping target (λ, 1 − α).
     report_every_s:

@@ -103,6 +103,11 @@ class SimulatedRun:
     _times: np.ndarray = field(repr=False, default=None)
     _util: np.ndarray = field(repr=False, default=None)
     _freq_mult: np.ndarray = field(repr=False, default=None)
+    #: Whole-fleet power grids by frequency multiplier, kept from the
+    #: first whole-fleet request until :meth:`drop_fleet_grids`.
+    _fleet_grids: dict = field(
+        repr=False, compare=False, default_factory=dict
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -216,6 +221,17 @@ class SimulatedRun:
         span's ``li``-th distinct frequency multiplier, and
         ``level_of[k]`` is the level of the span's ``k``-th tick.
         O(G · n_idx · n_levels) memory, independent of run length.
+
+        Every grid cell depends only on its own node, so a node subset's
+        grid is the column slice of the whole fleet's, bit for bit.  A
+        whole-fleet grid is therefore kept once tabulated, and later
+        subsets slice it instead of re-evaluating 129 fleet power calls
+        each: a sharded pass streams the whole fleet first for its
+        reference series, then its shards slice that grid, and
+        :func:`~repro.shard.engine.run_sharded` drops it when the pass
+        ends.  A subset requested while no whole-fleet grid is kept is
+        tabulated on its own, uncached, so streaming a few nodes of a
+        large fleet stays cheap.
         """
         u_grid = np.linspace(0.0, 1.0, _U_GRID)
         if self._freq_mult is None:
@@ -225,15 +241,30 @@ class SimulatedRun:
             levels, level_of = np.unique(
                 self._freq_mult[in_span], return_inverse=True
             )
+        whole_fleet = idx.size == self.system.n_nodes and bool(
+            np.all(idx == np.arange(idx.size))
+        )
         grids = []
         for mult in levels:
+            fleet_grid = self._fleet_grids.get(float(mult))
+            if fleet_grid is not None:
+                grids.append(fleet_grid[:, idx])
+                continue
             per_node = np.empty((_U_GRID, idx.size))
             for gi, ui in enumerate(u_grid):
                 per_node[gi] = self.system.node_total_powers(
                     float(ui), indices=idx, freq_multiplier=float(mult)
                 )
+            if whole_fleet:
+                per_node.flags.writeable = False
+                self._fleet_grids[float(mult)] = per_node
             grids.append(per_node)
         return u_grid, level_of, grids
+
+    def drop_fleet_grids(self) -> None:
+        """Forget the kept whole-fleet power grids (see
+        :meth:`_level_grids`); the next request tabulates afresh."""
+        self._fleet_grids.clear()
 
     def stream_run(
         self,
@@ -284,7 +315,13 @@ class SimulatedRun:
         noise = self._noise[in_span]
         u_grid, level_of, grids = self._level_grids(idx, in_span)
         ids = idx.copy()
-        # Scratch buffers reused across batches (single-level fast path).
+        # Every tick's grid cell and weight, computed once (the same
+        # elementwise ops node_power_matrix uses), plus scratch buffers
+        # the single-level path reuses across batches.
+        cell_all = np.clip(np.searchsorted(u_grid, util) - 1, 0, _U_GRID - 2)
+        w_all = (util - u_grid[cell_all]) / (
+            u_grid[cell_all + 1] - u_grid[cell_all]
+        )
         scratch_lo = np.empty((ticks_per_batch, idx.size))
         scratch_hi = np.empty((ticks_per_batch, idx.size))
         # Deferred import: repro.stream.ingest imports this module.
@@ -311,13 +348,8 @@ class SimulatedRun:
                     batch_ids = ids
                 chunk_levels = level_of[lo:hi]
                 if len(grids) == 1:
-                    u_sel = util[lo:hi]
-                    cell = np.clip(
-                        np.searchsorted(u_grid, u_sel) - 1, 0, _U_GRID - 2
-                    )
-                    w = (u_sel - u_grid[cell]) / (
-                        u_grid[cell + 1] - u_grid[cell]
-                    )
+                    cell = cell_all[lo:hi]
+                    w = w_all[lo:hi]
                     # out = grid[cell]·(1−w) + grid[cell+1]·w, evaluated
                     # with the same elementwise ops node_power_matrix
                     # uses so chunked results match it bit for bit.
@@ -333,15 +365,8 @@ class SimulatedRun:
                         mask = chunk_levels == li
                         if not mask.any():
                             continue
-                        u_sel = util[lo:hi][mask]
-                        cell = np.clip(
-                            np.searchsorted(u_grid, u_sel) - 1,
-                            0,
-                            _U_GRID - 2,
-                        )
-                        w = (u_sel - u_grid[cell]) / (
-                            u_grid[cell + 1] - u_grid[cell]
-                        )
+                        cell = cell_all[lo:hi][mask]
+                        w = w_all[lo:hi][mask]
                         out[mask] = (
                             grids[li][cell] * (1 - w)[:, None]
                             + grids[li][cell + 1] * w[:, None]

@@ -322,3 +322,113 @@ class TestLiveFeedAndValidation:
             RecoveryPipeline(gap_policy="zero-fill")
         with pytest.raises(ValueError, match="quarantine_after"):
             RecoveryPipeline(quarantine_after=0)
+
+
+def _pipeline_bits(pipe: RecoveryPipeline) -> dict:
+    """Every piece of a pipeline's state, for exact comparison."""
+    snap = pipe.state_snapshot()
+    nodes = pipe._nodes
+    return {
+        "counters": (
+            snap.ticks_seen, snap.samples_missing, snap.samples_stuck,
+            snap.samples_spiked, snap.samples_held,
+            snap.samples_interpolated, snap.samples_excluded,
+        ),
+        "arrays": [
+            a.tobytes() for a in (
+                snap.quarantined, snap.usable_per_node,
+                snap.moments._count, snap.moments._mean, snap.moments._m2,
+                nodes.last_raw, nodes.last_good, nodes.repeat_run,
+                nodes.missing_run, nodes.gap_len,
+            )
+        ],
+    }
+
+
+def _faulty_rows() -> np.ndarray:
+    """A 6-node stream with one fault kind per node, clean stretches
+    between them so batches alternate between both paths."""
+    t = np.arange(80)[:, None]
+    rows = 100.0 + 3.0 * np.arange(6)[None, :] + 0.011 * t + 0.0007 * t**2
+    rows[9:12, 0] = np.nan                 # short gap
+    rows[25:29, 1] = rows[24, 1]           # stuck meter (repeats)
+    rows[41, 2] *= 7.0                     # spike
+    rows[30:45, 3] = np.nan                # outage -> quarantine
+    rows[50:53, 4] = np.nan                # gap spanning a batch edge
+    rows[70:, 5] = np.nan                  # tail gap
+    return rows
+
+
+class TestCleanBatchPath:
+    """The batch-at-once path is bit-identical to the per-tick loop."""
+
+    @pytest.mark.parametrize("policy", GAP_POLICIES)
+    def test_batching_never_shows(self, policy):
+        rows = _faulty_rows()
+        kwargs = dict(gap_policy=policy, quarantine_after=10)
+        bits = [
+            _pipeline_bits(_feed(RecoveryPipeline(**kwargs), rows, per=per))
+            for per in (1, 4, 7, 60, 80)
+        ]
+        assert all(b == bits[0] for b in bits[1:])
+
+    @pytest.mark.parametrize("policy", GAP_POLICIES)
+    @pytest.mark.parametrize("per", [1, 4, 7, 80])
+    def test_matches_the_per_tick_loop(self, monkeypatch, policy, per):
+        rows = _faulty_rows()
+        kwargs = dict(gap_policy=policy, quarantine_after=10)
+        fast = _feed(RecoveryPipeline(**kwargs), rows, per=per)
+        monkeypatch.setattr(
+            RecoveryPipeline, "_is_clean", lambda self, watts: False
+        )
+        slow = _feed(RecoveryPipeline(**kwargs), rows, per=per)
+        assert _pipeline_bits(fast) == _pipeline_bits(slow)
+        assert fast.finalize(expected_ticks=80) == slow.finalize(
+            expected_ticks=80
+        )
+
+    def test_clean_batches_take_the_batch_path(self, monkeypatch):
+        calls = []
+        original = RecoveryPipeline._observe_row
+        monkeypatch.setattr(
+            RecoveryPipeline, "_observe_row",
+            lambda self, row: calls.append(1) or original(self, row),
+        )
+        rows = 100.0 + np.arange(40)[:, None] * [0.1, 0.2, 0.3]
+        _feed(RecoveryPipeline(), rows, per=8)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["nan", "repeat_in_batch", "repeat_across_batches",
+         "spike_in_batch", "spike_across_batches"],
+    )
+    def test_each_detector_trigger_falls_back(self, fault):
+        rows = 100.0 + np.arange(16)[:, None] * [0.1, 0.2]
+        if fault == "nan":
+            rows[10, 1] = np.nan
+        elif fault == "repeat_in_batch":
+            rows[10, 0] = rows[9, 0]
+        elif fault == "repeat_across_batches":
+            rows[8, 0] = rows[7, 0]
+        elif fault == "spike_in_batch":
+            rows[10, 1] *= 5.0
+        else:
+            rows[8, 1] *= 5.0
+        pipe = _feed(RecoveryPipeline(), rows[:8], per=8)
+        assert not pipe._is_clean(rows[8:])
+
+    def test_quarantined_node_falls_back(self):
+        rows = 100.0 + np.arange(16)[:, None] * [0.1, 0.2]
+        rows[:8, 0] = np.nan  # dark long enough to quarantine
+        pipe = _feed(RecoveryPipeline(quarantine_after=4), rows[:8], 8)
+        assert pipe._nodes.quarantined[0]
+        assert not pipe._is_clean(rows[8:])
+
+    def test_open_interpolate_gap_falls_back(self):
+        rows = 100.0 + np.arange(16)[:, None] * [0.1, 0.2]
+        rows[6:8, 0] = np.nan  # gap still open at the batch edge
+        pipe = _feed(RecoveryPipeline(gap_policy="interpolate"), rows[:8], 8)
+        assert not pipe._is_clean(rows[8:])
+        held = _feed(RecoveryPipeline(gap_policy="hold"), rows[:8], 8)
+        assert held._is_clean(rows[8:])

@@ -21,7 +21,7 @@ import pytest
 from repro import rng
 from repro.serve import ServiceConfig, TelemetryApp, make_request
 from repro.serve.app import RPWR_CONTENT_TYPE
-from repro.stream.ingest import SimClock
+from repro.stream.ingest import SampleBatch, SimClock
 from repro.wire.session import WireWriter
 
 from .conftest import batch_to_json
@@ -234,6 +234,40 @@ class TestCorruptFrames:
             assert payload["error"]["code"] == "corrupt-frames"
             assert payload["error"]["ingest"]["frames_corrupt"] >= 1
             assert harness.ingested == 0
+
+        asyncio.run(scenario())
+
+    def test_negative_reading_frame_written_off(
+        self, harness, serve_batches
+    ):
+        """A well-formed frame carrying a negative reading is written
+        off into the provenance ledger; the session folds nothing from
+        it and stays consistent."""
+        bad = serve_batches[0]
+        watts = bad.watts.copy()
+        watts[0, 0] = -5.0
+        frame = WireWriter(codec="raw64").write(
+            SampleBatch(times=bad.times, watts=watts, node_ids=bad.node_ids)
+        ).data
+
+        async def scenario():
+            await harness.open()
+            response = await harness.post(
+                frame, content_type=RPWR_CONTENT_TYPE
+            )
+            assert response.status == 202
+            ingest = json.loads(response.body)["ingest"]
+            assert ingest["batches_accepted"] == 0
+            assert ingest["gap_cells"] == bad.n_samples
+            await harness.session.drain()
+            state = harness.session.state
+            assert state.samples_ingested == 0
+            assert state.fold.monitor.samples_seen == 0
+            assert state.fold.sketch.count == 0
+            assert not harness.session.worker_errors
+            await harness.assert_still_functional(serve_batches)
+            assert state.fold.sketch.count == state.samples_ingested
+            assert state.fold.monitor.samples_seen == state.samples_ingested
 
         asyncio.run(scenario())
 

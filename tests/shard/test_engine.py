@@ -12,19 +12,18 @@ from repro.shard.engine import (
     sharded_session,
 )
 from repro.shard.plan import plan_shards
-from repro.stream.estimators import P2Quantile
 from repro.stream.session import stream_session
 
 
 def _identity_view(result) -> dict:
     """The fields of a session result that must be shard-count
-    invariant to the bit (everything except the approximate P² merge
-    and the plan provenance)."""
+    invariant to the bit (everything except the plan provenance)."""
     d = result.to_dict()
     return {
         "samples_ingested": d["samples_ingested"],
         "fleet_mean_w": d["fleet_mean_w"],
         "fleet_std_w": d["fleet_std_w"],
+        "quantiles_w": d["quantiles_w"],
         "node_fleet_correlation": d["node_fleet_correlation"],
         "stopping": d["stopping"],
         "monitor": d["monitor"],
@@ -53,11 +52,16 @@ class TestShardCountInvariance:
             )
             assert view == baseline, f"{k} shards diverged from serial"
 
-    def test_merge_caveat_is_stamped_only_when_merging(self, tiny_run):
+    def test_quantiles_equal_one_shard_bit_for_bit(self, tiny_run):
         single = sharded_session(tiny_run, n_shards=1, ticks_per_batch=16)
-        multi = sharded_session(tiny_run, n_shards=3, ticks_per_batch=16)
-        assert single.notes == ()
-        assert P2Quantile.MERGE_CAVEAT in multi.notes
+        for k in (2, 3, tiny_run.system.n_nodes):
+            multi = sharded_session(tiny_run, n_shards=k, ticks_per_batch=16)
+            assert multi.quantiles_w == single.quantiles_w, f"{k} shards"
+
+    def test_quantile_bound_is_stated(self, tiny_run):
+        d = sharded_session(tiny_run, n_shards=2, ticks_per_batch=16).to_dict()
+        assert d["quantile_rel_error"] == 0.005
+        assert "notes" not in d
 
     def test_single_node_shards_match_too(self, tiny_run):
         # The extreme partition: every node its own shard.  This is the

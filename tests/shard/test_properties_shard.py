@@ -104,7 +104,8 @@ class TestArbitraryPartitions:
             np.asarray(fleet.fleet_moments().mean)
         ) == float(np.asarray(reference.fleet_moments().mean))
         assert fleet.samples_ingested == reference.samples_ingested
-        assert fleet.quantile_merge_approximate == (plan.n_shards > 1)
+        assert fleet.fold.sketch == reference.fold.sketch
+        assert fleet.fold.quantiles_w() == reference.fold.quantiles_w()
 
 
 class TestRingAliasing:

@@ -1,12 +1,20 @@
 """Tests for repro.stream.estimators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.stream.estimators import P2Quantile, RunningCovariance, RunningMoments
+from repro.stream.estimators import (
+    QUANTILE_REL_ERROR,
+    P2Quantile,
+    QuantileSketch,
+    RunningCovariance,
+    RunningMoments,
+)
 
 
 @pytest.fixture()
@@ -236,15 +244,6 @@ class TestP2Quantile:
             est.push(x)
         assert est.value == pytest.approx(3.0)
 
-    def test_merge_approximation(self, samples):
-        a, b = P2Quantile(0.5), P2Quantile(0.5)
-        a.push_batch(samples[: samples.size // 2])
-        b.push_batch(samples[samples.size // 2:])
-        merged = a.merge(b)
-        exact = np.quantile(samples, 0.5)
-        assert merged.value == pytest.approx(exact, rel=0.01)
-        assert merged.count == samples.size
-
     def test_bad_quantile_rejected(self):
         with pytest.raises(ValueError, match="quantile"):
             P2Quantile(0.0)
@@ -255,9 +254,92 @@ class TestP2Quantile:
         with pytest.raises(ValueError, match="no observations"):
             P2Quantile(0.5).value
 
-    def test_mismatched_merge_rejected(self):
-        a, b = P2Quantile(0.5), P2Quantile(0.95)
-        a.push(1.0)
-        b.push(1.0)
+
+#: Non-negative readings spanning zero, sub-watt and multi-kW values.
+_readings = hnp.arrays(
+    dtype=np.float64,
+    shape=st.integers(min_value=1, max_value=200),
+    elements=st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-3, max_value=1e5),
+    ),
+)
+
+
+def _sketch(*chunks) -> QuantileSketch:
+    out = QuantileSketch()
+    for chunk in chunks:
+        out.push_batch(chunk)
+    return out
+
+
+def _order_statistic(xs: np.ndarray, q: float) -> float:
+    """The lower order statistic at rank q·(n − 1)."""
+    return float(np.sort(xs)[math.floor(q * (xs.size - 1))])
+
+
+class TestQuantileSketch:
+    @settings(max_examples=80, deadline=None)
+    @given(_readings, st.lists(st.integers(0, 200), max_size=6))
+    def test_any_chunking_equals_one_pass(self, xs, cuts):
+        pieces = np.split(xs, sorted(c % (xs.size + 1) for c in cuts))
+        assert _sketch(*pieces) == _sketch(xs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_readings, st.randoms(use_true_random=False), st.integers(1, 5))
+    def test_merge_of_any_partition_equals_one_pass(self, xs, rnd, k):
+        labels = np.asarray([rnd.randrange(k) for _ in range(xs.size)])
+        parts = [_sketch(xs[labels == i]) for i in range(k)]
+        merged = QuantileSketch()
+        for part in parts:
+            merged.merge(part)
+        assert merged == _sketch(xs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_readings, _readings, _readings)
+    def test_merge_associative(self, xs, ys, zs):
+        left = _sketch(xs).merge(_sketch(ys)).merge(_sketch(zs))
+        right = _sketch(xs).merge(_sketch(ys).merge(_sketch(zs)))
+        assert left == right
+        assert left.count == xs.size + ys.size + zs.size
+
+    @settings(max_examples=80, deadline=None)
+    @given(_readings, st.floats(min_value=0.0, max_value=1.0))
+    def test_within_alpha_of_the_order_statistic(self, xs, q):
+        exact = _order_statistic(xs, q)
+        est = _sketch(xs).quantile(q)
+        # A reading on a bucket boundary may round into the next bucket,
+        # which costs at most a few ulps beyond α.
+        assert abs(est - exact) <= QUANTILE_REL_ERROR * (1 + 1e-9) * exact
+
+    def test_zeros_are_counted(self):
+        sk = _sketch(np.array([0.0, 0.0, 0.0, 5.0]))
+        assert sk.count == 4
+        assert sk.quantile(0.5) == 0.0
+        assert sk.quantile(1.0) == pytest.approx(5.0, rel=QUANTILE_REL_ERROR)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        sk = _sketch(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            sk.push_batch(np.array([3.0, bad]))
+        assert sk == _sketch(np.array([1.0, 2.0]))
+
+    def test_negative_rejected(self):
+        sk = QuantileSketch()
+        with pytest.raises(ValueError, match="negative"):
+            sk.push_batch(np.array([3.0, -0.5]))
+        assert sk.count == 0
+
+    def test_accuracy_on_stationary_stream(self, samples):
+        sk = _sketch(samples)
+        for q in (0.1, 0.5, 0.9, 0.95):
+            assert sk.quantile(q) == pytest.approx(
+                np.quantile(samples, q), rel=0.01
+            )
+
+    def test_empty_and_bad_quantile_rejected(self):
+        with pytest.raises(ValueError, match="no observations"):
+            QuantileSketch().quantile(0.5)
         with pytest.raises(ValueError, match="quantile"):
-            a.merge(b)
+            _sketch(np.array([1.0])).quantile(1.5)

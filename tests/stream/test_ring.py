@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stream.ring import RingBuffer, TimeRing
 
@@ -75,3 +77,39 @@ class TestTimeRing:
     def test_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             TimeRing(0.0)
+
+
+def _ring_bits(ring: TimeRing) -> tuple:
+    return (
+        ring._head, ring._size, ring._times.tobytes(), ring._values.tobytes()
+    )
+
+
+class TestTimeRingPushBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(
+            st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0, 17.0]), min_size=1,
+            max_size=80,
+        ),
+        cuts=st.lists(st.integers(0, 80), max_size=8),
+        capacity=st.integers(1, 12),
+    )
+    def test_equals_a_push_loop(self, steps, cuts, capacity):
+        times = np.cumsum(steps)
+        values = np.sqrt(times + 1.0)
+        loop, batched = TimeRing(10.0, capacity), TimeRing(10.0, capacity)
+        for t, v in zip(times, values):
+            loop.push(t, v)
+        bounds = sorted({0, times.size, *(c % (times.size + 1) for c in cuts)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            batched.push_batch(times[lo:hi], values[lo:hi])
+        assert _ring_bits(batched) == _ring_bits(loop)
+
+    def test_time_reversal_rejected_like_push(self):
+        ring = TimeRing(10.0)
+        ring.push_batch([1.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            ring.push_batch([3.0, 1.5], [1.0, 1.0])
+        with pytest.raises(ValueError, match="same length"):
+            ring.push_batch([4.0], [1.0, 2.0])

@@ -108,6 +108,7 @@ class TestStream:
         assert payload["monitor"]["full_core_compliant"] is True
         assert payload["stopping"]["should_stop"] is True
         assert payload["samples_ingested"] > 0
+        assert payload["quantile_rel_error"] == 0.005
 
     def test_bad_quantiles(self):
         with pytest.raises(SystemExit, match="quantiles"):

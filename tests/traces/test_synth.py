@@ -128,3 +128,78 @@ class TestNodeAveragePowers:
         watts = run.node_average_powers()
         cv = watts.std() / watts.mean()
         assert 0.002 < cv < 0.10
+
+
+def _scalar_grids(run, idx, in_span):
+    """The grid tabulation as one scalar fleet power call per row."""
+    u_grid, level_of, _ = run._level_grids(idx, in_span)
+    levels = (
+        np.array([1.0]) if run._freq_mult is None
+        else np.unique(run._freq_mult[in_span])
+    )
+    return [
+        np.stack([
+            run.system.node_total_powers(
+                float(u), indices=idx, freq_multiplier=float(mult)
+            )
+            for u in u_grid
+        ])
+        for mult in levels
+    ]
+
+
+class TestLevelGrids:
+    """Subset grids sliced from a cached whole-fleet grid are
+    bit-identical to tabulating the subset directly."""
+
+    @pytest.fixture(params=["cpu", "gpu", "governed"])
+    def any_run(self, request, small_system, gpu_system, gpu_hpl):
+        from repro.cluster.dvfs import DvfsGovernor
+
+        if request.param == "cpu":
+            return simulate_run(small_system, gpu_hpl, dt=2.0, seed=1)
+        if request.param == "gpu":
+            return simulate_run(gpu_system, gpu_hpl, dt=2.0, seed=1)
+        return simulate_run(
+            small_system, gpu_hpl, dt=2.0, seed=1,
+            governor=DvfsGovernor.stepped([0.3, 0.6], [1.0, 0.8, 0.9]),
+        )
+
+    def test_subset_before_and_after_the_fleet_grid(self, any_run):
+        in_span = any_run._in_span(*any_run.core_window)
+        n = any_run.system.n_nodes
+        subsets = [np.arange(3, 11), np.array([n - 1, 0, 7])]
+        direct = [any_run._level_grids(s, in_span)[2] for s in subsets]
+        assert any_run._fleet_grids == {}  # subsets alone cache nothing
+        whole = any_run._level_grids(np.arange(n), in_span)[2]
+        assert any_run._fleet_grids
+        for subset, grids in zip(subsets, direct):
+            sliced = any_run._level_grids(subset, in_span)[2]
+            expected = _scalar_grids(any_run, subset, in_span)
+            for got, before, want in zip(sliced, grids, expected):
+                assert got.tobytes() == want.tobytes()
+                assert before.tobytes() == want.tobytes()
+        expected = _scalar_grids(any_run, np.arange(n), in_span)
+        for got, want in zip(whole, expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_streamed_batches_unchanged_by_the_cache(self, any_run):
+        idx = np.arange(5, 20)
+        cold = [b.watts.copy() for b in any_run.stream_run(
+            node_indices=idx, ticks_per_batch=37)]
+        any_run.node_power_matrix()  # tabulates the whole-fleet grid
+        warm = [b.watts.copy() for b in any_run.stream_run(
+            node_indices=idx, ticks_per_batch=37)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cold, warm))
+
+    def test_sharded_pass_drops_the_fleet_grid(self, any_run):
+        from repro.shard.engine import run_sharded
+        from repro.shard.plan import plan_shards
+
+        plan = plan_shards(any_run.system.n_nodes, 2, ticks_per_batch=16)
+        run_sharded(any_run, plan)
+        assert any_run._fleet_grids == {}
+        any_run.node_power_matrix()
+        assert any_run._fleet_grids
+        any_run.drop_fleet_grids()
+        assert any_run._fleet_grids == {}
