@@ -83,7 +83,8 @@ class RunningMoments:
     Each :meth:`push` adds one observation — a scalar, or a vector whose
     shape is fixed at the first push (component ``i`` tracks node ``i``).
     :meth:`push_batch` adds many observations at once using the exact
-    batch (Chan) update.
+    batch (Chan) update; :meth:`push_each` adds a run of scalars with
+    :meth:`push`'s arithmetic and reports the state after each.
     """
 
     __slots__ = ("_count", "_mean", "_m2", "_min", "_max")
@@ -160,6 +161,48 @@ class RunningMoments:
         self._m2 = self._m2 + delta * (arr - self._mean)
         self._min = np.minimum(self._min, arr)
         self._max = np.maximum(self._max, arr)
+
+    def push_each(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Push scalar observations one at a time; return every prefix.
+
+        Runs the :meth:`push` arithmetic on plain floats in order, so
+        each prefix state — and the final one — has the bits ``len(xs)``
+        :meth:`push` calls would give, at a fraction of the cost.
+        Returns the ``(count, mean, m2)`` arrays after each observation.
+        A non-finite value raises before the estimator changes.
+        """
+        xs = _as_observation(xs)
+        if xs.ndim != 1:
+            raise ValueError("push_each takes a 1-D run of scalars")
+        if self._mean is not None and self._mean.ndim != 0:
+            raise ValueError("push_each needs a scalar estimator")
+        counts = np.arange(
+            self._count + 1, self._count + 1 + xs.size, dtype=np.int64
+        )
+        values = xs.tolist()
+        if not values:
+            return counts, np.empty(0), np.empty(0)
+        if self._mean is None:
+            count, mean, m2 = 1, values[0], 0.0
+            means, m2s = [mean], [m2]
+            values = values[1:]
+        else:
+            count, mean, m2 = self._count, float(self._mean), float(self._m2)
+            means, m2s = [], []
+        for x in values:
+            count += 1
+            delta = x - mean
+            mean = mean + delta / count
+            m2 = m2 + delta * (x - mean)
+            means.append(mean)
+            m2s.append(m2)
+        lo, hi = np.float64(xs.min()), np.float64(xs.max())
+        if self._mean is not None:
+            lo, hi = np.minimum(self._min, lo), np.maximum(self._max, hi)
+        self._count = count
+        self._mean, self._m2 = np.float64(mean), np.float64(m2)
+        self._min, self._max = lo, hi
+        return counts, np.array(means), np.array(m2s)
 
     def push_batch(self, xs) -> None:
         """Add many observations at once.

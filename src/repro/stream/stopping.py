@@ -28,13 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
-from repro.core.confidence import (
-    ConfidenceInterval,
-    finite_population_correction,
-    t_quantile,
-    z_quantile,
-)
+from repro.core.confidence import ConfidenceInterval, z_quantile
 from repro.core.sampling import recommend_sample_size
 from repro.stream.estimators import RunningMoments
 
@@ -124,6 +120,8 @@ class SequentialStopper:
             raise ValueError("cv_override must be positive")
         if min_nodes < 2:
             raise ValueError("min_nodes must be >= 2")
+        if not 0.0 < confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {confidence}")
         self.accuracy = float(accuracy)
         self.population = int(population)
         self.confidence = float(confidence)
@@ -146,25 +144,42 @@ class SequentialStopper:
 
     def update(self, node_mean_watts: float) -> StoppingDecision:
         """Add one node's time-averaged power and re-evaluate."""
-        w = float(node_mean_watts)
-        if not np.isfinite(w) or w < 0:
-            raise ValueError(
-                f"node mean power must be finite and >= 0, got {w}"
-            )
-        if self.n_observed >= self.population:
-            raise ValueError("more node measurements than the population")
-        self.node_means.push(w)
-        return self.evaluate()
+        return self.update_many((node_mean_watts,))
 
     def update_many(self, node_mean_watts) -> StoppingDecision:
-        """Add several nodes' means; returns the final decision."""
+        """Admit several nodes' means in order; returns the final decision.
+
+        The batch is evaluated at once, bit-identical to admitting the
+        nodes one at a time: one node-order Welford pass gives every
+        prefix's moments, one vectorised quantile call gives every
+        prefix's achieved λ (which sets :attr:`stopped_at`), and one
+        :meth:`evaluate` builds the returned decision.  Invalid input —
+        a non-finite or negative mean, more nodes than the population,
+        a non-positive running mean — raises with the stopper unchanged.
+        """
         arr = np.asarray(node_mean_watts, dtype=float).ravel()
-        decision = None
-        for w in arr:
-            decision = self.update(float(w))
-        if decision is None:
-            decision = self.evaluate()
-        return decision
+        bad = ~(np.isfinite(arr) & (arr >= 0))
+        if bad.any():
+            raise ValueError(
+                "node mean power must be finite and >= 0, "
+                f"got {arr[np.argmax(bad)]}"
+            )
+        if self.n_observed + arr.size > self.population:
+            raise ValueError("more node measurements than the population")
+        before = RunningMoments().merge(self.node_means)
+        counts, means, m2s = self.node_means.push_each(arr)
+        if np.any(means[counts >= 2] <= 0):
+            self.node_means = before
+            raise ValueError("mean power must be positive to assess accuracy")
+        ready = counts >= self.min_nodes
+        if self._stopped_at is None and ready.any():
+            n = counts[ready]
+            sd = np.sqrt(m2s[ready] / (n - 1))
+            _, _, met = self._boundary(n, means[ready], sd)
+            hit = np.flatnonzero(met)
+            if hit.size:
+                self._stopped_at = int(n[hit[0]])
+        return self.evaluate()
 
     def evaluate(self) -> StoppingDecision:
         """Evaluate the boundary at the current state (no new data)."""
@@ -181,13 +196,7 @@ class SequentialStopper:
         sd = float(np.asarray(self.node_means.std()))
         if mu <= 0:
             raise ValueError("mean power must be positive to assess accuracy")
-        cv = self.cv_override if self.cv_override is not None else sd / mu
-        if self.method == "t":
-            q = t_quantile(self.confidence, n - 1)
-        else:
-            q = z_quantile(self.confidence)
-        fpc = finite_population_correction(n, self.population)
-        achieved = q * cv / np.sqrt(n) * fpc
+        cv, achieved, met = self._boundary(n, mu, sd)
         interval = ConfidenceInterval(
             mean=mu,
             half_width=float(achieved * mu),
@@ -200,13 +209,8 @@ class SequentialStopper:
             ).n
         else:
             projected = self.min_nodes
-        stop = bool(
-            n >= self.min_nodes and achieved <= self.accuracy + 1e-12
-        )
-        if stop and self._stopped_at is None:
-            self._stopped_at = n
         return StoppingDecision(
-            should_stop=stop,
+            should_stop=bool(n >= self.min_nodes and met),
             n_observed=n,
             achieved_lambda=float(achieved),
             projected_n=int(projected),
@@ -214,17 +218,34 @@ class SequentialStopper:
         )
 
     def scan(self, node_mean_watts) -> int:
-        """Feed node means in order; return the stopping node count.
+        """Admit every node mean in order; return the stopping node count.
 
-        Raises if the target is never reached — the caller's fleet was
-        too small for the requested accuracy at this σ/μ.
+        The count is :attr:`stopped_at`, the first node count at which
+        the target was met.  Raises if the target is never reached — the
+        caller's fleet was too small for the requested accuracy at this
+        σ/μ.
         """
-        arr = np.asarray(node_mean_watts, dtype=float).ravel()
-        for w in arr:
-            decision = self.update(float(w))
-            if decision.should_stop:
-                return decision.n_observed
-        raise ValueError(
-            f"accuracy {self.accuracy:.3%} not reached after "
-            f"{self.n_observed} of {self.population} nodes"
-        )
+        self.update_many(node_mean_watts)
+        if self._stopped_at is None:
+            raise ValueError(
+                f"accuracy {self.accuracy:.3%} not reached after "
+                f"{self.n_observed} of {self.population} nodes"
+            )
+        return self._stopped_at
+
+    def _boundary(self, n, mean, sd):
+        """σ/μ, the Eq. 1 relative half-width at ``n`` nodes, and whether
+        it meets the target.
+
+        Vectorised: ``n``, ``mean`` and ``sd`` may be per-prefix arrays
+        (one quantile call covers them all) or scalars.
+        """
+        cv = self.cv_override if self.cv_override is not None else sd / mean
+        if self.method == "t":
+            alpha = 1.0 - self.confidence
+            q = stats.t.ppf(1.0 - alpha / 2.0, n - 1)
+        else:
+            q = z_quantile(self.confidence)
+        fpc = np.sqrt((self.population - n) / (self.population - 1.0))
+        achieved = q * cv / np.sqrt(n) * fpc
+        return cv, achieved, achieved <= self.accuracy + 1e-12

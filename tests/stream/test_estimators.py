@@ -49,6 +49,45 @@ class TestRunningMoments:
         )
         assert b.count == a.count
 
+    @pytest.mark.parametrize("head", [0, 1, 7])
+    def test_push_each_has_the_push_loop_bits(self, samples, head):
+        # Every prefix, and the final state, bit for bit — both from an
+        # empty estimator and continuing one that already holds data.
+        looped, each = RunningMoments(), RunningMoments()
+        for x in samples[:head]:
+            looped.push(x)
+            each.push(x)
+        prefixes = []
+        for x in samples[head:300]:
+            looped.push(x)
+            prefixes.append((looped.count, looped.mean,
+                             looped.variance(ddof=0)))
+        counts, means, m2s = each.push_each(samples[head:300])
+        assert counts.tolist() == [c for c, _, _ in prefixes]
+        assert means.tobytes() == (
+            np.array([m for _, m, _ in prefixes]).tobytes()
+        )
+        assert (m2s / counts).tobytes() == (
+            np.array([v for _, _, v in prefixes]).tobytes()
+        )
+        for attr in ("mean", "minimum", "maximum"):
+            assert np.asarray(getattr(each, attr)).tobytes() == (
+                np.asarray(getattr(looped, attr)).tobytes()
+            )
+        assert each.count == looped.count
+
+    def test_push_each_rejects_before_changing_state(self, samples):
+        m = RunningMoments()
+        m.push_batch(samples[:10])
+        before = (m.count, m.mean, m.variance())
+        with pytest.raises(ValueError, match="non-finite"):
+            m.push_each([200.0, float("nan")])
+        assert (m.count, m.mean, m.variance()) == before
+        vector = RunningMoments()
+        vector.push(np.zeros(3))
+        with pytest.raises(ValueError, match="scalar"):
+            vector.push_each([1.0])
+
     def test_merge_exact(self, samples):
         left, right = RunningMoments(), RunningMoments()
         left.push_batch(samples[:1700])

@@ -2,10 +2,111 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.confidence import (
+    ConfidenceInterval,
+    finite_population_correction,
+    t_quantile,
+    z_quantile,
+)
 from repro.core.sampling import recommend_sample_size
 from repro.experiments.table5 import ACCURACIES, CVS, PAPER_TABLE5
-from repro.stream.stopping import SequentialStopper
+from repro.stream.estimators import RunningMoments
+from repro.stream.stopping import SequentialStopper, StoppingDecision
+
+
+class ScalarReference:
+    """The Eq. 1 stopper evaluated node by node with scalar quantiles.
+
+    An independent oracle for :class:`SequentialStopper`: one Welford
+    :meth:`RunningMoments.push`, one :func:`t_quantile` (or
+    :func:`z_quantile`) and one :func:`finite_population_correction`
+    per admitted node.
+    """
+
+    def __init__(self, *, accuracy, population, confidence=0.95,
+                 method="t", cv_override=None, min_nodes=4):
+        self.accuracy = accuracy
+        self.population = population
+        self.confidence = confidence
+        self.method = method
+        self.cv_override = cv_override
+        self.min_nodes = min_nodes
+        self.node_means = RunningMoments()
+        self.stopped_at = None
+        self.decision = StoppingDecision(False, 0, float("inf"),
+                                         population, None)
+
+    def update(self, w: float) -> StoppingDecision:
+        self.node_means.push(w)
+        self.decision = self._evaluate()
+        return self.decision
+
+    def _evaluate(self) -> StoppingDecision:
+        n = self.node_means.count
+        if n < 2:
+            return StoppingDecision(False, n, float("inf"),
+                                    self.population, None)
+        mu = float(np.asarray(self.node_means.mean))
+        sd = float(np.asarray(self.node_means.std()))
+        cv = self.cv_override if self.cv_override is not None else sd / mu
+        if self.method == "t":
+            q = t_quantile(self.confidence, n - 1)
+        else:
+            q = z_quantile(self.confidence)
+        fpc = finite_population_correction(n, self.population)
+        achieved = q * cv / np.sqrt(n) * fpc
+        projected = (
+            recommend_sample_size(
+                self.population, cv, self.accuracy, self.confidence
+            ).n
+            if cv > 0
+            else self.min_nodes
+        )
+        stop = bool(n >= self.min_nodes and achieved <= self.accuracy + 1e-12)
+        if stop and self.stopped_at is None:
+            self.stopped_at = n
+        return StoppingDecision(
+            stop, n, float(achieved), int(projected),
+            ConfidenceInterval(mu, float(achieved * mu), self.confidence,
+                               self.method),
+        )
+
+
+def _moment_bytes(m: RunningMoments) -> tuple:
+    if m.count == 0:
+        return (0,)
+    return (m.count,) + tuple(
+        np.asarray(v, dtype=float).tobytes()
+        for v in (m.mean, m.variance(ddof=0), m.minimum, m.maximum)
+    )
+
+
+def _state(stopper) -> tuple:
+    return (stopper.node_means.count, stopper.stopped_at,
+            _moment_bytes(stopper.node_means))
+
+
+@st.composite
+def _stopper_feeds(draw):
+    means = draw(st.lists(
+        st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False),
+        min_size=0, max_size=60,
+    ))
+    cuts = sorted(draw(st.lists(
+        st.integers(0, len(means)), max_size=6,
+    )))
+    chunks = [means[a:b] for a, b in zip([0, *cuts], [*cuts, len(means)])]
+    kwargs = dict(
+        accuracy=draw(st.sampled_from([0.5, 0.2, 0.05, 0.01, 0.002])),
+        population=len(means) + draw(st.integers(2, 3000)),
+        method=draw(st.sampled_from(["t", "z"])),
+        cv_override=draw(st.none() | st.floats(1e-3, 0.5)),
+        min_nodes=draw(st.integers(2, 5)),
+    )
+    return chunks, kwargs
 
 
 class TestSequentialTable5:
@@ -84,18 +185,41 @@ class TestSequentialBehaviour:
         # sampling error.
         assert finite[-1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_update_many_equals_the_update_loop(self):
-        means = np.random.default_rng(5).normal(200.0, 3.0, size=40)
-        looped = SequentialStopper(accuracy=0.005, population=100)
-        decisions = [looped.update(float(w)) for w in means]
-        batched = SequentialStopper(accuracy=0.005, population=100)
-        assert batched.update_many(means[:15]) == decisions[14]
-        assert batched.update_many(means[15:]) == decisions[-1]
-        assert batched.stopped_at == looped.stopped_at is not None
+    @settings(max_examples=150, deadline=None)
+    @given(_stopper_feeds())
+    def test_update_many_equals_the_scalar_reference(self, feed):
+        chunks, kwargs = feed
+        stopper = SequentialStopper(**kwargs)
+        reference = ScalarReference(**kwargs)
+        for chunk in chunks:
+            decision = stopper.update_many(chunk)
+            for w in chunk:
+                reference.update(w)
+            assert decision == reference.decision
+            assert _state(stopper) == _state(reference)
         # Empty input adds nothing and returns the current evaluation.
-        assert batched.update_many(np.empty(0)) == batched.evaluate()
-        fresh = SequentialStopper(accuracy=0.005, population=100)
-        assert fresh.update_many([]) == fresh.evaluate()
+        assert stopper.update_many([]) == stopper.evaluate()
+
+    @pytest.mark.parametrize("method", ["t", "z"])
+    def test_stop_boundary_inside_one_batch(self, method):
+        means = np.random.default_rng(5).normal(200.0, 3.0, size=40)
+        kwargs = dict(accuracy=0.005, population=100, method=method)
+        reference = ScalarReference(**kwargs)
+        expected = [reference.update(float(w)) for w in means]
+        first = reference.stopped_at
+        assert first is not None and 8 < first < 30
+        stopper = SequentialStopper(**kwargs)
+        # One batch ends just before the stop, the next straddles it.
+        assert stopper.update_many(means[: first - 5]) == expected[first - 6]
+        assert stopper.stopped_at is None
+        assert stopper.update_many(means[first - 5 : first + 5]) == (
+            expected[first + 4]
+        )
+        assert stopper.stopped_at == first
+        assert stopper.update_many(means[first + 5 :]) == expected[-1]
+        assert stopper.stopped_at == first
+        assert _state(stopper) == _state(reference)
+        assert SequentialStopper(**kwargs).scan(means) == first
 
     def test_update_validation(self):
         stopper = SequentialStopper(accuracy=0.01, population=10)
@@ -103,6 +227,34 @@ class TestSequentialBehaviour:
             stopper.update(float("nan"))
         with pytest.raises(ValueError, match=">= 0"):
             stopper.update(-5.0)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [201.0, 199.0, float("nan"), 200.0],
+            [201.0, 199.0, -5.0, 200.0],
+            [201.0, float("inf")],
+            [200.0] * 9,  # one node more than the population left
+        ],
+    )
+    def test_bad_batch_leaves_the_stopper_unchanged(self, batch):
+        stopper = SequentialStopper(accuracy=0.05, population=12)
+        stopper.update_many([200.0, 202.0, 198.0, 200.5])
+        assert stopper.stopped_at == 4
+        before = _state(stopper)
+        decision = stopper.evaluate()
+        with pytest.raises(ValueError, match="finite|population"):
+            stopper.update_many(batch)
+        assert _state(stopper) == before
+        assert stopper.evaluate() == decision
+
+    def test_zero_running_mean_leaves_the_stopper_unchanged(self):
+        stopper = SequentialStopper(accuracy=0.05, population=12)
+        stopper.update(0.0)
+        before = _state(stopper)
+        with pytest.raises(ValueError, match="positive"):
+            stopper.update_many([0.0, 5.0])
+        assert _state(stopper) == before
 
     def test_population_exhausted(self):
         stopper = SequentialStopper(accuracy=1e-9, population=3, min_nodes=2)
