@@ -33,7 +33,6 @@ from repro.cluster.node import NodeConfig
 from repro.cluster.system import SystemModel
 from repro.cluster.thermal import FanController
 from repro.cluster.variability import ManufacturingVariation
-from repro.faults.recovery import RecoveryPipeline
 from repro.shard.engine import fleet_reference, run_shard
 from repro.shard.plan import plan_shards
 from repro.shard.reduce import reduce_states
@@ -80,7 +79,6 @@ def _materialised_pass(run: SimulatedRun) -> tuple[float, int]:
     times, watts = run.node_power_matrix(lo_s, hi_s)
     ids = np.arange(run.system.n_nodes, dtype=np.int64)
     fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
-    pipeline = RecoveryPipeline(gap_policy="hold", original_level=2)
     for lo in range(0, times.size, _TICKS_PER_BATCH):
         hi = min(lo + _TICKS_PER_BATCH, times.size)
         batch = SampleBatch(
@@ -89,7 +87,6 @@ def _materialised_pass(run: SimulatedRun) -> tuple[float, int]:
             node_ids=ids,
         )
         fold.push(batch, batch.fleet_means())
-        pipeline.observe(batch)
     elapsed = time.perf_counter() - t0
     return elapsed, times.size * run.system.n_nodes
 

@@ -22,6 +22,14 @@ collector needs, in four deterministic pieces:
   tolerates holes: each node keeps its own count, so a missing cell
   simply doesn't advance that node's moments.
 
+Recovery runs only where input can be faulty: the chaos, wire-chaos and
+pathology harnesses and the wire path.  The shard kernel folds the
+simulator's own stream, which holds no faults, without it.  Two
+builders render the label with one set of fleet-statistics
+definitions: :func:`build_quality_report` for a pipeline, and
+:func:`fold_quality_report` for a fold that repaired nothing (a sharded
+session, or a served session that writes gap frames off whole).
+
 Everything is a pure function of ``(inputs, seed)``; nothing here reads
 the wall clock or global RNG state, and a replay of the same faulty
 stream produces a bit-identical report.
@@ -36,7 +44,7 @@ import numpy as np
 
 from repro.faults.quality import QualityReport
 from repro.rng import stream
-from repro.stream.estimators import axis0_sum
+from repro.stream.estimators import RunningMoments, axis0_sum
 from repro.stream.ingest import SampleBatch, SimClock
 
 __all__ = [
@@ -47,9 +55,9 @@ __all__ = [
     "RetryingSource",
     "MaskedRunningMoments",
     "GAP_POLICIES",
-    "RecoveryState",
     "RecoveryPipeline",
     "build_quality_report",
+    "fold_quality_report",
 ]
 
 #: Supported gap-repair policies.
@@ -264,25 +272,6 @@ class MaskedRunningMoments:
         valid[component] = True
         self.push_row(row, valid)
 
-    @classmethod
-    def concat(cls, parts: list["MaskedRunningMoments"]) -> "MaskedRunningMoments":
-        """Join component-partitioned estimators along the component axis.
-
-        The shard reduction for masked moments: each component already
-        keeps its own count, so joining node-disjoint shards is a pure
-        array concatenation in node order — exact to the bit, with no
-        floating-point combination at all.  Unlike
-        :meth:`repro.stream.estimators.RunningMoments.concat` the parts
-        may have *different* per-component counts (holes are per node).
-        """
-        if not parts:
-            raise ValueError("concat needs at least one part")
-        out = cls(sum(p._count.size for p in parts))
-        out._count = np.concatenate([p._count for p in parts])
-        out._mean = np.concatenate([p._mean for p in parts])
-        out._m2 = np.concatenate([p._m2 for p in parts])
-        return out
-
     @property
     def mean(self) -> np.ndarray:
         """Per-component mean (NaN where no samples)."""
@@ -301,76 +290,6 @@ class MaskedRunningMoments:
         return np.sqrt(self.variance)
 
 
-@dataclass(frozen=True)
-class RecoveryState:
-    """Snapshot of a recovery kernel's per-node state plus counters.
-
-    The unit the shard layer reduces: a
-    :class:`RecoveryPipeline` over node range ``[lo, hi)`` produces a
-    ``RecoveryState`` whose arrays are exactly the ``[lo, hi)`` column
-    slice of the state a full-fleet pipeline would hold — every
-    detection, repair and quarantine decision reads only the node's own
-    column.  :meth:`concat` therefore reassembles the fleet state bit
-    for bit, and :func:`build_quality_report` renders either a serial
-    or a merged state into the identical :class:`QualityReport`.
-    """
-
-    node_ids: np.ndarray
-    quarantined: np.ndarray
-    usable_per_node: np.ndarray
-    moments: MaskedRunningMoments
-    ticks_seen: int
-    original_level: int
-    samples_missing: int
-    samples_stuck: int
-    samples_spiked: int
-    samples_held: int
-    samples_interpolated: int
-    samples_excluded: int
-
-    @property
-    def n_nodes(self) -> int:
-        """Nodes covered by this state."""
-        return int(self.node_ids.size)
-
-    @staticmethod
-    def concat(parts: list["RecoveryState"]) -> "RecoveryState":
-        """Reassemble node-partitioned states in node order (exact).
-
-        Per-node arrays concatenate; scalar fault counters add (each
-        faulted cell is counted by exactly one shard); ``ticks_seen``
-        and ``original_level`` must agree across shards because every
-        shard replays the same tick grid.
-        """
-        if not parts:
-            raise ValueError("concat needs at least one part")
-        first = parts[0]
-        for i, part in enumerate(parts):
-            if part.ticks_seen != first.ticks_seen:
-                raise ValueError(
-                    f"part {i} saw {part.ticks_seen} ticks, part 0 saw "
-                    f"{first.ticks_seen}; shards must cover the same ticks"
-                )
-            if part.original_level != first.original_level:
-                raise ValueError("parts disagree on original_level")
-        return RecoveryState(
-            node_ids=np.concatenate([p.node_ids for p in parts]),
-            quarantined=np.concatenate([p.quarantined for p in parts]),
-            usable_per_node=np.concatenate(
-                [p.usable_per_node for p in parts]
-            ),
-            moments=MaskedRunningMoments.concat([p.moments for p in parts]),
-            ticks_seen=first.ticks_seen,
-            original_level=first.original_level,
-            samples_missing=sum(p.samples_missing for p in parts),
-            samples_stuck=sum(p.samples_stuck for p in parts),
-            samples_spiked=sum(p.samples_spiked for p in parts),
-            samples_held=sum(p.samples_held for p in parts),
-            samples_interpolated=sum(p.samples_interpolated for p in parts),
-            samples_excluded=sum(p.samples_excluded for p in parts),
-        )
-
-
 def breaker_level(
     original_level: int, coverage: float, any_quarantined: bool
 ) -> int:
@@ -385,79 +304,129 @@ def breaker_level(
     return level
 
 
+def _fleet_statistics(
+    node_means: np.ndarray, node_stds: np.ndarray
+) -> dict:
+    """The label's fleet statistics over the nodes it uses.
+
+    ``fleet_mean_w`` is the mean of the node means, ``sigma_node_w``
+    their ddof=1 std and ``sigma_tick_w`` the mean per-node ddof=1
+    std; below two nodes only the mean is defined.
+    """
+    n_used = int(node_means.size)
+    if n_used < 2:
+        return dict(
+            fleet_mean_w=float(node_means[0]) if n_used else 0.0,
+            node_cv=0.0,
+            sigma_node_w=0.0,
+            sigma_tick_w=0.0,
+            n_nodes_used=n_used,
+        )
+    fleet_mean_w = float(node_means.mean())
+    sigma_node_w = float(node_means.std(ddof=1))
+    return dict(
+        fleet_mean_w=fleet_mean_w,
+        node_cv=sigma_node_w / fleet_mean_w if fleet_mean_w > 0 else 0.0,
+        sigma_node_w=sigma_node_w,
+        sigma_tick_w=float(node_stds.mean()),
+        n_nodes_used=n_used,
+    )
+
+
 def build_quality_report(
-    state: RecoveryState,
+    pipeline: "RecoveryPipeline",
     *,
     expected_ticks: int,
     batches_retried: int = 0,
     batches_abandoned: int = 0,
 ) -> QualityReport:
-    """Render a recovery state into its quality-labelled statistics.
+    """Render a recovery pipeline's state into its quality label.
 
-    The single rendering path for serial and sharded runs:
-    :meth:`RecoveryPipeline.finalize` calls it on its own snapshot, and
-    the shard reducer calls it on the :meth:`RecoveryState.concat` of
-    the per-shard snapshots — so a sharded report is bit-identical to
-    the serial one by construction, not by coincidence.
-
-    ``expected_ticks`` is the planned horizon (what a perfect meter
-    would have delivered); the gap between it and what arrived is
+    :meth:`RecoveryPipeline.finalize` calls it once tail gaps are
+    flushed.  ``expected_ticks`` is the planned horizon (what a perfect
+    meter would have delivered); the gap between it and what arrived is
     attributed to truncation/abandonment (``samples_never_arrived``).
     """
-    if expected_ticks < state.ticks_seen:
+    if expected_ticks < pipeline.ticks_seen:
         raise ValueError(
             "expected_ticks cannot be below the ticks actually seen"
         )
-    n = state.n_nodes
-    kept = ~state.quarantined
+    quarantined = pipeline._nodes.quarantined
+    kept = ~quarantined
+    n = pipeline._node_ids.size
     samples_expected = int(expected_ticks) * n
-    samples_arrived = state.ticks_seen * n
-    coverage = float(state.usable_per_node[kept].sum()) / max(
+    samples_arrived = pipeline.ticks_seen * n
+    coverage = float(pipeline._usable_per_node[kept].sum()) / max(
         samples_expected, 1
     )
-    quarantined_ids = tuple(
-        int(i) for i in state.node_ids[state.quarantined]
-    )
     # Fleet statistics over surviving nodes.
-    node_means = state.moments.mean
-    node_stds = state.moments.std
-    counts = state.moments.count
-    used = kept & (counts >= 2)
-    n_used = int(used.sum())
-    if n_used >= 2:
-        means = node_means[used]
-        fleet_mean_w = float(means.mean())
-        sigma_node_w = float(means.std(ddof=1))
-        node_cv = sigma_node_w / fleet_mean_w
-        sigma_tick_w = float(node_stds[used].mean())
-    else:
-        fleet_mean_w = float(node_means[used][0]) if n_used else 0.0
-        sigma_node_w = 0.0
-        node_cv = 0.0
-        sigma_tick_w = 0.0
+    moments = pipeline._moments
+    used = kept & (moments.count >= 2)
     return QualityReport(
         samples_expected=samples_expected,
         samples_arrived=samples_arrived,
-        samples_missing=state.samples_missing,
+        samples_missing=pipeline.samples_missing,
         samples_never_arrived=samples_expected - samples_arrived,
-        samples_stuck=state.samples_stuck,
-        samples_spiked=state.samples_spiked,
-        samples_held=state.samples_held,
-        samples_interpolated=state.samples_interpolated,
-        samples_excluded=state.samples_excluded,
-        nodes_quarantined=quarantined_ids,
+        samples_stuck=pipeline.samples_stuck,
+        samples_spiked=pipeline.samples_spiked,
+        samples_held=pipeline.samples_held,
+        samples_interpolated=pipeline.samples_interpolated,
+        samples_excluded=pipeline.samples_excluded,
+        nodes_quarantined=tuple(
+            int(i) for i in pipeline._node_ids[quarantined]
+        ),
         batches_retried=batches_retried,
         batches_abandoned=batches_abandoned,
         effective_coverage=coverage,
-        original_level=state.original_level,
+        original_level=pipeline.original_level,
         effective_level=breaker_level(
-            state.original_level, coverage, bool(state.quarantined.any())
+            pipeline.original_level, coverage, bool(quarantined.any())
         ),
-        fleet_mean_w=fleet_mean_w,
-        node_cv=node_cv,
-        sigma_node_w=sigma_node_w,
-        sigma_tick_w=sigma_tick_w,
-        n_nodes_used=n_used,
+        **_fleet_statistics(moments.mean[used], moments.std[used]),
+    )
+
+
+def fold_quality_report(
+    node_moments: RunningMoments,
+    *,
+    cells_folded: int,
+    cells_written_off: int,
+    original_level: int,
+) -> QualityReport:
+    """Label a fold that repaired nothing.
+
+    ``cells_folded`` cells reached the fold's per-node ``node_moments``;
+    ``cells_written_off`` arrived but were refused whole (a served
+    session's gap frames) and count as missing and excluded.  Nothing
+    was flagged, held, interpolated, quarantined or retried, so the
+    breaker grades coverage alone.  The fleet statistics are
+    :func:`build_quality_report`'s, over every node of the fold.
+    """
+    arrived = cells_folded + cells_written_off
+    coverage = cells_folded / arrived if arrived else 0.0
+    node_means = node_moments.mean
+    node_stds = (
+        node_moments.std()
+        if node_moments.count >= 2
+        else np.zeros_like(node_means)
+    )
+    return QualityReport(
+        samples_expected=arrived,
+        samples_arrived=arrived,
+        samples_missing=cells_written_off,
+        samples_never_arrived=0,
+        samples_stuck=0,
+        samples_spiked=0,
+        samples_held=0,
+        samples_interpolated=0,
+        samples_excluded=cells_written_off,
+        nodes_quarantined=(),
+        batches_retried=0,
+        batches_abandoned=0,
+        effective_coverage=coverage,
+        original_level=original_level,
+        effective_level=breaker_level(original_level, coverage, False),
+        **_fleet_statistics(node_means, node_stds),
     )
 
 
@@ -547,9 +516,6 @@ class RecoveryPipeline:
         self._node_ids = np.asarray(batch.node_ids, dtype=np.int64).copy()
         self._usable_per_node = np.zeros(n, dtype=np.int64)
 
-    def _push_stat(self, j: int, value: float) -> None:
-        self._moments.push_value(j, value)
-
     def _repair_cell(self, j: int, nodes: _NodeState) -> bool:
         """Dispose of one unusable cell.
 
@@ -580,7 +546,7 @@ class RecoveryPipeline:
         lo = float(nodes.last_good[j])
         for k in range(1, gap + 1):
             filled = lo + (new_value - lo) * k / (gap + 1)
-            self._push_stat(j, filled)
+            self._moments.push_value(j, filled)
         self.samples_interpolated += gap
         nodes.gap_len[j] = 0
 
@@ -718,7 +684,7 @@ class RecoveryPipeline:
     # ------------------------------------------------------------------
     def _flush_tail_gaps(self) -> None:
         """Hold-fill interpolation gaps still open at end of stream."""
-        if self._nodes is None or self.gap_policy != "interpolate":
+        if self.gap_policy != "interpolate":
             return
         nodes = self._nodes
         for j in range(nodes.gap_len.size):
@@ -726,38 +692,9 @@ class RecoveryPipeline:
             if gap == 0:
                 continue
             for _ in range(gap):
-                self._push_stat(j, float(nodes.last_good[j]))
+                self._moments.push_value(j, float(nodes.last_good[j]))
             self.samples_held += gap
             nodes.gap_len[j] = 0
-
-    def state_snapshot(self) -> RecoveryState:
-        """Snapshot the per-node state + counters for shard reduction.
-
-        Flushes still-open interpolation gaps first (tail gaps hold), so
-        the snapshot is the same state :meth:`finalize` would render.
-        The arrays are copies — the pipeline can keep streaming.
-        """
-        if self._nodes is None:
-            raise ValueError("no batches observed")
-        self._flush_tail_gaps()
-        moments = MaskedRunningMoments(self._node_ids.size)
-        moments._count = self._moments._count.copy()
-        moments._mean = self._moments._mean.copy()
-        moments._m2 = self._moments._m2.copy()
-        return RecoveryState(
-            node_ids=self._node_ids.copy(),
-            quarantined=self._nodes.quarantined.copy(),
-            usable_per_node=self._usable_per_node.copy(),
-            moments=moments,
-            ticks_seen=self.ticks_seen,
-            original_level=self.original_level,
-            samples_missing=self.samples_missing,
-            samples_stuck=self.samples_stuck,
-            samples_spiked=self.samples_spiked,
-            samples_held=self.samples_held,
-            samples_interpolated=self.samples_interpolated,
-            samples_excluded=self.samples_excluded,
-        )
 
     def finalize(
         self,
@@ -768,12 +705,14 @@ class RecoveryPipeline:
     ) -> QualityReport:
         """Close the stream and emit the quality-labelled statistics.
 
-        A thin wrapper over :func:`build_quality_report` on this
-        pipeline's own :meth:`state_snapshot` — the same rendering path
-        the shard reducer uses on merged state.
+        Holds still-open interpolation gaps (tail gaps), then renders
+        this pipeline through :func:`build_quality_report`.
         """
+        if self._nodes is None:
+            raise ValueError("no batches observed")
+        self._flush_tail_gaps()
         return build_quality_report(
-            self.state_snapshot(),
+            self,
             expected_ticks=expected_ticks,
             batches_retried=batches_retried,
             batches_abandoned=batches_abandoned,

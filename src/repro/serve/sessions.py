@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import asyncio
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.faults.quality import QualityReport
-from repro.faults.recovery import breaker_level
+from repro.faults.recovery import fold_quality_report
 from repro.stream.ingest import SampleBatch
 from repro.stream.session import LiveStreamState
 from repro.units import SECONDS_PER_HOUR
@@ -413,43 +413,20 @@ class TelemetrySession:
         state = self.state
         if state.samples_ingested == 0:
             return None
-        arrived = state.samples_ingested + self._gap_cells
-        coverage = state.samples_ingested / arrived if arrived else 0.0
-        node_means = np.asarray(state.fold.monitor.node_moments.mean)
-        fleet_mean_w = float(node_means.mean())
-        sigma_node_w = (
-            float(node_means.std(ddof=1)) if node_means.size > 1 else 0.0
+        quality = fold_quality_report(
+            state.fold.monitor.node_moments,
+            cells_folded=state.samples_ingested,
+            cells_written_off=self._gap_cells,
+            original_level=self.config.compliance_level,
         )
         reader = self._reader
-        return QualityReport(
-            samples_expected=arrived,
-            samples_arrived=arrived,
-            samples_missing=self._gap_cells,
-            samples_never_arrived=0,
-            samples_stuck=0,
-            samples_spiked=0,
-            samples_held=0,
-            samples_interpolated=0,
-            samples_excluded=self._gap_cells,
-            nodes_quarantined=(),
-            batches_retried=0,
-            batches_abandoned=0,
-            effective_coverage=coverage,
-            original_level=self.config.compliance_level,
-            effective_level=breaker_level(
-                self.config.compliance_level, coverage, False
-            ),
-            fleet_mean_w=fleet_mean_w,
-            node_cv=(
-                sigma_node_w / fleet_mean_w if fleet_mean_w > 0 else 0.0
-            ),
-            sigma_node_w=sigma_node_w,
-            sigma_tick_w=float(np.asarray(state.fleet.std()))
-            if state.fleet.count >= 2 else 0.0,
-            n_nodes_used=int(node_means.size),
-            codec=", ".join(reader.codec_names) if reader else "",
-            codec_error_bound_w=reader.error_bound_w if reader else 0.0,
-            frames_dropped=reader.frames_missing if reader else 0,
+        if reader is None:
+            return quality
+        return replace(
+            quality,
+            codec=", ".join(reader.codec_names),
+            codec_error_bound_w=reader.error_bound_w,
+            frames_dropped=reader.frames_missing,
             frames_corrupt=self._frames_corrupt_seen,
         )
 

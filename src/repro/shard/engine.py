@@ -9,16 +9,19 @@ The driver for the million-node hot path:
 * :func:`run_shard` — the per-shard kernel: synthesize the shard's node
   columns straight into a :class:`~repro.shard.slab.SlabRing` (zero
   copies, no per-batch allocation), feed the shared
-  :class:`~repro.stream.session.FleetFold` and the masked row-push
-  recovery kernel, and snapshot the result as a picklable
-  :class:`~repro.shard.reduce.ShardState`.
+  :class:`~repro.stream.session.FleetFold`, and return it as a
+  picklable :class:`~repro.shard.reduce.ShardState`.  The simulator's
+  stream holds no NaN, dropped frame or quarantined node, so no
+  recovery pipeline runs beside the fold.
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
   pool (or run them inline when ``processes`` is 0, the deterministic
   default), then reduce by exact node-order concatenation.
 * :func:`sharded_session` — the full-session entry point: Eq. 1–5
   sequential stopping, the merged :class:`MonitorReport` and the
-  :class:`~repro.faults.quality.QualityReport` all rendered from merged
-  shard state, bit-identical for any shard count.
+  :class:`~repro.faults.quality.QualityReport`
+  (:func:`~repro.faults.recovery.fold_quality_report` over the merged
+  node moments) all rendered from merged shard state, bit-identical
+  for any shard count.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.quality import QualityReport
-from repro.faults.recovery import RecoveryPipeline, build_quality_report
+from repro.faults.recovery import fold_quality_report
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 from repro.shard.reduce import FleetState, ShardState, reduce_states
 from repro.shard.slab import SlabRing
@@ -86,7 +89,6 @@ def run_shard(
     """
     ring = SlabRing(ticks_per_batch, spec.n_nodes)
     fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
-    pipeline = RecoveryPipeline()
     ticks_seen = 0
     for batch in run.stream_run(
         node_indices=spec.node_indices,
@@ -99,19 +101,13 @@ def run_shard(
                 "reference series shorter than the shard's tick stream"
             )
         fold.push(batch, reference_w[ticks_seen : ticks_seen + n_t])
-        pipeline.observe(batch)
         ticks_seen += n_t
     if ticks_seen != reference_w.size:
         raise ValueError(
             f"shard saw {ticks_seen} ticks but the reference series has "
             f"{reference_w.size}"
         )
-    return ShardState(
-        spec=spec,
-        fold=fold,
-        recovery=pipeline.state_snapshot(),
-        samples_ingested=ticks_seen * spec.n_nodes,
-    )
+    return ShardState(spec=spec, fold=fold)
 
 
 def run_sharded(
@@ -265,14 +261,16 @@ def sharded_session(
         method="t",
     )
     decision = stopper.update_many(fleet.node_moments.mean)
-    quality = build_quality_report(
-        fleet.recovery, expected_ticks=fleet.recovery.ticks_seen
-    )
     return ShardSessionResult(
         plan=plan,
         monitor_report=fleet.fold.monitor.report(),
         stopping=decision,
-        quality=quality,
+        quality=fold_quality_report(
+            fleet.node_moments,
+            cells_folded=fleet.samples_ingested,
+            cells_written_off=0,
+            original_level=2,
+        ),
         fleet_moments=fleet.fleet_moments(),
         node_moments=fleet.node_moments,
         node_fleet_correlation=float(

@@ -1,14 +1,14 @@
 """Exact reduction of per-shard estimator state to fleet state.
 
-The pipeline's per-node state is *column-independent*: a Welford
-component, a masked-moment column, a recovery column, an excursion
-counter — each depends only on its own node's sample stream.  Under a
-contiguous node partition, a shard therefore holds exactly the column
-slice of the state a full-fleet run would hold, and the fleet state is
-the node-ordered **concatenation** of the shard states.  Concatenation
-involves no floating-point combination at all, so the reduction is
-exact to the bit and independent of the shard count — the property the
-hypothesis suite drives with random partitions.
+A shard's per-node state is *column-independent*: a Welford component,
+a covariance column, an excursion counter — each depends only on its
+own node's sample stream.  Under a contiguous node partition, a shard
+therefore holds exactly the column slice of the state a full-fleet run
+would hold, and the fleet state is the node-ordered **concatenation**
+of the shard states.  Concatenation involves no floating-point
+combination at all, so the reduction is exact to the bit and
+independent of the shard count — the property the hypothesis suite
+drives with random partitions.
 
 Fleet *scalars* (pooled mean/σ, correlations, Eq. 1–5 stopping) are
 derived **after** the concatenation, from the full per-node vectors,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults.recovery import RecoveryState
 from repro.shard.plan import ShardPlan, ShardSpec
 from repro.stream.estimators import RunningMoments
 from repro.stream.session import FleetFold
@@ -42,8 +41,11 @@ class ShardState:
 
     spec: ShardSpec
     fold: FleetFold
-    recovery: RecoveryState
-    samples_ingested: int
+
+    @property
+    def samples_ingested(self) -> int:
+        """Samples the shard's fold took in."""
+        return self.fold.monitor.samples_seen
 
 
 @dataclass
@@ -51,8 +53,11 @@ class FleetState:
     """The merged fleet view, ready for report rendering."""
 
     fold: FleetFold
-    recovery: RecoveryState
-    samples_ingested: int
+
+    @property
+    def samples_ingested(self) -> int:
+        """Samples the merged fold took in."""
+        return self.fold.monitor.samples_seen
 
     @property
     def node_moments(self) -> RunningMoments:
@@ -73,8 +78,7 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
 
     Validates that the states tile the plan exactly — every planned
     shard present once — then concatenates the folds
-    (:meth:`FleetFold.concat`) and the recovery states
-    (:meth:`RecoveryState.concat`) in node order.
+    (:meth:`FleetFold.concat`) in node order.
     """
     if len(states) != plan.n_shards:
         raise ValueError(
@@ -88,8 +92,4 @@ def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
                 f"shard state {state.spec.shard_index} does not match "
                 f"the plan's shard {spec.shard_index}: ranges disagree"
             )
-    return FleetState(
-        fold=FleetFold.concat([s.fold for s in ordered]),
-        recovery=RecoveryState.concat([s.recovery for s in ordered]),
-        samples_ingested=sum(s.samples_ingested for s in ordered),
-    )
+    return FleetState(fold=FleetFold.concat([s.fold for s in ordered]))

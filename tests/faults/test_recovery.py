@@ -326,18 +326,17 @@ class TestLiveFeedAndValidation:
 
 def _pipeline_bits(pipe: RecoveryPipeline) -> dict:
     """Every piece of a pipeline's state, for exact comparison."""
-    snap = pipe.state_snapshot()
-    nodes = pipe._nodes
+    nodes, moments = pipe._nodes, pipe._moments
     return {
         "counters": (
-            snap.ticks_seen, snap.samples_missing, snap.samples_stuck,
-            snap.samples_spiked, snap.samples_held,
-            snap.samples_interpolated, snap.samples_excluded,
+            pipe.ticks_seen, pipe.samples_missing, pipe.samples_stuck,
+            pipe.samples_spiked, pipe.samples_held,
+            pipe.samples_interpolated, pipe.samples_excluded,
         ),
         "arrays": [
             a.tobytes() for a in (
-                snap.quarantined, snap.usable_per_node,
-                snap.moments._count, snap.moments._mean, snap.moments._m2,
+                nodes.quarantined, pipe._usable_per_node,
+                moments._count, moments._mean, moments._m2,
                 nodes.last_raw, nodes.last_good, nodes.repeat_run,
                 nodes.missing_run, nodes.gap_len,
             )

@@ -25,8 +25,10 @@ from repro.serve import (
     TenantQuota,
     make_request,
 )
+from repro.faults.recovery import fold_quality_report
 from repro.serve.app import RPWR_CONTENT_TYPE
 from repro.stream.ingest import SimClock
+from repro.stream.session import LiveStreamState
 from repro.wire.session import WireWriter
 
 from .conftest import strip_queue_stats
@@ -62,20 +64,42 @@ def json_batch_payloads(json_payloads) -> list[BatchPayload]:
 
 class TestLoadBitIdentical:
     def test_200_clients_10_tenants_bit_identical(
-        self, session_config, json_batch_payloads, direct_summary
+        self, session_config, json_batch_payloads, serve_batches,
+        direct_summary,
     ):
         """The tentpole assertion: 200 concurrent clients, 10 tenants,
-        every verdict equals the direct replay exactly."""
+        every verdict equals the direct replay exactly — the quality
+        label included."""
         clock = SimClock(dt_s=1.0)
         app = TelemetryApp(clock, ServiceConfig())
         scripts = make_scripts(session_config, json_batch_payloads)
         harness = LoadHarness(app, clock, scripts, seed=42)
         results = asyncio.run(harness.run())
 
+        direct = LiveStreamState(
+            population=session_config["population"],
+            core_window=(
+                session_config["core_t0_s"], session_config["core_t1_s"]
+            ),
+            required_interval_s=session_config["interval_s"],
+            accuracy=session_config["accuracy"],
+            report_every_s=session_config["report_every_s"],
+        )
+        for batch in serve_batches:
+            direct.push(batch)
+        direct_quality = fold_quality_report(
+            direct.fold.monitor.node_moments,
+            cells_folded=direct.samples_ingested,
+            cells_written_off=0,
+            original_level=2,
+        ).to_dict()
+        direct_quality = json.loads(json.dumps(direct_quality))
+
         assert len(results) == 200
         assert all(r.done and not r.errors for r in results)
         for result in results:
             assert strip_queue_stats(result.summary) == direct_summary
+            assert result.summary["quality"] == direct_quality
         # Every session was closed; nothing leaked.
         assert len(app.registry) == 0
         assert app.registry.sessions_closed == 200

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.sampling import recommend_sample_size
@@ -213,6 +214,31 @@ class TestSessionRoutes:
         summary = body(closed)["summary"]
         assert summary["samples_ingested"] == v["samples_ingested"]
         assert gone.status == 404
+
+    def test_served_sigma_tick_is_the_mean_per_node_sigma(
+        self, app, session_config, json_payloads
+    ):
+        """``sigma_tick_w`` is the mean per-node temporal σ, not the σ
+        pooled over every cell (which adds node-to-node spread)."""
+        async def scenario():
+            sid = await open_session(app, session_config)
+            for payload in json_payloads:
+                await app.dispatch(make_request(
+                    "POST", f"/v1/sessions/{sid}/batches",
+                    tenant="acme", body=payload,
+                ))
+            (session,) = app.registry.all_sessions()
+            await session.drain()
+            quality = await app.dispatch(make_request(
+                "GET", f"/v1/sessions/{sid}/quality", tenant="acme"
+            ))
+            return session, body(quality)["quality"]
+
+        session, q = asyncio.run(scenario())
+        node_moments = session.state.fold.monitor.node_moments
+        expected = float(np.asarray(node_moments.std()).mean())
+        assert q["sigma_tick_w"] == expected
+        assert q["sigma_tick_w"] < float(session.state.fleet.std())
 
     def test_empty_session_close_summary(self, app, session_config):
         async def scenario():

@@ -58,6 +58,21 @@ class TestShardCountInvariance:
             multi = sharded_session(tiny_run, n_shards=k, ticks_per_batch=16)
             assert multi.quantiles_w == single.quantiles_w, f"{k} shards"
 
+    def test_quality_is_the_fold_label_for_every_k(self, tiny_run):
+        single = _identity_view(
+            sharded_session(tiny_run, n_shards=1, ticks_per_batch=16)
+        )
+        for k in (1, 2, 3, tiny_run.system.n_nodes):
+            result = sharded_session(tiny_run, n_shards=k, ticks_per_batch=16)
+            assert _identity_view(result)["quality"] == single["quality"]
+            # The label's fleet statistics are the fold's node moments.
+            means = np.asarray(result.node_moments.mean)
+            stds = np.asarray(result.node_moments.std())
+            quality = result.quality
+            assert quality.fleet_mean_w == float(means.mean()), k
+            assert quality.sigma_node_w == float(means.std(ddof=1)), k
+            assert quality.sigma_tick_w == float(stds.mean()), k
+
     def test_quantile_bound_is_stated(self, tiny_run):
         d = sharded_session(tiny_run, n_shards=2, ticks_per_batch=16).to_dict()
         assert d["quantile_rel_error"] == 0.005
