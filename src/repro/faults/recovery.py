@@ -264,14 +264,6 @@ class MaskedRunningMoments:
         self._m2 = self._m2 + delta * delta2
         self._count = cnt
 
-    def push_value(self, component: int, value: float) -> None:
-        """Fold a single scalar into one component."""
-        row = np.zeros_like(self._mean)
-        valid = np.zeros_like(self._mean, dtype=bool)
-        row[component] = value
-        valid[component] = True
-        self.push_row(row, valid)
-
     @property
     def mean(self) -> np.ndarray:
         """Per-component mean (NaN where no samples)."""
@@ -372,9 +364,7 @@ def build_quality_report(
         samples_held=pipeline.samples_held,
         samples_interpolated=pipeline.samples_interpolated,
         samples_excluded=pipeline.samples_excluded,
-        nodes_quarantined=tuple(
-            int(i) for i in pipeline._node_ids[quarantined]
-        ),
+        nodes_quarantined=tuple(pipeline._node_ids[quarantined].tolist()),
         batches_retried=batches_retried,
         batches_abandoned=batches_abandoned,
         effective_coverage=coverage,
@@ -516,40 +506,6 @@ class RecoveryPipeline:
         self._node_ids = np.asarray(batch.node_ids, dtype=np.int64).copy()
         self._usable_per_node = np.zeros(n, dtype=np.int64)
 
-    def _repair_cell(self, j: int, nodes: _NodeState) -> bool:
-        """Dispose of one unusable cell.
-
-        Returns whether the node's last trusted reading stands in for
-        the cell in the statistics (``hold``); the caller folds it into
-        the tick's single vectorised moment push.
-        """
-        have_ref = bool(np.isfinite(nodes.last_good[j]))
-        if nodes.quarantined[j] or not have_ref or (
-            self.gap_policy == "exclude"
-        ):
-            self.samples_excluded += 1
-            return False
-        if self.gap_policy == "interpolate":
-            # Defer: filled linearly when the gap closes (or held at
-            # finalize for tail gaps).
-            nodes.gap_len[j] += 1
-            return False
-        # hold
-        self.samples_held += 1
-        return True
-
-    def _close_gap(self, j: int, nodes: _NodeState, new_value: float) -> None:
-        """Linear-fill a closed interpolation gap into the statistics."""
-        gap = int(nodes.gap_len[j])
-        if gap == 0:
-            return
-        lo = float(nodes.last_good[j])
-        for k in range(1, gap + 1):
-            filled = lo + (new_value - lo) * k / (gap + 1)
-            self._moments.push_value(j, filled)
-        self.samples_interpolated += gap
-        nodes.gap_len[j] = 0
-
     def observe(self, batch: SampleBatch) -> None:
         """Fold one (possibly faulty) batch into the pipeline."""
         if self._nodes is None:
@@ -640,12 +596,12 @@ class RecoveryPipeline:
         nodes = self._nodes
         finite = np.isfinite(row)
         missing = ~finite
-        self.samples_missing += int(missing.sum())
+        self.samples_missing += int(np.count_nonzero(missing))
         # Stuck: exact repeat of the previous finite reading.
         eq = finite & np.isfinite(nodes.last_raw) & (row == nodes.last_raw)
         nodes.repeat_run = np.where(eq, nodes.repeat_run + 1, 0)
         stuck = eq & (nodes.repeat_run >= self.stuck_min_repeats)
-        self.samples_stuck += int(stuck.sum())
+        self.samples_stuck += int(np.count_nonzero(stuck))
         # Spike: a jump past SPIKE_RATIO x the last trusted reading.
         ref = nodes.last_good
         with np.errstate(invalid="ignore"):
@@ -655,26 +611,38 @@ class RecoveryPipeline:
                 & np.isfinite(ref)
                 & (row > SPIKE_RATIO * ref)
             )
-        self.samples_spiked += int(spiked.sum())
+        self.samples_spiked += int(np.count_nonzero(spiked))
         usable = finite & ~stuck & ~spiked
         # Quarantine on sustained outage (sticky).
         nodes.missing_run = np.where(missing, nodes.missing_run + 1, 0)
         nodes.quarantined |= nodes.missing_run >= self.quarantine_after
-        # Account + repair.  Columns are independent in the Welford
-        # update, so the tick's scalar pushes fold into one masked
-        # row push — bit-identical to pushing column by column, but
-        # O(n) per tick instead of O(n^2).
+        # Account + repair, as mask arithmetic over the tick's cells.
+        # An unusable cell is excised when its node is quarantined or
+        # has no trusted reading yet (always, under ``exclude``); the
+        # rest are held in this tick's row push or deferred to an
+        # interpolation gap.  Columns are independent in the Welford
+        # update, so one masked row push equals pushing cell by cell.
         active = usable & ~nodes.quarantined
-        if self.gap_policy == "interpolate":
-            for j in np.flatnonzero(active & (nodes.gap_len > 0)):
-                self._close_gap(int(j), nodes, float(row[j]))
+        unusable = ~usable
+        if self.gap_policy == "exclude":
+            excluded = unusable
+        else:
+            excluded = unusable & (
+                nodes.quarantined | ~np.isfinite(nodes.last_good)
+            )
+        repaired = unusable & ~excluded
+        self.samples_excluded += int(np.count_nonzero(excluded))
         push_vals = np.where(active, row, 0.0)
-        push_mask = active.copy()
-        for j in np.flatnonzero(~usable):
-            j = int(j)
-            if self._repair_cell(j, nodes):
-                push_vals[j] = nodes.last_good[j]
-                push_mask[j] = True
+        push_mask = active
+        if self.gap_policy == "interpolate":
+            self.samples_interpolated += self._fill_gaps(
+                np.where(active, nodes.gap_len, 0), row
+            )
+            nodes.gap_len += repaired
+        elif self.gap_policy == "hold":
+            self.samples_held += int(np.count_nonzero(repaired))
+            push_vals = np.where(repaired, nodes.last_good, push_vals)
+            push_mask = active | repaired
         self._moments.push_row(push_vals, push_mask)
         self._usable_per_node += active
         nodes.last_good = np.where(usable, row, nodes.last_good)
@@ -682,19 +650,30 @@ class RecoveryPipeline:
         self.ticks_seen += 1
 
     # ------------------------------------------------------------------
+    def _fill_gaps(self, gaps: np.ndarray, end: np.ndarray | None) -> int:
+        """Fold ``gaps[j]`` deferred cells into each column ``j`` and
+        close those gaps; returns how many cells were filled.
+
+        Fill step ``k`` of a gap of length ``g`` is
+        ``lo + (end − lo)·k/(g + 1)``, ``lo`` being the node's last
+        trusted reading (a linear fill towards the reading that closed
+        the gap), or ``lo`` itself when ``end`` is None (a hold).  Step
+        ``k`` of every column with ``g ≥ k`` goes into one masked row
+        push; columns are independent in the update, so each sees the
+        same updates, in the same order, as a cell-by-cell fill.
+        """
+        lo = self._nodes.last_good
+        for k in range(1, int(gaps.max()) + 1):
+            values = lo if end is None else lo + (end - lo) * k / (gaps + 1)
+            self._moments.push_row(values, gaps >= k)
+        filled = int(gaps.sum())
+        self._nodes.gap_len -= gaps
+        return filled
+
     def _flush_tail_gaps(self) -> None:
         """Hold-fill interpolation gaps still open at end of stream."""
-        if self.gap_policy != "interpolate":
-            return
-        nodes = self._nodes
-        for j in range(nodes.gap_len.size):
-            gap = int(nodes.gap_len[j])
-            if gap == 0:
-                continue
-            for _ in range(gap):
-                self._moments.push_value(j, float(nodes.last_good[j]))
-            self.samples_held += gap
-            nodes.gap_len[j] = 0
+        if self.gap_policy == "interpolate":
+            self.samples_held += self._fill_gaps(self._nodes.gap_len, None)
 
     def finalize(
         self,

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.recovery import (
     GAP_POLICIES,
+    SPIKE_RATIO,
     FlakySource,
     MaskedRunningMoments,
     RecoveryPipeline,
@@ -151,21 +154,21 @@ class TestMaskedRunningMoments:
             mom.std, np.nanstd(masked, axis=0, ddof=1), rtol=1e-9
         )
 
-    def test_push_value_equals_single_column_row(self):
-        a = MaskedRunningMoments(3)
-        b = MaskedRunningMoments(3)
-        for k, v in enumerate([10.0, 12.0, 9.5]):
-            a.push_value(1, v)
-            row = np.zeros(3)
-            row[1] = v
-            valid = np.array([False, True, False])
-            b.push_row(row, valid)
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.count, b.count)
+    def test_one_hot_row_equals_a_single_column(self):
+        wide = MaskedRunningMoments(3)
+        single = MaskedRunningMoments(1)
+        one_hot = np.array([False, True, False])
+        for v in [10.0, 12.0, 9.5]:
+            wide.push_row(np.full(3, v), one_hot)
+            single.push_row(np.array([v]), np.array([True]))
+        np.testing.assert_array_equal(wide.count, [0, 3, 0])
+        np.testing.assert_array_equal(wide.mean[1:2], single.mean)
+        np.testing.assert_array_equal(wide.variance[1:2], single.variance)
+        assert np.isnan(wide.mean[[0, 2]]).all()
 
     def test_empty_components_are_nan(self):
         mom = MaskedRunningMoments(2)
-        mom.push_value(0, 5.0)
+        mom.push_row(np.array([5.0, 0.0]), np.array([True, False]))
         assert np.isnan(mom.mean[1])
         assert np.isnan(mom.variance[0])  # needs 2 samples
 
@@ -431,3 +434,171 @@ class TestCleanBatchPath:
         assert not pipe._is_clean(rows[8:])
         held = _feed(RecoveryPipeline(gap_policy="hold"), rows[:8], 8)
         assert held._is_clean(rows[8:])
+
+
+class _CellByCellOracle(RecoveryPipeline):
+    """The general path as it was written cell by cell: one Python call
+    per unusable cell and one one-hot row push per interpolation fill.
+
+    Kept as the scalar reference the vectorised repair must match bit
+    for bit; the clean-batch path is inherited unchanged.
+    """
+
+    def _push_value(self, component: int, value: float) -> None:
+        row = np.zeros(self._node_ids.size)
+        valid = np.zeros(self._node_ids.size, dtype=bool)
+        row[component] = value
+        valid[component] = True
+        self._moments.push_row(row, valid)
+
+    def _repair_cell(self, j, nodes) -> bool:
+        have_ref = bool(np.isfinite(nodes.last_good[j]))
+        if nodes.quarantined[j] or not have_ref or (
+            self.gap_policy == "exclude"
+        ):
+            self.samples_excluded += 1
+            return False
+        if self.gap_policy == "interpolate":
+            nodes.gap_len[j] += 1
+            return False
+        self.samples_held += 1
+        return True
+
+    def _close_gap(self, j, nodes, new_value) -> None:
+        gap = int(nodes.gap_len[j])
+        if gap == 0:
+            return
+        lo = float(nodes.last_good[j])
+        for k in range(1, gap + 1):
+            filled = lo + (new_value - lo) * k / (gap + 1)
+            self._push_value(j, filled)
+        self.samples_interpolated += gap
+        nodes.gap_len[j] = 0
+
+    def _observe_row(self, row) -> None:
+        nodes = self._nodes
+        finite = np.isfinite(row)
+        missing = ~finite
+        self.samples_missing += int(missing.sum())
+        eq = finite & np.isfinite(nodes.last_raw) & (row == nodes.last_raw)
+        nodes.repeat_run = np.where(eq, nodes.repeat_run + 1, 0)
+        stuck = eq & (nodes.repeat_run >= self.stuck_min_repeats)
+        self.samples_stuck += int(stuck.sum())
+        ref = nodes.last_good
+        with np.errstate(invalid="ignore"):
+            spiked = (
+                finite
+                & ~stuck
+                & np.isfinite(ref)
+                & (row > SPIKE_RATIO * ref)
+            )
+        self.samples_spiked += int(spiked.sum())
+        usable = finite & ~stuck & ~spiked
+        nodes.missing_run = np.where(missing, nodes.missing_run + 1, 0)
+        nodes.quarantined |= nodes.missing_run >= self.quarantine_after
+        active = usable & ~nodes.quarantined
+        if self.gap_policy == "interpolate":
+            for j in np.flatnonzero(active & (nodes.gap_len > 0)):
+                self._close_gap(int(j), nodes, float(row[j]))
+        push_vals = np.where(active, row, 0.0)
+        push_mask = active.copy()
+        for j in np.flatnonzero(~usable):
+            j = int(j)
+            if self._repair_cell(j, nodes):
+                push_vals[j] = nodes.last_good[j]
+                push_mask[j] = True
+        self._moments.push_row(push_vals, push_mask)
+        self._usable_per_node += active
+        nodes.last_good = np.where(usable, row, nodes.last_good)
+        nodes.last_raw = np.where(finite, row, nodes.last_raw)
+        self.ticks_seen += 1
+
+    def _flush_tail_gaps(self) -> None:
+        if self.gap_policy != "interpolate":
+            return
+        nodes = self._nodes
+        for j in range(nodes.gap_len.size):
+            gap = int(nodes.gap_len[j])
+            if gap == 0:
+                continue
+            for _ in range(gap):
+                self._push_value(j, float(nodes.last_good[j]))
+            self.samples_held += gap
+            nodes.gap_len[j] = 0
+
+
+_FAULT_KINDS = ("nan", "repeat", "spike", "outage", "stuck-then-outage")
+
+
+@st.composite
+def _degraded_streams(draw):
+    """A small faulty matrix, a pipeline configuration and a batching.
+
+    Faults overlap freely: NaN runs too short to quarantine, exact
+    repeats, 5x spikes and outages long enough to quarantine, some of
+    them opened by a stuck run so the quarantine lands inside an
+    interpolation gap.
+    """
+    n_ticks = draw(st.integers(min_value=1, max_value=60))
+    n_nodes = draw(st.integers(min_value=1, max_value=12))
+    kwargs = dict(
+        gap_policy=draw(st.sampled_from(GAP_POLICIES)),
+        stuck_min_repeats=draw(st.integers(min_value=1, max_value=3)),
+        quarantine_after=draw(st.integers(min_value=2, max_value=10)),
+    )
+    noise = stream(draw(st.integers(0, 2**31 - 1)), "oracle-matrix")
+    t = np.arange(n_ticks)[:, None]
+    rows = (
+        100.0 + 3.0 * np.arange(n_nodes)[None, :] + 0.011 * t
+        + noise.normal(0.0, 0.5, size=(n_ticks, n_nodes))
+    )
+    quarantine_after = kwargs["quarantine_after"]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(_FAULT_KINDS))
+        j = draw(st.integers(min_value=0, max_value=n_nodes - 1))
+        lo = draw(st.integers(min_value=0, max_value=n_ticks - 1))
+        run = draw(st.integers(min_value=1, max_value=12))
+        outage = quarantine_after + draw(st.integers(0, 15))
+        if kind == "nan":  # short enough to close as a gap
+            rows[lo: lo + min(run, quarantine_after - 1), j] = np.nan
+        elif kind == "repeat":
+            rows[lo: lo + run, j] = rows[max(lo - 1, 0), j]
+        elif kind == "spike":
+            rows[lo, j] *= 5.0
+        elif kind == "outage":
+            rows[lo: lo + outage, j] = np.nan
+        else:
+            rows[lo: lo + run, j] = rows[max(lo - 1, 0), j]
+            rows[lo + run: lo + run + outage, j] = np.nan
+    cuts = sorted(draw(st.sets(st.integers(1, max(n_ticks - 1, 1)))))
+    return rows, kwargs, [c for c in cuts if c < n_ticks]
+
+
+def _feed_at(pipe, rows, cuts):
+    times = np.arange(rows.shape[0]) * 2.0
+    ids = np.arange(rows.shape[1], dtype=np.int64)
+    edges = [0, *cuts, rows.shape[0]]
+    for lo, hi in zip(edges, edges[1:]):
+        pipe.observe(
+            SampleBatch(times=times[lo:hi], watts=rows[lo:hi], node_ids=ids)
+        )
+    return pipe
+
+
+class TestRepairMatchesTheCellByCellOracle:
+    """The vectorised repair is bit-identical to the per-cell loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_degraded_streams(), st.integers(min_value=0, max_value=5))
+    def test_state_and_label_are_bit_identical(self, case, extra_ticks):
+        rows, kwargs, cuts = case
+        fast = _feed_at(RecoveryPipeline(**kwargs), rows, cuts)
+        oracle = _feed_at(_CellByCellOracle(**kwargs), rows, cuts)
+        assert _pipeline_bits(fast) == _pipeline_bits(oracle)
+        expected_ticks = rows.shape[0] + extra_ticks
+        report = fast.finalize(expected_ticks=expected_ticks)
+        assert report == oracle.finalize(expected_ticks=expected_ticks)
+        assert _pipeline_bits(fast) == _pipeline_bits(oracle)
+        assert report.samples_repaired == (
+            report.samples_missing + report.samples_flagged
+        )
