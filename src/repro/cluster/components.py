@@ -28,6 +28,15 @@ __all__ = [
 ]
 
 
+def _checked_utilisation(name: str, utilisation):
+    """``utilisation`` as floats clipped to ``[0, 1]``; an error beyond
+    rounding slack (a 0-d input comes back as an ``np.float64``)."""
+    u = np.asarray(utilisation, dtype=float)
+    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
+        raise ValueError(f"{name}: utilisation outside [0, 1]")
+    return np.clip(u, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class ComponentPowerModel:
     """Base affine component model: ``P = idle + util^gamma · (peak − idle)``.
@@ -70,12 +79,18 @@ class ComponentPowerModel:
         Accepts scalars or arrays; out-of-range utilisation is an error
         rather than being clipped, to surface workload-model bugs.
         """
-        u = np.asarray(utilisation, dtype=float)
-        if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
-            raise ValueError(f"{self.name}: utilisation outside [0, 1]")
-        u = np.clip(u, 0.0, 1.0)
-        p = self.idle_watts + (u ** self.gamma) * (self.peak_watts - self.idle_watts)
+        u = _checked_utilisation(self.name, utilisation)
+        p = self.power_of_load(u ** self.gamma)
         return float(p) if np.ndim(utilisation) == 0 else p
+
+    def power_of_load(self, load):
+        """Power at ``load = u ** gamma`` (unchecked; broadcasts).
+
+        :meth:`power` is this after its range check.  A caller that
+        takes ``u ** gamma`` itself (the fleet grid evaluator in
+        :mod:`repro.cluster.system`) shares the formula through it.
+        """
+        return self.idle_watts + load * (self.peak_watts - self.idle_watts)
 
     def with_multiplier(self, factor: float) -> "ComponentPowerModel":
         """Scale both idle and peak power — per-unit manufacturing spread."""
@@ -128,15 +143,25 @@ class _ProcessorModel(ComponentPowerModel):
         All three arguments broadcast together, so a fleet's per-unit
         voltages can be evaluated in one call.
         """
+        u = _checked_utilisation(self.name, utilisation)
+        p = self.power_of_load_at(u ** self.gamma, freq_mhz, volts)
+        scalar = (
+            np.ndim(utilisation) == 0
+            and np.ndim(freq_mhz) == 0
+            and np.ndim(volts) == 0
+        )
+        return float(p) if scalar else p
+
+    def power_of_load_at(self, load, freq_mhz, volts):
+        """:meth:`power_at` with ``load = u ** gamma`` given (broadcasts).
+
+        The operating point is still checked; the utilisation is the
+        caller's to check.
+        """
         f = np.asarray(freq_mhz, dtype=float)
         v = np.asarray(volts, dtype=float)
         if np.any(f <= 0) or np.any(v <= 0):
             raise ValueError(f"{self.name}: operating point must be positive")
-        u = np.asarray(utilisation, dtype=float)
-        if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
-            raise ValueError(f"{self.name}: utilisation outside [0, 1]")
-        u = np.clip(u, 0.0, 1.0)
-
         static0 = min(self.static_fraction * self.peak_watts, self.idle_watts)
         dyn_peak0 = self.peak_watts - static0
         dyn_idle0 = self.idle_watts - static0
@@ -146,14 +171,8 @@ class _ProcessorModel(ComponentPowerModel):
         dyn_scale = f_ratio * v_ratio**2
         static_scale = v_ratio**self.leakage_exponent
 
-        dyn = dyn_idle0 + (u ** self.gamma) * (dyn_peak0 - dyn_idle0)
-        p = static0 * static_scale + dyn * dyn_scale
-        scalar = (
-            np.ndim(utilisation) == 0
-            and np.ndim(freq_mhz) == 0
-            and np.ndim(volts) == 0
-        )
-        return float(p) if scalar else p
+        dyn = dyn_idle0 + load * (dyn_peak0 - dyn_idle0)
+        return static0 * static_scale + dyn * dyn_scale
 
 
 @dataclass(frozen=True)

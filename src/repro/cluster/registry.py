@@ -38,6 +38,7 @@ from repro.cluster.node import NodeConfig
 from repro.cluster.system import SystemModel
 from repro.cluster.thermal import FanController, ThermalEnvironment
 from repro.cluster.variability import ManufacturingVariation, VidBinning
+from repro.traces.synth import _power_curve
 from repro.units import hours_to_seconds, kilowatts_to_watts
 from repro.workloads.hpl import HplWorkload
 
@@ -368,19 +369,6 @@ def _trace_base(name: str) -> SystemModel:
     )
 
 
-def _fleet_power_curve(system: SystemModel) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate total fleet power vs. utilisation (129-point grid).
-
-    Computing this once per fit — instead of once per objective
-    evaluation — is what keeps the Sequoia-scale calibration fast.
-    """
-    u_curve = np.linspace(0.0, 1.0, 129)
-    p_curve = np.array(
-        [system.node_total_powers(float(ui)).sum() for ui in u_curve]
-    )
-    return u_curve, p_curve
-
-
 def _segment_power_ratios(
     curve: tuple[np.ndarray, np.ndarray], workload: HplWorkload,
     n_grid: int = 4001,
@@ -411,7 +399,7 @@ def _fit_trace_shape(
     rho_lo, rho_hi = (1e-5, 0.05) if cpu_class else (0.01, 3.0)
     boost = 0.0
     rho = np.sqrt(rho_lo * rho_hi)
-    curve = _fleet_power_curve(system)
+    curve = _power_curve(system, None)  # once per fit, not per objective call
 
     def make(rho_: float, boost_: float) -> HplWorkload:
         return HplWorkload(
@@ -474,7 +462,7 @@ def get_trace_setup(name: str) -> tuple[SystemModel, HplWorkload]:
     for round_ in range(2):
         for _ in range(3):
             core_w, _, _ = _segment_power_ratios(
-                _fleet_power_curve(system), workload
+                _power_curve(system, None), workload
             )
             system = system.with_power_scale(
                 system.power_scale * target_w / core_w

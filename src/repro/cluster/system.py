@@ -166,9 +166,69 @@ class SystemModel:
         GPUs (frequency and rail voltage tracking linearly), the knob a
         :class:`~repro.cluster.dvfs.DvfsGovernor` drives over a run.
         """
+        u = np.asarray(utilisation, dtype=float)
+        if u.ndim > 1:
+            raise ValueError("utilisation must be a scalar or 1-D array")
+        # ``u[()]`` is an np.float64 for a scalar (numpy's scalar pow,
+        # which node_total_power_grid matches point by point) and ``u``
+        # itself for a per-node array.
+        return self._it_powers(
+            u,
+            lambda gamma: u[()] ** gamma,
+            gpu_point=gpu_point,
+            cpu_freq_multiplier=cpu_freq_multiplier,
+            freq_multiplier=freq_multiplier,
+            indices=indices,
+        )
+
+    def node_total_powers(
+        self, utilisation: float, *, indices: np.ndarray | None = None, **kwargs
+    ) -> np.ndarray:
+        """IT + fan power of every node (or a subset), shape ``(N,)``."""
+        it = self.node_it_powers(utilisation, indices=indices, **kwargs)
+        return self._plus_fans(it, indices)
+
+    def node_total_power_grid(
+        self, utilisation, *, indices: np.ndarray | None = None, **kwargs
+    ) -> np.ndarray:
+        """:meth:`node_total_powers` at each point of a 1-D utilisation
+        grid, shape ``(k, N)``.
+
+        Row ``g`` equals ``node_total_powers(utilisation[g])`` bit for
+        bit.  The grid goes through the same component and fan
+        arithmetic as a ``(k, 1)`` column in one broadcast pass, so each
+        range check runs once for all ``k`` points.  The one exception
+        is ``u ** gamma``, taken per point on ``np.float64`` scalars as
+        the one-point path takes it: numpy's array pow can differ from
+        its scalar pow in the last ulp (``0.1640625 ** 1.1`` is …346 as
+        a scalar and …343 in an array).
+        """
+        u = np.asarray(utilisation, dtype=float)
+        if u.ndim != 1:
+            raise ValueError("utilisation grid must be 1-D")
+        it = self._it_powers(
+            u[:, None],
+            lambda gamma: np.array([ui ** gamma for ui in u])[:, None],
+            indices=indices,
+            **kwargs,
+        )
+        return self._plus_fans(it, indices)
+
+    def _it_powers(
+        self,
+        u: np.ndarray,
+        load,
+        *,
+        gpu_point: OperatingPoint | None = None,
+        cpu_freq_multiplier: float = 1.0,
+        freq_multiplier: float = 1.0,
+        indices: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """IT power at utilisation ``u``: a scalar, a per-node ``(N,)``
+        array or a ``(k, 1)`` grid column (giving ``(k, N)``).
+        ``load(gamma)`` is ``u ** gamma`` in the shape of ``u``."""
         if freq_multiplier <= 0:
             raise ValueError("freq_multiplier must be positive")
-        u = np.asarray(utilisation, dtype=float)
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise ValueError("utilisation must be in [0, 1]")
         cfg = self.config
@@ -187,12 +247,10 @@ class SystemModel:
                 f"per-node utilisation has length {u.size}, fleet "
                 f"evaluation covers {proc_mult.size} nodes"
             )
-        if u.ndim > 1:
-            raise ValueError("utilisation must be a scalar or 1-D array")
 
         cpu_mult = cpu_freq_multiplier * freq_multiplier
-        cpu_each = cfg.cpu.power_at(
-            u,
+        cpu_each = cfg.cpu.power_of_load_at(
+            load(cfg.cpu.gamma),
             cfg.cpu.nominal_mhz * cpu_mult,
             cfg.cpu.nominal_volts * cpu_mult,
         )
@@ -200,33 +258,37 @@ class SystemModel:
 
         if cfg.n_gpus:
             gpu: GpuModel = cfg.gpu
-            u_gpu = u[:, None] if u.ndim == 1 else u
+            # A trailing GPU axis on an array load: (N, 1) per node,
+            # (k, 1, 1) on a grid; either broadcasts against the
+            # (N, n_gpus) multipliers.
+            gpu_load = load(gpu.gamma)
+            if np.ndim(gpu_load):
+                gpu_load = gpu_load[..., None]
             if gpu_point is None:
                 volts = (
                     np.asarray(self.vid_binning.voltage_for_vid(gpu_vids))
                     * freq_multiplier
                 )
-                per_gpu = gpu.power_at(
-                    u_gpu, gpu.nominal_mhz * freq_multiplier, volts
+                per_gpu = gpu.power_of_load_at(
+                    gpu_load, gpu.nominal_mhz * freq_multiplier, volts
                 )
             else:
-                per_gpu = gpu.power_at(
-                    u_gpu, gpu_point.freq_mhz, gpu_point.volts
+                per_gpu = gpu.power_of_load_at(
+                    gpu_load, gpu_point.freq_mhz, gpu_point.volts
                 )
-            # per_gpu is scalar (balanced) or (N, 1) (per-node); either
-            # broadcasts against the (N, n_gpus) multipliers.
-            total = total + (np.asarray(per_gpu) * gpu_mults).sum(axis=1)
+            total = total + (per_gpu * gpu_mults).sum(axis=-1)
 
         total = total + (
-            cfg.dram.power(u) + cfg.nic.power(u) + cfg.other_watts
+            cfg.dram.power_of_load(load(cfg.dram.gamma))
+            + cfg.nic.power_of_load(load(cfg.nic.gamma))
+            + cfg.other_watts
         )
         return total * self.power_scale
 
-    def node_total_powers(
-        self, utilisation: float, *, indices: np.ndarray | None = None, **kwargs
+    def _plus_fans(
+        self, it: np.ndarray, indices: np.ndarray | None
     ) -> np.ndarray:
-        """IT + fan power of every node (or a subset), shape ``(N,)``."""
-        it = self.node_it_powers(utilisation, indices=indices, **kwargs)
+        """IT power ``it`` (last axis: nodes) plus each node's fans."""
         inlet = self._fleet().inlet_c
         if indices is not None:
             inlet = inlet[np.asarray(indices, dtype=np.int64)]

@@ -1,12 +1,12 @@
 """Process-pool scheduler for the experiment sweep.
 
-Scheduling policy: longest-first.  With ``J`` workers and one dominant
-experiment (V1's timing-variance study is ~70% of the serial sweep),
-makespan is minimised by starting the long jobs first so short ones
-pack around them; ordering comes from the durations recorded in the
-cache on previous runs, falling back to :data:`FALLBACK_DURATIONS_S`
-(one measured paper-scale sweep) and treating unknown experiments as
-potentially long.
+Scheduling policy: longest-first.  With ``J`` workers and two dominant
+experiments (T2's trace calibration and V1's timing-variance study are
+~two thirds of the serial sweep), makespan is minimised by starting the
+long jobs first so short ones pack around them; ordering comes from the
+durations recorded in the cache on previous runs, falling back to
+:data:`FALLBACK_DURATIONS_S` (one measured paper-scale sweep) and
+treating unknown experiments as potentially long.
 
 Isolation: each experiment runs in its own pool task and a raising
 experiment is returned as a :class:`~repro.experiments.base.FailedResult`
@@ -42,25 +42,28 @@ __all__ = ["FALLBACK_DURATIONS_S", "RunRecord", "longest_first", "run_experiment
 #: (single core) — the scheduling prior before any recorded durations
 #: exist.  Only the ordering matters, not the absolute values.
 FALLBACK_DURATIONS_S: dict[str, float] = {
-    "V1": 22.2,
-    "T2": 4.3,
-    "X-STR": 1.8,
-    "F3": 0.6,
-    "R1": 0.5,
-    "F1": 0.4,
-    "X6": 0.3,
-    "G1": 0.2,
-    "X4": 0.09,
+    "T2": 3.9,
+    "V1": 2.9,
+    "X-STR": 0.70,
+    "X-WIRE": 0.54,
+    "F1": 0.54,
+    "R1": 0.42,
+    "X-FAULT": 0.34,
+    "F3": 0.27,
+    "X-PATH": 0.18,
+    "F2": 0.09,
     "X1": 0.07,
-    "F2": 0.06,
-    "Z1": 0.06,
-    "X2": 0.04,
-    "X5": 0.01,
-    "T4": 0.005,
-    "T5": 0.005,
-    "F4": 0.005,
-    "S1": 0.005,
-    "X3": 0.005,
+    "Z1": 0.07,
+    "X4": 0.05,
+    "G1": 0.03,
+    "X6": 0.01,
+    "X5": 0.005,
+    "X2": 0.004,
+    "T4": 0.003,
+    "X3": 0.003,
+    "T5": 0.002,
+    "F4": 0.001,
+    "S1": 0.001,
 }
 
 

@@ -10,6 +10,9 @@ workload depends on time only through the scalar utilisation ``u(t)``,
 so instead of an ``(n_nodes × n_times)`` evaluation we tabulate the
 fleet's (or subset's) total power on a small utilisation grid once and
 interpolate — O(n_nodes·G + n_times) instead of O(n_nodes·n_times).
+The grid is tabulated in blocks of grid points, each one broadcast
+pass of :meth:`~repro.cluster.system.SystemModel.node_total_power_grid`
+(see :func:`_grid_blocks`), bit-identical to evaluating point by point.
 """
 
 from __future__ import annotations
@@ -29,6 +32,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["SimulatedRun", "simulate_run"]
 
 _U_GRID = 129  # utilisation-grid resolution for the power interpolant
+_GRID_CELLS = 2**16  # grid cells (points × nodes) per broadcast pass
+
+
+def _grid_blocks(
+    system: SystemModel,
+    indices: np.ndarray | None,
+    freq_multiplier: float,
+):
+    """Yield ``(g0, block)`` over the utilisation grid, where
+    ``block[i]`` is every requested node's total power at grid point
+    ``g0 + i``.
+
+    Blocks split the grid axis, never the node axis, so each row keeps
+    its whole-subset pairwise sum; a fleet of ``_GRID_CELLS`` nodes or
+    more gets one row per block.
+    """
+    u = np.linspace(0.0, 1.0, _U_GRID)
+    n = system.n_nodes if indices is None else len(indices)
+    k = max(1, _GRID_CELLS // n)
+    for g0 in range(0, _U_GRID, k):
+        yield g0, system.node_total_power_grid(
+            u[g0:g0 + k], indices=indices, freq_multiplier=freq_multiplier
+        )
 
 
 def _power_curve(
@@ -37,14 +63,15 @@ def _power_curve(
     *,
     freq_multiplier: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate total power of a node subset vs. utilisation."""
-    u = np.linspace(0.0, 1.0, _U_GRID)
+    """Tabulate total power of a node subset vs. utilisation.
+
+    Each block's rows are summed as they arrive, so no grid-by-nodes
+    array is ever held.
+    """
     totals = np.empty(_U_GRID)
-    for i, ui in enumerate(u):
-        totals[i] = system.node_total_powers(
-            float(ui), indices=indices, freq_multiplier=freq_multiplier
-        ).sum()
-    return u, totals
+    for g0, block in _grid_blocks(system, indices, freq_multiplier):
+        totals[g0:g0 + len(block)] = block.sum(axis=1)
+    return np.linspace(0.0, 1.0, _U_GRID), totals
 
 
 def _powers_with_governor(
@@ -225,8 +252,8 @@ class SimulatedRun:
         Every grid cell depends only on its own node, so a node subset's
         grid is the column slice of the whole fleet's, bit for bit.  A
         whole-fleet grid is therefore kept once tabulated, and later
-        subsets slice it instead of re-evaluating 129 fleet power calls
-        each: a sharded pass streams the whole fleet first for its
+        subsets slice it instead of tabulating their own grid blocks
+        again: a sharded pass streams the whole fleet first for its
         reference series, then its shards slice that grid, and
         :func:`~repro.shard.engine.run_sharded` drops it when the pass
         ends.  A subset requested while no whole-fleet grid is kept is
@@ -251,10 +278,8 @@ class SimulatedRun:
                 grids.append(fleet_grid[:, idx])
                 continue
             per_node = np.empty((_U_GRID, idx.size))
-            for gi, ui in enumerate(u_grid):
-                per_node[gi] = self.system.node_total_powers(
-                    float(ui), indices=idx, freq_multiplier=float(mult)
-                )
+            for g0, block in _grid_blocks(self.system, idx, float(mult)):
+                per_node[g0:g0 + len(block)] = block
             if whole_fleet:
                 per_node.flags.writeable = False
                 self._fleet_grids[float(mult)] = per_node

@@ -1,12 +1,29 @@
 """Tests for repro.cluster.system."""
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import registry
+from repro.cluster.components import (
+    CpuModel,
+    DramModel,
+    FanModel,
+    GpuModel,
+    NicModel,
+)
 from repro.cluster.dvfs import OperatingPoint
+from repro.cluster.node import NodeConfig
 from repro.cluster.system import SystemModel
-from repro.cluster.thermal import FanPolicy
+from repro.cluster.thermal import FanController, FanPolicy
 from repro.cluster.variability import ManufacturingVariation
+from repro.traces import synth
+
+_E2E_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 
 class TestConstruction:
@@ -157,3 +174,163 @@ class TestVariants:
         a = np.log(small_system._fleet().proc_mean_mult)
         b = np.log(wider._fleet().proc_mean_mult)
         assert np.corrcoef(a, b)[0, 1] > 0.999
+
+
+def _grid_system(gpu: bool, pinned: bool, seed: int) -> SystemModel:
+    """A 48-node CPU-only or 4-GPU system, fans AUTO or PINNED."""
+    config = NodeConfig(
+        cpu=CpuModel(idle_watts=20.0, peak_watts=120.0),
+        n_cpus=2,
+        gpu=GpuModel(idle_watts=18.0, peak_watts=220.0) if gpu else None,
+        n_gpus=4 if gpu else 0,
+        dram=DramModel.for_capacity(128.0),
+        fan=FanModel(max_watts=150.0),
+        other_watts=30.0,
+    )
+    system = SystemModel(
+        "grid",
+        48,
+        config,
+        variation=ManufacturingVariation(sigma=0.03),
+        fan_controller=FanController(
+            fan_model=config.fan, reference_watts=1100.0 if gpu else 400.0
+        ),
+        seed=seed,
+    )
+    return system.with_fan_policy(FanPolicy.PINNED) if pinned else system
+
+
+def _assert_grid_matches_rows(system, indices, freq_multiplier) -> None:
+    """Every grid block row and every curve point equals the one-point
+    evaluation of its utilisation, bit for bit."""
+    u = np.linspace(0.0, 1.0, synth._U_GRID)
+    sums = []
+    covered = 0
+    for g0, block in synth._grid_blocks(system, indices, freq_multiplier):
+        assert g0 == covered
+        for i, got in enumerate(block):
+            row = system.node_total_powers(
+                u[g0 + i], indices=indices, freq_multiplier=freq_multiplier
+            )
+            np.testing.assert_array_equal(got, row)
+            sums.append(row.sum())
+        covered += len(block)
+    assert covered == synth._U_GRID
+    u_curve, curve = synth._power_curve(
+        system, indices, freq_multiplier=freq_multiplier
+    )
+    np.testing.assert_array_equal(u_curve, u)
+    np.testing.assert_array_equal(curve, np.array(sums))
+
+
+class TestPowerGrid:
+    """``node_total_power_grid`` tabulates the utilisation grid in
+    broadcast blocks whose every cell equals the one-point path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gpu=st.booleans(),
+        pinned=st.booleans(),
+        seed=st.integers(0, 2**16),
+        subset=st.one_of(
+            st.none(),
+            st.lists(st.integers(0, 47), min_size=1, max_size=48, unique=True),
+        ),
+        freq_multiplier=st.one_of(
+            st.sampled_from([0.85, 1.0, 1.1]), st.floats(0.5, 1.5)
+        ),
+        # 1 cell forces one grid point per block; 300 gives uneven
+        # multi-point blocks; 2**16 puts the whole grid in one block.
+        cells=st.sampled_from([1, 300, 2**16]),
+    )
+    def test_grid_equals_stacked_rows(
+        self, gpu, pinned, seed, subset, freq_multiplier, cells
+    ):
+        system = _grid_system(gpu, pinned, seed)
+        idx = None if subset is None else np.array(subset)
+        n = system.n_nodes if idx is None else idx.size
+        with mock.patch.object(synth, "_GRID_CELLS", cells):
+            sizes = [
+                len(b) for _, b in synth._grid_blocks(system, idx, 1.0)
+            ]
+            assert max(sizes) == min(max(1, cells // n), synth._U_GRID)
+            _assert_grid_matches_rows(system, idx, freq_multiplier)
+
+    def test_gpu_point_and_cpu_multiplier_broadcast(self, gpu_system):
+        u = np.linspace(0.0, 1.0, synth._U_GRID)
+        kwargs = dict(
+            gpu_point=OperatingPoint(700.0, 0.95), cpu_freq_multiplier=0.9
+        )
+        rows = np.stack(
+            [gpu_system.node_total_powers(ui, **kwargs) for ui in u]
+        )
+        grid = gpu_system.node_total_power_grid(u, **kwargs)
+        np.testing.assert_array_equal(grid, rows)
+
+    def test_scalar_pow_at_the_pinned_ulp_point(self):
+        # numpy's array pow and scalar pow of 0.1640625 ** 1.1 differ
+        # in the last ulp (…343 against …346 on AVX-512 builds); the
+        # grid must take the scalar one, as node_total_powers does.
+        # A node that is one 128 W, idle-free CPU and nothing else
+        # draws exactly 128 · u ** 1.1, so no later rounding hides it.
+        config = NodeConfig(
+            cpu=CpuModel(idle_watts=0.0, peak_watts=128.0, gamma=1.1),
+            n_cpus=1,
+            dram=DramModel(idle_watts=0.0, peak_watts=0.0),
+            nic=NicModel(idle_watts=0.0, peak_watts=0.0),
+            fan=FanModel(max_watts=0.0),
+            other_watts=0.0,
+        )
+        system = SystemModel(
+            "pow", 4, config, variation=ManufacturingVariation(sigma=0.0)
+        )
+        u = 21 / 128
+        expected = np.full(4, 128.0 * np.float64(u) ** 1.1)
+        np.testing.assert_array_equal(system.node_total_powers(u), expected)
+        grid = system.node_total_power_grid(np.linspace(0.0, 1.0, 129))
+        np.testing.assert_array_equal(grid[21], expected)
+
+    @pytest.mark.parametrize("name", registry.PAPER_SYSTEMS)
+    def test_registry_systems(self, name):
+        if name in registry.TRACE_SYSTEMS:
+            system = registry.get_trace_setup(name)[0]
+        else:
+            system = registry.get_system(name)
+        for freq_multiplier in (0.85, 1.0, 1.1):
+            _assert_grid_matches_rows(system, None, freq_multiplier)
+
+    def test_e2e_fleet(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(_E2E_DIR))
+        from workloads import fleet_run
+
+        system = fleet_run(2048, 20.0, 1).system
+        for freq_multiplier in (0.85, 1.0, 1.1):
+            _assert_grid_matches_rows(system, None, freq_multiplier)
+
+    def test_rejects_out_of_range_utilisation(self, small_system):
+        with pytest.raises(ValueError, match="utilisation"):
+            small_system.node_total_power_grid([0.5, 1.2])
+        with pytest.raises(ValueError, match="utilisation"):
+            small_system.node_total_power_grid([-0.1, 0.5])
+
+    @pytest.mark.parametrize("freq_multiplier", [0.0, -1.0])
+    def test_rejects_nonpositive_freq_multiplier(
+        self, small_system, freq_multiplier
+    ):
+        with pytest.raises(ValueError, match="freq_multiplier"):
+            small_system.node_total_power_grid(
+                [0.5], freq_multiplier=freq_multiplier
+            )
+
+    def test_rejects_negative_it_power(self, small_system):
+        # The constructor refuses a non-positive scale; set it after to
+        # reach the fan controller's own check.
+        small_system.power_scale = -1.0
+        with pytest.raises(ValueError, match="IT power"):
+            small_system.node_total_powers(0.5)
+        with pytest.raises(ValueError, match="IT power"):
+            small_system.node_total_power_grid([0.25, 0.5])
+
+    def test_rejects_non_1d_grid(self, small_system):
+        with pytest.raises(ValueError, match="1-D"):
+            small_system.node_total_power_grid(np.full((2, 2), 0.5))
