@@ -6,8 +6,11 @@ Runs the full experiment sweep serially at paper scale and writes every
 regression test (``tests/experiments/test_runner_golden.py``) holds
 serial, parallel and cached-replay runs to, bit for bit.
 
-Run it only when a deliberate change to an experiment or a shared
-statistical kernel shifts the measured values::
+Before writing, it prints every row whose ``measured`` value changed
+(experiment, label, old value, new value, relative change), so the
+regeneration can be reviewed row by row.  Run it only when a deliberate
+change to an experiment or a shared statistical kernel shifts the
+measured values::
 
     PYTHONPATH=src python scripts/make_golden.py
 """
@@ -40,16 +43,46 @@ def snapshot(results) -> dict:
     }
 
 
+def moved_rows(old: dict, new: dict) -> list[str]:
+    """One line per row whose ``measured`` value differs from ``old``:
+    experiment, label, old value, new value and relative change."""
+    lines = []
+    for exp_id, rows in sorted(new.items()):
+        before = {r["label"]: r["measured"] for r in old.get(exp_id, [])}
+        for row in rows:
+            was, now = before.get(row["label"]), row["measured"]
+            if was == now:
+                continue
+            rel = (
+                "new row" if was is None
+                else f"{(now - was) / abs(was):+.3e}" if was else "inf"
+            )
+            lines.append(
+                f"{exp_id}\t{row['label']}\t{was!r}\t{now!r}\t{rel}"
+            )
+    return lines
+
+
 def main() -> int:
     results = run_all(verbose=False)
     failed = [i for i, r in results.items() if not r.all_ok()]
     if failed:
         raise SystemExit(f"refusing to snapshot failing experiments: {failed}")
+    new = snapshot(results)
+    old = (
+        json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        if GOLDEN_PATH.exists() else {}
+    )
+    moved = moved_rows(old, new)
+    print(f"{len(moved)} row(s) moved (experiment, label, old, new, "
+          "relative change):")
+    for line in moved:
+        print(line)
     GOLDEN_PATH.write_text(
-        json.dumps(snapshot(results), indent=1, sort_keys=True) + "\n",
+        json.dumps(new, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    n = sum(len(v) for v in snapshot(results).values())
+    n = sum(len(v) for v in new.values())
     print(f"wrote {GOLDEN_PATH} ({len(results)} experiments, "
           f"{n} comparisons)")
     return 0

@@ -7,11 +7,12 @@ rule that reproduces the Table 5 sample sizes without ever seeing the
 full fleet up front.  This experiment audits each claim:
 
 * **moments** — streaming mean/σ over a full L-CSC HPL replay must
-  match the batch computation to float round-off (the Welford/Chan
-  recurrences are exact, not approximate).
+  match the batch computation to float round-off (the shifted running
+  sums are exact, not approximate).
 * **merge** — splitting the fleet in two, streaming each half
   separately and merging the estimator state must equal the single
-  stream (Chan's merge is algebraically exact).
+  stream (re-shifting one half's sums onto the other's is
+  algebraically exact).
 * **quantiles** — the session's log-bucket sketch sits within its
   stated relative error α of the exact sample quantiles on the
   non-stationary HPL ramp, and its two-way merge equals a single pass

@@ -66,7 +66,6 @@ from repro.faults.pathology import (
 from repro.faults.quality import QualityReport
 from repro.faults.recovery import (
     FlakySource,
-    MaskedRunningMoments,
     RecoveryPipeline,
     RetryingSource,
     RetryPolicy,
@@ -80,6 +79,7 @@ from repro.faults.wire import (
     WireFaultPlan,
     WireLedger,
 )
+from repro.stream.estimators import MaskedRunningMoments
 
 __all__ = [
     "AliasingDetector",

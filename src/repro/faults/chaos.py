@@ -134,8 +134,8 @@ class AuditOutcome:
     reconciliation: dict = field(default_factory=dict)
 
     #: Slack for comparing errors against a stated bound of 0.0: a
-    #: fault-free run's Welford-accumulated statistics differ from the
-    #: direct numpy truth in the last bit or two.
+    #: fault-free run's running-sum statistics differ from the direct
+    #: numpy truth in the last bit or two.
     _BOUND_EPS = 1e-12
 
     @property

@@ -590,7 +590,7 @@ class PathologyOutcome(AuditOutcome):
     #: Audit slack.  Wider than the chaos harness's 1e-12: the exact
     #: correlated bias term makes the widened mean bound *tight* (the
     #: error equals the bound up to float summation order), so the
-    #: slack must absorb Welford-vs-matrix-mean rounding differences.
+    #: slack must absorb running-sum-vs-matrix-mean rounding differences.
     _BOUND_EPS = 1e-9
 
     @property

@@ -18,9 +18,9 @@ collector needs, in four deterministic pieces:
   quarantine after sustained outages, a circuit breaker that downgrades
   the run's compliance level instead of failing, and one-pass masked
   statistics feeding a :class:`~repro.faults.quality.QualityReport`.
-* :class:`MaskedRunningMoments` — the per-node Welford accumulator that
-  tolerates holes: each node keeps its own count, so a missing cell
-  simply doesn't advance that node's moments.
+* :class:`~repro.stream.estimators.MaskedRunningMoments` — the
+  per-node accumulator that tolerates holes: each node keeps its own
+  count, so a missing cell simply doesn't advance that node's moments.
 
 Recovery runs only where input can be faulty: the chaos, wire-chaos and
 pathology harnesses and the wire path.  The shard kernel folds the
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.faults.quality import QualityReport
 from repro.rng import stream
-from repro.stream.estimators import RunningMoments, axis0_sum
+from repro.stream.estimators import MaskedRunningMoments, RunningMoments
 from repro.stream.ingest import SampleBatch, SimClock
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "RetryPolicy",
     "FlakySource",
     "RetryingSource",
-    "MaskedRunningMoments",
     "GAP_POLICIES",
     "RecoveryPipeline",
     "build_quality_report",
@@ -225,61 +224,6 @@ class RetryingSource:
         if batch is not None:
             self.samples_abandoned += batch.n_samples
             self.abandoned.append(batch)
-
-
-class MaskedRunningMoments:
-    """Per-component Welford moments that tolerate missing samples.
-
-    Like :class:`repro.stream.estimators.RunningMoments`, but each of
-    the ``n_components`` columns keeps its *own* count: pushing a row
-    with a validity mask advances only the valid columns.  Update order
-    is strictly row-by-row, so the accumulated moments are bit-identical
-    for any batching of the same row sequence.
-    """
-
-    __slots__ = ("_count", "_mean", "_m2")
-
-    def __init__(self, n_components: int) -> None:
-        if n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        self._count = np.zeros(n_components, dtype=np.int64)
-        self._mean = np.zeros(n_components)
-        self._m2 = np.zeros(n_components)
-
-    @property
-    def count(self) -> np.ndarray:
-        """Valid samples per component."""
-        return self._count.copy()
-
-    def push_row(self, values: np.ndarray, valid: np.ndarray) -> None:
-        """Fold one row in; only ``valid`` columns advance."""
-        values = np.asarray(values, dtype=float)
-        valid = np.asarray(valid, dtype=bool)
-        if values.shape != self._mean.shape or valid.shape != values.shape:
-            raise ValueError("row shape must match n_components")
-        cnt = self._count + valid
-        delta = np.where(valid, values - self._mean, 0.0)
-        self._mean = self._mean + delta / np.maximum(cnt, 1)
-        delta2 = np.where(valid, values - self._mean, 0.0)
-        self._m2 = self._m2 + delta * delta2
-        self._count = cnt
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Per-component mean (NaN where no samples)."""
-        return np.where(self._count > 0, self._mean, np.nan)
-
-    @property
-    def variance(self) -> np.ndarray:
-        """Per-component sample variance, ddof=1 (NaN below 2)."""
-        return np.where(
-            self._count > 1, self._m2 / np.maximum(self._count - 1, 1), np.nan
-        )
-
-    @property
-    def std(self) -> np.ndarray:
-        """Per-component sample standard deviation."""
-        return np.sqrt(self.variance)
 
 
 def breaker_level(
@@ -552,37 +496,12 @@ class RecoveryPipeline:
         """Fold a batch :meth:`_is_clean` accepted, all rows at once.
 
         Bit-identical to the per-tick loop: nothing is missing, stuck,
-        spiked, repaired or quarantined, so every column takes the
-        unmasked Welford update, which equals
-        :meth:`MaskedRunningMoments.push_row` with an all-true mask.
-        Only its mean recurrence is inherently sequential, so the loop
-        runs just that, row by row, keeping every row's deltas and
-        means; the ``m2`` increments ``delta · (x − mean)`` then come out
-        of one vectorised product and fold in row order
-        (:func:`~repro.stream.estimators.axis0_sum`).
+        spiked, repaired or quarantined, so every cell is valid, and one
+        all-valid :meth:`MaskedRunningMoments.push_batch` adds the rows
+        in the order the loop's row pushes would.
         """
         n_ticks = watts.shape[0]
-        moments = self._moments
-        counts = (
-            moments._count + np.arange(1, n_ticks + 1)[:, None]
-        ).astype(float)
-        means = np.empty((n_ticks + 1, watts.shape[1]))
-        means[0] = moments._mean
-        deltas = np.empty_like(watts)
-        step = np.empty(watts.shape[1])
-        sub, div, add = np.subtract, np.divide, np.add
-        mean = means[0]
-        for row, delta, count, nxt in zip(watts, deltas, counts, means[1:]):
-            sub(row, mean, delta)
-            div(delta, count, step)
-            add(mean, step, nxt)
-            mean = nxt
-        increments = deltas * (watts - means[1:])
-        moments._m2 = axis0_sum(
-            np.concatenate((moments._m2[None, :], increments))
-        )
-        moments._mean = means[-1].copy()
-        moments._count = moments._count + n_ticks
+        self._moments.push_batch(watts, np.ones(watts.shape, dtype=bool))
         nodes = self._nodes
         nodes.repeat_run[:] = 0
         nodes.missing_run[:] = 0
@@ -620,8 +539,8 @@ class RecoveryPipeline:
         # An unusable cell is excised when its node is quarantined or
         # has no trusted reading yet (always, under ``exclude``); the
         # rest are held in this tick's row push or deferred to an
-        # interpolation gap.  Columns are independent in the Welford
-        # update, so one masked row push equals pushing cell by cell.
+        # interpolation gap.  A column's sums never read another column,
+        # so one masked row push equals pushing cell by cell.
         active = usable & ~nodes.quarantined
         unusable = ~usable
         if self.gap_policy == "exclude":

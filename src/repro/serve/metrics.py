@@ -8,7 +8,7 @@ ingest volume.  Gauges that live elsewhere (session counts, queue
 depths) are passed in at render time by the app, which owns them.
 
 The latency estimator reuses :class:`~repro.stream.estimators.RunningMoments`
-— the same single-pass Welford core the telemetry path trusts — rather
+— the same shifted running sums the telemetry path trusts — rather
 than growing a parallel stats implementation.
 """
 

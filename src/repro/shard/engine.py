@@ -167,11 +167,15 @@ class ShardSessionResult:
     monitor_report: MonitorReport
     stopping: StoppingDecision
     quality: QualityReport
-    fleet_moments: RunningMoments
     node_moments: RunningMoments
     node_fleet_correlation: float
     quantiles_w: dict[float, float]
     samples_ingested: int
+
+    @property
+    def fleet_moments(self) -> RunningMoments:
+        """Pooled moments over every node's every sample."""
+        return self.node_moments.pooled()
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering of the final state."""
@@ -271,11 +275,8 @@ def sharded_session(
             cells_written_off=0,
             original_level=2,
         ),
-        fleet_moments=fleet.fleet_moments(),
         node_moments=fleet.node_moments,
-        node_fleet_correlation=float(
-            np.mean(np.asarray(fleet.fold.covar.correlation()))
-        ),
+        node_fleet_correlation=float(np.mean(fleet.fold.correlation())),
         quantiles_w=fleet.fold.quantiles_w(),
         samples_ingested=fleet.samples_ingested,
     )

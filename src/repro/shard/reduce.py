@@ -1,11 +1,11 @@
 """Exact reduction of per-shard estimator state to fleet state.
 
-A shard's per-node state is *column-independent*: a Welford component,
-a covariance column, an excursion counter — each depends only on its
-own node's sample stream.  Under a contiguous node partition, a shard
-therefore holds exactly the column slice of the state a full-fleet run
-would hold, and the fleet state is the node-ordered **concatenation**
-of the shard states.  Concatenation involves no floating-point
+A shard's per-node state is *column-independent*: a node's shifted
+running sums, its covariance cross sum, an excursion counter — each
+depends only on its own node's sample stream.  Under a contiguous node
+partition, a shard therefore holds exactly the column slice of the
+state a full-fleet run would hold, and the fleet state is the
+node-ordered **concatenation** of the shard states.  Concatenation involves no floating-point
 combination at all, so the reduction is exact to the bit and
 independent of the shard count — the property the hypothesis suite
 drives with random partitions.
@@ -14,9 +14,8 @@ Fleet *scalars* (pooled mean/σ, correlations, Eq. 1–5 stopping) are
 derived **after** the concatenation, from the full per-node vectors,
 by the same deterministic expressions regardless of shard count —
 which is how ``sharded(k) == sharded(1)`` holds bitwise for every
-``k`` (see :mod:`docs/sharding.md` for the contract's fine print on
-the serial ``stream_session`` fleet scalar, whose sample *order*
-differs).
+``k``.  The serial ``stream_session`` pools its fleet scalar from its
+per-node moments the same way, so it matches bitwise too.
 """
 
 from __future__ import annotations
@@ -63,14 +62,6 @@ class FleetState:
     def node_moments(self) -> RunningMoments:
         """Per-node moments of the merged fleet, in node order."""
         return self.fold.monitor.node_moments
-
-    def fleet_moments(self) -> RunningMoments:
-        """Pooled scalar moments over every node's every sample.
-
-        Derived deterministically from the concatenated per-node
-        vector, so it is identical for any shard count.
-        """
-        return self.node_moments.pooled()
 
 
 def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:

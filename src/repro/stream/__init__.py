@@ -5,10 +5,10 @@ The batch pipeline materialises a full :class:`~repro.traces.synth.SimulatedRun`
 and post-processes it; this package answers the same questions *while
 the samples arrive*:
 
-* :mod:`repro.stream.estimators` — single-pass Welford moments,
-  covariance and min/max, and a relative-error quantile sketch, all
-  with exact ``merge()`` for per-node → fleet roll-up (plus the P²
-  quantile baseline);
+* :mod:`repro.stream.estimators` — moments, masked moments and
+  covariance from shifted running sums whose bits do not depend on
+  batching, and a relative-error quantile sketch, all with exact
+  per-node → fleet roll-up (plus the P² quantile baseline);
 * :mod:`repro.stream.ring` — fixed-capacity sample/time ring buffers
   backing rolling windows;
 * :mod:`repro.stream.ingest` — a deterministic tick-driven ingestion

@@ -3,17 +3,17 @@
 The batch layer computes fleet statistics from fully materialised
 arrays (:mod:`repro.analysis.descriptive`); these estimators produce
 the same numbers from a stream of samples in O(1) memory per tracked
-quantity:
+quantity.  Every per-node sum is a *shifted running sum* (see
+:class:`RunningMoments`), added onto one row at a time, so its bits do
+not depend on how the stream was batched or which columns rode along.
 
-* :class:`RunningMoments` — Welford/Chan mean, variance, min and max.
-  State may be scalar or a fixed-shape vector (one component per node),
-  so a whole fleet's per-node moments are updated in one vectorised
-  call.  ``merge`` (two partial streams) and ``pooled`` (per-node →
-  fleet roll-up) are *exact*: they give bit-for-bit the same class of
-  result as a single pass over the concatenated stream, up to float
-  rounding.
-* :class:`RunningCovariance` — single-pass co-moment with the same
-  exact ``merge``.
+* :class:`RunningMoments` — mean, variance, min and max, scalar or one
+  component per node, with a bit-exact shard ``concat`` and ``merge``
+  / ``pooled`` roll-ups exact up to float rounding.
+* :class:`MaskedRunningMoments` — the same sums with a count per
+  component, so a missing cell adds nothing (recovery's accumulator).
+* :class:`RunningCovariance` — the cross sum of a stream with a
+  per-observation series, read against the caller's marginal moments.
 * :class:`QuantileSketch` — a log-bucketed relative-error quantile
   sketch (DDSketch, Masson et al., VLDB 2019): one integer count per
   bucket of width ``γ = (1 + α) / (1 − α)``, so every quantile it
@@ -39,6 +39,7 @@ __all__ = [
     "QUANTILE_REL_ERROR",
     "axis0_sum",
     "RunningMoments",
+    "MaskedRunningMoments",
     "RunningCovariance",
     "QuantileSketch",
     "P2Quantile",
@@ -77,22 +78,60 @@ def axis0_sum(xs: np.ndarray) -> np.ndarray:
     return np.cumsum(xs, axis=0)[-1]
 
 
+def _seeded_sum(rows: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """``seed`` plus every row of ``rows``, added one row at a time.
+
+    ``rows`` is a temporary the caller owns: its first row takes the
+    seed in place and :func:`axis0_sum` adds the rest in row order.  A
+    running sum folded batch by batch this way is one left-to-right sum
+    over the whole stream, so its bits do not depend on where the
+    batches were cut.
+    """
+    rows[0] += seed
+    return axis0_sum(rows)
+
+
+def _centred_m2(count, s1, s2):
+    """``Σ(x − mean)²`` from shifted sums, clamped at 0 so that rounding
+    never turns a constant stream's variance negative."""
+    return np.maximum(s2 - s1 * s1 / count, 0.0)
+
+
 class RunningMoments:
-    """Welford mean/variance with streaming min/max.
+    """Mean, variance, min and max from shifted running sums.
 
     Each :meth:`push` adds one observation — a scalar, or a vector whose
     shape is fixed at the first push (component ``i`` tracks node ``i``).
-    :meth:`push_batch` adds many observations at once using the exact
-    batch (Chan) update; :meth:`push_each` adds a run of scalars with
-    :meth:`push`'s arithmetic and reports the state after each.
+    :meth:`push_batch` adds many at once and :meth:`push_each` adds a
+    run of scalars and reports every prefix; all three fold through the
+    same row-ordered sum, so any split of a stream into pushes gives
+    the same bits.
+
+    The state is the shift ``r`` (the first observation), the count
+    ``n``, ``S1 = Σ(x − r)``, ``S2 = Σ(x − r)²`` and the extremes.  The
+    mean is ``r + S1/n`` and ``m2 = Σ(x − mean)²`` is
+    ``max(S2 − S1²/n, 0)``.
+
+    Rounding bound, for ``n ≤ 10⁷`` observations, unit roundoff
+    ``u = 2⁻⁵³`` and exact mean ``μ``::
+
+        |mean − μ|         ≤ (n + 3)·u·(Σ|x − r|/n + |μ|)
+        |m2 − Σ(x − μ)²|   ≤ 4(n + 3)·u·Σ(x − r)²
+
+    with ``Σ(x − r)² = Σ(x − μ)² + n(μ − r)²``.  Because ``r`` is one
+    of the readings, ``n(μ − r)² ≤ (n − 1)·Σ(x − μ)²``, so the variance
+    is within ``4n(n + 3)·u`` relative for any stream (1.6e-10 at
+    ``n = 600``), even when the first reading is far from the mean.  A
+    constant stream has ``S1 = S2 = 0`` and a variance of exactly 0.
     """
 
-    __slots__ = ("_count", "_mean", "_m2", "_min", "_max")
+    __slots__ = ("_count", "_shift", "_s1", "_s2", "_min", "_max")
 
     def __init__(self) -> None:
         self._count = 0
-        self._mean: np.ndarray | None = None
-        self._m2: np.ndarray | None = None
+        self._shift: np.ndarray | None = None
+        self._s1: np.ndarray | None = None
+        self._s2: np.ndarray | None = None
         self._min: np.ndarray | None = None
         self._max: np.ndarray | None = None
 
@@ -105,15 +144,14 @@ class RunningMoments:
     @property
     def shape(self) -> tuple[int, ...]:
         """Shape of one observation (``()`` for a scalar stream)."""
-        if self._mean is None:
-            raise ValueError("no observations yet")
-        return self._mean.shape
+        self._require_data()
+        return self._shift.shape
 
     @property
     def mean(self) -> np.ndarray | float:
         """Running arithmetic mean."""
         self._require_data()
-        return self._unwrap(self._mean)
+        return self._unwrap(self._shift + self._s1 / self._count)
 
     @property
     def minimum(self) -> np.ndarray | float:
@@ -134,7 +172,7 @@ class RunningMoments:
             raise ValueError(
                 f"need more than {ddof} observations for ddof={ddof}"
             )
-        return self._unwrap(self._m2 / (self._count - ddof))
+        return self._unwrap(self._m2() / (self._count - ddof))
 
     def std(self, ddof: int = 1) -> np.ndarray | float:
         """Running standard deviation."""
@@ -149,114 +187,90 @@ class RunningMoments:
 
     # ------------------------------------------------------------------
     def push(self, x) -> None:
-        """Add one observation (Welford update)."""
-        arr = _as_observation(x)
-        if self._mean is None:
-            self._init_state(arr)
-            return
-        self._check_shape(arr)
-        self._count += 1
-        delta = arr - self._mean
-        self._mean = self._mean + delta / self._count
-        self._m2 = self._m2 + delta * (arr - self._mean)
-        self._min = np.minimum(self._min, arr)
-        self._max = np.maximum(self._max, arr)
+        """Add one observation (a batch of one)."""
+        self.push_batch(np.asarray(x, dtype=float)[None])
 
     def push_each(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Push scalar observations one at a time; return every prefix.
+        """Push scalar observations in order; return every prefix.
 
-        Runs the :meth:`push` arithmetic on plain floats in order, so
-        each prefix state — and the final one — has the bits ``len(xs)``
-        :meth:`push` calls would give, at a fraction of the cost.
-        Returns the ``(count, mean, m2)`` arrays after each observation.
-        A non-finite value raises before the estimator changes.
+        One seeded cumulative sum gives each prefix's ``S1`` and ``S2``,
+        the same row-ordered sums :meth:`push` would build one reading
+        at a time, so each prefix state — and the final one — has the
+        bits of ``len(xs)`` :meth:`push` calls.  Returns the
+        ``(count, mean, m2)`` arrays after each observation.  A
+        non-finite value raises before the estimator changes.
         """
         xs = _as_observation(xs)
         if xs.ndim != 1:
             raise ValueError("push_each takes a 1-D run of scalars")
-        if self._mean is not None and self._mean.ndim != 0:
+        if self._shift is not None and self._shift.ndim != 0:
             raise ValueError("push_each needs a scalar estimator")
         counts = np.arange(
             self._count + 1, self._count + 1 + xs.size, dtype=np.int64
         )
-        values = xs.tolist()
-        if not values:
+        if xs.size == 0:
             return counts, np.empty(0), np.empty(0)
-        if self._mean is None:
-            count, mean, m2 = 1, values[0], 0.0
-            means, m2s = [mean], [m2]
-            values = values[1:]
-        else:
-            count, mean, m2 = self._count, float(self._mean), float(self._m2)
-            means, m2s = [], []
-        for x in values:
-            count += 1
-            delta = x - mean
-            mean = mean + delta / count
-            m2 = m2 + delta * (x - mean)
-            means.append(mean)
-            m2s.append(m2)
-        lo, hi = np.float64(xs.min()), np.float64(xs.max())
-        if self._mean is not None:
-            lo, hi = np.minimum(self._min, lo), np.maximum(self._max, hi)
-        self._count = count
-        self._mean, self._m2 = np.float64(mean), np.float64(m2)
-        self._min, self._max = lo, hi
-        return counts, np.array(means), np.array(m2s)
+        if self._shift is None:
+            self._start(xs[0])
+        d = xs - self._shift
+        d2 = d * d
+        d[0] += self._s1
+        d2[0] += self._s2
+        s1, s2 = np.cumsum(d), np.cumsum(d2)
+        self._s1, self._s2 = s1[-1], s2[-1]
+        self._min = np.minimum(self._min, xs.min())
+        self._max = np.maximum(self._max, xs.max())
+        self._count += xs.size
+        return counts, self._shift + s1 / counts, _centred_m2(counts, s1, s2)
 
     def push_batch(self, xs) -> None:
         """Add many observations at once.
 
         ``xs`` has one more leading axis than a single observation:
         shape ``(n,)`` for a scalar stream, ``(n, n_nodes)`` for a
-        per-node vector stream.  Equivalent to ``n`` pushes, via the
-        exact two-stream merge against the batch's own moments.
+        per-node vector stream.  The batch's deviations from the shift
+        are added onto the running sums row by row, so the state equals
+        ``n`` pushes bit for bit.
         """
         xs = _as_observation(xs)
         if xs.ndim == 0:
             raise ValueError("push_batch needs a leading observation axis")
-        n = xs.shape[0]
-        if n == 0:
+        if xs.shape[0] == 0:
             return
-        batch = RunningMoments()
-        batch._count = n
-        if xs.ndim >= 2:
-            # Width-independent accumulation (see axis0_sum); for
-            # multi-column batches the bits match numpy's own path.
-            batch._mean = axis0_sum(xs) / n
-            batch._m2 = axis0_sum((xs - batch._mean) ** 2)
+        if self._shift is None:
+            self._start(xs[0])
         else:
-            batch._mean = xs.mean(axis=0)
-            batch._m2 = ((xs - batch._mean) ** 2).sum(axis=0)
-        batch._min = xs.min(axis=0)
-        batch._max = xs.max(axis=0)
-        if self._mean is None:
-            self._adopt(batch)
-        else:
-            self._check_shape(batch._mean)
-            self.merge(batch)
+            self._check_shape(xs[0])
+        d = xs - self._shift
+        d2 = d * d
+        self._s1 = _seeded_sum(d, self._s1)
+        self._s2 = _seeded_sum(d2, self._s2)
+        self._min = np.minimum(self._min, xs.min(axis=0))
+        self._max = np.maximum(self._max, xs.max(axis=0))
+        self._count += xs.shape[0]
 
     def merge(self, other: "RunningMoments") -> "RunningMoments":
-        """Fold another estimator's stream into this one (exact).
+        """Fold another estimator's stream into this one.
 
-        Chan's parallel update: the merged state equals (to rounding)
-        the state a single estimator would reach over the concatenated
-        streams.  Returns ``self`` for chaining.
+        ``other``'s sums are moved onto this shift,
+        ``Σ(x − r) = S1' + n'c`` and ``Σ(x − r)² = S2' + c(2S1' + n'c)``
+        with ``c = r' − r``, and added: the merged state equals (to
+        rounding) a single pass over the concatenated streams.  Returns
+        ``self`` for chaining.
         """
-        if other._mean is None:
+        if other._shift is None:
             return self
-        if self._mean is None:
+        if self._shift is None:
             self._adopt(other)
             return self
-        self._check_shape(other._mean)
-        na, nb = self._count, other._count
-        n = na + nb
-        delta = other._mean - self._mean
-        self._mean = self._mean + delta * (nb / n)
-        self._m2 = self._m2 + other._m2 + delta * delta * (na * nb / n)
+        self._check_shape(other._shift)
+        c = other._shift - self._shift
+        n = other._count
+        self._s1 = self._s1 + (other._s1 + n * c)
+        self._s2 = self._s2 + (other._s2 + c * (2.0 * other._s1 + n * c))
         self._min = np.minimum(self._min, other._min)
         self._max = np.maximum(self._max, other._max)
-        self._count = n
+        self._count += n
         return self
 
     @classmethod
@@ -267,10 +281,10 @@ class RunningMoments:
         contiguous ranges and each shard tracks a vector estimator over
         *its* nodes only, the full-fleet estimator is the ordered
         concatenation of the per-shard component arrays.  Because every
-        component's Welford state depends only on its own stream, this
-        roll-up is *exact to the bit* — unlike :meth:`merge`, no
-        floating-point combination happens at all, so the result is
-        independent of how many shards the fleet was split into.
+        component's sums depend only on its own stream, this roll-up is
+        *exact to the bit* — unlike :meth:`merge`, no floating-point
+        combination happens at all, so the result is independent of how
+        many shards the fleet was split into.
 
         All parts must be non-empty vector estimators (``ndim >= 1``)
         with identical observation counts (every shard saw the same
@@ -279,9 +293,9 @@ class RunningMoments:
         if not parts:
             raise ValueError("concat needs at least one part")
         for i, part in enumerate(parts):
-            if part._mean is None:
+            if part._shift is None:
                 raise ValueError(f"part {i} has no observations")
-            if part._mean.ndim == 0:
+            if part._shift.ndim == 0:
                 raise ValueError(
                     f"part {i} is scalar; concat joins vector estimators"
                 )
@@ -292,61 +306,63 @@ class RunningMoments:
                 )
         out = cls()
         out._count = parts[0]._count
-        out._mean = np.concatenate([p._mean for p in parts])
-        out._m2 = np.concatenate([p._m2 for p in parts])
-        out._min = np.concatenate([p._min for p in parts])
-        out._max = np.concatenate([p._max for p in parts])
+        for name in ("_shift", "_s1", "_s2", "_min", "_max"):
+            arrays = [getattr(part, name) for part in parts]
+            setattr(out, name, np.concatenate(arrays))
         return out
 
     def pooled(self) -> "RunningMoments":
         """Collapse a vector estimator into one scalar estimator.
 
         The per-node → fleet roll-up: treats every component's stream as
-        part of one pooled sample.  Exact — the law-of-total-variance
-        identity, which is Chan's merge applied across components.
+        part of one pooled sample.  Exact up to rounding — the
+        law-of-total-variance identity.  The result is shifted to the
+        grand mean, so its ``S1`` is 0 and its ``S2`` is the pooled
+        ``m2``.
         """
         self._require_data()
-        if self._mean.ndim == 0:
-            out = RunningMoments()
+        out = RunningMoments()
+        if self._shift.ndim == 0:
             out._adopt(self)
             return out
-        size = self._mean.size
-        grand = float(self._mean.mean())
-        out = RunningMoments()
-        out._count = self._count * size
-        out._mean = np.asarray(grand)
-        out._m2 = np.asarray(
-            float(self._m2.sum())
-            + self._count * float(((self._mean - grand) ** 2).sum())
+        means = self._shift + self._s1 / self._count
+        grand = float(means.mean())
+        out._count = self._count * means.size
+        out._shift = np.asarray(grand)
+        out._s1 = np.asarray(0.0)
+        out._s2 = np.asarray(
+            float(self._m2().sum())
+            + self._count * float(((means - grand) ** 2).sum())
         )
         out._min = np.asarray(float(self._min.min()))
         out._max = np.asarray(float(self._max.max()))
         return out
 
     # ------------------------------------------------------------------
-    def _init_state(self, arr: np.ndarray) -> None:
-        self._count = 1
-        self._mean = arr.copy()
-        self._m2 = np.zeros_like(arr)
-        self._min = arr.copy()
-        self._max = arr.copy()
+    def _m2(self) -> np.ndarray:
+        return _centred_m2(self._count, self._s1, self._s2)
+
+    def _start(self, first: np.ndarray) -> None:
+        self._shift = np.array(first, dtype=float)
+        self._s1 = np.zeros_like(self._shift)
+        self._s2 = np.zeros_like(self._shift)
+        self._min = self._shift.copy()
+        self._max = self._shift.copy()
 
     def _adopt(self, other: "RunningMoments") -> None:
         self._count = other._count
-        self._mean = np.array(other._mean, copy=True)
-        self._m2 = np.array(other._m2, copy=True)
-        self._min = np.array(other._min, copy=True)
-        self._max = np.array(other._max, copy=True)
+        for name in ("_shift", "_s1", "_s2", "_min", "_max"):
+            setattr(self, name, np.array(getattr(other, name), copy=True))
 
     def _check_shape(self, arr: np.ndarray) -> None:
-        if arr.shape != self._mean.shape:
+        if arr.shape != self._shift.shape:
             raise ValueError(
                 f"observation shape {arr.shape} does not match "
-                f"estimator shape {self._mean.shape}"
+                f"estimator shape {self._shift.shape}"
             )
 
     def _require_data(self) -> None:
-        if self._mean is None:
+        if self._shift is None:
             raise ValueError("no observations yet")
 
     @staticmethod
@@ -354,159 +370,207 @@ class RunningMoments:
         return float(arr) if arr.ndim == 0 else arr
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._mean is None:
+        if self._shift is None:
             return "RunningMoments(empty)"
         return f"RunningMoments(count={self._count}, shape={self.shape})"
 
 
-class RunningCovariance:
-    """Single-pass covariance of paired observations ``(x, y)``.
+class MaskedRunningMoments:
+    """:class:`RunningMoments`' shifted sums with a count per component.
 
-    Scalar or componentwise-vector pairs, with the same exact ``merge``
-    as :class:`RunningMoments`.  Used e.g. to track how strongly a
-    node's draw co-moves with the fleet average (a fully common-mode
-    fleet has correlation ≈ 1; a node with private excursions decoheres).
+    Each of the ``n_components`` columns keeps its own count, shift
+    (its first valid reading) and sums: a masked cell adds zero and
+    does not count, so pushing rows with a validity mask advances only
+    the valid columns.  The sums fold row by row exactly as
+    :class:`RunningMoments`' do, so the state is bit-identical for any
+    batching of the same rows, and a column matches the same readings
+    pushed unmasked into a :class:`RunningMoments`.
     """
 
-    __slots__ = ("_count", "_mean_x", "_mean_y", "_c", "_m2x", "_m2y")
+    __slots__ = ("_count", "_shift", "_s1", "_s2")
+
+    def __init__(self, n_components: int) -> None:
+        if n_components < 1:
+            raise ValueError("n_components must be >= 1")
+        self._count = np.zeros(n_components, dtype=np.int64)
+        self._shift = np.zeros(n_components)
+        self._s1 = np.zeros(n_components)
+        self._s2 = np.zeros(n_components)
+
+    @property
+    def count(self) -> np.ndarray:
+        """Valid samples per component."""
+        return self._count.copy()
+
+    def push_row(self, values: np.ndarray, valid: np.ndarray) -> None:
+        """Fold one row in; only ``valid`` columns advance."""
+        self.push_batch(np.asarray(values)[None], np.asarray(valid)[None])
+
+    def push_batch(self, rows: np.ndarray, valid: np.ndarray) -> None:
+        """Fold ``(n_rows, n_components)`` rows in, in row order.
+
+        Only the cells ``valid`` marks count; the others may hold any
+        value, NaN included.
+        """
+        rows = np.asarray(rows, dtype=float)
+        valid = np.asarray(valid, dtype=bool)
+        if rows.shape[1:] != self._shift.shape or valid.shape != rows.shape:
+            raise ValueError("row shape must match n_components and mask")
+        if rows.shape[0] == 0:
+            return
+        fresh = (self._count == 0) & valid.any(axis=0)
+        if fresh.any():
+            first = rows[valid.argmax(axis=0), np.arange(rows.shape[1])]
+            self._shift = np.where(fresh, first, self._shift)
+        d = np.where(valid, rows - self._shift, 0.0)
+        d2 = d * d
+        self._s1 = _seeded_sum(d, self._s1)
+        self._s2 = _seeded_sum(d2, self._s2)
+        self._count = self._count + valid.sum(axis=0)
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Per-component mean (NaN where no samples)."""
+        n = np.maximum(self._count, 1)
+        return np.where(self._count > 0, self._shift + self._s1 / n, np.nan)
+
+    @property
+    def variance(self) -> np.ndarray:
+        """Per-component sample variance, ddof=1 (NaN below 2)."""
+        m2 = _centred_m2(np.maximum(self._count, 1), self._s1, self._s2)
+        return np.where(
+            self._count > 1, m2 / np.maximum(self._count - 1, 1), np.nan
+        )
+
+    @property
+    def std(self) -> np.ndarray:
+        """Per-component sample standard deviation."""
+        return np.sqrt(self.variance)
+
+
+class RunningCovariance:
+    """Cross sum of a stream ``x`` with a per-observation series ``y``.
+
+    ``x`` is scalar or a vector (one component per node) and ``y`` holds
+    one value per observation — the fold's per-tick fleet series.  The
+    state is the count, the shifts ``r_x`` and ``r_y`` (the first ``x``
+    and ``y``) and ``Sxy = Σ(x − r_x)(y − r_y)``, folded row by row like
+    :class:`RunningMoments`' sums: the same bits for any batching, and
+    a column's bits do not depend on its neighbours.
+
+    The marginal sums are not kept twice: :meth:`covariance` and
+    :meth:`correlation` take the :class:`RunningMoments` of ``x`` and of
+    ``y`` that the caller keeps over the same stream (the fold's
+    per-node moments and its fleet-series moments), and refuse a pair
+    with another count or shift.  Used to track how strongly a node's
+    draw co-moves with the fleet average (a fully common-mode fleet has
+    correlation ≈ 1; a node with private excursions decoheres).
+    """
+
+    __slots__ = ("_count", "_shift_x", "_shift_y", "_sxy")
 
     def __init__(self) -> None:
         self._count = 0
-        self._mean_x: np.ndarray | None = None
-        self._mean_y: np.ndarray | None = None
-        self._c: np.ndarray | None = None
-        self._m2x: np.ndarray | None = None
-        self._m2y: np.ndarray | None = None
+        self._shift_x: np.ndarray | None = None
+        self._shift_y: np.ndarray | None = None
+        self._sxy: np.ndarray | None = None
 
     @property
     def count(self) -> int:
-        """Number of pairs pushed."""
+        """Number of observations pushed."""
         return self._count
 
-    def push(self, x, y) -> None:
-        """Add one ``(x, y)`` pair."""
-        ax, ay = _as_observation(x), _as_observation(y)
-        if ax.shape != ay.shape:
-            raise ValueError("x and y must have the same shape")
-        if self._mean_x is None:
-            self._count = 1
-            self._mean_x = ax.copy()
-            self._mean_y = ay.copy()
-            self._c = np.zeros_like(ax)
-            self._m2x = np.zeros_like(ax)
-            self._m2y = np.zeros_like(ax)
-            return
-        self._count += 1
-        dx = ax - self._mean_x
-        self._mean_x = self._mean_x + dx / self._count
-        dy_pre = ay - self._mean_y
-        self._mean_y = self._mean_y + dy_pre / self._count
-        self._c = self._c + dx * (ay - self._mean_y)
-        self._m2x = self._m2x + dx * (ax - self._mean_x)
-        self._m2y = self._m2y + dy_pre * (ay - self._mean_y)
-
     def push_batch(self, xs, ys) -> None:
-        """Add many pairs at once (exact batch merge)."""
+        """Add ``n`` observations ``xs`` with their ``(n,)`` series ``ys``."""
         xs, ys = _as_observation(xs), _as_observation(ys)
-        if xs.shape != ys.shape:
-            raise ValueError("xs and ys must have the same shape")
         if xs.ndim == 0:
             raise ValueError("push_batch needs a leading observation axis")
+        if ys.shape != xs.shape[:1]:
+            raise ValueError("ys must hold one value per observation of xs")
         n = xs.shape[0]
         if n == 0:
             return
-        batch = RunningCovariance()
-        batch._count = n
-        if xs.ndim >= 2:
-            # Width-independent accumulation (see axis0_sum).
-            batch._mean_x = axis0_sum(xs) / n
-            batch._mean_y = axis0_sum(ys) / n
-            batch._c = axis0_sum(
-                (xs - batch._mean_x) * (ys - batch._mean_y)
+        if self._sxy is None:
+            self._shift_x = np.array(xs[0], dtype=float)
+            self._shift_y = np.array(ys[0], dtype=float)
+            self._sxy = np.zeros_like(self._shift_x)
+        elif xs.shape[1:] != self._shift_x.shape:
+            raise ValueError(
+                f"observation shape {xs.shape[1:]} does not match "
+                f"estimator shape {self._shift_x.shape}"
             )
-            batch._m2x = axis0_sum((xs - batch._mean_x) ** 2)
-            batch._m2y = axis0_sum((ys - batch._mean_y) ** 2)
-        else:
-            batch._mean_x = xs.mean(axis=0)
-            batch._mean_y = ys.mean(axis=0)
-            batch._c = (
-                (xs - batch._mean_x) * (ys - batch._mean_y)
-            ).sum(axis=0)
-            batch._m2x = ((xs - batch._mean_x) ** 2).sum(axis=0)
-            batch._m2y = ((ys - batch._mean_y) ** 2).sum(axis=0)
-        self.merge(batch)
-
-    def merge(self, other: "RunningCovariance") -> "RunningCovariance":
-        """Fold another covariance stream into this one (exact)."""
-        if other._mean_x is None:
-            return self
-        if self._mean_x is None:
-            self._count = other._count
-            self._mean_x = np.array(other._mean_x, copy=True)
-            self._mean_y = np.array(other._mean_y, copy=True)
-            self._c = np.array(other._c, copy=True)
-            self._m2x = np.array(other._m2x, copy=True)
-            self._m2y = np.array(other._m2y, copy=True)
-            return self
-        na, nb = self._count, other._count
-        n = na + nb
-        dx = other._mean_x - self._mean_x
-        dy = other._mean_y - self._mean_y
-        w = na * nb / n
-        self._c = self._c + other._c + dx * dy * w
-        self._m2x = self._m2x + other._m2x + dx * dx * w
-        self._m2y = self._m2y + other._m2y + dy * dy * w
-        self._mean_x = self._mean_x + dx * (nb / n)
-        self._mean_y = self._mean_y + dy * (nb / n)
-        self._count = n
-        return self
+        dy = (ys - self._shift_y).reshape((n,) + (1,) * (xs.ndim - 1))
+        self._sxy = _seeded_sum((xs - self._shift_x) * dy, self._sxy)
+        self._count += n
 
     @classmethod
     def concat(cls, parts: list["RunningCovariance"]) -> "RunningCovariance":
         """Join node-partitioned vector covariances along the component axis.
 
         The covariance analogue of :meth:`RunningMoments.concat`: exact
-        to the bit, because componentwise co-moment state never crosses
-        components.  All parts must be non-empty vector estimators with
-        identical pair counts.
+        to the bit, because a column's cross sum never reads another
+        column.  All parts must be non-empty vector estimators that saw
+        the same ``y`` series (equal counts and ``y`` shifts).
         """
         if not parts:
             raise ValueError("concat needs at least one part")
         for i, part in enumerate(parts):
-            if part._mean_x is None:
+            if part._sxy is None:
                 raise ValueError(f"part {i} has no observations")
-            if part._mean_x.ndim == 0:
+            if part._sxy.ndim == 0:
                 raise ValueError(
                     f"part {i} is scalar; concat joins vector estimators"
                 )
-            if part._count != parts[0]._count:
+            if (
+                part._count != parts[0]._count
+                or part._shift_y != parts[0]._shift_y
+            ):
                 raise ValueError(
-                    f"part {i} saw {part._count} pairs, part 0 saw "
-                    f"{parts[0]._count}; shards must cover the same ticks"
+                    f"part {i} saw another series than part 0; shards "
+                    "must cover the same ticks"
                 )
         out = cls()
         out._count = parts[0]._count
-        out._mean_x = np.concatenate([p._mean_x for p in parts])
-        out._mean_y = np.concatenate([p._mean_y for p in parts])
-        out._c = np.concatenate([p._c for p in parts])
-        out._m2x = np.concatenate([p._m2x for p in parts])
-        out._m2y = np.concatenate([p._m2y for p in parts])
+        out._shift_y = parts[0]._shift_y.copy()
+        out._shift_x = np.concatenate([p._shift_x for p in parts])
+        out._sxy = np.concatenate([p._sxy for p in parts])
         return out
 
-    def covariance(self, ddof: int = 1) -> np.ndarray | float:
+    def covariance(
+        self, x: RunningMoments, y: RunningMoments, ddof: int = 1
+    ) -> np.ndarray | float:
         """Running covariance (sample covariance by default)."""
-        if self._c is None or self._count <= ddof:
+        c = self._co_moment(x, y)
+        if self._count <= ddof:
             raise ValueError(f"need more than {ddof} pairs for ddof={ddof}")
-        return RunningMoments._unwrap(self._c / (self._count - ddof))
+        return RunningMoments._unwrap(c / (self._count - ddof))
 
-    def correlation(self) -> np.ndarray | float:
+    def correlation(
+        self, x: RunningMoments, y: RunningMoments
+    ) -> np.ndarray | float:
         """Pearson correlation of the two streams."""
-        if self._c is None or self._count < 2:
+        c = self._co_moment(x, y)
+        if self._count < 2:
             raise ValueError("need at least two pairs for a correlation")
-        denom = np.sqrt(self._m2x * self._m2y)
+        denom = np.sqrt(x._m2() * y._m2())
         if np.any(denom <= 0):
             raise ValueError("correlation undefined for a constant stream")
-        return RunningMoments._unwrap(self._c / denom)
+        return RunningMoments._unwrap(c / denom)
+
+    def _co_moment(self, x: RunningMoments, y: RunningMoments) -> np.ndarray:
+        """``Σ(x − mean_x)(y − mean_y)`` from the cross and marginal sums."""
+        if self._sxy is None:
+            raise ValueError("no observations yet")
+        if (
+            x._count != self._count
+            or y._count != self._count
+            or not np.array_equal(x._shift, self._shift_x)
+            or not np.array_equal(y._shift, self._shift_y)
+        ):
+            raise ValueError(
+                "marginal moments must cover the covariance's own stream"
+            )
+        return self._sxy - x._s1 * y._s1 / self._count
 
 
 class QuantileSketch:

@@ -19,8 +19,10 @@ answers the same questions per batch, while measuring:
   under machine-wide ramps (HPL tail-off, DVFS steps) but jumps when
   one node privately steps, so only genuinely private deviations flag.
 
-All state is streaming: per-node Welford moments (vectorised across
-the fleet), a rolling time-ring of fleet power, and scalar extremes.
+All state is streaming: per-node moments of power and of the power
+ratio (shifted running sums, vectorised across the fleet and the same
+bits for any batching), a rolling time-ring of fleet power, and scalar
+extremes.
 """
 
 from __future__ import annotations

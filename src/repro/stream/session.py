@@ -6,9 +6,9 @@ quantile sketch, advanced one batch at a time against a per-tick fleet
 series, with an exact :meth:`FleetFold.concat` for shards.
 
 :class:`LiveStreamState` is the incremental session core: one fold plus
-the pooled fleet moments and the sequential stopping boundary, advanced
-one :class:`~repro.stream.ingest.SampleBatch` at a time.  Two drivers
-share it:
+the sequential stopping boundary, advanced one
+:class:`~repro.stream.ingest.SampleBatch` at a time; its fleet moments
+are the fold's per-node moments pooled.  Two drivers share it:
 
 * :func:`stream_session` — the batch driver the ``repro stream`` CLI
   subcommand runs: replay a :class:`~repro.traces.synth.SimulatedRun`
@@ -59,11 +59,14 @@ class FleetFold:
     mean series: the batch's own :meth:`SampleBatch.fleet_means` for a
     whole-fleet stream, or the global reference slice for a shard, so a
     shard's fold is the exact column slice of the full-fleet fold.
-    Recovery is not part of the fold; drivers that repair gaps run their
-    own :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
+    ``fleet_series`` holds that series' moments, the ``y`` side of the
+    node-vs-fleet covariance whose ``x`` side is the monitor's
+    ``node_moments``.  Recovery is not part of the fold; drivers that
+    repair gaps run their own
+    :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
     """
 
-    __slots__ = ("monitor", "covar", "quantiles", "sketch")
+    __slots__ = ("monitor", "fleet_series", "covar", "quantiles", "sketch")
 
     def __init__(
         self,
@@ -78,6 +81,7 @@ class FleetFold:
         self.monitor = ComplianceMonitor(
             core_window, required_interval_s=required_interval_s
         )
+        self.fleet_series = RunningMoments()
         self.covar = RunningCovariance()
         self.quantiles = tuple(quantiles)
         self.sketch = QuantileSketch()
@@ -92,22 +96,29 @@ class FleetFold:
         if not batch.readings_valid():
             raise ValueError("readings must be finite and non-negative")
         self.monitor.observe(batch, fleet_w=fleet_w)
+        self.fleet_series.push_batch(fleet_w)
         self.sketch.push_batch(batch.watts)
-        self.covar.push_batch(
-            batch.watts, np.broadcast_to(fleet_w[:, None], batch.watts.shape)
-        )
+        self.covar.push_batch(batch.watts, fleet_w)
 
     def quantiles_w(self) -> dict[float, float]:
         """Current estimate of every tracked quantile."""
         return {q: self.sketch.quantile(q) for q in self.quantiles}
+
+    def correlation(self) -> np.ndarray:
+        """Each node's Pearson correlation with the fleet series."""
+        return self.covar.correlation(
+            self.monitor.node_moments, self.fleet_series
+        )
 
     @classmethod
     def concat(cls, parts: list["FleetFold"]) -> "FleetFold":
         """Reassemble node-ordered, node-partitioned folds (exact).
 
         Monitor and covariance state is column-independent, so they
-        concatenate; the quantile sketches add their counts.  Every
-        piece is exact, so the result is independent of the partition.
+        concatenate; every shard pushed the same fleet series, so its
+        moments are taken from the first; the quantile sketches add
+        their counts.  Every piece is exact, so the result is
+        independent of the partition.
         """
         if not parts:
             raise ValueError("concat needs at least one part")
@@ -118,6 +129,7 @@ class FleetFold:
         out.monitor = ComplianceMonitor.merge_shards(
             [p.monitor for p in parts]
         )
+        out.fleet_series = parts[0].fleet_series
         out.covar = RunningCovariance.concat([p.covar for p in parts])
         out.quantiles = parts[0].quantiles
         out.sketch = QuantileSketch()
@@ -194,7 +206,6 @@ class StreamSessionResult:
     snapshots: list[StreamSnapshot]
     monitor_report: MonitorReport
     stopping: StoppingDecision
-    fleet_moments: RunningMoments
     node_moments: RunningMoments
     node_fleet_correlation: float
     quantiles_w: dict[float, float]
@@ -202,6 +213,11 @@ class StreamSessionResult:
     queue_high_watermark: int
     samples_ingested: int
     stopped_at_nodes: int | None = field(default=None)
+
+    @property
+    def fleet_moments(self) -> RunningMoments:
+        """Pooled moments over every node's every sample."""
+        return self.node_moments.pooled()
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering of the final state."""
@@ -313,7 +329,6 @@ class LiveStreamState:
             required_interval_s=required_interval_s,
             quantiles=quantiles,
         )
-        self.fleet = RunningMoments()
         self.stopper = SequentialStopper(
             accuracy=accuracy,
             population=population,
@@ -345,7 +360,6 @@ class LiveStreamState:
         if self._finalized:
             raise ValueError("cannot push into a finalized stream state")
         self.fold.push(batch, batch.fleet_means())
-        self.fleet.push_batch(batch.watts.ravel())
         self.samples_ingested += batch.n_samples
         self.batches_ingested += 1
 
@@ -374,7 +388,8 @@ class LiveStreamState:
         """Build a snapshot of the current state, stamped ``t_s``."""
         report = self.fold.monitor.report()
         decision = self._decision
-        have_sd = self.fleet.count >= 2
+        fleet = self.fold.monitor.node_moments.pooled()
+        have_sd = fleet.count >= 2
         node_means = np.asarray(self.fold.monitor.node_moments.mean)
         mu = float(node_means.mean())
         sd_nodes = (
@@ -382,11 +397,9 @@ class LiveStreamState:
         )
         return StreamSnapshot(
             t_s=float(t_s),
-            samples_seen=self.fleet.count,
-            fleet_mean_w=float(np.asarray(self.fleet.mean)),
-            fleet_std_w=(
-                float(np.asarray(self.fleet.std())) if have_sd else 0.0
-            ),
+            samples_seen=self.fold.monitor.samples_seen,
+            fleet_mean_w=float(np.asarray(fleet.mean)),
+            fleet_std_w=(float(np.asarray(fleet.std())) if have_sd else 0.0),
             node_cv=(sd_nodes / mu if mu > 0 else 0.0),
             quantiles_w=self.fold.quantiles_w(),
             rolling_mean_w=report.rolling_mean_w,
@@ -448,9 +461,7 @@ class LiveStreamState:
         if not snapshots:
             snapshots.append(self.snapshot_at(final_monitor.t_now_s))
         try:
-            correlation = float(
-                np.mean(np.asarray(self.fold.covar.correlation()))
-            )
+            correlation = float(np.mean(self.fold.correlation()))
         except ValueError:
             # Degenerate stream (a single tick, or constant readings):
             # the correlation is undefined, not zero — surface as NaN.
@@ -459,7 +470,6 @@ class LiveStreamState:
             snapshots=snapshots,
             monitor_report=final_monitor,
             stopping=self._decision,
-            fleet_moments=self.fleet,
             node_moments=self.fold.monitor.node_moments,
             node_fleet_correlation=correlation,
             quantiles_w=self.fold.quantiles_w(),

@@ -150,8 +150,9 @@ class SequentialStopper:
         """Admit several nodes' means in order; returns the final decision.
 
         The batch is evaluated at once, bit-identical to admitting the
-        nodes one at a time: one node-order Welford pass gives every
-        prefix's moments, one vectorised quantile call gives every
+        nodes one at a time: one seeded cumulative sum
+        (:meth:`RunningMoments.push_each`) gives every prefix's moments,
+        one vectorised quantile call gives every
         prefix's achieved λ (which sets :attr:`stopped_at`), and one
         :meth:`evaluate` builds the returned decision.  Invalid input —
         a non-finite or negative mean, more nodes than the population,

@@ -32,7 +32,7 @@ class TestStreamingExperiment:
             assert abs(streamed - exact) / exact < 0.01
 
     def test_merges_exact(self, result):
-        # Moments merge exactly (Chan); the quantile sketch merges by
+        # Moments merge exactly (re-shifted sums); the sketch merges by
         # count addition, so its merged median is the single pass's.
         assert result.merge_rel_err <= 1e-9
         assert result.merge_sketch_rel_err == 0.0

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import MaskedRunningMoments
 from repro.faults.recovery import (
     GAP_POLICIES,
     SPIKE_RATIO,
     FlakySource,
-    MaskedRunningMoments,
     RecoveryPipeline,
     RetryingSource,
     RetryPolicy,
@@ -339,7 +339,7 @@ def _pipeline_bits(pipe: RecoveryPipeline) -> dict:
         "arrays": [
             a.tobytes() for a in (
                 nodes.quarantined, pipe._usable_per_node,
-                moments._count, moments._mean, moments._m2,
+                *(getattr(moments, name) for name in moments.__slots__),
                 nodes.last_raw, nodes.last_good, nodes.repeat_run,
                 nodes.missing_run, nodes.gap_len,
             )

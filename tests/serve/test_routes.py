@@ -238,7 +238,7 @@ class TestSessionRoutes:
         node_moments = session.state.fold.monitor.node_moments
         expected = float(np.asarray(node_moments.std()).mean())
         assert q["sigma_tick_w"] == expected
-        assert q["sigma_tick_w"] < float(session.state.fleet.std())
+        assert q["sigma_tick_w"] < float(node_moments.pooled().std())
 
     def test_empty_session_close_summary(self, app, session_config):
         async def scenario():

@@ -93,16 +93,16 @@ class TestArbitraryPartitions:
             np.asarray(reference.node_moments.std()),
         )
         assert np.array_equal(
-            np.asarray(fleet.fold.covar.correlation()),
-            np.asarray(reference.fold.covar.correlation()),
+            fleet.fold.correlation(),
+            reference.fold.correlation(),
         )
         assert (
             fleet.fold.monitor.report().to_dict()
             == reference.fold.monitor.report().to_dict()
         )
         assert float(
-            np.asarray(fleet.fleet_moments().mean)
-        ) == float(np.asarray(reference.fleet_moments().mean))
+            np.asarray(fleet.node_moments.pooled().mean)
+        ) == float(np.asarray(reference.node_moments.pooled().mean))
         assert fleet.samples_ingested == reference.samples_ingested
         assert fleet.fold.sketch == reference.fold.sketch
         assert fleet.fold.quantiles_w() == reference.fold.quantiles_w()

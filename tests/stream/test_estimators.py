@@ -10,11 +10,22 @@ from hypothesis.extra import numpy as hnp
 
 from repro.stream.estimators import (
     QUANTILE_REL_ERROR,
+    MaskedRunningMoments,
     P2Quantile,
     QuantileSketch,
     RunningCovariance,
     RunningMoments,
 )
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
+
+
+def _state_bits(est) -> tuple:
+    """Every field of an accumulator's state, as exact bytes."""
+    return tuple(
+        np.asarray(getattr(est, name)).tobytes() for name in est.__slots__
+    )
 
 
 @pytest.fixture()
@@ -41,13 +52,11 @@ class TestRunningMoments:
         for x in samples:
             a.push(x)
         b.push_batch(samples)
-        assert float(np.asarray(b.mean)) == pytest.approx(
-            float(np.asarray(a.mean)), rel=1e-12
+        assert _state_bits(b) == _state_bits(a)
+        assert float(np.asarray(b.mean)) == float(np.asarray(a.mean))
+        assert float(np.asarray(b.variance())) == float(
+            np.asarray(a.variance())
         )
-        assert float(np.asarray(b.variance())) == pytest.approx(
-            float(np.asarray(a.variance())), rel=1e-12
-        )
-        assert b.count == a.count
 
     @pytest.mark.parametrize("head", [0, 1, 7])
     def test_push_each_has_the_push_loop_bits(self, samples, head):
@@ -139,6 +148,191 @@ class TestRunningMoments:
             m.variance()
 
 
+def _fsum_reference(xs: np.ndarray) -> tuple[float, float]:
+    """Mean and ``Σ(x − mean)²``, each to a few ulps, via ``math.fsum``."""
+    mu = math.fsum(xs) / xs.size
+    return mu, math.fsum((x - mu) ** 2 for x in xs.tolist())
+
+
+class TestRoundingBound:
+    """The bound the RunningMoments docstring states, against fsum."""
+
+    @staticmethod
+    def _stream(kind: str) -> np.ndarray:
+        rng = np.random.default_rng(2015)
+        if kind == "noisy":
+            return rng.normal(300.0, 12.0, 600)
+        if kind == "ramp":
+            return np.linspace(180.0, 420.0, 600) + rng.normal(0.0, 1.0, 600)
+        # The first reading lies 1e4 sigma from the rest of the stream.
+        xs = rng.normal(300.0, 1e-3, 600)
+        xs[0] = 300.0 + 1e4 * 1e-3
+        return xs
+
+    @pytest.mark.parametrize("kind", ["noisy", "ramp", "far_first_reading"])
+    @pytest.mark.parametrize("batch", [1, 7, 600])
+    def test_within_the_stated_bound(self, kind, batch):
+        xs = self._stream(kind)
+        m = RunningMoments()
+        for i in range(0, xs.size, batch):
+            m.push_batch(xs[i:i + batch])
+        n, r = xs.size, xs[0]
+        mu, m2 = _fsum_reference(xs)
+        abs_dev = math.fsum(abs(x - r) for x in xs.tolist())
+        shifted_s2 = math.fsum((x - r) ** 2 for x in xs.tolist())
+        # The reference itself is good to a few ulps: allow 4u on top.
+        mean_bound = (n + 3) * _U * (abs_dev / n + abs(mu)) + 4 * _U * abs(mu)
+        m2_bound = 4 * (n + 3) * _U * shifted_s2 * (1 + 4 * _U) + 4 * _U * m2
+        assert abs(float(m.mean) - mu) <= mean_bound
+        assert abs(float(m.variance(ddof=0)) * n - m2) <= m2_bound
+        # The stream-independent form: 4n(n + 3)u relative on m2.
+        assert abs(float(m.variance(ddof=0)) * n - m2) <= (
+            4 * n * (n + 3) * _U * m2 * (1 + 1e-9) + 4 * _U * m2
+        )
+
+    def test_constant_column_has_zero_variance(self):
+        rng = np.random.default_rng(3)
+        xs = rng.normal(250.0, 9.0, (600, 3))
+        xs[:, 1] = 287.3
+        m = RunningMoments()
+        for i in range(0, 600, 64):
+            m.push_batch(xs[i:i + 64])
+        var = m.variance()
+        assert var[1] == 0.0
+        assert np.asarray(m.std())[1] == 0.0
+        assert np.all(np.isfinite(np.asarray(m.std())))
+        assert m.mean[1] == 287.3
+        scalar = RunningMoments()
+        scalar.push_each(np.full(50, 1e-3))
+        assert scalar.variance() == 0.0
+
+
+#: Widths the batching properties cover, from one node to a wide fleet.
+_WIDTHS = (1, 2, 7, 64, 1024)
+
+
+def _cuts(draw_list, n_rows: int) -> list[int]:
+    return sorted({c % n_rows for c in draw_list} - {0})
+
+
+class TestBatchingIndependence:
+    """Any cut of a stream into batches gives the one-pass state bits,
+    and a column streamed alone has the bits of that column in a wide
+    stream — what lets shards concatenate and routes agree."""
+
+    @staticmethod
+    def _rows(width: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        level = rng.uniform(100.0, 400.0, width)
+        return level + rng.normal(0.0, 15.0, (600, width))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(_WIDTHS),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 599), max_size=40),
+    )
+    def test_moments_any_batching_equals_one_pass(self, width, seed, cuts):
+        rows = self._rows(width, seed)
+        whole = RunningMoments()
+        whole.push_batch(rows)
+        split = RunningMoments()
+        for part in np.split(rows, _cuts(cuts, 600)):
+            split.push_batch(part)
+        assert split.count == whole.count
+        assert _state_bits(split) == _state_bits(whole)
+        fleet = rows.mean(axis=1)
+        cov_whole, cov_split = RunningCovariance(), RunningCovariance()
+        cov_whole.push_batch(rows, fleet)
+        for part, f in zip(
+            np.split(rows, _cuts(cuts, 600)),
+            np.split(fleet, _cuts(cuts, 600)),
+        ):
+            cov_split.push_batch(part, f)
+        assert _state_bits(cov_split) == _state_bits(cov_whole)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(_WIDTHS[1:]), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_column_slice_equals_wide_column(self, width, seed, data):
+        rows = self._rows(width, seed)
+        lo = data.draw(st.integers(0, width - 1))
+        hi = data.draw(st.integers(lo + 1, width))
+        fleet = rows.mean(axis=1)
+        wide, part = RunningMoments(), RunningMoments()
+        wide_cov, part_cov = RunningCovariance(), RunningCovariance()
+        for i in range(0, 600, 60):
+            wide.push_batch(rows[i:i + 60])
+            part.push_batch(rows[i:i + 60, lo:hi])
+            wide_cov.push_batch(rows[i:i + 60], fleet[i:i + 60])
+            part_cov.push_batch(rows[i:i + 60, lo:hi], fleet[i:i + 60])
+        for name in ("_shift", "_s1", "_s2", "_min", "_max"):
+            assert getattr(part, name).tobytes() == (
+                getattr(wide, name)[lo:hi].tobytes()
+            )
+        assert part_cov._sxy.tobytes() == wide_cov._sxy[lo:hi].tobytes()
+        assert np.array_equal(
+            part.variance(), np.asarray(wide.variance())[lo:hi]
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(_WIDTHS),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 0.9),
+        st.lists(st.integers(1, 599), max_size=40),
+    )
+    def test_masked_any_batching_equals_one_pass(
+        self, width, seed, hole_rate, cuts
+    ):
+        rows = self._rows(width, seed)
+        valid = np.random.default_rng(seed + 1).random(rows.shape) >= hole_rate
+        rows = np.where(valid, rows, np.nan)
+        whole = MaskedRunningMoments(width)
+        whole.push_batch(rows, valid)
+        split = MaskedRunningMoments(width)
+        for part, mask in zip(
+            np.split(rows, _cuts(cuts, 600)),
+            np.split(valid, _cuts(cuts, 600)),
+        ):
+            split.push_batch(part, mask)
+        assert _state_bits(split) == _state_bits(whole)
+        by_row = MaskedRunningMoments(width)
+        for row, mask in zip(rows, valid):
+            by_row.push_row(row, mask)
+        assert _state_bits(by_row) == _state_bits(whole)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(_WIDTHS[1:]), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 0.9), st.data())
+    def test_masked_column_slice_equals_wide_column(
+        self, width, seed, hole_rate, data
+    ):
+        rows = self._rows(width, seed)
+        valid = np.random.default_rng(seed + 1).random(rows.shape) >= hole_rate
+        lo = data.draw(st.integers(0, width - 1))
+        hi = data.draw(st.integers(lo + 1, width))
+        wide, part = MaskedRunningMoments(width), MaskedRunningMoments(hi - lo)
+        for i in range(0, 600, 60):
+            wide.push_batch(rows[i:i + 60], valid[i:i + 60])
+            part.push_batch(rows[i:i + 60, lo:hi], valid[i:i + 60, lo:hi])
+        for name in MaskedRunningMoments.__slots__:
+            assert getattr(part, name).tobytes() == (
+                getattr(wide, name)[lo:hi].tobytes()
+            )
+
+    def test_all_valid_masked_column_equals_running_moments(self):
+        rows = self._rows(7, 5)
+        masked = MaskedRunningMoments(7)
+        masked.push_batch(rows, np.ones(rows.shape, dtype=bool))
+        plain = RunningMoments()
+        plain.push_batch(rows)
+        assert masked.mean.tobytes() == np.asarray(plain.mean).tobytes()
+        assert masked.variance.tobytes() == (
+            np.asarray(plain.variance()).tobytes()
+        )
+
+
 class TestRunningCovariance:
     def test_matches_numpy(self, samples):
         y = 0.5 * samples + np.random.default_rng(7).normal(
@@ -146,26 +340,38 @@ class TestRunningCovariance:
         )
         c = RunningCovariance()
         c.push_batch(samples, y)
+        mx, my = _moments(samples), _moments(y)
         expected = np.cov(samples, y, ddof=1)[0, 1]
-        assert float(np.asarray(c.covariance())) == pytest.approx(
+        assert float(np.asarray(c.covariance(mx, my))) == pytest.approx(
             expected, rel=1e-10
         )
         expected_r = np.corrcoef(samples, y)[0, 1]
-        assert float(np.asarray(c.correlation())) == pytest.approx(
+        assert float(np.asarray(c.correlation(mx, my))) == pytest.approx(
             expected_r, rel=1e-10
         )
 
-    def test_merge_exact(self, samples):
+    def test_vector_columns_match_numpy(self):
+        rng = np.random.default_rng(11)
+        y = rng.normal(300.0, 20.0, 400)
+        xs = y[:, None] * [1.0, 0.5, 0.0] + rng.normal(0.0, 4.0, (400, 3))
+        c = RunningCovariance()
+        c.push_batch(xs, y)
+        r = c.correlation(_moments(xs), _moments(y))
+        for j in range(3):
+            assert r[j] == pytest.approx(
+                np.corrcoef(xs[:, j], y)[0, 1], rel=1e-10
+            )
+
+    def test_refuses_marginals_of_another_stream(self, samples):
         y = samples[::-1].copy()
-        a, b = RunningCovariance(), RunningCovariance()
-        a.push_batch(samples[:2000], y[:2000])
-        b.push_batch(samples[2000:], y[2000:])
-        merged = a.merge(b)
-        whole = RunningCovariance()
-        whole.push_batch(samples, y)
-        assert float(np.asarray(merged.covariance())) == pytest.approx(
-            float(np.asarray(whole.covariance())), rel=1e-10
-        )
+        c = RunningCovariance()
+        c.push_batch(samples, y)
+        with pytest.raises(ValueError, match="marginal"):
+            c.covariance(_moments(samples[1:]), _moments(y[1:]))
+        with pytest.raises(ValueError, match="marginal"):
+            c.correlation(_moments(y), _moments(samples))
+        with pytest.raises(ValueError, match="one value per observation"):
+            c.push_batch(samples[:4], y[:3])
 
 
 #: Well-conditioned "node watts"-like values: positive, bounded spread,
@@ -235,20 +441,6 @@ class TestMergeAlgebra:
         _close(direct.variance(), shuffled.variance(), rel=1e-8)
 
     @settings(max_examples=50, deadline=None)
-    @given(_watt_streams, _watt_streams, _watt_streams)
-    def test_covariance_merge_associative(self, xs, ys, zs):
-        def cov_of(arr):
-            c = RunningCovariance()
-            c.push_batch(arr, np.sqrt(arr))
-            return c
-
-        left = cov_of(xs).merge(cov_of(ys)).merge(cov_of(zs))
-        right = cov_of(xs).merge(cov_of(ys).merge(cov_of(zs)))
-        assert left.count == right.count
-        if left.count > 1:
-            _close(left.covariance(), right.covariance(), rel=1e-8)
-
-    @settings(max_examples=50, deadline=None)
     @given(
         hnp.arrays(
             dtype=np.float64,
@@ -266,7 +458,11 @@ class TestMergeAlgebra:
         direct.push_batch(xs, ys)
         shuffled = RunningCovariance()
         shuffled.push_batch(xs[idx], ys[idx])
-        _close(direct.covariance(), shuffled.covariance(), rel=1e-8)
+        _close(
+            direct.covariance(_moments(xs), _moments(ys)),
+            shuffled.covariance(_moments(xs[idx]), _moments(ys[idx])),
+            rel=1e-8,
+        )
 
 
 class TestP2Quantile:

@@ -51,6 +51,40 @@ class TestStreamSession:
         other = stream_session(small_run, ticks_per_batch=7)
         assert one.quantiles_w == other.quantiles_w
 
+    def test_moments_independent_of_route_and_batching(self, small_run):
+        # Node and fleet moments are the same bits whichever route and
+        # batching folded the rows.  Verdicts are not compared: the
+        # routes admit node means to the stopper at different points.
+        from repro.shard.engine import sharded_session
+
+        results = [
+            stream_session(small_run, ticks_per_batch=60),
+            stream_session(small_run, ticks_per_batch=30),
+            sharded_session(small_run, n_shards=1),
+            sharded_session(small_run, n_shards=4),
+        ]
+
+        def node_bits(r):
+            m = r.node_moments
+            return [np.asarray(v) for v in (
+                m.mean, m.variance(), m.minimum, m.maximum
+            )]
+
+        def fleet_bits(r):
+            m = r.fleet_moments
+            return (m.count, m.mean, m.variance(), m.minimum, m.maximum)
+
+        first = results[0]
+        for other in results[1:]:
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(node_bits(other), node_bits(first))
+            )
+            assert fleet_bits(other) == fleet_bits(first)
+            assert other.node_fleet_correlation == (
+                first.node_fleet_correlation
+            )
+
     def test_quantile_bound_is_stated(self, session_result):
         result, _ = session_result
         assert result.to_dict()["quantile_rel_error"] == 0.005

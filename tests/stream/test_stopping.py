@@ -76,11 +76,11 @@ class ScalarReference:
 
 
 def _moment_bytes(m: RunningMoments) -> tuple:
+    """Every field of the estimator's state, as exact bytes."""
     if m.count == 0:
         return (0,)
     return (m.count,) + tuple(
-        np.asarray(v, dtype=float).tobytes()
-        for v in (m.mean, m.variance(ddof=0), m.minimum, m.maximum)
+        np.asarray(getattr(m, name)).tobytes() for name in m.__slots__
     )
 
 
