@@ -463,17 +463,11 @@ class TelemetryApp:
     ) -> Response:
         session = self._lookup(request, session_id)
         state = session.state
-        snapshot = (
-            state.live_snapshot().to_dict()
-            if state.samples_ingested else None
-        )
         return json_response({
             "session_id": session.session_id,
             "samples_ingested": state.samples_ingested,
             "queue_depth": session.queue_depth,
-            "snapshot": snapshot,
-            "monitor": state.fold.monitor.report().to_dict(),
-            "stopping": state.decision.to_dict(),
+            **state.verdict().to_dict(),
         })
 
     async def _route_quality(

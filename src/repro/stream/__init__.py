@@ -45,6 +45,7 @@ from repro.stream.session import (
     LiveStreamState,
     StreamSessionResult,
     StreamSnapshot,
+    StreamVerdict,
     stream_session,
 )
 from repro.stream.stopping import SequentialStopper, StoppingDecision
@@ -67,6 +68,7 @@ __all__ = [
     "LiveStreamState",
     "StreamSessionResult",
     "StreamSnapshot",
+    "StreamVerdict",
     "stream_session",
     "SequentialStopper",
     "StoppingDecision",

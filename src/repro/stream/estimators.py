@@ -52,7 +52,7 @@ QUANTILE_REL_ERROR = 0.005
 
 def _as_observation(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("observation contains non-finite values")
     return arr
 
@@ -187,8 +187,29 @@ class RunningMoments:
 
     # ------------------------------------------------------------------
     def push(self, x) -> None:
-        """Add one observation (a batch of one)."""
-        self.push_batch(np.asarray(x, dtype=float)[None])
+        """Add one observation (a batch of one).
+
+        A Python float or int (``np.float64`` included) pushed onto a
+        scalar estimator takes a plain-float update that leaves every
+        field with the bits and types :meth:`push_batch` would; anything
+        else goes through :meth:`push_batch`.
+        """
+        if not isinstance(x, (float, int)) or (
+            self._shift is not None and self._shift.ndim != 0
+        ):
+            self.push_batch(np.asarray(x, dtype=float)[None])
+            return
+        v = float(x)
+        if not math.isfinite(v):
+            raise ValueError("observation contains non-finite values")
+        if self._shift is None:
+            self._start(np.asarray(v))
+        d = v - float(self._shift)
+        self._s1 = np.float64(float(self._s1) + d)
+        self._s2 = np.float64(float(self._s2) + d * d)
+        self._min = np.minimum(self._min, v)
+        self._max = np.maximum(self._max, v)
+        self._count += 1
 
     def push_each(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Push scalar observations in order; return every prefix.

@@ -227,6 +227,14 @@ class ComplianceMonitor:
         """
         if batch.n_ticks == 0:
             return  # an empty flush carries nothing to judge
+        if fleet_w is None:
+            fleet_w = batch.fleet_means()
+        else:
+            fleet_w = np.asarray(fleet_w, dtype=np.float64)
+            if fleet_w.shape != (batch.n_ticks,):
+                raise ValueError(
+                    "fleet_w must carry one reference mean per tick"
+                )
         if self._node_ids is None:
             self._node_ids = batch.node_ids.copy()
             self._excursions = np.zeros(batch.n_nodes, dtype=np.int64)
@@ -255,14 +263,6 @@ class ComplianceMonitor:
         # fleet at the same tick (scale-free, so common-mode ramps
         # cancel), against the node's ratio history *before* this batch
         # folds in — a step change must not mask itself.
-        if fleet_w is None:
-            fleet_w = batch.fleet_means()
-        else:
-            fleet_w = np.asarray(fleet_w, dtype=np.float64)
-            if fleet_w.shape != (batch.n_ticks,):
-                raise ValueError(
-                    "fleet_w must carry one reference mean per tick"
-                )
         with np.errstate(invalid="ignore", divide="ignore"):
             ratios = np.where(
                 fleet_w[:, None] > 0,
@@ -349,13 +349,17 @@ class ComplianceMonitor:
             return False
         return is_legal_level1_window(MeasurementWindow(f0c, f1c), core_s)
 
-    def node_flags(self) -> list[NodeFlags]:
-        """Current per-node anomaly state (post warm-up; else empty)."""
+    def _flagged_nodes(
+        self,
+    ) -> tuple[tuple[NodeFlags, ...], tuple[NodeFlags, ...]]:
+        """``(outlier_nodes, excursion_nodes)`` in node order, post
+        warm-up (else empty); a node flagged both ways is one object in
+        both."""
         if (
             self._node_ids is None
             or self.node_moments.count < MIN_SAMPLES_FOR_FLAGS
         ):
-            return []
+            return (), ()
         means = np.asarray(self.node_moments.mean)
         fleet_mu = float(means.mean())
         fleet_sd = float(means.std(ddof=1)) if means.size > 1 else 0.0
@@ -363,18 +367,32 @@ class ComplianceMonitor:
             z = (means - fleet_mu) / fleet_sd
         else:
             z = np.zeros_like(means)
-        return [
+        outlier = np.abs(z) > OUTLIER_Z
+        idx = np.flatnonzero(outlier | (self._excursions > 0))
+        flags = [
             NodeFlags(
-                node_id=int(nid),
-                z_score=float(zi),
-                flagged_outlier=bool(abs(zi) > OUTLIER_Z),
-                excursion_count=int(exc),
+                node_id=nid,
+                z_score=zi,
+                flagged_outlier=out,
+                excursion_count=exc,
             )
-            for nid, zi, exc in zip(self._node_ids, z, self._excursions)
+            for nid, zi, out, exc in zip(
+                self._node_ids[idx].tolist(),
+                z[idx].tolist(),
+                outlier[idx].tolist(),
+                self._excursions[idx].tolist(),
+            )
         ]
+        return (
+            tuple(f for f in flags if f.flagged_outlier),
+            tuple(f for f in flags if f.excursion_count > 0),
+        )
 
     def report(self) -> MonitorReport:
         """Render the current verdicts.
+
+        Its cost in Python objects follows the flagged nodes, not the
+        fleet: only outlier and excursion nodes get a :class:`NodeFlags`.
 
         With zero observed samples there is no basis for a verdict:
         the report comes back with ``insufficient_data=True`` and every
@@ -396,7 +414,7 @@ class ComplianceMonitor:
                 rolling_span_s=0.0,
                 insufficient_data=True,
             )
-        flags = self.node_flags()
+        outliers, excursions = self._flagged_nodes()
         coverage = self._coverage()
         rolling_ok = len(self._rolling) > 0
         worst = (
@@ -416,8 +434,6 @@ class ComplianceMonitor:
             legal_level1_window=bool(self._legal_level1_now()),
             rolling_mean_w=(self._rolling.mean() if rolling_ok else 0.0),
             rolling_span_s=self._rolling.span_s(),
-            outlier_nodes=tuple(f for f in flags if f.flagged_outlier),
-            excursion_nodes=tuple(
-                f for f in flags if f.excursion_count > 0
-            ),
+            outlier_nodes=outliers,
+            excursion_nodes=excursions,
         )

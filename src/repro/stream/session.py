@@ -46,6 +46,7 @@ from repro.traces.synth import SimulatedRun
 __all__ = [
     "FleetFold",
     "StreamSnapshot",
+    "StreamVerdict",
     "StreamSessionResult",
     "LiveStreamState",
     "stream_session",
@@ -89,12 +90,18 @@ class FleetFold:
     def push(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
         """Fold one batch, judged against its per-tick fleet series.
 
-        A batch with a non-finite or negative reading is refused before
-        any estimator changes, so a refused batch leaves the fold as it
-        was.
+        A batch with a non-finite or negative reading, or a ``fleet_w``
+        that is not one finite mean per tick, is refused before any
+        estimator changes, so a refused batch leaves the fold as it was.
         """
         if not batch.readings_valid():
             raise ValueError("readings must be finite and non-negative")
+        fleet_w = np.asarray(fleet_w, dtype=np.float64)
+        if (
+            fleet_w.shape != (batch.n_ticks,)
+            or not np.isfinite(fleet_w).all()
+        ):
+            raise ValueError("fleet_w must carry one finite mean per tick")
         self.monitor.observe(batch, fleet_w=fleet_w)
         self.fleet_series.push_batch(fleet_w)
         self.sketch.push_batch(batch.watts)
@@ -199,6 +206,29 @@ class StreamSnapshot:
         )
 
 
+@dataclass(frozen=True)
+class StreamVerdict:
+    """What the stream says now: snapshot, monitor report, stopping.
+
+    Built by :meth:`LiveStreamState.verdict` from one monitor report,
+    so the three parts always describe the same state.
+    """
+
+    snapshot: StreamSnapshot | None
+    monitor: MonitorReport
+    stopping: StoppingDecision
+
+    def to_dict(self) -> dict:
+        """JSON-friendly rendering."""
+        return {
+            "snapshot": (
+                None if self.snapshot is None else self.snapshot.to_dict()
+            ),
+            "monitor": self.monitor.to_dict(),
+            "stopping": self.stopping.to_dict(),
+        }
+
+
 @dataclass
 class StreamSessionResult:
     """Everything a finished streaming session produced."""
@@ -290,9 +320,10 @@ class LiveStreamState:
     The single source of truth for "what does the stream look like so
     far": every driver — the batch replay in :func:`stream_session`,
     the per-tenant sessions in :mod:`repro.serve` — pushes its batches
-    through :meth:`push` and reads verdicts with :meth:`live_snapshot`
-    / :meth:`result`, so identical batch streams always produce
-    identical verdicts regardless of how the bytes arrived.
+    through :meth:`push` and reads verdicts with :meth:`verdict` (the
+    live snapshot, monitor report and stopping decision, from one
+    monitor report) / :meth:`result`, so identical batch streams always
+    produce identical verdicts regardless of how the bytes arrived.
 
     Parameters
     ----------
@@ -381,12 +412,14 @@ class LiveStreamState:
         if self._next_report_s is None:
             self._next_report_s = batch.t0_s + self.report_every_s
         while t_now >= self._next_report_s - 1e-9:
-            self.snapshots.append(self.snapshot_at(t_now))
+            self.snapshots.append(
+                self.snapshot_at(t_now, self.fold.monitor.report())
+            )
             self._next_report_s += self.report_every_s
 
-    def snapshot_at(self, t_s: float) -> StreamSnapshot:
-        """Build a snapshot of the current state, stamped ``t_s``."""
-        report = self.fold.monitor.report()
+    def snapshot_at(self, t_s: float, report: MonitorReport) -> StreamSnapshot:
+        """Build a snapshot of the current state, stamped ``t_s``, from
+        the monitor's current ``report``."""
         decision = self._decision
         fleet = self.fold.monitor.node_moments.pooled()
         have_sd = fleet.count >= 2
@@ -411,16 +444,21 @@ class LiveStreamState:
             should_stop=decision.should_stop,
         )
 
-    def live_snapshot(self) -> StreamSnapshot:
-        """A snapshot stamped with the monitor's current stream time.
+    def verdict(self) -> StreamVerdict:
+        """The live verdict: snapshot, monitor report and stopping.
 
-        Requires at least one ingested batch (an empty stream has no
-        moments to snapshot — callers serving live queries should check
-        :attr:`samples_ingested` first).
+        All three come from one monitor report; the snapshot is stamped
+        with the monitor's current stream time, and is ``None`` while
+        nothing has been ingested (an empty stream has no moments).
         """
-        if self.samples_ingested == 0:
-            raise ValueError("cannot snapshot an empty stream")
-        return self.snapshot_at(self.fold.monitor.report().t_now_s)
+        report = self.fold.monitor.report()
+        snapshot = (
+            self.snapshot_at(report.t_now_s, report)
+            if self.samples_ingested else None
+        )
+        return StreamVerdict(
+            snapshot=snapshot, monitor=report, stopping=self._decision
+        )
 
     def finalize(self) -> StoppingDecision:
         """Close the stream: admit any not-yet-reported node means.
@@ -459,7 +497,9 @@ class LiveStreamState:
         final_monitor = self.fold.monitor.report()
         snapshots = list(self.snapshots)
         if not snapshots:
-            snapshots.append(self.snapshot_at(final_monitor.t_now_s))
+            snapshots.append(
+                self.snapshot_at(final_monitor.t_now_s, final_monitor)
+            )
         try:
             correlation = float(np.mean(self.fold.correlation()))
         except ValueError:

@@ -300,3 +300,89 @@ class TestMetricsRoute:
         route = doc["routes"]["POST /v1/sessions/*/batches"]
         assert route["total"] == 1
         assert route["latency"]["count"] == 1
+
+
+class TestVerdictRoute:
+    """``GET …/verdict`` reads one monitor report and renders exactly
+    what a direct replay's snapshot, report and decision render."""
+
+    @staticmethod
+    def _reference_body(state, session_id: str) -> bytes:
+        # The verdict body as rendered from three separate reads: a
+        # snapshot stamped at the report's stream time, a second report
+        # and the stopping decision.
+        monitor = state.fold.monitor
+        snapshot = (
+            state.snapshot_at(
+                monitor.report().t_now_s, monitor.report()
+            ).to_dict()
+            if state.samples_ingested else None
+        )
+        return json.dumps({
+            "session_id": session_id,
+            "samples_ingested": state.samples_ingested,
+            "queue_depth": 0,
+            "snapshot": snapshot,
+            "monitor": monitor.report().to_dict(),
+            "stopping": state.decision.to_dict(),
+        }, default=float).encode("utf-8")
+
+    def test_one_report_per_read_and_body_equals_direct_replay(
+        self, app, session_config, json_payloads, serve_batches,
+        monkeypatch,
+    ):
+        from repro.stream.monitor import ComplianceMonitor
+        from repro.stream.session import LiveStreamState
+
+        reports = []
+        original = ComplianceMonitor.report
+
+        def counted(monitor):
+            reports.append(monitor)
+            return original(monitor)
+
+        monkeypatch.setattr(ComplianceMonitor, "report", counted)
+        reference = LiveStreamState(
+            population=session_config["population"],
+            core_window=(
+                session_config["core_t0_s"], session_config["core_t1_s"]
+            ),
+            required_interval_s=session_config["interval_s"],
+            accuracy=ACCURACY,
+            report_every_s=session_config["report_every_s"],
+        )
+        read_after = {0, 1, 3, len(json_payloads)}
+
+        async def scenario():
+            sid = await open_session(app, session_config)
+            (session,) = app.registry.all_sessions()
+            served = session.state.fold.monitor
+            reads = []
+            for k in range(len(json_payloads) + 1):
+                if k:
+                    response = await app.dispatch(make_request(
+                        "POST", f"/v1/sessions/{sid}/batches",
+                        tenant="acme", body=json_payloads[k - 1],
+                    ))
+                    assert response.status == 202
+                    await session.drain()
+                    reference.push(serve_batches[k - 1])
+                if k not in read_after:
+                    continue
+                expected = self._reference_body(reference, sid)
+                reports.clear()
+                response = await app.dispatch(make_request(
+                    "GET", f"/v1/sessions/{sid}/verdict", tenant="acme"
+                ))
+                served_reads = sum(m is served for m in reports)
+                reads.append((k, response, expected, served_reads))
+            return reads
+
+        reads = asyncio.run(scenario())
+        assert [k for k, *_ in reads] == sorted(read_after)
+        for k, response, expected, served_reads in reads:
+            assert response.status == 200, k
+            assert served_reads == 1, k
+            assert response.body == expected, k
+        assert body(reads[0][1])["snapshot"] is None
+        assert body(reads[-1][1])["snapshot"]["samples_seen"] > 0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -57,6 +57,44 @@ class TestRunningMoments:
         assert float(np.asarray(b.variance())) == float(
             np.asarray(a.variance())
         )
+
+    @settings(max_examples=100, deadline=None)
+    @example(first=1e12, rest=[250.0, 251.5, 0.0, 249.0])
+    @example(first=-0.0, rest=[0.0, -0.0, 5e-324, -5e-324])
+    @given(
+        first=st.floats(-1e150, 1e150),
+        rest=st.lists(
+            st.one_of(
+                st.floats(-1e150, 1e150),
+                st.integers(-(2**53), 2**53),
+                st.sampled_from([0.0, -0.0, 1e150, -1e150]),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_scalar_push_has_the_push_batch_state(self, first, rest):
+        # The plain-float path leaves every slot with the bits and the
+        # type of a one-row push_batch, from the first push on.
+        fast, batched = RunningMoments(), RunningMoments()
+        for x in [first, *rest]:
+            fast.push(x)
+            batched.push_batch(np.asarray(x, dtype=float)[None])
+            assert [type(getattr(fast, n)) for n in fast.__slots__] == [
+                type(getattr(batched, n)) for n in batched.__slots__
+            ]
+            assert _state_bits(fast) == _state_bits(batched)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_push_refuses_non_finite(self, bad):
+        for head in ([], [3.0, 4.0]):
+            m = RunningMoments()
+            for x in head:
+                m.push(x)
+            before = _state_bits(m)
+            with pytest.raises(ValueError, match="non-finite"):
+                m.push(bad)
+            assert _state_bits(m) == before
+            assert m.count == len(head)
 
     @pytest.mark.parametrize("head", [0, 1, 7])
     def test_push_each_has_the_push_loop_bits(self, samples, head):

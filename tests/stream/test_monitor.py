@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.stream import monitor as monitor_module
 from repro.stream.ingest import SampleBatch, replay_run
-from repro.stream.monitor import ComplianceMonitor
+from repro.stream.monitor import (
+    MIN_SAMPLES_FOR_FLAGS,
+    OUTLIER_Z,
+    ComplianceMonitor,
+    NodeFlags,
+)
 
 
 def _monitor_for(run) -> ComplianceMonitor:
@@ -165,3 +173,137 @@ class TestInsufficientData:
         rep = mon.report()
         assert not rep.insufficient_data
         assert "insufficient" not in "\n".join(rep.lines())
+
+
+def _dense_flags(mon: ComplianceMonitor) -> tuple[tuple, tuple]:
+    """The per-node flag loop ``report()`` replaced: one ``NodeFlags``
+    per node, filtered afterwards.  Kept as the reference the sparse
+    report must equal field for field, in node order."""
+    if (
+        mon._node_ids is None
+        or mon.node_moments.count < MIN_SAMPLES_FOR_FLAGS
+    ):
+        return (), ()
+    means = np.asarray(mon.node_moments.mean)
+    fleet_mu = float(means.mean())
+    fleet_sd = float(means.std(ddof=1)) if means.size > 1 else 0.0
+    if fleet_sd > 0:
+        z = (means - fleet_mu) / fleet_sd
+    else:
+        z = np.zeros_like(means)
+    flags = [
+        NodeFlags(
+            node_id=int(nid),
+            z_score=float(zi),
+            flagged_outlier=bool(abs(zi) > OUTLIER_Z),
+            excursion_count=int(exc),
+        )
+        for nid, zi, exc in zip(mon._node_ids, z, mon._excursions)
+    ]
+    return (
+        tuple(f for f in flags if f.flagged_outlier),
+        tuple(f for f in flags if f.excursion_count > 0),
+    )
+
+
+def _flag_fields(flags) -> list[tuple]:
+    """Every field of each flag, the z-score as its exact bits."""
+    return [
+        (type(f.node_id), f.node_id, f.z_score.hex(),
+         type(f.flagged_outlier), f.flagged_outlier,
+         type(f.excursion_count), f.excursion_count)
+        for f in flags
+    ]
+
+
+class TestSparseFlags:
+    """``report()`` builds flags only for flagged nodes, and its flag
+    tuples equal the dense per-node loop's, field by field, in order."""
+
+    @staticmethod
+    def _fleet(n_nodes, n_ticks, seed, flat, hot, steps) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        if flat:
+            watts = np.full((n_ticks, n_nodes), 250.0)
+        else:
+            level = rng.uniform(240.0, 260.0, n_nodes)
+            watts = level + rng.normal(0.0, 2.0, (n_ticks, n_nodes))
+        for node in hot:
+            watts[:, node % n_nodes] *= 10.0
+        for node in steps:
+            watts[40:, node % n_nodes] += 120.0
+        return watts
+
+    @staticmethod
+    def _observe(watts, ticks_per_batch, n_shards) -> ComplianceMonitor:
+        n_ticks, n_nodes = watts.shape
+        cuts = np.linspace(0, n_nodes, n_shards + 1).astype(int)
+        shards = [
+            ComplianceMonitor((0.0, float(n_ticks)))
+            for _ in range(n_shards)
+        ]
+        ids = np.arange(n_nodes, dtype=np.int64)
+        for t0 in range(0, n_ticks, ticks_per_batch):
+            rows = watts[t0:t0 + ticks_per_batch]
+            times = np.arange(t0, t0 + rows.shape[0], dtype=float)
+            fleet_w = rows.mean(axis=1)
+            for mon, lo, hi in zip(shards, cuts[:-1], cuts[1:]):
+                mon.observe(
+                    SampleBatch(
+                        times=times, watts=rows[:, lo:hi],
+                        node_ids=ids[lo:hi],
+                    ),
+                    fleet_w=(None if n_shards == 1 else fleet_w),
+                )
+        if n_shards == 1:
+            return shards[0]
+        return ComplianceMonitor.merge_shards(shards)
+
+    @settings(max_examples=60, deadline=None)
+    @example(n_nodes=18, n_ticks=29, seed=0, flat=False, hot=[0],
+             steps=[], ticks_per_batch=29, n_shards=1)
+    @example(n_nodes=18, n_ticks=30, seed=0, flat=False, hot=[0],
+             steps=[], ticks_per_batch=30, n_shards=1)
+    @example(n_nodes=24, n_ticks=60, seed=1, flat=True, hot=[],
+             steps=[], ticks_per_batch=7, n_shards=3)
+    @example(n_nodes=24, n_ticks=90, seed=2, flat=False, hot=[5],
+             steps=[5, 11], ticks_per_batch=10, n_shards=4)
+    @given(
+        n_nodes=st.sampled_from([2, 5, 17, 18, 24, 40]),
+        n_ticks=st.sampled_from([29, 30, 31, 60, 90]),
+        seed=st.integers(0, 2**32 - 1),
+        flat=st.booleans(),
+        hot=st.lists(st.integers(0, 39), max_size=3),
+        steps=st.lists(st.integers(0, 39), max_size=3),
+        ticks_per_batch=st.sampled_from([1, 7, 10, 30, 90]),
+        n_shards=st.integers(1, 4),
+    )
+    def test_report_flags_equal_dense_reference(
+        self, n_nodes, n_ticks, seed, flat, hot, steps, ticks_per_batch,
+        n_shards,
+    ):
+        watts = self._fleet(n_nodes, n_ticks, seed, flat, hot, steps)
+        mon = self._observe(watts, ticks_per_batch, min(n_shards, n_nodes))
+        rep = mon.report()
+        outliers, excursions = _dense_flags(mon)
+        assert _flag_fields(rep.outlier_nodes) == _flag_fields(outliers)
+        assert _flag_fields(rep.excursion_nodes) == _flag_fields(excursions)
+        assert rep.outlier_nodes == outliers
+        assert rep.excursion_nodes == excursions
+
+    def test_flags_built_only_for_flagged_nodes(self, monkeypatch):
+        watts = self._fleet(1024, 90, 7, False, [3, 700], [41])
+        mon = self._observe(watts, 30, 1)
+        built = []
+
+        def counting_flags(**fields):
+            built.append(fields["node_id"])
+            return NodeFlags(**fields)
+
+        monkeypatch.setattr(monitor_module, "NodeFlags", counting_flags)
+        rep = mon.report()
+        flagged = sorted(
+            {f.node_id for f in rep.outlier_nodes + rep.excursion_nodes}
+        )
+        assert flagged == [3, 41, 700]
+        assert built == flagged

@@ -167,3 +167,59 @@ class TestFleetFoldRefusal:
             fold.monitor.report().to_dict(),
         )
         assert after == before
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short", "long", "2d"])
+    def test_bad_fleet_series_leaves_fold_unchanged(self, bad):
+        # A fleet series that is not one finite mean per tick is refused
+        # before the monitor, the fleet series, the sketch or the
+        # covariance moves, so the fold stays usable.
+        from repro.stream.ingest import SampleBatch
+        from repro.stream.session import FleetFold
+
+        rng = np.random.default_rng(3)
+        ids = np.arange(5)
+
+        def batch(t0_s: float) -> SampleBatch:
+            return SampleBatch(
+                times=np.arange(t0_s, t0_s + 4.0),
+                watts=rng.uniform(200.0, 300.0, (4, 5)),
+                node_ids=ids,
+            )
+
+        fold = FleetFold((0.0, 100.0), required_interval_s=1.0)
+        first = batch(0.0)
+        fold.push(first, first.fleet_means())
+        nxt = batch(4.0)
+        fleet_w = nxt.fleet_means()
+        bad_w = {
+            "nan": np.where(np.arange(4) == 1, np.nan, fleet_w),
+            "inf": np.where(np.arange(4) == 2, np.inf, fleet_w),
+            "short": fleet_w[:3],
+            "long": np.append(fleet_w, 250.0),
+            "2d": fleet_w[None],
+        }[bad]
+        before = _state(fold)
+        with pytest.raises(ValueError, match="fleet_w"):
+            fold.push(nxt, bad_w)
+        assert _state(fold) == before
+        fold.push(nxt, fleet_w)
+        assert fold.monitor.samples_seen == 40
+        assert np.isfinite(fold.correlation()).all()
+
+
+def _state(obj):
+    """Every field of an object, nested estimators included, as exact
+    bytes and reprs: two equal results mean equal state."""
+    if isinstance(obj, np.ndarray):
+        return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, np.generic):
+        return (type(obj).__name__, obj.tobytes())
+    if isinstance(obj, (tuple, list)):
+        return tuple(_state(item) for item in obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return repr(obj)
+    names = getattr(type(obj), "__slots__", None) or sorted(vars(obj))
+    return (
+        type(obj).__name__,
+        tuple((name, _state(getattr(obj, name))) for name in names),
+    )
