@@ -136,26 +136,18 @@ def run_sharded(
         and plan.n_shards >= 2
         and "fork" in multiprocessing.get_all_start_methods()
     )
-    try:
-        # The reference pass tabulates the whole fleet's power grid;
-        # the shards slice it (see SimulatedRun._level_grids) until the
-        # pass ends.
-        work = functools.partial(
-            run_shard,
-            run,
-            ticks_per_batch=plan.ticks_per_batch,
-            reference_w=fleet_reference(
-                run, ticks_per_batch=plan.ticks_per_batch
-            ),
-        )
-        if use_pool:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(processes, plan.n_shards)) as pool:
-                states = pool.map(work, plan.shards)
-        else:
-            states = [work(spec) for spec in plan]
-    finally:
-        run.drop_fleet_grids()
+    work = functools.partial(
+        run_shard,
+        run,
+        ticks_per_batch=plan.ticks_per_batch,
+        reference_w=fleet_reference(run, ticks_per_batch=plan.ticks_per_batch),
+    )
+    if use_pool:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(processes, plan.n_shards)) as pool:
+            states = pool.map(work, plan.shards)
+    else:
+        states = [work(spec) for spec in plan]
     return reduce_states(states, plan)
 
 

@@ -224,16 +224,24 @@ class ComplianceMonitor:
         pass the *global* reference series here, so its excursion and
         rolling state is exactly the column slice of what a full-fleet
         monitor would hold (the :meth:`merge_shards` contract).
+
+        A batch with a non-finite reading or reference mean, or a
+        changed node set, is refused before any state changes.
         """
         if batch.n_ticks == 0:
             return  # an empty flush carries nothing to judge
+        if not np.isfinite(batch.watts).all():
+            raise ValueError("readings must be finite")
         if fleet_w is None:
             fleet_w = batch.fleet_means()
         else:
             fleet_w = np.asarray(fleet_w, dtype=np.float64)
-            if fleet_w.shape != (batch.n_ticks,):
+            if (
+                fleet_w.shape != (batch.n_ticks,)
+                or not np.isfinite(fleet_w).all()
+            ):
                 raise ValueError(
-                    "fleet_w must carry one reference mean per tick"
+                    "fleet_w must carry one finite reference mean per tick"
                 )
         if self._node_ids is None:
             self._node_ids = batch.node_ids.copy()

@@ -9,8 +9,12 @@ Performance note (the fleets are large): node power under a balanced
 workload depends on time only through the scalar utilisation ``u(t)``,
 so instead of an ``(n_nodes × n_times)`` evaluation we tabulate the
 fleet's (or subset's) total power on a small utilisation grid once and
-interpolate — O(n_nodes·G + n_times) instead of O(n_nodes·n_times).
-The grid is tabulated in blocks of grid points, each one broadcast
+interpolate.  The summed traces tabulate all G = 129 grid points; the
+per-node views (:meth:`SimulatedRun.node_power_matrix`,
+:meth:`SimulatedRun.stream_run`) tabulate only the R ≤ G rows that
+bracket the requested ticks' utilisations, a handful for an HPL core
+phase at 1 Hz — O(n_nodes·R + n_times) instead of
+O(n_nodes·n_times).  Rows are tabulated in blocks, each one broadcast
 pass of :meth:`~repro.cluster.system.SystemModel.node_total_power_grid`
 (see :func:`_grid_blocks`), bit-identical to evaluating point by point.
 """
@@ -39,19 +43,21 @@ def _grid_blocks(
     system: SystemModel,
     indices: np.ndarray | None,
     freq_multiplier: float,
+    u: np.ndarray | None = None,
 ):
-    """Yield ``(g0, block)`` over the utilisation grid, where
-    ``block[i]`` is every requested node's total power at grid point
-    ``g0 + i``.
+    """Yield ``(g0, block)`` over the utilisation points ``u`` (default:
+    the whole grid), where ``block[i]`` is every requested node's total
+    power at ``u[g0 + i]``.
 
-    Blocks split the grid axis, never the node axis, so each row keeps
+    Blocks split the point axis, never the node axis, so each row keeps
     its whole-subset pairwise sum; a fleet of ``_GRID_CELLS`` nodes or
     more gets one row per block.
     """
-    u = np.linspace(0.0, 1.0, _U_GRID)
+    if u is None:
+        u = np.linspace(0.0, 1.0, _U_GRID)
     n = system.n_nodes if indices is None else len(indices)
     k = max(1, _GRID_CELLS // n)
-    for g0 in range(0, _U_GRID, k):
+    for g0 in range(0, u.size, k):
         yield g0, system.node_total_power_grid(
             u[g0:g0 + k], indices=indices, freq_multiplier=freq_multiplier
         )
@@ -102,6 +108,26 @@ def _powers_with_governor(
     return watts
 
 
+def _interpolate(
+    grid: np.ndarray,
+    pos: np.ndarray,
+    w: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Write ``grid[pos]·(1−w) + grid[pos+1]·w`` row-wise into ``out``.
+
+    ``scratch`` is a buffer of ``out``'s shape.  Both per-node views of
+    a run evaluate through here, so a streamed batch matches the same
+    rows of :meth:`SimulatedRun.node_power_matrix` bit for bit.
+    """
+    np.take(grid, pos, axis=0, out=out)
+    out *= (1 - w)[:, None]
+    np.take(grid, pos + 1, axis=0, out=scratch)
+    scratch *= w[:, None]
+    out += scratch
+
+
 @dataclass
 class SimulatedRun:
     """A complete simulated benchmark run on one system.
@@ -130,11 +156,6 @@ class SimulatedRun:
     _times: np.ndarray = field(repr=False, default=None)
     _util: np.ndarray = field(repr=False, default=None)
     _freq_mult: np.ndarray = field(repr=False, default=None)
-    #: Whole-fleet power grids by frequency multiplier, kept from the
-    #: first whole-fleet request until :meth:`drop_fleet_grids`.
-    _fleet_grids: dict = field(
-        repr=False, compare=False, default_factory=dict
-    )
 
     # ------------------------------------------------------------------
     @property
@@ -192,23 +213,11 @@ class SimulatedRun:
         """
         idx = self._validated_indices(node_indices)
         in_span = self._in_span(t0_s, t1_s)
-        times = self._times[in_span]
-        util = self._util[in_span]
-        noise = self._noise[in_span]
-        u_grid, level_of, grids = self._level_grids(idx, in_span)
-        watts = np.empty((times.size, idx.size))
-        for li, per_node in enumerate(grids):
-            mask = level_of == li
-            u_sel = util[mask]
-            cell = np.clip(
-                np.searchsorted(u_grid, u_sel) - 1, 0, _U_GRID - 2
-            )
-            w = (u_sel - u_grid[cell]) / (u_grid[cell + 1] - u_grid[cell])
-            watts[mask] = (
-                per_node[cell] * (1 - w)[:, None]
-                + per_node[cell + 1] * w[:, None]
-            )
-        return times, watts * noise[:, None]
+        grid, pos, w = self._level_grids(idx, in_span)
+        watts = np.empty((pos.size, idx.size))
+        _interpolate(grid, pos, w, watts, np.empty_like(watts))
+        watts *= self._noise[in_span][:, None]
+        return self._times[in_span], watts
 
     def _validated_indices(
         self, node_indices: np.ndarray | None
@@ -240,56 +249,46 @@ class SimulatedRun:
 
     def _level_grids(
         self, idx: np.ndarray, in_span: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Per-level utilisation→per-node power grids, tabulated once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tabulate the per-node power rows the span's ticks bracket.
 
-        Returns ``(u_grid, level_of, grids)``: ``grids[li][g, j]`` is
-        node ``idx[j]``'s power at utilisation ``u_grid[g]`` under the
-        span's ``li``-th distinct frequency multiplier, and
-        ``level_of[k]`` is the level of the span's ``k``-th tick.
-        O(G · n_idx · n_levels) memory, independent of run length.
+        Returns ``(grid, pos, w)``: the span's ``k``-th tick is
+        ``grid[pos[k]]·(1−w[k]) + grid[pos[k]+1]·w[k]`` (see
+        :func:`_interpolate`), and column ``j`` is node ``idx[j]``.
 
-        Every grid cell depends only on its own node, so a node subset's
-        grid is the column slice of the whole fleet's, bit for bit.  A
-        whole-fleet grid is therefore kept once tabulated, and later
-        subsets slice it instead of tabulating their own grid blocks
-        again: a sharded pass streams the whole fleet first for its
-        reference series, then its shards slice that grid, and
-        :func:`~repro.shard.engine.run_sharded` drops it when the pass
-        ends.  A subset requested while no whole-fleet grid is kept is
-        tabulated on its own, uncached, so streaming a few nodes of a
-        large fleet stays cheap.
+        A tick at utilisation ``u`` in grid cell ``c``
+        (``u_grid[c] <= u <= u_grid[c + 1]``) under frequency multiplier
+        ``m`` reads rows ``c`` and ``c + 1`` of the ``m``-grid, so each
+        distinct multiplier tabulates only the sorted union of its
+        ticks' ``c`` and ``c + 1``; the levels' rows are stacked in one
+        array.  Since that union holds ``c + 1`` for every ``c``, the
+        row after ``c``'s is ``c + 1``'s.  Each row equals the matching
+        row of a whole-grid tabulation bit for bit, whatever rows are
+        tabulated beside it.  O(R · n_idx) memory for the R rows
+        touched, R <= 129 per level, independent of run length.
         """
         u_grid = np.linspace(0.0, 1.0, _U_GRID)
+        util = self._util[in_span]
+        cell = np.clip(np.searchsorted(u_grid, util) - 1, 0, _U_GRID - 2)
+        w = (util - u_grid[cell]) / (u_grid[cell + 1] - u_grid[cell])
         if self._freq_mult is None:
             levels = np.array([1.0])
-            level_of = np.zeros(int(in_span.sum()), dtype=np.int64)
+            level_of = np.zeros(cell.size, dtype=np.int64)
         else:
             levels, level_of = np.unique(
                 self._freq_mult[in_span], return_inverse=True
             )
-        whole_fleet = idx.size == self.system.n_nodes and bool(
-            np.all(idx == np.arange(idx.size))
-        )
-        grids = []
-        for mult in levels:
-            fleet_grid = self._fleet_grids.get(float(mult))
-            if fleet_grid is not None:
-                grids.append(fleet_grid[:, idx])
-                continue
-            per_node = np.empty((_U_GRID, idx.size))
-            for g0, block in _grid_blocks(self.system, idx, float(mult)):
-                per_node[g0:g0 + len(block)] = block
-            if whole_fleet:
-                per_node.flags.writeable = False
-                self._fleet_grids[float(mult)] = per_node
-            grids.append(per_node)
-        return u_grid, level_of, grids
-
-    def drop_fleet_grids(self) -> None:
-        """Forget the kept whole-fleet power grids (see
-        :meth:`_level_grids`); the next request tabulates afresh."""
-        self._fleet_grids.clear()
+        # Row keys level·G + cell: one sorted union keeps each level's
+        # rows contiguous, and key + 1 never leaves its level.
+        key = level_of * _U_GRID + cell
+        rows, inverse = np.unique(np.r_[key, key + 1], return_inverse=True)
+        grid = np.empty((rows.size, idx.size))
+        for li, mult in enumerate(levels):
+            lo, hi = np.searchsorted(rows, [li * _U_GRID, (li + 1) * _U_GRID])
+            u = u_grid[rows[lo:hi] - li * _U_GRID]
+            for g0, block in _grid_blocks(self.system, idx, float(mult), u):
+                grid[lo + g0:lo + g0 + len(block)] = block
+        return grid, inverse[:key.size], w
 
     def stream_run(
         self,
@@ -306,10 +305,10 @@ class SimulatedRun:
         output buffer — the full ``(n_ticks, n_nodes)`` matrix of
         :meth:`node_power_matrix` never exists.  Cell for cell the
         yielded samples are *bit-identical* to the corresponding
-        ``node_power_matrix`` slice (the interpolation arithmetic is
-        the same elementwise expressions, evaluated chunkwise), so the
-        streaming and batch layers agree exactly; the property suite
-        locks this.
+        ``node_power_matrix`` slice (both tabulate the same rows and
+        interpolate through :func:`_interpolate`, here chunkwise), so
+        the streaming and batch layers agree exactly; the property
+        suite locks this.
 
         Parameters
         ----------
@@ -336,19 +335,10 @@ class SimulatedRun:
         span = self.core_window if core_only else (None, None)
         in_span = self._in_span(*span)
         times = self._times[in_span]
-        util = self._util[in_span]
         noise = self._noise[in_span]
-        u_grid, level_of, grids = self._level_grids(idx, in_span)
+        grid, pos, w = self._level_grids(idx, in_span)
         ids = idx.copy()
-        # Every tick's grid cell and weight, computed once (the same
-        # elementwise ops node_power_matrix uses), plus scratch buffers
-        # the single-level path reuses across batches.
-        cell_all = np.clip(np.searchsorted(u_grid, util) - 1, 0, _U_GRID - 2)
-        w_all = (util - u_grid[cell_all]) / (
-            u_grid[cell_all + 1] - u_grid[cell_all]
-        )
-        scratch_lo = np.empty((ticks_per_batch, idx.size))
-        scratch_hi = np.empty((ticks_per_batch, idx.size))
+        scratch = np.empty((min(ticks_per_batch, times.size), idx.size))
         # Deferred import: repro.stream.ingest imports this module.
         from repro.stream.ingest import SampleBatch
 
@@ -371,31 +361,7 @@ class SimulatedRun:
                     out = np.empty((n_t, idx.size))
                     batch_times = times[lo:hi]
                     batch_ids = ids
-                chunk_levels = level_of[lo:hi]
-                if len(grids) == 1:
-                    cell = cell_all[lo:hi]
-                    w = w_all[lo:hi]
-                    # out = grid[cell]·(1−w) + grid[cell+1]·w, evaluated
-                    # with the same elementwise ops node_power_matrix
-                    # uses so chunked results match it bit for bit.
-                    a = scratch_lo[:n_t]
-                    b = scratch_hi[:n_t]
-                    np.take(grids[0], cell, axis=0, out=a)
-                    np.take(grids[0], cell + 1, axis=0, out=b)
-                    a *= (1 - w)[:, None]
-                    b *= w[:, None]
-                    np.add(a, b, out=out)
-                else:
-                    for li in range(len(grids)):
-                        mask = chunk_levels == li
-                        if not mask.any():
-                            continue
-                        cell = cell_all[lo:hi][mask]
-                        w = w_all[lo:hi][mask]
-                        out[mask] = (
-                            grids[li][cell] * (1 - w)[:, None]
-                            + grids[li][cell + 1] * w[:, None]
-                        )
+                _interpolate(grid, pos[lo:hi], w[lo:hi], out, scratch[:n_t])
                 out *= noise[lo:hi, None]
                 yield SampleBatch.from_columns(
                     times=batch_times, watts=out, node_ids=batch_ids

@@ -1,5 +1,7 @@
 """Tests for repro.stream.monitor."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -138,6 +140,74 @@ class TestAnomalyFlags:
             ComplianceMonitor(
                 small_run.core_window, required_interval_s=0.0
             )
+
+
+def _batch(t0: float, watts) -> SampleBatch:
+    watts = np.asarray(watts, dtype=float)
+    return SampleBatch(
+        times=t0 + np.arange(watts.shape[0], dtype=float),
+        watts=watts,
+        node_ids=np.arange(watts.shape[1], dtype=np.int64),
+    )
+
+
+class TestRefusedBatch:
+    """A refused batch leaves every monitor field as it was."""
+
+    @staticmethod
+    def _state(mon: ComplianceMonitor) -> bytes:
+        return pickle.dumps(mon.__dict__)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_after_good_batch(self, bad):
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((4, 3), 100.0)))
+        before = self._state(mon)
+        watts = np.full((4, 3), 100.0)
+        watts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mon.observe(_batch(10.0, watts))
+        assert self._state(mon) == before
+        rep = mon.report()
+        assert rep.worst_interval_s == 1.0
+        assert rep.samples_seen == 12
+
+    def test_non_finite_first_batch_pins_nothing(self):
+        mon = ComplianceMonitor((0.0, 20.0))
+        before = self._state(mon)
+        watts = np.full((4, 3), 100.0)
+        watts[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            mon.observe(_batch(0.0, watts))
+        assert self._state(mon) == before
+        # The node set was not pinned by the refused batch.
+        mon.observe(_batch(0.0, np.full((4, 5), 100.0)))
+        assert mon.report().nodes_seen == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_mean(self, bad):
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((4, 3), 100.0)))
+        before = self._state(mon)
+        fleet_w = np.full(4, 100.0)
+        fleet_w[3] = bad
+        with pytest.raises(ValueError, match="finite reference mean"):
+            mon.observe(_batch(4.0, np.full((4, 3), 100.0)), fleet_w=fleet_w)
+        assert self._state(mon) == before
+
+    def test_refusal_leaves_the_stream_resumable(self):
+        good = [_batch(4.0 * i, np.full((4, 3), 100.0 + i)) for i in range(3)]
+        clean = ComplianceMonitor((0.0, 20.0))
+        faulted = ComplianceMonitor((0.0, 20.0))
+        for i, batch in enumerate(good):
+            clean.observe(batch)
+            faulted.observe(batch)
+            if i == 0:
+                watts = batch.watts.copy()
+                watts[1, 2] = np.nan
+                with pytest.raises(ValueError):
+                    faulted.observe(_batch(10.0, watts))
+        assert self._state(faulted) == self._state(clean)
 
 
 class TestInsufficientData:

@@ -1,8 +1,16 @@
 """Tests for repro.traces.synth — trace synthesis."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.system import SystemModel
+from repro.shard.slab import SlabRing
+from repro.traces import synth
 from repro.traces.synth import simulate_run
 from repro.workloads.base import ConstantWorkload
 
@@ -130,27 +138,84 @@ class TestNodeAveragePowers:
         assert 0.002 < cv < 0.10
 
 
-def _scalar_grids(run, idx, in_span):
-    """The grid tabulation as one scalar fleet power call per row."""
-    u_grid, level_of, _ = run._level_grids(idx, in_span)
-    levels = (
-        np.array([1.0]) if run._freq_mult is None
-        else np.unique(run._freq_mult[in_span])
-    )
+_G = 129  # the utilisation grid's resolution
+
+
+def _full_grid_reference(run, idx, in_span):
+    """The tabulation the row selection replaced, kept as the reference:
+    all 129 grid rows per frequency level, each tick interpolated under
+    its level's grid.  Returns the per-node watts and, per level, the
+    sorted grid rows the span's ticks bracket."""
+    u_grid = np.linspace(0.0, 1.0, _G)
+    util = run._util[in_span]
+    if run._freq_mult is None:
+        levels = np.array([1.0])
+        level_of = np.zeros(util.size, dtype=np.int64)
+    else:
+        levels, level_of = np.unique(
+            run._freq_mult[in_span], return_inverse=True
+        )
+    watts = np.empty((util.size, idx.size))
+    bracketing = {}
+    for li, mult in enumerate(levels):
+        per_node = run.system.node_total_power_grid(
+            u_grid, indices=idx, freq_multiplier=float(mult)
+        )
+        mask = level_of == li
+        u_sel = util[mask]
+        cell = np.clip(np.searchsorted(u_grid, u_sel) - 1, 0, _G - 2)
+        w = (u_sel - u_grid[cell]) / (u_grid[cell + 1] - u_grid[cell])
+        watts[mask] = (
+            per_node[cell] * (1 - w)[:, None]
+            + per_node[cell + 1] * w[:, None]
+        )
+        bracketing[float(mult)] = np.union1d(cell, cell + 1).tolist()
+    return watts * run._noise[in_span][:, None], bracketing
+
+
+def _scalar_rows(run, idx, in_span):
+    """The rows ``_level_grids`` tabulates for the span, built as one
+    scalar fleet power call per row, levels stacked in ascending order."""
+    u_grid = np.linspace(0.0, 1.0, _G)
+    _, bracketing = _full_grid_reference(run, idx, in_span)
+    return np.stack([
+        run.system.node_total_powers(
+            float(u_grid[r]), indices=idx, freq_multiplier=mult
+        )
+        for mult, rows in bracketing.items()
+        for r in rows
+    ])
+
+
+@contextmanager
+def _tabulated_rows():
+    """Record the grid rows each frequency level tabulates, as
+    ``{multiplier: [row, ...]}``."""
+    u_grid = np.linspace(0.0, 1.0, _G)
+    rows: dict = {}
+    real = SystemModel.node_total_power_grid
+
+    def spy(self, utilisation, **kwargs):
+        found = np.searchsorted(u_grid, utilisation)
+        assert np.array_equal(u_grid[found], utilisation)
+        rows.setdefault(kwargs.get("freq_multiplier", 1.0), []).extend(
+            found.tolist()
+        )
+        return real(self, utilisation, **kwargs)
+
+    with mock.patch.object(SystemModel, "node_total_power_grid", spy):
+        yield rows
+
+
+def _streamed(run, **kwargs):
     return [
-        np.stack([
-            run.system.node_total_powers(
-                float(u), indices=idx, freq_multiplier=float(mult)
-            )
-            for u in u_grid
-        ])
-        for mult in levels
+        (b.times.copy(), b.watts.copy()) for b in run.stream_run(**kwargs)
     ]
 
 
 class TestLevelGrids:
-    """Subset grids sliced from a cached whole-fleet grid are
-    bit-identical to tabulating the subset directly."""
+    """The per-node views tabulate only the grid rows their ticks
+    bracket, and match a full 129-row tabulation bit for bit."""
 
     @pytest.fixture(params=["cpu", "gpu", "governed"])
     def any_run(self, request, small_system, gpu_system, gpu_hpl):
@@ -165,41 +230,147 @@ class TestLevelGrids:
             governor=DvfsGovernor.stepped([0.3, 0.6], [1.0, 0.8, 0.9]),
         )
 
+    @staticmethod
+    def _subset(run, subset):
+        n = run.system.n_nodes
+        if subset == "unsorted":
+            return np.array([n - 1, 0, 7])
+        return None if subset is None else np.array(subset)
+
+    # The run fixture holds no mutable state, so examples may share it.
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @example(subset="unsorted", span=None, ticks=1, use_ring=False)
+    @example(subset=None, span=None, ticks="over", use_ring=True)
+    @example(subset="unsorted", span=(0.2, 0.9), ticks="over", use_ring=False)
+    @given(
+        subset=st.one_of(
+            st.none(),
+            st.just("unsorted"),
+            st.lists(st.integers(0, 31), min_size=1, max_size=12, unique=True),
+        ),
+        span=st.one_of(
+            st.none(),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        ),
+        ticks=st.one_of(st.sampled_from([1, "over"]), st.integers(2, 97)),
+        use_ring=st.booleans(),
+    )
+    def test_matches_the_full_grid_tabulation(
+        self, any_run, subset, span, ticks, use_ring
+    ):
+        run = any_run
+        idx = self._subset(run, subset)
+        cols = run._validated_indices(idx)
+        # node_power_matrix over a random span of ticks (None: the
+        # whole run).
+        if span is None:
+            t0_s = t1_s = None
+        else:
+            last = run._times.size - 1
+            t0_s, t1_s = (run._times[int(f * last)] for f in span)
+        in_span = run._in_span(t0_s, t1_s)
+        want, bracketing = _full_grid_reference(run, cols, in_span)
+        with _tabulated_rows() as rows:
+            times, got = run.node_power_matrix(t0_s, t1_s, node_indices=idx)
+        assert rows == bracketing
+        assert times.tobytes() == run._times[in_span].tobytes()
+        assert got.tobytes() == want.tobytes()
+
+        # stream_run over the core phase, batch by batch.
+        in_core = run._in_span(*run.core_window)
+        want, bracketing = _full_grid_reference(run, cols, in_core)
+        n_ticks = int(in_core.sum())
+        tpb = n_ticks + 1 if ticks == "over" else ticks
+        ring = SlabRing(tpb, cols.size) if use_ring else None
+        with _tabulated_rows() as rows:
+            batches = _streamed(
+                run, node_indices=idx, ticks_per_batch=tpb, ring=ring
+            )
+        assert rows == bracketing
+        assert len(batches) == -(-n_ticks // tpb)
+        for k, (times, watts) in enumerate(batches):
+            lo = k * tpb
+            want_times = run._times[in_core][lo:lo + tpb]
+            assert times.tobytes() == want_times.tobytes()
+            assert watts.tobytes() == want[lo:lo + tpb].tobytes()
+
     def test_subset_before_and_after_the_fleet_grid(self, any_run):
+        """A whole-fleet tabulation in between changes no subset's rows:
+        the run keeps no grid state."""
         in_span = any_run._in_span(*any_run.core_window)
         n = any_run.system.n_nodes
         subsets = [np.arange(3, 11), np.array([n - 1, 0, 7])]
-        direct = [any_run._level_grids(s, in_span)[2] for s in subsets]
-        assert any_run._fleet_grids == {}  # subsets alone cache nothing
-        whole = any_run._level_grids(np.arange(n), in_span)[2]
-        assert any_run._fleet_grids
-        for subset, grids in zip(subsets, direct):
-            sliced = any_run._level_grids(subset, in_span)[2]
-            expected = _scalar_grids(any_run, subset, in_span)
-            for got, before, want in zip(sliced, grids, expected):
-                assert got.tobytes() == want.tobytes()
-                assert before.tobytes() == want.tobytes()
-        expected = _scalar_grids(any_run, np.arange(n), in_span)
-        for got, want in zip(whole, expected):
-            assert got.tobytes() == want.tobytes()
+        fields = set(vars(any_run))
+        before = [any_run._level_grids(s, in_span) for s in subsets]
+        whole = any_run._level_grids(np.arange(n), in_span)
+        assert set(vars(any_run)) == fields
+        for subset, old in zip(subsets, before):
+            new = any_run._level_grids(subset, in_span)
+            for got, was in zip(new, old):  # grid, pos, w
+                assert got.tobytes() == was.tobytes()
+            want = _scalar_rows(any_run, subset, in_span)
+            assert new[0].tobytes() == want.tobytes()
+        want = _scalar_rows(any_run, np.arange(n), in_span)
+        assert whole[0].tobytes() == want.tobytes()
 
     def test_streamed_batches_unchanged_by_the_cache(self, any_run):
+        """A whole-fleet matrix in between leaves nothing behind that a
+        later stream reads."""
         idx = np.arange(5, 20)
-        cold = [b.watts.copy() for b in any_run.stream_run(
-            node_indices=idx, ticks_per_batch=37)]
-        any_run.node_power_matrix()  # tabulates the whole-fleet grid
-        warm = [b.watts.copy() for b in any_run.stream_run(
-            node_indices=idx, ticks_per_batch=37)]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(cold, warm))
+        cold = _streamed(any_run, node_indices=idx, ticks_per_batch=37)
+        any_run.node_power_matrix()  # tabulates the whole fleet's rows
+        warm = _streamed(any_run, node_indices=idx, ticks_per_batch=37)
+        assert len(cold) == len(warm)
+        for (t_a, w_a), (t_b, w_b) in zip(cold, warm):
+            assert t_a.tobytes() == t_b.tobytes()
+            assert w_a.tobytes() == w_b.tobytes()
 
-    def test_sharded_pass_drops_the_fleet_grid(self, any_run):
-        from repro.shard.engine import run_sharded
-        from repro.shard.plan import plan_shards
+    # 1 cell tabulates one row per block; 2**16 all rows in one block.
+    @pytest.mark.parametrize("cells", [1, 2**16])
+    def test_full_run_stream_matches_the_full_grid_tabulation(
+        self, any_run, cells
+    ):
+        cols = np.arange(any_run.system.n_nodes)
+        want, bracketing = _full_grid_reference(
+            any_run, cols, any_run._in_span(None, None)
+        )
+        with _tabulated_rows() as rows, mock.patch.object(
+            synth, "_GRID_CELLS", cells
+        ):
+            batches = _streamed(any_run, ticks_per_batch=50, core_only=False)
+        assert rows == bracketing
+        got = np.concatenate([watts for _, watts in batches])
+        assert got.tobytes() == want.tobytes()
 
-        plan = plan_shards(any_run.system.n_nodes, 2, ticks_per_batch=16)
-        run_sharded(any_run, plan)
-        assert any_run._fleet_grids == {}
-        any_run.node_power_matrix()
-        assert any_run._fleet_grids
-        any_run.drop_fleet_grids()
-        assert any_run._fleet_grids == {}
+    @pytest.mark.parametrize(
+        ("utilisation", "core_rows"),
+        [(0.0, [0, 1]), (0.5, [63, 64]), (1.0, [127, 128])],
+    )
+    def test_utilisation_at_grid_edges_and_points(
+        self, small_system, utilisation, core_rows
+    ):
+        # Setup runs at u = 0.25, itself grid point 32; teardown at 0.2,
+        # inside cell 25.
+        wl = ConstantWorkload(
+            utilisation=utilisation, core_s=60.0, setup_s=10.0,
+            teardown_s=10.0,
+        )
+        run = simulate_run(small_system, wl, dt=1.0, seed=3)
+        cols = np.arange(small_system.n_nodes)
+        with _tabulated_rows() as rows:
+            core = _streamed(run, ticks_per_batch=7)
+        assert rows == {1.0: core_rows}
+        want, _ = _full_grid_reference(
+            run, cols, run._in_span(*run.core_window)
+        )
+        got = np.concatenate([watts for _, watts in core])
+        assert got.tobytes() == want.tobytes()
+
+        with _tabulated_rows() as rows:
+            _, got = run.node_power_matrix()
+        assert rows == {1.0: sorted({*core_rows, 25, 26, 31, 32})}
+        want, _ = _full_grid_reference(run, cols, run._in_span(None, None))
+        assert got.tobytes() == want.tobytes()
