@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 __all__ = [
     "z_quantile",
@@ -43,7 +43,7 @@ def z_quantile(confidence: float) -> float:
     """
     _check_confidence(confidence)
     alpha = 1.0 - confidence
-    return float(stats.norm.ppf(1.0 - alpha / 2.0))
+    return float(special.ndtri(1.0 - alpha / 2.0))
 
 
 def t_quantile(confidence: float, dof: int) -> float:
@@ -52,7 +52,7 @@ def t_quantile(confidence: float, dof: int) -> float:
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
     alpha = 1.0 - confidence
-    return float(stats.t.ppf(1.0 - alpha / 2.0, dof))
+    return float(special.stdtrit(dof, 1.0 - alpha / 2.0))
 
 
 def finite_population_correction(n: int, population: int) -> float:

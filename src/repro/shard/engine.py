@@ -16,8 +16,10 @@ The driver for the million-node hot path:
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
   pool (or run them inline when ``processes`` is 0, the deterministic
   default), then reduce by exact node-order concatenation.
-* :func:`sharded_session` — the full-session entry point: Eq. 1–5
-  sequential stopping, the merged :class:`MonitorReport` and the
+* :func:`sharded_session` — the full-session entry point: the Eq. 1–5
+  stopping decision every route shares
+  (:meth:`~repro.stream.stopping.SequentialStopper.decide`), the merged
+  :class:`MonitorReport` and the
   :class:`~repro.faults.quality.QualityReport`
   (:func:`~repro.faults.recovery.fold_quality_report` over the merged
   node moments) all rendered from merged shard state, bit-identical
@@ -236,9 +238,12 @@ def sharded_session(
     """Run a full streaming session through the shard engine.
 
     The sharded counterpart of
-    :func:`~repro.stream.session.stream_session`: identical Eq. 1–5
-    stopping mathematics, compliance monitoring and quality labelling,
-    evaluated over merged shard state.  The result is **bit-identical
+    :func:`~repro.stream.session.stream_session`: the same Eq. 1–5
+    stopping decision
+    (:meth:`~repro.stream.stopping.SequentialStopper.decide` over the
+    merged node means), compliance monitoring and quality labelling,
+    evaluated over merged shard state, so its verdict equals a stream
+    session's over the same run.  The result is **bit-identical
     for any ``n_shards``** — the per-node reductions are exact
     concatenations, the quantile sketches merge by integer count
     addition, and every fleet scalar derives from the merged vectors by
@@ -248,19 +253,15 @@ def sharded_session(
         run.system.n_nodes, n_shards, ticks_per_batch=ticks_per_batch
     )
     fleet = run_sharded(run, plan, processes=processes)
-    # Eq. 1–5 sequential stopping over the merged node means, admitted
-    # in node order — deterministic and shard-count independent.
-    stopper = SequentialStopper(
-        accuracy=accuracy,
-        population=run.system.n_nodes,
-        confidence=confidence,
-        method="t",
-    )
-    decision = stopper.update_many(fleet.node_moments.mean)
     return ShardSessionResult(
         plan=plan,
         monitor_report=fleet.fold.monitor.report(),
-        stopping=decision,
+        stopping=SequentialStopper.decide(
+            fleet.node_moments.mean,
+            accuracy=accuracy,
+            population=run.system.n_nodes,
+            confidence=confidence,
+        ),
         quality=fold_quality_report(
             fleet.node_moments,
             cells_folded=fleet.samples_ingested,

@@ -9,15 +9,16 @@ the samples arrive*:
   covariance from shifted running sums whose bits do not depend on
   batching, and a relative-error quantile sketch, all with exact
   per-node → fleet roll-up (plus the P² quantile baseline);
-* :mod:`repro.stream.ring` — fixed-capacity sample/time ring buffers
-  backing rolling windows;
+* :mod:`repro.stream.ring` — a fixed-capacity time ring backing
+  rolling windows;
 * :mod:`repro.stream.ingest` — a deterministic tick-driven ingestion
   loop (simulated clock only, bounded-queue backpressure) replaying
-  simulated runs or per-node traces as batched samples;
+  simulated runs as batched samples;
 * :mod:`repro.stream.monitor` — live EE HPC WG rule compliance and
   per-node anomaly flags;
-* :mod:`repro.stream.stopping` — sequential Eq. 1–5 sample-size logic
-  emitting a stop signal once the requested accuracy is met;
+* :mod:`repro.stream.stopping` — Eq. 1–5 sample-size logic: the one
+  stopping decision over the node means every route reads, and the
+  sequential stop signal;
 * :mod:`repro.stream.session` — the orchestration the ``repro stream``
   CLI subcommand drives.
 
@@ -37,10 +38,9 @@ from repro.stream.ingest import (
     SampleBatch,
     SimClock,
     replay_run,
-    replay_traces,
 )
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
-from repro.stream.ring import RingBuffer, TimeRing
+from repro.stream.ring import TimeRing
 from repro.stream.session import (
     LiveStreamState,
     StreamSessionResult,
@@ -60,10 +60,8 @@ __all__ = [
     "SampleBatch",
     "SimClock",
     "replay_run",
-    "replay_traces",
     "ComplianceMonitor",
     "MonitorReport",
-    "RingBuffer",
     "TimeRing",
     "LiveStreamState",
     "StreamSessionResult",

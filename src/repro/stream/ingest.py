@@ -9,10 +9,8 @@ backpressure.  This module reproduces that shape *deterministically*:
   of its inputs (the RPX004 invariant).
 * :class:`SampleBatch` — a contiguous block of per-node samples, the
   unit the pipeline moves around.
-* :func:`replay_run` / :func:`replay_traces` — sources: batched
-  per-node samples from a :class:`~repro.traces.synth.SimulatedRun` or
-  from aligned per-node :class:`~repro.traces.powertrace.PowerTrace`
-  objects.
+* :func:`replay_run` — the source: batched per-node samples from a
+  :class:`~repro.traces.synth.SimulatedRun`.
 * :class:`BoundedQueue` + :class:`IngestLoop` — a single-threaded,
   deterministic producer/consumer loop: offer a batch, fold a batch.
 """
@@ -25,7 +23,6 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.traces.powertrace import PowerTrace
 from repro.traces.synth import SimulatedRun
 
 __all__ = [
@@ -34,7 +31,6 @@ __all__ = [
     "BoundedQueue",
     "IngestLoop",
     "replay_run",
-    "replay_traces",
 ]
 
 
@@ -328,45 +324,6 @@ def replay_run(
         ids = np.arange(run.system.n_nodes, dtype=np.int64)
     else:
         ids = np.asarray(node_indices, dtype=np.int64).ravel()
-    for lo in range(0, times.size, ticks_per_batch):
-        hi = min(lo + ticks_per_batch, times.size)
-        yield SampleBatch(
-            times=times[lo:hi], watts=watts[lo:hi], node_ids=ids
-        )
-
-
-def replay_traces(
-    traces: list[PowerTrace],
-    *,
-    node_ids: np.ndarray | None = None,
-    ticks_per_batch: int = 60,
-) -> Iterator[SampleBatch]:
-    """Replay per-node traces (one per node) as batched samples.
-
-    All traces must share identical timestamps — run
-    :func:`repro.traces.ops.align` first if they do not.  This is the
-    live-meter entry point: anything that can be expressed as per-node
-    :class:`~repro.traces.powertrace.PowerTrace` objects can be
-    streamed through the same pipeline as a simulation.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    if ticks_per_batch < 1:
-        raise ValueError("ticks_per_batch must be >= 1")
-    base = traces[0]
-    for i, tr in enumerate(traces):
-        if not np.array_equal(tr.times, base.times):
-            raise ValueError(
-                f"trace {i} timestamps differ from trace 0; align first"
-            )
-    if node_ids is None:
-        ids = np.arange(len(traces), dtype=np.int64)
-    else:
-        ids = np.asarray(node_ids, dtype=np.int64).ravel()
-        if ids.size != len(traces):
-            raise ValueError("node_ids length must match trace count")
-    watts = np.stack([tr.watts for tr in traces], axis=1)
-    times = base.times
     for lo in range(0, times.size, ticks_per_batch):
         hi = min(lo + ticks_per_batch, times.size)
         yield SampleBatch(

@@ -1,12 +1,9 @@
-"""Fixed-capacity ring buffers backing rolling windows.
+"""A fixed-capacity time ring backing rolling windows.
 
-Two flavours, both O(capacity) memory with no per-push allocation:
-
-* :class:`RingBuffer` keeps the last ``capacity`` samples — the
-  "last k ticks" view.
-* :class:`TimeRing` keeps ``(t, value)`` pairs no older than a time
-  horizon — the "last 60 simulated seconds" view the live monitor
-  reports, independent of sampling cadence.
+:class:`TimeRing` keeps ``(t, value)`` pairs no older than a time
+horizon — the "last 60 simulated seconds" view the live monitor
+reports, independent of sampling cadence — in O(capacity) memory with
+no per-push allocation.
 
 Timestamps are *simulated* seconds supplied by the caller (see
 :class:`repro.stream.ingest.SimClock`); nothing here reads a clock.
@@ -16,80 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RingBuffer", "TimeRing"]
-
-
-class RingBuffer:
-    """Last-``capacity`` samples of a scalar stream."""
-
-    __slots__ = ("_data", "_head", "_size")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._data = np.zeros(capacity, dtype=float)
-        self._head = 0  # next write slot
-        self._size = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained samples."""
-        return int(self._data.size)
-
-    @property
-    def full(self) -> bool:
-        """Whether the buffer has wrapped at least once."""
-        return self._size == self._data.size
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, value: float) -> None:
-        """Append one sample, evicting the oldest when full."""
-        self._data[self._head] = float(value)
-        self._head = (self._head + 1) % self._data.size
-        if self._size < self._data.size:
-            self._size += 1
-
-    def push_batch(self, values) -> None:
-        """Append many samples in order."""
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size >= self._data.size:
-            # Only the tail survives; lay it out contiguously.
-            self._data[:] = arr[-self._data.size:]
-            self._head = 0
-            self._size = self._data.size
-            return
-        for v in self._split_for(arr):
-            n = v.size
-            self._data[self._head:self._head + n] = v
-            self._head = (self._head + n) % self._data.size
-        self._size = min(self._size + arr.size, self._data.size)
-
-    def _split_for(self, arr: np.ndarray) -> list[np.ndarray]:
-        room = self._data.size - self._head
-        if arr.size <= room:
-            return [arr]
-        return [arr[:room], arr[room:]]
-
-    def values(self) -> np.ndarray:
-        """Retained samples, oldest first (a fresh array)."""
-        if self._size < self._data.size:
-            return self._data[: self._size].copy()
-        return np.concatenate(
-            (self._data[self._head:], self._data[: self._head])
-        )
-
-    def mean(self) -> float:
-        """Mean of the retained samples."""
-        if self._size == 0:
-            raise ValueError("empty buffer")
-        if self._size < self._data.size:
-            return float(self._data[: self._size].mean())
-        return float(self._data.mean())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RingBuffer(size={self._size}/{self.capacity})"
+__all__ = ["TimeRing"]
 
 
 class TimeRing:

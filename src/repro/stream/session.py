@@ -5,10 +5,12 @@ compliance monitor, the node-vs-fleet covariance and the fleet power
 quantile sketch, advanced one batch at a time against a per-tick fleet
 series, with an exact :meth:`FleetFold.concat` for shards.
 
-:class:`LiveStreamState` is the incremental session core: one fold plus
-the sequential stopping boundary, advanced one
-:class:`~repro.stream.ingest.SampleBatch` at a time; its fleet moments
-are the fold's per-node moments pooled.  Two drivers share it:
+:class:`LiveStreamState` is the incremental session core: one fold,
+advanced one :class:`~repro.stream.ingest.SampleBatch` at a time; its
+fleet moments are the fold's per-node moments pooled, and its stopping
+decision is Eq. 1–5 over the fold's node means
+(:meth:`~repro.stream.stopping.SequentialStopper.decide`), evaluated
+when read.  Two drivers share it:
 
 * :func:`stream_session` — the batch driver the ``repro stream`` CLI
   subcommand runs: replay a :class:`~repro.traces.synth.SimulatedRun`
@@ -315,7 +317,7 @@ class StreamSessionResult:
 
 
 class LiveStreamState:
-    """Incremental estimator/monitor/stopper state, one batch at a time.
+    """Incremental estimator/monitor state, one batch at a time.
 
     The single source of truth for "what does the stream look like so
     far": every driver — the batch replay in :func:`stream_session`,
@@ -324,6 +326,13 @@ class LiveStreamState:
     live snapshot, monitor report and stopping decision, from one
     monitor report) / :meth:`result`, so identical batch streams always
     produce identical verdicts regardless of how the bytes arrived.
+
+    The stopping decision is a function of the fold: Eq. 1–5 over the
+    node means in node order, computed when first read at a fold state.
+    Once the core phase is folded those are the full-window node means
+    the paper's rule sizes the sample from, so the final decision does
+    not depend on batching; a read before then is the "if you stopped
+    now" decision on the running means.
 
     Parameters
     ----------
@@ -337,7 +346,7 @@ class LiveStreamState:
     quantiles:
         Fleet power quantiles read from the fold's quantile sketch.
     accuracy / confidence:
-        Sequential stopping target (λ, 1 − α).
+        Stopping target (λ, 1 − α).
     report_every_s:
         Snapshot cadence in simulated seconds.
     """
@@ -360,26 +369,29 @@ class LiveStreamState:
             required_interval_s=required_interval_s,
             quantiles=quantiles,
         )
-        self.stopper = SequentialStopper(
-            accuracy=accuracy,
-            population=population,
-            confidence=confidence,
-            method="t",
+        self._rule = dict(
+            accuracy=accuracy, population=population, confidence=confidence
         )
+        # (batches_ingested, decision) at the last read; deciding on no
+        # means also validates the rule.
+        self._decided = (0, SequentialStopper.decide((), **self._rule))
         self.snapshots: list[StreamSnapshot] = []
         self.report_every_s = float(report_every_s)
         self.samples_ingested = 0
         self.batches_ingested = 0
         self._next_report_s: float | None = None
-        self._decision = self.stopper.evaluate()
-        self._nodes_fed = 0
         self._finalized = False
 
     # ------------------------------------------------------------------
     @property
     def decision(self) -> StoppingDecision:
-        """The latest sequential stopping decision."""
-        return self._decision
+        """Eq. 1–5 over the node means at the current fold state."""
+        if self._decided[0] != self.batches_ingested:
+            self._decided = (
+                self.batches_ingested,
+                SequentialStopper.decide(self._node_means(), **self._rule),
+            )
+        return self._decided[1]
 
     @property
     def finalized(self) -> bool:
@@ -387,26 +399,18 @@ class LiveStreamState:
         return self._finalized
 
     def push(self, batch: SampleBatch) -> None:
-        """Ingest one batch: estimators, compliance, stopping."""
+        """Ingest one batch: estimators and compliance.
+
+        A batch with more nodes than the population is refused, like
+        any batch the fold refuses, before any state changes.
+        """
         if self._finalized:
             raise ValueError("cannot push into a finalized stream state")
+        if batch.n_nodes > self._rule["population"]:
+            raise ValueError("more node measurements than the population")
         self.fold.push(batch, batch.fleet_means())
         self.samples_ingested += batch.n_samples
         self.batches_ingested += 1
-
-        # Sequential stopping: nodes "report in" one at a time as the
-        # stream progresses — node k's running mean is admitted once
-        # the stream has warmed up past k batches, modelling staggered
-        # instrumentation roll-out across the fleet.
-        node_means = np.asarray(self.fold.monitor.node_moments.mean)
-        admitted = min(
-            self._nodes_fed + max(1, batch.n_nodes // 8),
-            node_means.size,
-        )
-        if admitted > self._nodes_fed:
-            fresh = node_means[self._nodes_fed:admitted]
-            self._decision = self.stopper.update_many(fresh)
-            self._nodes_fed = admitted
 
         t_now = batch.t1_s
         if self._next_report_s is None:
@@ -420,7 +424,7 @@ class LiveStreamState:
     def snapshot_at(self, t_s: float, report: MonitorReport) -> StreamSnapshot:
         """Build a snapshot of the current state, stamped ``t_s``, from
         the monitor's current ``report``."""
-        decision = self._decision
+        decision = self.decision
         fleet = self.fold.monitor.node_moments.pooled()
         have_sd = fleet.count >= 2
         node_means = np.asarray(self.fold.monitor.node_moments.mean)
@@ -457,25 +461,17 @@ class LiveStreamState:
             if self.samples_ingested else None
         )
         return StreamVerdict(
-            snapshot=snapshot, monitor=report, stopping=self._decision
+            snapshot=snapshot, monitor=report, stopping=self.decision
         )
 
     def finalize(self) -> StoppingDecision:
-        """Close the stream: admit any not-yet-reported node means.
+        """Close the stream and return the stopping decision.
 
-        Idempotent; after this :meth:`push` refuses further batches.
+        Idempotent; after this :meth:`push` refuses further batches, so
+        the decision is the final one.
         """
-        if self._finalized:
-            return self._decision
         self._finalized = True
-        if self.fold.monitor.samples_seen > 0:
-            node_means = np.asarray(self.fold.monitor.node_moments.mean)
-            if self._nodes_fed < node_means.size:
-                self._decision = self.stopper.update_many(
-                    node_means[self._nodes_fed:]
-                )
-                self._nodes_fed = node_means.size
-        return self._decision
+        return self.decision
 
     def result(
         self,
@@ -488,12 +484,15 @@ class LiveStreamState:
 
         Must run after :meth:`finalize`; queue statistics are the
         driver's to report (the replay loop's stalls, or a service
-        session's high-water mark).
+        session's high-water mark).  ``stopped_at_nodes`` is the first
+        node-order prefix of the final node means that meets the target.
         """
         if not self._finalized:
             raise ValueError("finalize() the state before result()")
         if self.samples_ingested == 0:
             raise ValueError("cannot summarise an empty stream")
+        prefixes = SequentialStopper(**self._rule)
+        prefixes.update_many(self._node_means())
         final_monitor = self.fold.monitor.report()
         snapshots = list(self.snapshots)
         if not snapshots:
@@ -509,7 +508,7 @@ class LiveStreamState:
         return StreamSessionResult(
             snapshots=snapshots,
             monitor_report=final_monitor,
-            stopping=self._decision,
+            stopping=self.decision,
             node_moments=self.fold.monitor.node_moments,
             node_fleet_correlation=correlation,
             quantiles_w=self.fold.quantiles_w(),
@@ -520,8 +519,14 @@ class LiveStreamState:
                 if samples_ingested is None
                 else samples_ingested
             ),
-            stopped_at_nodes=self.stopper.stopped_at,
+            stopped_at_nodes=prefixes.stopped_at,
         )
+
+    def _node_means(self) -> np.ndarray:
+        """Each node's mean so far, in node order (none before data)."""
+        if not self.samples_ingested:
+            return np.empty(0)
+        return np.asarray(self.fold.monitor.node_moments.mean)
 
 
 def stream_session(

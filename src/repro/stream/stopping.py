@@ -15,6 +15,10 @@ Eq. 5 rule, so the sequential procedure reproduces Table 5's node
 counts cell for cell — the cross-check
 :mod:`repro.experiments.ext_streaming` runs.
 
+:meth:`SequentialStopper.decide` is the decision every stream route
+reads: the t-rule over a fold's node means in node order, so it depends
+on the means alone, not on how the samples were batched or sharded.
+
 A sequential caveat the docstring must carry: repeatedly testing a 95%
 interval and stopping at the first success is an optional-stopping
 procedure, so realised coverage at the stopping time is slightly below
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.core.confidence import ConfidenceInterval, z_quantile
 from repro.core.sampling import recommend_sample_size
@@ -142,6 +146,21 @@ class SequentialStopper:
         """Node count at the first stop signal (``None`` if not yet)."""
         return self._stopped_at
 
+    @classmethod
+    def decide(cls, node_mean_watts, **rule) -> StoppingDecision:
+        """The decision of a stopper built from ``rule`` that has taken
+        in the node means, in node order.
+
+        The one stopping decision every route reads — a live stream
+        state, the telemetry service and the shard engine — so equal
+        node means give equal decisions however the samples were
+        batched or sharded.  The means are pushed once and the boundary
+        is evaluated once, with the bits :meth:`update_many` would give.
+        """
+        stopper = cls(**rule)
+        stopper.node_means.push_batch(stopper._admissible(node_mean_watts))
+        return stopper.evaluate()
+
     def update(self, node_mean_watts: float) -> StoppingDecision:
         """Add one node's time-averaged power and re-evaluate."""
         return self.update_many((node_mean_watts,))
@@ -154,25 +173,14 @@ class SequentialStopper:
         (:meth:`RunningMoments.push_each`) gives every prefix's moments,
         one vectorised quantile call gives every
         prefix's achieved λ (which sets :attr:`stopped_at`), and one
-        :meth:`evaluate` builds the returned decision.  Invalid input —
-        a non-finite or negative mean, more nodes than the population,
-        a non-positive running mean — raises with the stopper unchanged.
+        :meth:`evaluate` builds the returned decision.  A prefix whose
+        mean is not positive does not meet the target.  Invalid input —
+        a non-finite or negative mean, more nodes than the population —
+        raises with the stopper unchanged.
         """
-        arr = np.asarray(node_mean_watts, dtype=float).ravel()
-        bad = ~(np.isfinite(arr) & (arr >= 0))
-        if bad.any():
-            raise ValueError(
-                "node mean power must be finite and >= 0, "
-                f"got {arr[np.argmax(bad)]}"
-            )
-        if self.n_observed + arr.size > self.population:
-            raise ValueError("more node measurements than the population")
-        before = RunningMoments().merge(self.node_means)
+        arr = self._admissible(node_mean_watts)
         counts, means, m2s = self.node_means.push_each(arr)
-        if np.any(means[counts >= 2] <= 0):
-            self.node_means = before
-            raise ValueError("mean power must be positive to assess accuracy")
-        ready = counts >= self.min_nodes
+        ready = (counts >= self.min_nodes) & (means > 0)
         if self._stopped_at is None and ready.any():
             n = counts[ready]
             sd = np.sqrt(m2s[ready] / (n - 1))
@@ -182,10 +190,30 @@ class SequentialStopper:
                 self._stopped_at = int(n[hit[0]])
         return self.evaluate()
 
+    def _admissible(self, node_mean_watts) -> np.ndarray:
+        """The means as a flat array, or a ValueError if any is not
+        finite and >= 0 or they would overfill the population."""
+        arr = np.asarray(node_mean_watts, dtype=float).ravel()
+        bad = ~(np.isfinite(arr) & (arr >= 0))
+        if bad.any():
+            raise ValueError(
+                "node mean power must be finite and >= 0, "
+                f"got {arr[np.argmax(bad)]}"
+            )
+        if self.n_observed + arr.size > self.population:
+            raise ValueError("more node measurements than the population")
+        return arr
+
     def evaluate(self) -> StoppingDecision:
-        """Evaluate the boundary at the current state (no new data)."""
+        """Evaluate the boundary at the current state (no new data).
+
+        Fewer than two nodes, or a mean that is not positive, cannot
+        assess accuracy: the target reads as not met, with ``inf`` as
+        the achieved λ and no interval.
+        """
         n = self.n_observed
-        if n < 2:
+        mu = float(np.asarray(self.node_means.mean)) if n else 0.0
+        if n < 2 or mu <= 0:
             return StoppingDecision(
                 should_stop=False,
                 n_observed=n,
@@ -193,10 +221,7 @@ class SequentialStopper:
                 projected_n=self.population,
                 interval=None,
             )
-        mu = float(np.asarray(self.node_means.mean))
         sd = float(np.asarray(self.node_means.std()))
-        if mu <= 0:
-            raise ValueError("mean power must be positive to assess accuracy")
         cv, achieved, met = self._boundary(n, mu, sd)
         interval = ConfidenceInterval(
             mean=mu,
@@ -244,9 +269,10 @@ class SequentialStopper:
         cv = self.cv_override if self.cv_override is not None else sd / mean
         if self.method == "t":
             alpha = 1.0 - self.confidence
-            q = stats.t.ppf(1.0 - alpha / 2.0, n - 1)
+            q = special.stdtrit(n - 1, 1.0 - alpha / 2.0)
         else:
             q = z_quantile(self.confidence)
         fpc = np.sqrt((self.population - n) / (self.population - 1.0))
         achieved = q * cv / np.sqrt(n) * fpc
         return cv, achieved, achieved <= self.accuracy + 1e-12
+

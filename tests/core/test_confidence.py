@@ -56,6 +56,32 @@ class TestQuantiles:
         assert z_quantile(min(c + 0.001, 0.9995)) > z_quantile(c)
 
 
+class TestSpecialFunctionQuantiles:
+    # The quantiles call scipy's special functions directly; these are
+    # the functions stats.t.ppf and stats.norm.ppf evaluate, so every
+    # value must keep its bits.
+    CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999)
+
+    def test_t_quantile_bits_match_stats_t_ppf(self):
+        from scipy import stats
+
+        dofs = np.arange(1, 5000)
+        for c in self.CONFIDENCES:
+            expected = stats.t.ppf(1.0 - (1.0 - c) / 2.0, dofs)
+            got = np.array([t_quantile(c, int(d)) for d in dofs])
+            assert np.array_equal(got, expected), c
+
+    def test_z_quantile_bits_match_stats_norm_ppf(self):
+        from scipy import special, stats
+
+        q = np.linspace(0.5, 1.0, 200_002)[:-1]
+        assert np.array_equal(special.ndtri(q), stats.norm.ppf(q))
+        for c in self.CONFIDENCES:
+            assert z_quantile(c) == float(
+                stats.norm.ppf(1.0 - (1.0 - c) / 2.0)
+            )
+
+
 class TestFpc:
     def test_full_census_zero(self):
         assert finite_population_correction(100, 100) == 0.0

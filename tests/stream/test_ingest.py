@@ -9,9 +9,7 @@ from repro.stream.ingest import (
     SampleBatch,
     SimClock,
     replay_run,
-    replay_traces,
 )
-from repro.traces.powertrace import PowerTrace
 
 
 def _batch(t0: float, n_ticks: int = 4, n_nodes: int = 3) -> SampleBatch:
@@ -151,29 +149,3 @@ class TestReplayRun:
     def test_bad_ticks_per_batch(self, small_run):
         with pytest.raises(ValueError, match="ticks_per_batch"):
             next(replay_run(small_run, ticks_per_batch=0))
-
-
-class TestReplayTraces:
-    def test_stacks_aligned_traces(self):
-        a = PowerTrace.constant(100.0, 10.0)
-        b = PowerTrace.constant(200.0, 10.0)
-        batches = list(replay_traces([a, b], ticks_per_batch=4))
-        total = sum(bt.n_ticks for bt in batches)
-        assert total == len(a)
-        np.testing.assert_allclose(batches[0].watts[:, 0], 100.0)
-        np.testing.assert_allclose(batches[0].watts[:, 1], 200.0)
-
-    def test_misaligned_rejected(self):
-        a = PowerTrace.constant(100.0, 10.0)
-        b = PowerTrace.constant(100.0, 12.0)
-        with pytest.raises(ValueError, match="align"):
-            next(replay_traces([a, b]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            next(replay_traces([]))
-
-    def test_node_ids_length_checked(self):
-        a = PowerTrace.constant(100.0, 10.0)
-        with pytest.raises(ValueError, match="node_ids"):
-            next(replay_traces([a], node_ids=np.array([1, 2])))

@@ -1,7 +1,7 @@
 """Property-based edge-case tests for the backpressure primitives.
 
 The fault layer leans on :class:`BoundedQueue` (the retry loop's
-buffer) and the ring buffers (the monitor's rolling window) staying
+buffer) and the time ring (the monitor's rolling window) staying
 correct in exactly the regimes faults push them into: capacity 1,
 overflow under sustained backpressure, and draining after the source
 is exhausted.  These hypothesis properties pin that behaviour against
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stream.ingest import BoundedQueue, IngestLoop, SampleBatch
-from repro.stream.ring import RingBuffer, TimeRing
+from repro.stream.ring import TimeRing
 
 #: A random put/get program: True = put the next integer, False = get.
 op_programs = st.lists(st.booleans(), min_size=1, max_size=200)
@@ -93,50 +93,6 @@ class TestIngestLoopBackpressure:
         assert loop.batches_ingested == n_batches
         assert len(loop.queue) == 0
         assert loop.stalls == 0
-
-
-class TestRingBufferModel:
-    @given(
-        capacities,
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6),
-            min_size=0,
-            max_size=64,
-        ),
-        st.data(),
-    )
-    def test_any_chunking_keeps_the_tail(self, capacity, samples, data):
-        """values() is always the last ``capacity`` samples, in order,
-        regardless of how pushes were chunked."""
-        ring = RingBuffer(capacity)
-        i = 0
-        while i < len(samples):
-            step = data.draw(
-                st.integers(min_value=1, max_value=len(samples) - i),
-                label="chunk",
-            )
-            chunk = samples[i: i + step]
-            if len(chunk) == 1 and data.draw(st.booleans(), label="scalar"):
-                ring.push(chunk[0])
-            else:
-                ring.push_batch(chunk)
-            i += step
-        expect = samples[-capacity:]
-        assert ring.values().tolist() == expect
-        assert len(ring) == len(expect)
-        assert ring.full == (len(samples) >= capacity)
-        if expect:
-            # Summation order differs from np.mean; value must not.
-            assert np.isclose(ring.mean(), np.mean(expect), rtol=1e-12)
-
-    def test_drain_after_exhaustion_capacity_one(self):
-        """A capacity-1 ring is 'last value wins' and stays usable."""
-        ring = RingBuffer(1)
-        ring.push_batch([1.0, 2.0, 3.0])
-        assert ring.values().tolist() == [3.0]
-        ring.push(4.0)
-        assert ring.values().tolist() == [4.0]
-        assert ring.mean() == 4.0
 
 
 class TestTimeRingModel:

@@ -5,46 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stream.ring import RingBuffer, TimeRing
-
-
-class TestRingBuffer:
-    def test_fills_then_wraps(self):
-        ring = RingBuffer(3)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            ring.push(v)
-        np.testing.assert_allclose(ring.values(), [2.0, 3.0, 4.0])
-        assert ring.full
-        assert len(ring) == 3
-
-    def test_values_oldest_first_before_full(self):
-        ring = RingBuffer(5)
-        ring.push(1.0)
-        ring.push(2.0)
-        np.testing.assert_allclose(ring.values(), [1.0, 2.0])
-        assert not ring.full
-
-    def test_push_batch_equals_push_loop(self):
-        data = np.arange(17, dtype=float)
-        a, b = RingBuffer(7), RingBuffer(7)
-        for v in data:
-            a.push(float(v))
-        b.push_batch(data)
-        np.testing.assert_allclose(a.values(), b.values())
-
-    def test_push_batch_larger_than_capacity(self):
-        ring = RingBuffer(4)
-        ring.push_batch(np.arange(100, dtype=float))
-        np.testing.assert_allclose(ring.values(), [96.0, 97.0, 98.0, 99.0])
-
-    def test_mean(self):
-        ring = RingBuffer(3)
-        ring.push_batch(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert ring.mean() == pytest.approx(3.0)
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            RingBuffer(0)
+from repro.stream.ring import TimeRing
 
 
 class TestTimeRing:

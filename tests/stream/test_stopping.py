@@ -200,6 +200,23 @@ class TestSequentialBehaviour:
         # Empty input adds nothing and returns the current evaluation.
         assert stopper.update_many([]) == stopper.evaluate()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        means=st.lists(
+            st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
+            max_size=60,
+        ),
+        accuracy=st.sampled_from([0.5, 0.05, 0.01, 0.002]),
+        spare=st.integers(0, 3000),
+    )
+    def test_decide_equals_update_many(self, means, accuracy, spare):
+        # One push and one evaluation give the bits of the prefix scan.
+        rule = dict(accuracy=accuracy, population=len(means) + 2 + spare)
+        stopper = SequentialStopper(**rule)
+        assert SequentialStopper.decide(means, **rule) == (
+            stopper.update_many(means)
+        )
+
     @pytest.mark.parametrize("method", ["t", "z"])
     def test_stop_boundary_inside_one_batch(self, method):
         means = np.random.default_rng(5).normal(200.0, 3.0, size=40)
@@ -248,13 +265,21 @@ class TestSequentialBehaviour:
         assert _state(stopper) == before
         assert stopper.evaluate() == decision
 
-    def test_zero_running_mean_leaves_the_stopper_unchanged(self):
+    def test_non_positive_mean_reads_as_not_met(self):
+        # Powered-off nodes read 0 W.  A set whose mean is not positive
+        # cannot assess accuracy: it reads as not met, with no interval,
+        # instead of raising, and such a prefix is never the first stop.
+        not_met = StoppingDecision(False, 4, float("inf"), 12, None)
         stopper = SequentialStopper(accuracy=0.05, population=12)
-        stopper.update(0.0)
-        before = _state(stopper)
-        with pytest.raises(ValueError, match="positive"):
-            stopper.update_many([0.0, 5.0])
-        assert _state(stopper) == before
+        assert stopper.update_many([0.0] * 4) == not_met
+        assert stopper.stopped_at is None
+        assert SequentialStopper.decide(
+            [0.0] * 4, accuracy=0.05, population=12
+        ) == not_met
+        decision = stopper.update_many([5.0])
+        assert decision.interval is not None
+        assert np.isfinite(decision.achieved_lambda)
+        assert stopper.node_means.count == 5
 
     def test_population_exhausted(self):
         stopper = SequentialStopper(accuracy=1e-9, population=3, min_nodes=2)
