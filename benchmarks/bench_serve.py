@@ -30,7 +30,7 @@ _N_BATCHES, _N_TICKS, _N_NODES = 20, 50, 500
 _FLOOR_JSON_SAMPLES_PER_S = 100_000.0
 
 #: A bucket the bench can never drain (rate limiting is not the
-#: thing under measurement here; the load suite covers it).
+#: thing under measurement here; the route tests cover it).
 _OPEN_THROTTLE = ServiceConfig(
     rate_capacity=1e9, rate_refill_per_request_s=1e9
 )

@@ -74,7 +74,6 @@ class StreamingResult(ExperimentResult):
     interval_ok: bool
     #: Session bookkeeping (reported, not judged).
     samples_ingested: int
-    queue_stalls: int
     stopped_at_nodes: int | None
 
     experiment_id = "X-STR"
@@ -163,8 +162,7 @@ class StreamingResult(ExperimentResult):
             "X-STR — single-pass streaming vs batch ground truth",
             "",
             f"HPL replay: {self.samples_ingested} samples ingested, "
-            f"{self.queue_stalls} backpressure stalls, stop signal at "
-            f"n={self.stopped_at_nodes} nodes",
+            f"stop signal at n={self.stopped_at_nodes} nodes",
             "",
         ]
         table = Table(
@@ -365,6 +363,5 @@ def run(
         full_core_compliant=report.full_core_compliant,
         interval_ok=report.interval_ok,
         samples_ingested=session.samples_ingested,
-        queue_stalls=session.queue_stalls,
         stopped_at_nodes=session.stopped_at_nodes,
     )

@@ -49,7 +49,7 @@ from repro.faults.recovery import (
     RetryingSource,
     RetryPolicy,
 )
-from repro.stream.ingest import IngestLoop, SimClock
+from repro.stream.ingest import SimClock
 
 __all__ = [
     "AuditOutcome",
@@ -274,9 +274,8 @@ def _inject_and_recover(
 
     The step every matrix-fault harness shares: the faulted batches
     (optionally behind a :class:`FlakySource`) pass through a
-    :class:`RetryingSource` into the plain
-    :class:`~repro.stream.ingest.IngestLoop`, whose consumer is a
-    :class:`RecoveryPipeline` built from ``pipeline_options``.
+    :class:`RetryingSource` into a :class:`RecoveryPipeline` built from
+    ``pipeline_options``.
     """
     injection = inject_run(run, plan, node_indices=node_indices)
     batches = injection.batches(ticks_per_batch)
@@ -291,7 +290,8 @@ def _inject_and_recover(
         batches, clock=SimClock(run.dt), policy=retry_policy, seed=seed
     )
     pipeline = RecoveryPipeline(**pipeline_options)
-    IngestLoop(source, pipeline.observe).run()
+    for batch in source:
+        pipeline.observe(batch)
     report = pipeline.finalize(
         expected_ticks=injection.ledger.n_ticks_planned,
         batches_retried=source.retries,

@@ -109,8 +109,8 @@ class FlakySource:
     :class:`TransientMeterError` raises (``failure_rate`` is the
     per-attempt failure probability).  The wrapper is itself a batch
     iterator, so it drops straight into :class:`RetryingSource` — or
-    straight into the plain :class:`~repro.stream.ingest.IngestLoop`,
-    where the first failure crashes the run and motivates this module.
+    straight into a plain ``for`` loop, where the first failure crashes
+    the run and motivates this module.
     """
 
     def __init__(
@@ -172,8 +172,7 @@ class RetryingSource:
     abandon the batch (via the source's ``abandon_current`` hook when it
     has one) and move on.  Every retry, abandonment and lost sample is
     counted — faults never disappear silently.  It is itself a batch
-    iterator, so the plain :class:`~repro.stream.ingest.IngestLoop`
-    drives it with its one put/drain schedule.
+    iterator, so a driver folds it with a plain ``for`` loop.
     """
 
     def __init__(

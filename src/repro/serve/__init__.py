@@ -7,19 +7,19 @@ Table 5) and :class:`~repro.faults.quality.QualityReport` provenance
 back out.  Cross-cutting layers — per-tenant token-bucket rate limits,
 byte/sample quotas, bounded per-session ingest queues with
 ``429 + Retry-After`` backpressure, idle eviction, ``/metrics`` — are
-all pure functions of an injected clock, so the whole service is
-load-testable deterministically on a
-:class:`~repro.stream.ingest.SimClock` (see
-:mod:`repro.serve.loadgen`).
+all pure functions of an injected clock, so the whole service runs
+deterministically on a :class:`~repro.stream.ingest.SimClock`, driven
+in process through :meth:`TelemetryApp.dispatch` with
+:func:`~repro.serve.http.make_request`.
 
 Layering::
 
-    http.py      wire parsing: bytes -> Request, Response -> bytes
+    http.py      wire parsing: bytes -> Request, Response -> bytes;
+                 make_request builds an in-process Request
     limits.py    token buckets + quota ledger
     sessions.py  TelemetrySession (LiveStreamState + queue), registry
     metrics.py   per-route counters and latency moments
     app.py       routing, middleware, TCP glue
-    loadgen.py   deterministic wave-based load harness
 """
 
 from repro.serve.app import ServiceConfig, TelemetryApp
@@ -29,6 +29,7 @@ from repro.serve.http import (
     Response,
     error_response,
     json_response,
+    make_request,
 )
 from repro.serve.limits import (
     QuotaCharge,
@@ -36,13 +37,6 @@ from repro.serve.limits import (
     RateDecision,
     TenantQuota,
     TokenBucket,
-)
-from repro.serve.loadgen import (
-    BatchPayload,
-    ClientResult,
-    ClientScript,
-    LoadHarness,
-    make_request,
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.sessions import (
@@ -61,16 +55,12 @@ __all__ = [
     "Response",
     "error_response",
     "json_response",
+    "make_request",
     "QuotaCharge",
     "QuotaLedger",
     "RateDecision",
     "TenantQuota",
     "TokenBucket",
-    "BatchPayload",
-    "ClientResult",
-    "ClientScript",
-    "LoadHarness",
-    "make_request",
     "ServiceMetrics",
     "FrameIngest",
     "SessionConfig",

@@ -6,8 +6,8 @@ Its :meth:`~TelemetryApp.dispatch` coroutine maps one
 :class:`~repro.serve.http.Response` through the full middleware stack
 — tenant auth, per-tenant token-bucket rate limiting, byte/sample
 quotas, routing, structured error mapping and metrics — without
-touching a socket, which is what lets the load-test suite drive
-thousands of concurrent in-process clients deterministically.
+touching a socket, which is what lets the tests and the benchmark
+drive in-process clients deterministically on a simulated clock.
 :meth:`~TelemetryApp.serve_tcp` bolts the same dispatcher onto
 ``asyncio.start_server`` for real deployments (the ``repro serve``
 CLI subcommand).
@@ -362,8 +362,8 @@ class TelemetryApp:
             )
         # One scheduling yield so the session's drain worker gets a
         # turn — over TCP the socket writes yield anyway; the
-        # in-process dispatch path (tests, load harness) must behave
-        # the same or queues would only ever drain at wave barriers.
+        # in-process dispatch path (tests, benchmark) must behave the
+        # same or queues would only drain when the caller awaits them.
         await asyncio.sleep(0)
         return response
 

@@ -28,6 +28,7 @@ __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
     "ProtocolError",
     "Request",
+    "make_request",
     "Response",
     "json_response",
     "error_response",
@@ -108,6 +109,32 @@ class Request:
             raise ProtocolError(
                 400, "bad-json", f"request body is not valid JSON: {exc}"
             ) from exc
+
+
+def make_request(
+    method: str,
+    path: str,
+    *,
+    tenant: str = "",
+    query: dict[str, str] | None = None,
+    body: bytes = b"",
+    content_type: str = "application/json",
+    headers: dict[str, str] | None = None,
+) -> Request:
+    """Build an in-process :class:`Request` for
+    :meth:`~repro.serve.app.TelemetryApp.dispatch` (no socket)."""
+    all_headers = {k.lower(): v for k, v in (headers or {}).items()}
+    if tenant:
+        all_headers["x-tenant"] = tenant
+    if body:
+        all_headers.setdefault("content-type", content_type)
+    return Request(
+        method=method,
+        path=path,
+        query=dict(query or {}),
+        headers=all_headers,
+        body=body,
+    )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Two complementary mechanisms guard the service:
   operator raises the quota.  Unlike the bucket this never refills.
 
 Both are pure functions of ``(state, clock.now_s)`` — no wall clock —
-so the load-test suite can drive them deterministically on a
+so the route tests can drive them deterministically on a
 :class:`~repro.stream.ingest.SimClock` and assert exact refusal
 patterns, and the hypothesis suite can prove the invariants (tokens
 never negative, refill monotone, quota charges exact).

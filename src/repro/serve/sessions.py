@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import asyncio
 import copy
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,9 +48,35 @@ __all__ = [
 MAX_BATCH_CELLS = 4_000_000
 
 
+def _real(name: str, value: object) -> float:
+    """``value`` as a finite float; ``ValueError`` for anything else."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def _count(name: str, value: object) -> int:
+    """``value`` as an int when it is integral; ``ValueError`` otherwise."""
+    if not _real(name, value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything a tenant declares when opening a session."""
+    """Everything a tenant declares when opening a session.
+
+    Construction coerces every field (finite reals, integral counts, a
+    non-empty quantile list) and checks the ranges the session's
+    :class:`~repro.stream.session.LiveStreamState` enforces, so a bad
+    config is refused here, before any session exists.
+    """
 
     population: int
     core_t0_s: float
@@ -62,12 +90,34 @@ class SessionConfig:
     compliance_level: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("population", "queue_capacity", "compliance_level"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name in ("core_t0_s", "core_t1_s", "interval_s", "accuracy",
+                     "confidence", "report_every_s"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not isinstance(self.quantiles, (list, tuple)) or not self.quantiles:
+            raise ValueError("quantiles must be a non-empty list")
+        object.__setattr__(self, "quantiles", tuple(
+            _real("quantiles", q) for q in self.quantiles
+        ))
         if self.population < 2:
             raise ValueError("population must be >= 2")
         if not self.core_t1_s > self.core_t0_s:
             raise ValueError("core window must have positive duration")
-        if self.interval_s <= 0:
+        if not self.interval_s > 0:
             raise ValueError("interval_s must be positive")
+        if not all(0.0 < q < 1.0 for q in self.quantiles):
+            raise ValueError(
+                f"quantiles must be in (0, 1), got {list(self.quantiles)}"
+            )
+        if not self.accuracy > 0:
+            raise ValueError(f"accuracy must be positive, got {self.accuracy}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(
+                f"confidence must be in (0, 1), got {self.confidence}"
+            )
+        if not self.report_every_s > 0:
+            raise ValueError("report_every_s must be positive")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.compliance_level not in (0, 1, 2, 3):
@@ -80,11 +130,7 @@ class SessionConfig:
         """Build from a decoded JSON body; ``ValueError`` on bad input."""
         if not isinstance(obj, dict):
             raise ValueError("session config must be a JSON object")
-        known = {
-            "population", "core_t0_s", "core_t1_s", "interval_s",
-            "quantiles", "accuracy", "confidence", "report_every_s",
-            "queue_capacity", "compliance_level",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = sorted(set(obj) - known)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
@@ -94,26 +140,7 @@ class SessionConfig:
             raise ValueError(
                 f"missing config key(s): {', '.join(missing)}"
             )
-        kwargs = dict(obj)
-        if "quantiles" in kwargs:
-            raw = kwargs["quantiles"]
-            if not isinstance(raw, (list, tuple)) or not raw:
-                raise ValueError("quantiles must be a non-empty list")
-            kwargs["quantiles"] = tuple(float(q) for q in raw)
-        try:
-            return cls(
-                population=int(kwargs["population"]),
-                core_t0_s=float(kwargs["core_t0_s"]),
-                core_t1_s=float(kwargs["core_t1_s"]),
-                interval_s=float(kwargs["interval_s"]),
-                **{
-                    k: v for k, v in kwargs.items()
-                    if k not in ("population", "core_t0_s", "core_t1_s",
-                                 "interval_s")
-                },
-            )
-        except TypeError as exc:
-            raise ValueError(f"bad session config: {exc}") from exc
+        return cls(**obj)
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering."""

@@ -11,9 +11,8 @@ the samples arrive*:
   per-node → fleet roll-up (plus the P² quantile baseline);
 * :mod:`repro.stream.ring` — a fixed-capacity time ring backing
   rolling windows;
-* :mod:`repro.stream.ingest` — a deterministic tick-driven ingestion
-  loop (simulated clock only, bounded-queue backpressure) replaying
-  simulated runs as batched samples;
+* :mod:`repro.stream.ingest` — deterministic tick-driven ingestion
+  (simulated clock only) replaying simulated runs as batched samples;
 * :mod:`repro.stream.monitor` — live EE HPC WG rule compliance and
   per-node anomaly flags;
 * :mod:`repro.stream.stopping` — Eq. 1–5 sample-size logic: the one
@@ -32,13 +31,7 @@ from repro.stream.estimators import (
     RunningCovariance,
     RunningMoments,
 )
-from repro.stream.ingest import (
-    BoundedQueue,
-    IngestLoop,
-    SampleBatch,
-    SimClock,
-    replay_run,
-)
+from repro.stream.ingest import SampleBatch, SimClock, replay_run
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
 from repro.stream.ring import TimeRing
 from repro.stream.session import (
@@ -55,8 +48,6 @@ __all__ = [
     "QuantileSketch",
     "RunningCovariance",
     "RunningMoments",
-    "BoundedQueue",
-    "IngestLoop",
     "SampleBatch",
     "SimClock",
     "replay_run",

@@ -1,8 +1,8 @@
 """Deterministic tick-driven telemetry ingestion.
 
 Real sites see power as a stream: per-node samples arriving at 1 Hz+
-from thousands of nodes, with collectors that buffer, batch and apply
-backpressure.  This module reproduces that shape *deterministically*:
+from thousands of nodes, with collectors that buffer and batch them.
+This module reproduces that shape *deterministically*:
 
 * :class:`SimClock` — the only notion of time.  It advances by fixed
   ticks; nothing reads the wall clock, so a replay is a pure function
@@ -10,16 +10,15 @@ backpressure.  This module reproduces that shape *deterministically*:
 * :class:`SampleBatch` — a contiguous block of per-node samples, the
   unit the pipeline moves around.
 * :func:`replay_run` — the source: batched per-node samples from a
-  :class:`~repro.traces.synth.SimulatedRun`.
-* :class:`BoundedQueue` + :class:`IngestLoop` — a single-threaded,
-  deterministic producer/consumer loop: offer a batch, fold a batch.
+  :class:`~repro.traces.synth.SimulatedRun`, which a driver folds by
+  iterating it.  Real bounded-queue backpressure lives in
+  :mod:`repro.serve`, where a full session queue answers 429.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from repro.traces.synth import SimulatedRun
 __all__ = [
     "SimClock",
     "SampleBatch",
-    "BoundedQueue",
-    "IngestLoop",
     "replay_run",
 ]
 
@@ -188,106 +185,6 @@ class SampleBatch:
     def fleet_means(self) -> np.ndarray:
         """Across-node mean power per tick, shape ``(n_ticks,)``."""
         return self.watts.mean(axis=1)
-
-
-class BoundedQueue:
-    """A FIFO with a hard capacity — the backpressure primitive.
-
-    ``put`` refuses when full (returns ``False``) rather than growing;
-    the ingestion loop turns that refusal into a counted producer
-    stall.  Single-threaded by design: determinism comes from the loop
-    schedule, not from locks.
-    """
-
-    __slots__ = ("_items", "_capacity", "_total_accepted", "_high_watermark")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._items: deque = deque()
-        self._capacity = int(capacity)
-        self._total_accepted = 0
-        self._high_watermark = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum queued items."""
-        return self._capacity
-
-    @property
-    def total_accepted(self) -> int:
-        """Items ever accepted by :meth:`put`."""
-        return self._total_accepted
-
-    @property
-    def high_watermark(self) -> int:
-        """Deepest the queue has ever been."""
-        return self._high_watermark
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def full(self) -> bool:
-        """Whether :meth:`put` would currently refuse."""
-        return len(self._items) >= self._capacity
-
-    def put(self, item) -> bool:
-        """Enqueue; returns ``False`` (refusing the item) when full."""
-        if self.full:
-            return False
-        self._items.append(item)
-        self._total_accepted += 1
-        self._high_watermark = max(self._high_watermark, len(self._items))
-        return True
-
-    def get(self):
-        """Dequeue the oldest item."""
-        if not self._items:
-            raise IndexError("queue is empty")
-        return self._items.popleft()
-
-
-class IngestLoop:
-    """Deterministic single-threaded producer/consumer schedule.
-
-    Each iteration the producer offers the next batch to the bounded
-    queue and the consumer then drains one batch, so the queue holds at
-    most one batch at a time and a replay never stalls (``stalls``
-    stays 0).  The schedule is a pure function of the source, so
-    replays are reproducible.  Real bounded-queue backpressure, where a
-    slow consumer makes producers wait, lives in :mod:`repro.serve` (a
-    full session queue answers 429).
-    """
-
-    def __init__(
-        self,
-        source: Iterable[SampleBatch],
-        consumer: Callable[[SampleBatch], None],
-        *,
-        queue_capacity: int = 8,
-    ) -> None:
-        self._source = iter(source)
-        self._consumer = consumer
-        self.queue = BoundedQueue(queue_capacity)
-        self.stalls = 0
-        self.batches_ingested = 0
-        self.samples_ingested = 0
-
-    def _drain_one(self) -> None:
-        batch = self.queue.get()
-        self._consumer(batch)
-        self.batches_ingested += 1
-        self.samples_ingested += batch.n_samples
-
-    def run(self) -> "IngestLoop":
-        """Drive the loop until the source is exhausted."""
-        for batch in self._source:
-            while not self.queue.put(batch):
-                self.stalls += 1
-                self._drain_one()
-            self._drain_one()
-        return self
 
 
 def replay_run(

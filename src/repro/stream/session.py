@@ -14,14 +14,16 @@ when read.  Two drivers share it:
 
 * :func:`stream_session` — the batch driver the ``repro stream`` CLI
   subcommand runs: replay a :class:`~repro.traces.synth.SimulatedRun`
-  through the bounded-queue ingestion loop into one state.
+  batch by batch into one state.
 * :mod:`repro.serve` — the multi-tenant telemetry service, which hosts
   one state per tenant session and feeds it batches POSTed over HTTP.
 
 Because both paths push identical batches through the *same* update
 code, a verdict served over the wire is bit-identical to the verdict a
-direct :func:`stream_session` call computes — the property the
-``tests/serve`` load suite locks.
+direct :func:`stream_session` call computes — the route-equivalence
+property in ``tests/test_route_equivalence.py`` holds every route
+(stream, shard, served JSON and RPWR, wire chaos) to the same fold
+state.
 
 The session is deterministic: the simulated tick clock is the only
 time source, and all estimator state is a pure function of the replayed
@@ -40,7 +42,7 @@ from repro.stream.estimators import (
     RunningCovariance,
     RunningMoments,
 )
-from repro.stream.ingest import IngestLoop, SampleBatch, replay_run
+from repro.stream.ingest import SampleBatch, replay_run
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
 from repro.stream.stopping import SequentialStopper, StoppingDecision
 from repro.traces.synth import SimulatedRun
@@ -241,7 +243,6 @@ class StreamSessionResult:
     node_moments: RunningMoments
     node_fleet_correlation: float
     quantiles_w: dict[float, float]
-    queue_stalls: int
     queue_high_watermark: int
     samples_ingested: int
     stopped_at_nodes: int | None = field(default=None)
@@ -263,7 +264,9 @@ class StreamSessionResult:
             "quantiles_w": {f"{q:g}": v for q, v in self.quantiles_w.items()},
             "quantile_rel_error": QUANTILE_REL_ERROR,
             "node_fleet_correlation": self.node_fleet_correlation,
-            "queue_stalls": self.queue_stalls,
+            # No driver stalls its producer (a full serve queue answers
+            # 429 instead); the always-0 key stays for its readers.
+            "queue_stalls": 0,
             "queue_high_watermark": self.queue_high_watermark,
             "stopped_at_nodes": self.stopped_at_nodes,
             "stopping": self.stopping.to_dict(),
@@ -278,8 +281,7 @@ class StreamSessionResult:
         lines.append("== final stream state ==")
         lines.append(
             f"samples ingested: {self.samples_ingested} "
-            f"(queue stalls {self.queue_stalls}, "
-            f"high-water {self.queue_high_watermark})"
+            f"(queue high-water {self.queue_high_watermark})"
         )
         lines.append(
             f"fleet per-node power: mean "
@@ -362,7 +364,7 @@ class LiveStreamState:
         confidence: float = 0.95,
         report_every_s: float = 600.0,
     ) -> None:
-        if report_every_s <= 0:
+        if not report_every_s > 0:
             raise ValueError("report_every_s must be positive")
         self.fold = FleetFold(
             core_window,
@@ -473,19 +475,13 @@ class LiveStreamState:
         self._finalized = True
         return self.decision
 
-    def result(
-        self,
-        *,
-        queue_stalls: int = 0,
-        queue_high_watermark: int = 0,
-        samples_ingested: int | None = None,
-    ) -> StreamSessionResult:
+    def result(self, *, queue_high_watermark: int = 0) -> StreamSessionResult:
         """Assemble the final :class:`StreamSessionResult`.
 
-        Must run after :meth:`finalize`; queue statistics are the
-        driver's to report (the replay loop's stalls, or a service
-        session's high-water mark).  ``stopped_at_nodes`` is the first
-        node-order prefix of the final node means that meets the target.
+        Must run after :meth:`finalize`; the queue high-water mark is
+        the driver's to report (a service session's; a replay has no
+        queue).  ``stopped_at_nodes`` is the first node-order prefix of
+        the final node means that meets the target.
         """
         if not self._finalized:
             raise ValueError("finalize() the state before result()")
@@ -512,13 +508,8 @@ class LiveStreamState:
             node_moments=self.fold.monitor.node_moments,
             node_fleet_correlation=correlation,
             quantiles_w=self.fold.quantiles_w(),
-            queue_stalls=queue_stalls,
             queue_high_watermark=queue_high_watermark,
-            samples_ingested=(
-                self.samples_ingested
-                if samples_ingested is None
-                else samples_ingested
-            ),
+            samples_ingested=self.samples_ingested,
             stopped_at_nodes=prefixes.stopped_at,
         )
 
@@ -538,7 +529,6 @@ def stream_session(
     accuracy: float = 0.01,
     confidence: float = 0.95,
     report_every_s: float = 600.0,
-    queue_capacity: int = 8,
     core_only: bool = True,
 ) -> StreamSessionResult:
     """Replay a run through the full streaming pipeline.
@@ -557,8 +547,6 @@ def stream_session(
         Sequential stopping target (λ, 1 − α).
     report_every_s:
         Snapshot cadence in simulated seconds.
-    queue_capacity:
-        Bounded ingest-queue depth (backpressure threshold).
     core_only:
         Stream only the core phase (the methodology's view).
     """
@@ -571,18 +559,12 @@ def stream_session(
         confidence=confidence,
         report_every_s=report_every_s,
     )
-    source = replay_run(
+    for batch in replay_run(
         run,
         node_indices=node_indices,
         ticks_per_batch=ticks_per_batch,
         core_only=core_only,
-    )
-    loop = IngestLoop(
-        source, state.push, queue_capacity=queue_capacity
-    ).run()
+    ):
+        state.push(batch)
     state.finalize()
-    return state.result(
-        queue_stalls=loop.stalls,
-        queue_high_watermark=loop.queue.high_watermark,
-        samples_ingested=loop.samples_ingested,
-    )
+    return state.result()

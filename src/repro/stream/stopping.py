@@ -114,13 +114,13 @@ class SequentialStopper:
         cv_override: float | None = None,
         min_nodes: int = 4,
     ) -> None:
-        if accuracy <= 0:
+        if not accuracy > 0:
             raise ValueError(f"accuracy must be positive, got {accuracy}")
         if population < 2:
             raise ValueError("population must be >= 2")
         if method not in ("t", "z"):
             raise ValueError(f"method must be 't' or 'z', got {method!r}")
-        if cv_override is not None and cv_override <= 0:
+        if cv_override is not None and not cv_override > 0:
             raise ValueError("cv_override must be positive")
         if min_nodes < 2:
             raise ValueError("min_nodes must be >= 2")

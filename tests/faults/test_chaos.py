@@ -113,7 +113,8 @@ class TestCleanAndFlaky:
         assert rep.effective_coverage == 1.0
         assert rep.effective_level == rep.original_level == 3
         assert rep.samples_unusable == 0
-        # Welford vs direct numpy summation: last-bit differences only.
+        # Shifted running sums vs direct numpy summation: last-bit
+        # differences only.
         assert out.rel_err_fleet_mean == pytest.approx(0.0, abs=1e-12)
         assert out.rel_err_node_cv == pytest.approx(0.0, abs=1e-12)
         assert out.ok()

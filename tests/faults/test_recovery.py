@@ -16,7 +16,7 @@ from repro.faults.recovery import (
     TransientMeterError,
 )
 from repro.rng import stream
-from repro.stream.ingest import IngestLoop, SampleBatch, SimClock
+from repro.stream.ingest import SampleBatch, SimClock
 
 
 def _batches(watts_rows, *, per=4, dt_s=2.0):
@@ -70,13 +70,12 @@ class TestFlakySource:
         assert a.failures_raised == b.failures_raised
 
     def test_plain_ingest_loop_dies_on_first_failure(self):
-        # The motivation: the clean loop has no recovery path at all.
+        # The motivation: a plain loop has no recovery path at all.
         source = FlakySource(
             iter(_batches(np.ones((12, 2)))), failure_rate=0.9, seed=1
         )
-        loop = IngestLoop(source, lambda b: None)
         with pytest.raises(TransientMeterError):
-            loop.run()
+            list(source)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="failure_rate"):
@@ -84,7 +83,7 @@ class TestFlakySource:
 
 
 class TestResilientIngestLoop:
-    """A :class:`RetryingSource` feeding the plain :class:`IngestLoop`."""
+    """A :class:`RetryingSource` folded by a plain ``for`` loop."""
 
     def test_retries_absorb_every_failure(self):
         batches = _batches(np.ones((24, 3)))
@@ -95,9 +94,7 @@ class TestResilientIngestLoop:
             policy=RetryPolicy(max_retries=50),
             seed=3,
         )
-        seen = []
-        loop = IngestLoop(source, seen.append).run()
-        assert loop.batches_ingested == len(batches)
+        seen = list(source)
         assert [float(b.t0_s) for b in seen] == [
             float(b.t0_s) for b in batches
         ]
@@ -113,16 +110,14 @@ class TestResilientIngestLoop:
             policy=RetryPolicy(max_retries=1),
             seed=5,
         )
-        loop = IngestLoop(source, lambda b: None).run()
+        ingested = list(source)
         assert source.batches_abandoned > 0
         assert len(source.abandoned) == source.batches_abandoned
         assert source.samples_abandoned == sum(
             b.n_samples for b in source.abandoned
         )
         # Nothing vanishes: every batch is either ingested or abandoned.
-        assert (
-            loop.batches_ingested + source.batches_abandoned == len(batches)
-        )
+        assert len(ingested) + source.batches_abandoned == len(batches)
 
     def test_backoff_advances_the_sim_clock_only(self):
         clock = SimClock(2.0)
@@ -133,7 +128,7 @@ class TestResilientIngestLoop:
             clock=clock,
             seed=9,
         )
-        IngestLoop(source, lambda b: None).run()
+        list(source)
         assert clock.tick == source.backoff_ticks
 
 

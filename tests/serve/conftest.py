@@ -42,9 +42,9 @@ def batch_to_json(batch: SampleBatch) -> dict:
 def strip_queue_stats(summary: dict) -> dict:
     """Drop driver-specific bookkeeping before verdict comparison.
 
-    Queue stalls and high-water marks belong to the *driver* (replay
-    loop vs HTTP queue), not the verdict; everything else must match
-    bit for bit.
+    Queue statistics belong to the *driver* (a replay has no queue, a
+    served session reports its HTTP queue's high-water mark), not the
+    verdict; everything else must match bit for bit.
     """
     out = dict(summary)
     for key in ("queue_stalls", "queue_high_watermark", "session_id",

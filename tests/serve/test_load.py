@@ -1,214 +1,107 @@
-"""Deterministic load/concurrency tests for the telemetry service.
+"""Refusal paths of the telemetry service, at the route level.
 
-The headline property: hundreds of concurrent HTTP clients across many
-tenants, all replaying the same batch stream, every one of them gets a
-final verdict *bit-identical* to a direct in-process
-:func:`~repro.stream.session.stream_session` replay — under rate
-limiting, backpressure and shuffled wave orderings.  Everything runs
-on a :class:`~repro.stream.ingest.SimClock`, so there is nothing to
-flake: the same seed always produces the same request trace.
+Rate limits, quotas, queue backpressure and idle eviction each refuse
+or defer work; every test here checks the refusal itself and that the
+refused work, retried, still lands on a verdict *bit-identical* to a
+direct in-process :func:`~repro.stream.session.stream_session` replay.
+Everything runs on a :class:`~repro.stream.ingest.SimClock`, so there
+is nothing to flake.  That an accepted stream gives the same fold
+state by every route is the property in
+``tests/test_route_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-
-import pytest
+import math
 
 from repro.serve import (
-    BatchPayload,
-    ClientScript,
-    LoadHarness,
     ServiceConfig,
     TelemetryApp,
     TenantQuota,
     make_request,
 )
-from repro.faults.recovery import fold_quality_report
 from repro.serve.app import RPWR_CONTENT_TYPE
 from repro.stream.ingest import SimClock
-from repro.stream.session import LiveStreamState
 from repro.wire.session import WireWriter
 
 from .conftest import strip_queue_stats
 
-N_TENANTS = 10
-CLIENTS_PER_TENANT = 20  # 10 x 20 = 200 concurrent clients
-
-
-def make_scripts(
-    session_config: dict,
-    payloads: list[BatchPayload],
-    *,
-    n_tenants: int = N_TENANTS,
-    clients_per_tenant: int = CLIENTS_PER_TENANT,
-) -> list[ClientScript]:
-    """One identical scripted client per (tenant, slot) pair."""
-    return [
-        ClientScript(
-            name=f"t{t:02d}-c{c:02d}",
-            tenant=f"tenant-{t:02d}",
-            config=session_config,
-            payloads=payloads,
-        )
-        for t in range(n_tenants)
-        for c in range(clients_per_tenant)
-    ]
-
-
-@pytest.fixture(scope="module")
-def json_batch_payloads(json_payloads) -> list[BatchPayload]:
-    return [BatchPayload(body=p) for p in json_payloads]
-
-
-class TestLoadBitIdentical:
-    def test_200_clients_10_tenants_bit_identical(
-        self, session_config, json_batch_payloads, serve_batches,
-        direct_summary,
-    ):
-        """The tentpole assertion: 200 concurrent clients, 10 tenants,
-        every verdict equals the direct replay exactly — the quality
-        label included."""
-        clock = SimClock(dt_s=1.0)
-        app = TelemetryApp(clock, ServiceConfig())
-        scripts = make_scripts(session_config, json_batch_payloads)
-        harness = LoadHarness(app, clock, scripts, seed=42)
-        results = asyncio.run(harness.run())
-
-        direct = LiveStreamState(
-            population=session_config["population"],
-            core_window=(
-                session_config["core_t0_s"], session_config["core_t1_s"]
-            ),
-            required_interval_s=session_config["interval_s"],
-            accuracy=session_config["accuracy"],
-            report_every_s=session_config["report_every_s"],
-        )
-        for batch in serve_batches:
-            direct.push(batch)
-        direct_quality = fold_quality_report(
-            direct.fold.monitor.node_moments,
-            cells_folded=direct.samples_ingested,
-            cells_written_off=0,
-            original_level=2,
-        ).to_dict()
-        direct_quality = json.loads(json.dumps(direct_quality))
-
-        assert len(results) == 200
-        assert all(r.done and not r.errors for r in results)
-        for result in results:
-            assert strip_queue_stats(result.summary) == direct_summary
-            assert result.summary["quality"] == direct_quality
-        # Every session was closed; nothing leaked.
-        assert len(app.registry) == 0
-        assert app.registry.sessions_closed == 200
-
-    def test_same_seed_same_trace(
-        self, session_config, json_batch_payloads
-    ):
-        """Replaying the harness with the same seed reproduces the
-        request trace exactly, status by status."""
-
-        def run_once() -> list[tuple[str, list[int]]]:
-            clock = SimClock(dt_s=1.0)
-            app = TelemetryApp(
-                clock,
-                ServiceConfig(rate_capacity=8.0,
-                              rate_refill_per_request_s=4.0),
-            )
-            scripts = make_scripts(
-                session_config, json_batch_payloads[:3],
-                n_tenants=4, clients_per_tenant=8,
-            )
-            harness = LoadHarness(app, clock, scripts, seed=7)
-            results = asyncio.run(harness.run())
-            return [(r.name, r.statuses) for r in results]
-
-        assert run_once() == run_once()
-
-    def test_wire_frame_clients_bit_identical(
-        self, session_config, serve_batches, direct_summary
-    ):
-        """Clients shipping RPWR binary frames (lossless codec) land on
-        the same verdict as the JSON clients and the direct replay."""
-        writer = WireWriter(codec="raw64")
-        payloads = [
-            BatchPayload.from_frames(writer.write(b).data)
-            for b in serve_batches
-        ]
-        clock = SimClock(dt_s=1.0)
-        app = TelemetryApp(clock, ServiceConfig())
-        scripts = make_scripts(
-            session_config, payloads, n_tenants=2, clients_per_tenant=3
-        )
-        harness = LoadHarness(app, clock, scripts, seed=3)
-        results = asyncio.run(harness.run())
-
-        assert all(r.done and not r.errors for r in results)
-        for result in results:
-            assert strip_queue_stats(result.summary) == direct_summary
-
 
 class TestRateLimiting:
-    def test_tight_buckets_429_then_converge(
-        self, session_config, json_batch_payloads, direct_summary
+    def test_rate_limit_is_per_tenant_and_retry_converges(
+        self, session_config, json_payloads, direct_summary
     ):
-        """Starved buckets produce real 429s, clients retry on the next
-        wave, and every verdict still comes out bit-identical."""
+        """A tenant over its bucket gets 429 + Retry-After; another
+        tenant at the same instant is served, because buckets are per
+        tenant; after the advertised wait the retried body is accepted
+        and the verdict equals the direct replay."""
         clock = SimClock(dt_s=1.0)
         app = TelemetryApp(
             clock,
-            ServiceConfig(rate_capacity=3.0,
-                          rate_refill_per_request_s=2.0),
-        )
-        scripts = make_scripts(
-            session_config, json_batch_payloads,
-            n_tenants=4, clients_per_tenant=10,
-        )
-        harness = LoadHarness(app, clock, scripts, seed=11)
-        results = asyncio.run(harness.run())
-
-        assert all(r.done and not r.errors for r in results)
-        assert sum(r.rate_limited for r in results) > 0
-        for result in results:
-            assert strip_queue_stats(result.summary) == direct_summary
-        # The service counted what it refused.
-        metrics = app.metrics.to_dict()
-        assert metrics["rejects"]["rate-limited"] == sum(
-            r.rate_limited for r in results
+            ServiceConfig(rate_capacity=3.0, rate_refill_per_request_s=2.0),
         )
 
-    def test_per_tenant_fairness(
-        self, session_config, json_batch_payloads
-    ):
-        """Identical workloads on independent per-tenant buckets finish
-        with near-identical per-tenant request counts — no tenant
-        starves another."""
-        clock = SimClock(dt_s=1.0)
-        app = TelemetryApp(
-            clock,
-            ServiceConfig(rate_capacity=4.0,
-                          rate_refill_per_request_s=3.0),
-        )
-        scripts = make_scripts(
-            session_config, json_batch_payloads,
-            n_tenants=8, clients_per_tenant=6,
-        )
-        harness = LoadHarness(app, clock, scripts, seed=23)
-        results = asyncio.run(harness.run())
-        assert all(r.done for r in results)
+        def send(tenant, method, path, body=b""):
+            return app.dispatch(make_request(
+                method, path, tenant=tenant, body=body,
+            ))
 
-        per_tenant: dict[str, int] = {}
-        for result in results:
-            per_tenant[result.tenant] = (
-                per_tenant.get(result.tenant, 0) + result.requests_sent
+        def wait_out(response):
+            clock.advance(math.ceil(float(response.headers["Retry-After"])))
+
+        async def until_served(tenant, method, path, body=b""):
+            while True:
+                response = await send(tenant, method, path, body)
+                if response.status != 429:
+                    return response
+                wait_out(response)
+
+        async def scenario():
+            ids = {}
+            for tenant in ("busy", "quiet"):
+                response = await send(
+                    tenant, "POST", "/v1/sessions",
+                    json.dumps(session_config).encode(),
+                )
+                assert response.status == 201
+                ids[tenant] = json.loads(
+                    response.body
+                )["session"]["session_id"]
+            path = f"/v1/sessions/{ids['busy']}/batches"
+            # The create took one of busy's three tokens.
+            statuses = [
+                (await send("busy", "POST", path, body)).status
+                for body in json_payloads[:2]
+            ]
+            refused = await send("busy", "POST", path, json_payloads[2])
+            other = await send(
+                "quiet", "POST", f"/v1/sessions/{ids['quiet']}/batches",
+                json_payloads[0],
             )
-        assert len(per_tenant) == 8
-        lo, hi = min(per_tenant.values()), max(per_tenant.values())
-        # Buckets are per-tenant and tenants run identical scripts, so
-        # totals may only differ by shuffle noise within a wave.
-        assert hi - lo <= 0.2 * hi
+            wait_out(refused)
+            retried = await send("busy", "POST", path, json_payloads[2])
+            for body in json_payloads[3:]:
+                assert (
+                    await until_served("busy", "POST", path, body)
+                ).status == 202
+            closed = await until_served(
+                "busy", "DELETE", f"/v1/sessions/{ids['busy']}"
+            )
+            return statuses, refused, other, retried, closed
+
+        statuses, refused, other, retried, closed = asyncio.run(scenario())
+        assert statuses == [202, 202]
+        assert refused.status == 429
+        assert json.loads(refused.body)["error"]["code"] == "rate-limited"
+        assert float(refused.headers["Retry-After"]) > 0
+        assert other.status == 202
+        assert retried.status == 202
+        assert closed.status == 200
+        summary = json.loads(closed.body)["summary"]
+        assert strip_queue_stats(summary) == direct_summary
+        assert app.metrics.to_dict()["rejects"]["rate-limited"] >= 1
 
     def test_quota_exhaustion_flat_refusal(
         self, app, session_config, json_payloads

@@ -133,6 +133,36 @@ class TestSessionRoutes:
         assert response.status == 400
         assert body(response)["error"]["code"] == "bad-config"
 
+    @pytest.mark.parametrize("field, value", [
+        ("confidence", 2.0),
+        ("accuracy", -1),
+        ("quantiles", [1.5]),
+        ("report_every_s", 0),
+        ("accuracy", "0.01"),
+        ("report_every_s", "x"),
+        ("confidence", None),
+        # json.dumps writes a bare NaN token, which json.loads accepts.
+        ("accuracy", float("nan")),
+        ("population", 8.5),
+        ("population", 10**400),
+    ])
+    def test_bad_field_is_400_before_the_registry(
+        self, app, session_config, field, value
+    ):
+        def cap_rejects():
+            return app.metrics.to_dict()["rejects"].get("session-cap", 0)
+
+        live, caps = len(app.registry), cap_rejects()
+        response = dispatch(app, make_request(
+            "POST", "/v1/sessions", tenant="acme",
+            body=json.dumps(dict(session_config, **{field: value})).encode(),
+        ))
+        assert response.status == 400
+        assert body(response)["error"]["code"] == "bad-config"
+        assert field in body(response)["error"]["message"]
+        assert len(app.registry) == live
+        assert cap_rejects() == caps
+
     def test_unknown_config_key_rejected(self, app, session_config):
         bad = dict(session_config, turbo=True)
         response = dispatch(app, make_request(

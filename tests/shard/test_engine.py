@@ -42,22 +42,6 @@ class TestFleetReference:
 
 
 class TestShardCountInvariance:
-    def test_sharded_equals_unsharded_bit_for_bit(self, tiny_run):
-        baseline = _identity_view(
-            sharded_session(tiny_run, n_shards=1, ticks_per_batch=16)
-        )
-        for k in (2, 5, 12):
-            view = _identity_view(
-                sharded_session(tiny_run, n_shards=k, ticks_per_batch=16)
-            )
-            assert view == baseline, f"{k} shards diverged from serial"
-
-    def test_quantiles_equal_one_shard_bit_for_bit(self, tiny_run):
-        single = sharded_session(tiny_run, n_shards=1, ticks_per_batch=16)
-        for k in (2, 3, tiny_run.system.n_nodes):
-            multi = sharded_session(tiny_run, n_shards=k, ticks_per_batch=16)
-            assert multi.quantiles_w == single.quantiles_w, f"{k} shards"
-
     def test_quality_is_the_fold_label_for_every_k(self, tiny_run):
         single = _identity_view(
             sharded_session(tiny_run, n_shards=1, ticks_per_batch=16)

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stream.ingest import (
-    BoundedQueue,
-    IngestLoop,
-    SampleBatch,
-    SimClock,
-    replay_run,
-)
+from repro.stream.ingest import SampleBatch, SimClock, replay_run
 
 
 def _batch(t0: float, n_ticks: int = 4, n_nodes: int = 3) -> SampleBatch:
@@ -61,58 +55,6 @@ class TestSampleBatch:
                 watts=np.zeros((3, 2)),
                 node_ids=np.zeros(5, dtype=np.int64),
             )
-
-
-class TestBoundedQueue:
-    def test_refuses_when_full(self):
-        q = BoundedQueue(2)
-        assert q.put(1)
-        assert q.put(2)
-        assert q.full
-        assert not q.put(3)
-        assert q.get() == 1
-        assert q.put(3)
-        assert q.total_accepted == 3
-        assert q.high_watermark == 2
-
-    def test_get_empty_raises(self):
-        with pytest.raises(IndexError, match="empty"):
-            BoundedQueue(1).get()
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            BoundedQueue(0)
-
-
-class TestIngestLoop:
-    def test_consumes_everything_in_order(self):
-        batches = [_batch(10.0 * i) for i in range(20)]
-        seen = []
-        loop = IngestLoop(iter(batches), seen.append, queue_capacity=3)
-        loop.run()
-        assert [b.t0_s for b in seen] == [b.t0_s for b in batches]
-        assert loop.batches_ingested == 20
-        assert loop.samples_ingested == sum(b.n_samples for b in batches)
-
-    def test_backpressure_stalls_counted(self):
-        # Offer one, fold one: even a capacity-1 queue never fills.
-        batches = [_batch(10.0 * i) for i in range(5)]
-        loop = IngestLoop(
-            iter(batches), lambda b: None, queue_capacity=1
-        )
-        loop.run()
-        assert loop.batches_ingested == 5
-        assert loop.stalls == 0
-        assert loop.queue.high_watermark == 1
-
-    def test_slow_consumer_drain(self):
-        # Nothing is lost or left queued whatever the capacity.
-        batches = [_batch(10.0 * i) for i in range(7)]
-        seen = []
-        loop = IngestLoop(iter(batches), seen.append, queue_capacity=2)
-        loop.run()
-        assert len(seen) == 7
-        assert len(loop.queue) == 0
 
 
 class TestReplayRun:

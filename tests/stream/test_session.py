@@ -1,25 +1,15 @@
 """Tests for repro.stream.session (end-to-end pipeline)."""
 
-import asyncio
 import json
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cluster.components import CpuModel, DramModel, FanModel
-from repro.cluster.node import NodeConfig
-from repro.cluster.system import SystemModel
-from repro.cluster.thermal import FanController
-from repro.cluster.variability import ManufacturingVariation
 from repro.core.confidence import finite_population_correction, t_quantile
 from repro.stream.ingest import SampleBatch, replay_run
 from repro.stream.session import LiveStreamState, stream_session
 from repro.stream.stopping import SequentialStopper
-from repro.traces.synth import simulate_run
-from repro.workloads.hpl import HplWorkload
 
 
 @pytest.fixture()
@@ -60,44 +50,6 @@ class TestStreamSession:
                 float(np.quantile(flat, q)), rel=0.01
             )
 
-    def test_quantiles_independent_of_batching(self, small_run):
-        one = stream_session(small_run, ticks_per_batch=60)
-        other = stream_session(small_run, ticks_per_batch=7)
-        assert one.quantiles_w == other.quantiles_w
-
-    def test_moments_independent_of_route_and_batching(self, small_run):
-        # Node and fleet moments are the same bits whichever route and
-        # batching folded the rows.
-        from repro.shard.engine import sharded_session
-
-        results = [
-            stream_session(small_run, ticks_per_batch=60),
-            stream_session(small_run, ticks_per_batch=30),
-            sharded_session(small_run, n_shards=1),
-            sharded_session(small_run, n_shards=4),
-        ]
-
-        def node_bits(r):
-            m = r.node_moments
-            return [np.asarray(v) for v in (
-                m.mean, m.variance(), m.minimum, m.maximum
-            )]
-
-        def fleet_bits(r):
-            m = r.fleet_moments
-            return (m.count, m.mean, m.variance(), m.minimum, m.maximum)
-
-        first = results[0]
-        for other in results[1:]:
-            assert all(
-                np.array_equal(a, b)
-                for a, b in zip(node_bits(other), node_bits(first))
-            )
-            assert fleet_bits(other) == fleet_bits(first)
-            assert other.node_fleet_correlation == (
-                first.node_fleet_correlation
-            )
-
     def test_quantile_bound_is_stated(self, session_result):
         result, _ = session_result
         assert result.to_dict()["quantile_rel_error"] == 0.005
@@ -118,7 +70,6 @@ class TestStreamSession:
 
     def test_everything_consumed_without_loss(self, session_result):
         result, watts = session_result
-        assert result.queue_high_watermark >= 1
         assert result.fleet_moments.count == watts.size
 
     def test_subset_session(self, small_run):
@@ -133,6 +84,8 @@ class TestStreamSession:
     def test_invalid_arguments(self, small_run):
         with pytest.raises(ValueError, match="report_every_s"):
             stream_session(small_run, report_every_s=0.0)
+        with pytest.raises(ValueError, match="report_every_s"):
+            stream_session(small_run, report_every_s=float("nan"))
         with pytest.raises(ValueError, match="quantiles"):
             stream_session(small_run, quantiles=(1.5,))
 
@@ -220,130 +173,10 @@ class TestFleetFoldRefusal:
         assert np.isfinite(fold.correlation()).all()
 
 
-def _cpu_run(n_nodes: int, core_s: float, seed: int):
-    """HPL out-of-core on a small CPU fleet at 1 Hz."""
-    config = NodeConfig(
-        cpu=CpuModel(idle_watts=20.0, peak_watts=120.0),
-        n_cpus=2,
-        dram=DramModel.for_capacity(32.0),
-        fan=FanModel(max_watts=40.0),
-        other_watts=20.0,
-    )
-    system = SystemModel(
-        f"decide-{n_nodes}",
-        n_nodes,
-        config,
-        variation=ManufacturingVariation(sigma=0.02),
-        fan_controller=FanController(
-            fan_model=config.fan, reference_watts=300.0
-        ),
-        seed=seed,
-    )
-    workload = HplWorkload.cpu_out_of_core(
-        core_s, setup_s=10.0, teardown_s=5.0
-    )
-    return simulate_run(system, workload, dt=1.0, seed=seed)
-
-
-def _served(run, batches, *, accuracy: float, rpwr: bool) -> dict:
-    """The close summary of a served session fed ``batches``."""
-    from repro.serve import ServiceConfig, TelemetryApp, make_request
-    from repro.serve.app import RPWR_CONTENT_TYPE
-    from repro.stream.ingest import SimClock
-    from repro.wire.session import WireWriter
-
-    t0_s, t1_s = run.core_window
-    config = {
-        "population": run.system.n_nodes,
-        "core_t0_s": t0_s,
-        "core_t1_s": t1_s,
-        "interval_s": max(run.dt, 1.0),
-        "accuracy": accuracy,
-    }
-    if rpwr:
-        writer = WireWriter(codec="raw64")
-        bodies = [writer.write(b).data for b in batches]
-        content_type = RPWR_CONTENT_TYPE
-    else:
-        bodies = [
-            json.dumps({
-                "times": b.times.tolist(),
-                "watts": b.watts.tolist(),
-                "node_ids": b.node_ids.tolist(),
-            }).encode()
-            for b in batches
-        ]
-        content_type = "application/json"
-
-    async def scenario():
-        app = TelemetryApp(SimClock(dt_s=1.0), ServiceConfig())
-        created = await app.dispatch(make_request(
-            "POST", "/v1/sessions", tenant="acme",
-            body=json.dumps(config).encode(),
-        ))
-        sid = json.loads(created.body)["session"]["session_id"]
-        for data in bodies:
-            response = await app.dispatch(make_request(
-                "POST", f"/v1/sessions/{sid}/batches", tenant="acme",
-                body=data, content_type=content_type,
-            ))
-            assert response.status == 202
-        closed = await app.dispatch(make_request(
-            "DELETE", f"/v1/sessions/{sid}", tenant="acme"
-        ))
-        assert closed.status == 200
-        return json.loads(closed.body)["summary"]
-
-    return asyncio.run(scenario())
-
-
-def _json_bits(obj):
-    """``obj`` after the JSON round trip a served summary takes."""
-    return json.loads(json.dumps(obj, default=float))
-
-
 class TestOneDecisionPerFoldState:
-    """The stopping decision is Eq. 1–5 over the fold's node means, so
-    every route and every batching reads the same bits."""
-
-    @settings(max_examples=4, deadline=None)
-    @given(
-        n_nodes=st.integers(8, 20),
-        core_s=st.integers(20, 70),
-        seed=st.integers(0, 2**16),
-        accuracy=st.sampled_from([0.002, 0.01, 0.05]),
-    )
-    def test_final_decision_is_route_and_batching_independent(
-        self, n_nodes, core_s, seed, accuracy
-    ):
-        from repro.shard.engine import sharded_session
-
-        run = _cpu_run(n_nodes, float(core_s), seed)
-        finals = []
-        for ticks in (1, 7, 30, 60):
-            result = stream_session(
-                run, ticks_per_batch=ticks, accuracy=accuracy
-            )
-            finals.append(
-                (result.stopping.to_dict(), result.stopped_at_nodes)
-            )
-        rule = dict(accuracy=accuracy, population=n_nodes)
-        for shards in (1, 3, 4, 8):
-            result = sharded_session(
-                run, n_shards=shards, accuracy=accuracy
-            )
-            prefixes = SequentialStopper(**rule)
-            prefixes.update_many(result.node_moments.mean)
-            finals.append((result.stopping.to_dict(), prefixes.stopped_at))
-        expected = _json_bits(finals[0])
-        assert all(_json_bits(f) == expected for f in finals)
-        for ticks, rpwr in ((5, False), (9, True)):
-            summary = _served(
-                run, list(replay_run(run, ticks_per_batch=ticks)),
-                accuracy=accuracy, rpwr=rpwr,
-            )
-            served = [summary["stopping"], summary["stopped_at_nodes"]]
-            assert served == expected
+    """The stopping decision is Eq. 1–5 over the fold's node means,
+    read at the current fold state (every route's final decision is
+    held equal by ``tests/test_route_equivalence.py``)."""
 
     def test_live_read_at_the_final_state_equals_finalize(self, small_run):
         state = LiveStreamState(

@@ -20,7 +20,7 @@ from repro.stream.stopping import SequentialStopper, StoppingDecision
 class ScalarReference:
     """The Eq. 1 stopper evaluated node by node with scalar quantiles.
 
-    An independent oracle for :class:`SequentialStopper`: one Welford
+    An independent oracle for :class:`SequentialStopper`: one
     :meth:`RunningMoments.push`, one :func:`t_quantile` (or
     :func:`z_quantile`) and one :func:`finite_population_correction`
     per admitted node.
@@ -298,9 +298,17 @@ class TestSequentialBehaviour:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="accuracy"):
             SequentialStopper(accuracy=0.0, population=10)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="accuracy"):
+            SequentialStopper(accuracy=nan, population=10)
+        with pytest.raises(ValueError, match="accuracy"):
+            SequentialStopper.decide([100.0] * 5, accuracy=nan, population=10)
+        with pytest.raises(ValueError, match="cv_override"):
+            SequentialStopper(accuracy=0.01, population=10, cv_override=nan)
         with pytest.raises(ValueError, match="population"):
             SequentialStopper(accuracy=0.01, population=1)
         with pytest.raises(ValueError, match="method"):
             SequentialStopper(accuracy=0.01, population=10, method="w")
         with pytest.raises(ValueError, match="min_nodes"):
             SequentialStopper(accuracy=0.01, population=10, min_nodes=1)
+

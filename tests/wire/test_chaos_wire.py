@@ -121,20 +121,6 @@ class TestEveryCodec:
         )
         assert out.ok(), (codec, out.reconciliation)
 
-    def test_clean_raw64_wire_is_bit_exact(self, run):
-        out = run_wire_chaos(
-            run,
-            WireScenario(name="clean", codec="raw64"),
-            seed=1,
-            node_indices=np.arange(8),
-            ticks_per_batch=10,
-        )
-        # Welford accumulation vs direct numpy differs only in the last
-        # bit or two; nothing else may move.
-        assert out.rel_err_fleet_mean <= 1e-12
-        assert out.rel_err_node_cv <= 1e-12
-        assert not out.report.downgraded()
-
 
 class TestQuantileCaveat:
     def test_no_quantiles_no_note(self, lossy_outcome):
