@@ -112,6 +112,11 @@ class RunningMoments:
     mean is ``r + S1/n`` and ``m2 = Σ(x − mean)²`` is
     ``max(S2 − S1²/n, 0)``.
 
+    A fold may skip the extremes (the monitor's ratio moments read only
+    the mean and the spread); from then on the estimator tracks none,
+    and :attr:`minimum` and :attr:`maximum` raise rather than report a
+    stale value.
+
     Rounding bound, for ``n ≤ 10⁷`` observations, unit roundoff
     ``u = 2⁻⁵³`` and exact mean ``μ``::
 
@@ -156,13 +161,13 @@ class RunningMoments:
     @property
     def minimum(self) -> np.ndarray | float:
         """Smallest observation seen."""
-        self._require_data()
+        self._require_extremes()
         return self._unwrap(self._min)
 
     @property
     def maximum(self) -> np.ndarray | float:
         """Largest observation seen."""
-        self._require_data()
+        self._require_extremes()
         return self._unwrap(self._max)
 
     def variance(self, ddof: int = 1) -> np.ndarray | float:
@@ -207,8 +212,9 @@ class RunningMoments:
         d = v - float(self._shift)
         self._s1 = np.float64(float(self._s1) + d)
         self._s2 = np.float64(float(self._s2) + d * d)
-        self._min = np.minimum(self._min, v)
-        self._max = np.maximum(self._max, v)
+        if self._min is not None:
+            self._min = np.minimum(self._min, v)
+            self._max = np.maximum(self._max, v)
         self._count += 1
 
     def push_each(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,8 +245,9 @@ class RunningMoments:
         d2[0] += self._s2
         s1, s2 = np.cumsum(d), np.cumsum(d2)
         self._s1, self._s2 = s1[-1], s2[-1]
-        self._min = np.minimum(self._min, xs.min())
-        self._max = np.maximum(self._max, xs.max())
+        if self._min is not None:
+            self._min = np.minimum(self._min, xs.min())
+            self._max = np.maximum(self._max, xs.max())
         self._count += xs.size
         return counts, self._shift + s1 / counts, _centred_m2(counts, s1, s2)
 
@@ -251,23 +258,45 @@ class RunningMoments:
         shape ``(n,)`` for a scalar stream, ``(n, n_nodes)`` for a
         per-node vector stream.  The batch's deviations from the shift
         are added onto the running sums row by row, so the state equals
-        ``n`` pushes bit for bit.
+        ``n`` pushes bit for bit.  A non-finite value, or an observation
+        of another shape, raises before the estimator changes; the rest
+        is :meth:`_fold`, which :class:`~repro.stream.session.FleetFold`
+        calls directly on batches it has validated.
         """
         xs = _as_observation(xs)
         if xs.ndim == 0:
             raise ValueError("push_batch needs a leading observation axis")
         if xs.shape[0] == 0:
             return
+        if self._shift is not None:
+            self._check_shape(xs[0])
+        self._fold(xs, self._deviations(xs))
+
+    def _deviations(self, xs: np.ndarray) -> np.ndarray:
+        """``xs − r`` for a trusted non-empty batch, taking its first
+        row as the shift ``r`` if the stream has none yet."""
         if self._shift is None:
             self._start(xs[0])
-        else:
-            self._check_shape(xs[0])
-        d = xs - self._shift
+        return xs - self._shift
+
+    def _fold(
+        self, xs: np.ndarray, d: np.ndarray, *, extremes: bool = True
+    ) -> None:
+        """Add a trusted non-empty batch ``xs`` whose deviations
+        :meth:`_deviations` returned as ``d``.
+
+        ``d`` is consumed: its first row takes the running sum in
+        place.  ``extremes=False`` skips (and from then on drops) the
+        minimum and maximum.
+        """
         d2 = d * d
         self._s1 = _seeded_sum(d, self._s1)
         self._s2 = _seeded_sum(d2, self._s2)
-        self._min = np.minimum(self._min, xs.min(axis=0))
-        self._max = np.maximum(self._max, xs.max(axis=0))
+        if extremes and self._min is not None:
+            self._min = np.minimum(self._min, xs.min(axis=0))
+            self._max = np.maximum(self._max, xs.max(axis=0))
+        else:
+            self._min = self._max = None
         self._count += xs.shape[0]
 
     def merge(self, other: "RunningMoments") -> "RunningMoments":
@@ -289,8 +318,11 @@ class RunningMoments:
         n = other._count
         self._s1 = self._s1 + (other._s1 + n * c)
         self._s2 = self._s2 + (other._s2 + c * (2.0 * other._s1 + n * c))
-        self._min = np.minimum(self._min, other._min)
-        self._max = np.maximum(self._max, other._max)
+        if self._min is None or other._min is None:
+            self._min = self._max = None
+        else:
+            self._min = np.minimum(self._min, other._min)
+            self._max = np.maximum(self._max, other._max)
         self._count += n
         return self
 
@@ -329,7 +361,10 @@ class RunningMoments:
         out._count = parts[0]._count
         for name in ("_shift", "_s1", "_s2", "_min", "_max"):
             arrays = [getattr(part, name) for part in parts]
-            setattr(out, name, np.concatenate(arrays))
+            if any(a is None for a in arrays):  # some part drops extremes
+                setattr(out, name, None)
+            else:
+                setattr(out, name, np.concatenate(arrays))
         return out
 
     def pooled(self) -> "RunningMoments":
@@ -355,8 +390,9 @@ class RunningMoments:
             float(self._m2().sum())
             + self._count * float(((means - grand) ** 2).sum())
         )
-        out._min = np.asarray(float(self._min.min()))
-        out._max = np.asarray(float(self._max.max()))
+        if self._min is not None:
+            out._min = np.asarray(float(self._min.min()))
+            out._max = np.asarray(float(self._max.max()))
         return out
 
     # ------------------------------------------------------------------
@@ -373,7 +409,10 @@ class RunningMoments:
     def _adopt(self, other: "RunningMoments") -> None:
         self._count = other._count
         for name in ("_shift", "_s1", "_s2", "_min", "_max"):
-            setattr(self, name, np.array(getattr(other, name), copy=True))
+            value = getattr(other, name)
+            if value is not None:
+                value = np.array(value, copy=True)
+            setattr(self, name, value)
 
     def _check_shape(self, arr: np.ndarray) -> None:
         if arr.shape != self._shift.shape:
@@ -385,6 +424,11 @@ class RunningMoments:
     def _require_data(self) -> None:
         if self._shift is None:
             raise ValueError("no observations yet")
+
+    def _require_extremes(self) -> None:
+        self._require_data()
+        if self._min is None:
+            raise ValueError("this estimator does not track extremes")
 
     @staticmethod
     def _unwrap(arr: np.ndarray):
@@ -502,26 +546,41 @@ class RunningCovariance:
         return self._count
 
     def push_batch(self, xs, ys) -> None:
-        """Add ``n`` observations ``xs`` with their ``(n,)`` series ``ys``."""
+        """Add ``n`` observations ``xs`` with their ``(n,)`` series ``ys``.
+
+        A non-finite value, or a shape that does not match, raises
+        before the estimator changes.
+        """
         xs, ys = _as_observation(xs), _as_observation(ys)
         if xs.ndim == 0:
             raise ValueError("push_batch needs a leading observation axis")
         if ys.shape != xs.shape[:1]:
             raise ValueError("ys must hold one value per observation of xs")
-        n = xs.shape[0]
-        if n == 0:
+        if xs.shape[0] == 0:
             return
-        if self._sxy is None:
-            self._shift_x = np.array(xs[0], dtype=float)
-            self._shift_y = np.array(ys[0], dtype=float)
-            self._sxy = np.zeros_like(self._shift_x)
-        elif xs.shape[1:] != self._shift_x.shape:
+        if self._sxy is not None and xs.shape[1:] != self._shift_x.shape:
             raise ValueError(
                 f"observation shape {xs.shape[1:]} does not match "
                 f"estimator shape {self._shift_x.shape}"
             )
-        dy = (ys - self._shift_y).reshape((n,) + (1,) * (xs.ndim - 1))
-        self._sxy = _seeded_sum((xs - self._shift_x) * dy, self._sxy)
+        shift_x = xs[0] if self._sxy is None else self._shift_x
+        self._fold(xs - shift_x, ys, shift_x)
+
+    def _fold(self, dx: np.ndarray, ys: np.ndarray, shift_x) -> None:
+        """Add a trusted non-empty batch by its deviations ``dx = xs −
+        shift_x`` from the ``x`` shift, which the first batch adopts.
+
+        :class:`~repro.stream.session.FleetFold` passes the node
+        moments' deviations here: both shifts are the first row of the
+        first batch, so they are the same array bit for bit.
+        """
+        n = dx.shape[0]
+        if self._sxy is None:
+            self._shift_x = np.array(shift_x, dtype=float)
+            self._shift_y = np.array(ys[0], dtype=float)
+            self._sxy = np.zeros_like(self._shift_x)
+        dy = (ys - self._shift_y).reshape((n,) + (1,) * (dx.ndim - 1))
+        self._sxy = _seeded_sum(dx * dy, self._sxy)
         self._count += n
 
     @classmethod
@@ -631,19 +690,32 @@ class QuantileSketch:
         return self._count
 
     def push_batch(self, xs) -> None:
-        """Add any array of readings (one ``np.bincount`` per call)."""
+        """Add any array of readings (one ``np.bincount`` per call).
+
+        A non-finite or negative reading raises before the sketch
+        changes.
+        """
         arr = _as_observation(xs).ravel()
         if arr.size == 0:
             return
         lowest = arr.min()
         if lowest < 0.0:
             raise ValueError("observation contains negative values")
+        self._fold(arr, lowest)
+
+    def _fold(self, arr: np.ndarray, lowest: float) -> None:
+        """Add trusted finite, non-negative readings ``arr`` (any shape,
+        not empty) whose smallest value is ``lowest``."""
+        arr = arr.ravel()
         positive = arr if lowest > 0.0 else arr[arr > 0.0]
         self._zeros += arr.size - positive.size
         self._count += arr.size
         if positive.size == 0:
             return
-        keys = np.ceil(np.log(positive) / self._LOG_GAMMA).astype(np.int64)
+        keys = np.log(positive)
+        keys /= self._LOG_GAMMA
+        np.ceil(keys, out=keys)
+        keys = keys.astype(np.int64)
         lo, hi = int(keys.min()), int(keys.max())
         self._cover(lo, hi)
         self._counts[lo - self._offset : hi - self._offset + 1] += np.bincount(

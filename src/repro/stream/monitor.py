@@ -27,6 +27,7 @@ extremes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,16 +191,22 @@ class ComplianceMonitor:
         required_interval_s: float = 1.0,
     ) -> None:
         c0, c1 = float(core_window_s[0]), float(core_window_s[1])
-        if c1 <= c0:
-            raise ValueError("core window must have positive duration")
-        if required_interval_s <= 0:
-            raise ValueError("required_interval_s must be positive")
+        if not (math.isfinite(c0) and math.isfinite(c1) and c1 > c0):
+            raise ValueError(
+                "core window must have finite bounds and positive duration"
+            )
+        required_s = float(required_interval_s)
+        if not (required_s > 0 and math.isfinite(required_s)):
+            raise ValueError("required_interval_s must be positive and finite")
         self._core = (c0, c1)
-        self._required_interval_s = float(required_interval_s)
+        self._required_interval_s = required_s
         self.node_moments = RunningMoments()
         self._ratio_moments = RunningMoments()
         self._rolling = TimeRing(ROLLING_HORIZON_S)
         self._node_ids: np.ndarray | None = None
+        # The node-id array of the last folded batch, so a stream that
+        # hands over the same array every batch skips the comparison.
+        self._ids_seen: np.ndarray | None = None
         self._excursions: np.ndarray | None = None
         self._span: tuple[float, float] | None = None
         self._worst_interval_s = 0.0
@@ -225,13 +232,21 @@ class ComplianceMonitor:
         rolling state is exactly the column slice of what a full-fleet
         monitor would hold (the :meth:`merge_shards` contract).
 
-        A batch with a non-finite reading or reference mean, or a
-        changed node set, is refused before any state changes.
+        A batch with a non-finite reading or reference mean, a changed
+        node set, a timestamp that steps back, or a reading whose ratio
+        to the reference overflows is refused before any state changes
+        (:meth:`_admit`).  :class:`~repro.stream.session.FleetFold`
+        runs the same checks once for its whole fold and then calls
+        :meth:`_fold` directly, without this method.
         """
         if batch.n_ticks == 0:
             return  # an empty flush carries nothing to judge
-        if not np.isfinite(batch.watts).all():
-            raise ValueError("readings must be finite")
+        w = batch.watts
+        lo = hi = 0.0
+        if w.size:
+            lo, hi = float(w.min()), float(w.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("readings must be finite")
         if fleet_w is None:
             fleet_w = batch.fleet_means()
         else:
@@ -243,11 +258,74 @@ class ComplianceMonitor:
                 raise ValueError(
                     "fleet_w must carry one finite reference mean per tick"
                 )
+        ordered = self._admit(batch, fleet_w, lo, hi)
+        self._fold(batch, fleet_w, self.node_moments._deviations(w), ordered)
+
+    def _admit(
+        self, batch: SampleBatch, fleet_w: np.ndarray, lo: float, hi: float
+    ) -> bool:
+        """Refuse a non-empty batch the fold cannot take; say whether
+        its timestamps never step back.
+
+        ``fleet_w`` has one entry per tick and ``[lo, hi]`` spans the
+        finite readings.  Refused: a node set other than the first
+        batch's; a timestamp more than 1e-12 s before the one it
+        follows, within the batch or across batches (the rolling
+        ring's tolerance); a reading whose ratio to a positive
+        ``fleet_w`` overflows.  Nothing changes here.  A batch that
+        carries the very node-id array of the last folded batch is the
+        same node set without a comparison, so a caller must not
+        rewrite that array in place with other ids.
+        """
+        if (
+            self._node_ids is not None
+            and batch.node_ids is not self._ids_seen
+            and not np.array_equal(self._node_ids, batch.node_ids)
+        ):
+            raise ValueError("batch node set changed mid-stream")
+        t, last = batch.times, self._last_t_s
+        ordered = not (
+            (last is not None and t[0] < last) or (t[1:] < t[:-1]).any()
+        )
+        if not ordered and (
+            (last is not None and t[0] < last - 1e-12)
+            or (t[1:] < t[:-1] - 1e-12).any()
+        ):
+            raise ValueError("timestamps must be non-decreasing")
+        positive = fleet_w > 0
+        if batch.watts.size and positive.any():
+            # A bound on every |reading| / fleet_w first; the row-wise
+            # check runs only when that bound overflows.
+            big = max(-lo, hi) / float(fleet_w[positive].min())
+            if not math.isfinite(big):
+                with np.errstate(over="ignore"):
+                    rows = (
+                        np.abs(batch.watts[positive]).max(axis=1)
+                        / fleet_w[positive]
+                    )
+                if not np.isfinite(rows).all():
+                    raise ValueError(
+                        "readings overflow their ratio to fleet_w"
+                    )
+        return ordered
+
+    def _fold(
+        self,
+        batch: SampleBatch,
+        fleet_w: np.ndarray,
+        d: np.ndarray,
+        ordered: bool,
+    ) -> None:
+        """Fold a batch :meth:`_admit` accepted.
+
+        ``d`` is the node moments' deviations of its readings
+        (``node_moments._deviations``), consumed here; ``ordered`` is
+        what :meth:`_admit` returned.
+        """
         if self._node_ids is None:
             self._node_ids = batch.node_ids.copy()
             self._excursions = np.zeros(batch.n_nodes, dtype=np.int64)
-        elif not np.array_equal(self._node_ids, batch.node_ids):
-            raise ValueError("batch node set changed mid-stream")
+        self._ids_seen = batch.node_ids
 
         # Sampling cadence: spacing within the batch and across the gap
         # from the previous batch.
@@ -272,11 +350,8 @@ class ComplianceMonitor:
         # cancel), against the node's ratio history *before* this batch
         # folds in — a step change must not mask itself.
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(
-                fleet_w[:, None] > 0,
-                batch.watts / fleet_w[:, None],
-                1.0,
-            )
+            ratios = batch.watts / fleet_w[:, None]
+        ratios[~(fleet_w > 0)] = 1.0
         if self._ratio_moments.count >= MIN_SAMPLES_FOR_FLAGS:
             mean = np.asarray(self._ratio_moments.mean)
             sd = np.maximum(
@@ -285,9 +360,12 @@ class ComplianceMonitor:
             dev = np.abs(ratios - mean) / sd
             self._excursions += (dev > EXCURSION_Z).sum(axis=0)
 
-        self.node_moments.push_batch(batch.watts)
-        self._ratio_moments.push_batch(ratios)
-        self._rolling.push_batch(times, fleet_w)
+        self.node_moments._fold(batch.watts, d)
+        # Only the ratio mean and spread are read, so no extremes.
+        self._ratio_moments._fold(
+            ratios, self._ratio_moments._deviations(ratios), extremes=False
+        )
+        self._rolling._fold(times, fleet_w, ordered)
         self._samples += batch.n_samples
 
     @classmethod

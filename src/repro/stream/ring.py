@@ -65,23 +65,35 @@ class TimeRing:
         """Append many timestamped samples; equivalent to a :meth:`push`
         loop.
 
-        Sorted timestamps are validated once, written with wraparound
-        and evicted once, by a binary search against the newest one's
-        horizon; anything else takes the :meth:`push` loop.
+        Sorted timestamps are written with wraparound and evicted once,
+        by a binary search against the newest one's horizon; anything
+        else takes the :meth:`push` loop, which refuses a timestamp
+        more than 1e-12 s before the one it follows.
         """
         t = np.asarray(times, dtype=float).ravel()
         v = np.asarray(values, dtype=float).ravel()
         if t.shape != v.shape:
             raise ValueError("times and values must have the same length")
-        n = t.size
-        if n == 0:
+        if t.size == 0:
             return
-        if (self._size and t[0] < self._newest_time()) or (
-            t[1:] < t[:-1]
-        ).any():
+        ordered = not (
+            (self._size and t[0] < self._newest_time())
+            or (t[1:] < t[:-1]).any()
+        )
+        self._fold(t, v, ordered)
+
+    def _fold(self, t: np.ndarray, v: np.ndarray, ordered: bool) -> None:
+        """Append non-empty 1-D float arrays of equal length.
+
+        ``ordered`` says no timestamp is below the one before it (the
+        newest held one included), so the batch is written at once;
+        otherwise it takes the :meth:`push` loop.
+        """
+        if not ordered:
             for t_s, value in zip(t, v):
                 self.push(t_s, value)
             return
+        n = t.size
         cap = self._times.size
         keep = min(n, cap)  # a push loop overwrites all but the last cap
         slots = (self._head + np.arange(n - keep, n)) % cap

@@ -185,6 +185,24 @@ class TestRunningMoments:
         with pytest.raises(ValueError, match="more than"):
             m.variance()
 
+    def test_fold_without_extremes_never_reports_them(self, samples):
+        # Same sums as push_batch; the extremes stay unread, not stale,
+        # through later pushes, concat, merge and pooling.
+        rows = samples.reshape(-1, 4)
+        tracked, untracked = RunningMoments(), RunningMoments()
+        tracked.push_batch(rows)
+        untracked._fold(rows, untracked._deviations(rows), extremes=False)
+        untracked.push_batch(rows[:3])
+        tracked.push_batch(rows[:3])
+        np.testing.assert_array_equal(untracked.mean, tracked.mean)
+        np.testing.assert_array_equal(untracked.std(), tracked.std())
+        joined = RunningMoments.concat([tracked, untracked])
+        merged = RunningMoments().merge(tracked).merge(untracked)
+        for m in (untracked, joined, merged, untracked.pooled()):
+            for read in ("minimum", "maximum"):
+                with pytest.raises(ValueError, match="extremes"):
+                    getattr(m, read)
+
 
 def _fsum_reference(xs: np.ndarray) -> tuple[float, float]:
     """Mean and ``Σ(x − mean)²``, each to a few ulps, via ``math.fsum``."""

@@ -141,6 +141,21 @@ class TestAnomalyFlags:
                 small_run.core_window, required_interval_s=0.0
             )
 
+    @pytest.mark.parametrize(
+        "core",
+        [(0.0, np.nan), (np.nan, 10.0), (0.0, np.inf), (-np.inf, 10.0)],
+    )
+    def test_non_finite_core_window_is_refused(self, core):
+        # NaN passed a `c1 <= c0` test and then broke every report;
+        # an infinite bound gives no coverage fraction to judge.
+        with pytest.raises(ValueError, match="finite bounds"):
+            ComplianceMonitor(core)
+
+    @pytest.mark.parametrize("interval_s", [np.nan, np.inf])
+    def test_non_finite_required_interval_is_refused(self, interval_s):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ComplianceMonitor((0.0, 10.0), required_interval_s=interval_s)
+
 
 def _batch(t0: float, watts) -> SampleBatch:
     watts = np.asarray(watts, dtype=float)
@@ -194,6 +209,59 @@ class TestRefusedBatch:
         with pytest.raises(ValueError, match="finite reference mean"):
             mon.observe(_batch(4.0, np.full((4, 3), 100.0)), fleet_w=fleet_w)
         assert self._state(mon) == before
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.arange(2.0, 7.0),  # goes back across batches
+            np.array([5.0, 6.0, 7.0, 6.5, 8.0]),  # goes back within itself
+        ],
+        ids=["across-batches", "within-batch"],
+    )
+    def test_out_of_order_batch(self, times):
+        # Refused before the moments, excursions, span or worst
+        # interval move, not midway by the rolling ring.
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((5, 3), 100.0)))
+        before = self._state(mon)
+        late = SampleBatch(
+            times=times, watts=np.full((5, 3), 200.0),
+            node_ids=np.arange(3),
+        )
+        with pytest.raises(ValueError, match="non-decreasing"):
+            mon.observe(late)
+        assert self._state(mon) == before
+        assert mon.node_moments.mean.tolist() == [100.0] * 3
+
+    def test_reading_whose_ratio_overflows(self):
+        # 1e10 W against a 1e-300 W reference mean is an infinite ratio:
+        # refused whole, where the ratio moments used to refuse it after
+        # the node moments had taken the batch.
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((4, 3), 100.0)))
+        before = self._state(mon)
+        with pytest.raises(ValueError, match="overflow"):
+            mon.observe(
+                _batch(4.0, np.full((4, 3), 1e10)),
+                fleet_w=np.array([100.0, 1e-300, 100.0, 100.0]),
+            )
+        assert self._state(mon) == before
+        # Huge readings on a huge-mean tick and tiny ones on a tiny-mean
+        # tick overflow only the coarse bound; every ratio is 1.
+        watts = np.array([[1e150] * 3, [1e-200] * 3, [100.0] * 3])
+        mon.observe(_batch(4.0, watts))
+        assert mon.samples_seen == 21
+
+    def test_step_back_within_tolerance_is_accepted(self):
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((5, 3), 100.0)))
+        mon.observe(
+            SampleBatch(
+                times=np.array([4.0 - 1e-13, 5.0, 6.0, 6.0 - 1e-13, 7.0]),
+                watts=np.full((5, 3), 100.0), node_ids=np.arange(3),
+            )
+        )
+        assert mon.samples_seen == 30
 
     def test_refusal_leaves_the_stream_resumable(self):
         good = [_batch(4.0 * i, np.full((4, 3), 100.0 + i)) for i in range(3)]

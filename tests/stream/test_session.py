@@ -173,6 +173,44 @@ class TestFleetFoldRefusal:
         assert np.isfinite(fold.correlation()).all()
 
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.arange(2.0, 7.0),  # goes back across batches
+            np.array([5.0, 6.0, 7.0, 6.5, 8.0]),  # goes back within itself
+        ],
+        ids=["across-batches", "within-batch"],
+    )
+    def test_out_of_order_batch_leaves_fold_unchanged(self, times):
+        # Refused once, before any estimator moves: the monitor's
+        # moments used to take the batch before the ring refused it,
+        # which left the covariance's marginals out of step.
+        from repro.stream.session import FleetFold
+
+        rng = np.random.default_rng(4)
+        ids = np.arange(6)
+        fold = FleetFold((0.0, 100.0), required_interval_s=1.0)
+        first = SampleBatch(
+            times=np.arange(5.0), watts=rng.uniform(200.0, 300.0, (5, 6)),
+            node_ids=ids,
+        )
+        fold.push(first, first.fleet_means())
+        late = SampleBatch(
+            times=times, watts=rng.uniform(200.0, 300.0, (5, 6)),
+            node_ids=ids,
+        )
+        before = pickle.dumps(fold)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            fold.push(late, late.fleet_means())
+        assert pickle.dumps(fold) == before
+        nxt = SampleBatch(
+            times=np.arange(5.0, 10.0),
+            watts=rng.uniform(200.0, 300.0, (5, 6)), node_ids=ids,
+        )
+        fold.push(nxt, nxt.fleet_means())
+        assert np.isfinite(fold.correlation()).all()
+
+
 class TestOneDecisionPerFoldState:
     """The stopping decision is Eq. 1–5 over the fold's node means,
     read at the current fold state (every route's final decision is
