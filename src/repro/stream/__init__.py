@@ -9,12 +9,11 @@ the samples arrive*:
   covariance from shifted running sums whose bits do not depend on
   batching, and a relative-error quantile sketch, all with exact
   per-node → fleet roll-up (plus the P² quantile baseline);
-* :mod:`repro.stream.ring` — a fixed-capacity time ring backing
-  rolling windows;
 * :mod:`repro.stream.ingest` — deterministic tick-driven ingestion
   (simulated clock only) replaying simulated runs as batched samples;
-* :mod:`repro.stream.monitor` — live EE HPC WG rule compliance and
-  per-node anomaly flags;
+* :mod:`repro.stream.monitor` — live EE HPC WG rule compliance, the
+  rolling fleet-power window, per-node anomaly flags, and the one
+  check every batch passes before it folds;
 * :mod:`repro.stream.stopping` — Eq. 1–5 sample-size logic: the one
   stopping decision over the node means every route reads, and the
   sequential stop signal;
@@ -33,7 +32,6 @@ from repro.stream.estimators import (
 )
 from repro.stream.ingest import SampleBatch, SimClock, replay_run
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
-from repro.stream.ring import TimeRing
 from repro.stream.session import (
     LiveStreamState,
     StreamSessionResult,
@@ -53,7 +51,6 @@ __all__ = [
     "replay_run",
     "ComplianceMonitor",
     "MonitorReport",
-    "TimeRing",
     "LiveStreamState",
     "StreamSessionResult",
     "StreamSnapshot",

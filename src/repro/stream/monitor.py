@@ -21,8 +21,13 @@ answers the same questions per batch, while measuring:
 
 All state is streaming: per-node moments of power and of the power
 ratio (shifted running sums, vectorised across the fleet and the same
-bits for any batching), a rolling time-ring of fleet power, and scalar
-extremes.
+bits for any batching), the fleet power of the last
+:data:`ROLLING_HORIZON_S` simulated seconds (at most
+:data:`ROLLING_CAPACITY` ticks), and scalar extremes.
+
+Every batch passes one check, :meth:`ComplianceMonitor._admit`, before
+it folds, whether it comes through :meth:`ComplianceMonitor.observe`
+or :meth:`repro.stream.session.FleetFold.push`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from repro.core.windows import (
 )
 from repro.stream.estimators import RunningMoments
 from repro.stream.ingest import SampleBatch
-from repro.stream.ring import TimeRing
 
 __all__ = ["NodeFlags", "MonitorReport", "ComplianceMonitor"]
 
@@ -61,6 +65,9 @@ EXCURSION_RATIO_FLOOR = 0.005
 MIN_SAMPLES_FOR_FLAGS = 30
 #: Length of the rolling fleet-power window reported live.
 ROLLING_HORIZON_S = 60.0
+#: Most ticks the rolling window holds; past it, the window is the last
+#: this many ticks.
+ROLLING_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,9 @@ class ComplianceMonitor:
         self._required_interval_s = required_s
         self.node_moments = RunningMoments()
         self._ratio_moments = RunningMoments()
-        self._rolling = TimeRing(ROLLING_HORIZON_S)
+        # The rolling window: tick times and fleet means, oldest first.
+        self._rolling_t = np.empty(0)
+        self._rolling_w = np.empty(0)
         self._node_ids: np.ndarray | None = None
         # The node-id array of the last folded batch, so a stream that
         # hands over the same array every batch skips the comparison.
@@ -210,7 +219,6 @@ class ComplianceMonitor:
         self._excursions: np.ndarray | None = None
         self._span: tuple[float, float] | None = None
         self._worst_interval_s = 0.0
-        self._last_t_s: float | None = None
         self._samples = 0
 
     # ------------------------------------------------------------------
@@ -232,118 +240,98 @@ class ComplianceMonitor:
         rolling state is exactly the column slice of what a full-fleet
         monitor would hold (the :meth:`merge_shards` contract).
 
-        A batch with a non-finite reading or reference mean, a changed
-        node set, a timestamp that steps back, or a reading whose ratio
-        to the reference overflows is refused before any state changes
-        (:meth:`_admit`).  :class:`~repro.stream.session.FleetFold`
-        runs the same checks once for its whole fold and then calls
-        :meth:`_fold` directly, without this method.
+        The batch is checked by :meth:`_admit`, the one check
+        :class:`~repro.stream.session.FleetFold` runs too, and a
+        refused batch changes nothing.
         """
-        if batch.n_ticks == 0:
-            return  # an empty flush carries nothing to judge
-        w = batch.watts
-        lo = hi = 0.0
-        if w.size:
-            lo, hi = float(w.min()), float(w.max())
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("readings must be finite")
-        if fleet_w is None:
-            fleet_w = batch.fleet_means()
-        else:
-            fleet_w = np.asarray(fleet_w, dtype=np.float64)
-            if (
-                fleet_w.shape != (batch.n_ticks,)
-                or not np.isfinite(fleet_w).all()
-            ):
-                raise ValueError(
-                    "fleet_w must carry one finite reference mean per tick"
-                )
-        ordered = self._admit(batch, fleet_w, lo, hi)
-        self._fold(batch, fleet_w, self.node_moments._deviations(w), ordered)
+        fleet_w, _ = self._admit(batch, fleet_w)
+        if batch.n_ticks:
+            d = self.node_moments._deviations(batch.watts)
+            self._fold(batch, fleet_w, d)
 
     def _admit(
-        self, batch: SampleBatch, fleet_w: np.ndarray, lo: float, hi: float
-    ) -> bool:
-        """Refuse a non-empty batch the fold cannot take; say whether
-        its timestamps never step back.
+        self, batch: SampleBatch, fleet_w: np.ndarray | None
+    ) -> tuple[np.ndarray, float]:
+        """Refuse a batch the fold cannot take; return ``fleet_w`` as a
+        float array and the smallest reading (0 for none).
 
-        ``fleet_w`` has one entry per tick and ``[lo, hi]`` spans the
-        finite readings.  Refused: a node set other than the first
-        batch's; a timestamp more than 1e-12 s before the one it
-        follows, within the batch or across batches (the rolling
-        ring's tolerance); a reading whose ratio to a positive
-        ``fleet_w`` overflows.  Nothing changes here.  A batch that
-        carries the very node-id array of the last folded batch is the
-        same node set without a comparison, so a caller must not
-        rewrite that array in place with other ids.
+        ``fleet_w`` of ``None`` is the batch's own tick means.
+        Refused: a non-finite or negative reading; a ``fleet_w`` that
+        is not one finite mean per tick; and, for a batch with ticks, a
+        node set other than the first batch's, a timestamp more than
+        1e-12 s before the one it follows (within the batch or across
+        batches), or a reading whose ratio to a positive ``fleet_w``
+        overflows.  Nothing changes here.  A batch that carries the
+        very node-id array of the last folded batch is the same node
+        set without a comparison, so a caller must not rewrite that
+        array in place with other ids.
         """
+        w = batch.watts
+        lo = hi = 0.0
+        if w.size:  # the one min/max pair of SampleBatch.readings_valid
+            lo, hi = float(w.min()), float(w.max())
+            if not (lo >= 0.0 and math.isfinite(hi)):
+                raise ValueError("readings must be finite and non-negative")
+        fleet_w = np.asarray(
+            batch.fleet_means() if fleet_w is None else fleet_w,
+            dtype=np.float64,
+        )
+        if fleet_w.shape != (batch.n_ticks,) or not np.isfinite(fleet_w).all():
+            raise ValueError(
+                "fleet_w must carry one finite reference mean per tick"
+            )
+        if batch.n_ticks == 0:
+            return fleet_w, lo
         if (
             self._node_ids is not None
             and batch.node_ids is not self._ids_seen
             and not np.array_equal(self._node_ids, batch.node_ids)
         ):
             raise ValueError("batch node set changed mid-stream")
-        t, last = batch.times, self._last_t_s
-        ordered = not (
-            (last is not None and t[0] < last) or (t[1:] < t[:-1]).any()
-        )
-        if not ordered and (
-            (last is not None and t[0] < last - 1e-12)
-            or (t[1:] < t[:-1] - 1e-12).any()
-        ):
+        t = batch.times
+        if (self._span is not None and t[0] < self._span[1] - 1e-12) or (
+            t[1:] < t[:-1] - 1e-12
+        ).any():
             raise ValueError("timestamps must be non-decreasing")
         positive = fleet_w > 0
-        if batch.watts.size and positive.any():
-            # A bound on every |reading| / fleet_w first; the row-wise
+        if w.size and positive.any():
+            # A bound on every reading / fleet_w first; the row-wise
             # check runs only when that bound overflows.
-            big = max(-lo, hi) / float(fleet_w[positive].min())
-            if not math.isfinite(big):
+            if not math.isfinite(hi / float(fleet_w[positive].min())):
                 with np.errstate(over="ignore"):
-                    rows = (
-                        np.abs(batch.watts[positive]).max(axis=1)
-                        / fleet_w[positive]
-                    )
+                    rows = w[positive].max(axis=1) / fleet_w[positive]
                 if not np.isfinite(rows).all():
                     raise ValueError(
                         "readings overflow their ratio to fleet_w"
                     )
-        return ordered
+        return fleet_w, lo
 
     def _fold(
-        self,
-        batch: SampleBatch,
-        fleet_w: np.ndarray,
-        d: np.ndarray,
-        ordered: bool,
+        self, batch: SampleBatch, fleet_w: np.ndarray, d: np.ndarray
     ) -> None:
-        """Fold a batch :meth:`_admit` accepted.
+        """Fold a batch with ticks that :meth:`_admit` accepted.
 
         ``d`` is the node moments' deviations of its readings
-        (``node_moments._deviations``), consumed here; ``ordered`` is
-        what :meth:`_admit` returned.
+        (``node_moments._deviations``), consumed here.
         """
         if self._node_ids is None:
             self._node_ids = batch.node_ids.copy()
             self._excursions = np.zeros(batch.n_nodes, dtype=np.int64)
         self._ids_seen = batch.node_ids
 
-        # Sampling cadence: spacing within the batch and across the gap
-        # from the previous batch.
+        # Sampling cadence and span: spacing within the batch and across
+        # the gap from the previous batch.
         times = batch.times
-        if self._last_t_s is not None:
-            gap = float(times[0] - self._last_t_s)
+        if self._span is None:
+            self._span = (float(times[0]), float(times[-1]))
+        else:
+            gap = float(times[0] - self._span[1])
             self._worst_interval_s = max(self._worst_interval_s, gap)
+            self._span = (self._span[0], float(times[-1]))
         if times.size >= 2:
             self._worst_interval_s = max(
                 self._worst_interval_s, float(np.diff(times).max())
             )
-        self._last_t_s = float(times[-1])
-
-        # Span tracking.
-        if self._span is None:
-            self._span = (float(times[0]), float(times[-1]))
-        else:
-            self._span = (self._span[0], float(times[-1]))
 
         # Excursions are judged on each node's power *ratio* to the
         # fleet at the same tick (scale-free, so common-mode ramps
@@ -365,7 +353,14 @@ class ComplianceMonitor:
         self._ratio_moments._fold(
             ratios, self._ratio_moments._deviations(ratios), extremes=False
         )
-        self._rolling._fold(times, fleet_w, ordered)
+        # The rolling window keeps the newest ticks within the horizon
+        # of the batch's latest one, at most ROLLING_CAPACITY of them.
+        cap = ROLLING_CAPACITY
+        rolling_t = np.concatenate((self._rolling_t, times))[-cap:]
+        rolling_w = np.concatenate((self._rolling_w, fleet_w))[-cap:]
+        cutoff = times.max() - ROLLING_HORIZON_S - 1e-12
+        cut = int(np.argmax(rolling_t >= cutoff))  # the first tick inside
+        self._rolling_t, self._rolling_w = rolling_t[cut:], rolling_w[cut:]
         self._samples += batch.n_samples
 
     @classmethod
@@ -380,9 +375,11 @@ class ComplianceMonitor:
         excursion counts) is then column-independent, so the fleet
         monitor is the node-ordered concatenation of the shard arrays —
         bit-identical to a single monitor over the whole fleet, for
-        any shard count.  Scalar stream state (span, worst interval,
-        rolling window) is identical in every shard by construction
-        and is validated before being adopted from the first.
+        any shard count.  The shards must agree on the core window and
+        the tick span, or the merge is refused.  The worst interval is
+        the shards' largest.  The rolling window is a function of the
+        ticks and the global reference alone, so the first shard's is
+        adopted without a check.
         """
         if not monitors:
             raise ValueError("merge_shards needs at least one monitor")
@@ -392,7 +389,7 @@ class ComplianceMonitor:
                 raise ValueError(f"shard monitor {i} saw no samples")
             if m._core != first._core:
                 raise ValueError("shard monitors disagree on core window")
-            if m._span != first._span or m._last_t_s != first._last_t_s:
+            if m._span != first._span:
                 raise ValueError(
                     f"shard monitor {i} covered a different tick span; "
                     "shards must replay the same stream"
@@ -408,9 +405,8 @@ class ComplianceMonitor:
         out._excursions = np.concatenate([m._excursions for m in monitors])
         out._span = first._span
         out._worst_interval_s = max(m._worst_interval_s for m in monitors)
-        out._last_t_s = first._last_t_s
         out._samples = sum(m._samples for m in monitors)
-        out._rolling = first._rolling
+        out._rolling_t, out._rolling_w = first._rolling_t, first._rolling_w
         return out
 
     # ------------------------------------------------------------------
@@ -502,14 +498,14 @@ class ComplianceMonitor:
             )
         outliers, excursions = self._flagged_nodes()
         coverage = self._coverage()
-        rolling_ok = len(self._rolling) > 0
+        rolling_t, rolling_w = self._rolling_t, self._rolling_w
         worst = (
             self._worst_interval_s
             if self._worst_interval_s > 0
             else self._required_interval_s
         )
         return MonitorReport(
-            t_now_s=(self._last_t_s if self._last_t_s is not None else 0.0),
+            t_now_s=self._span[1],
             samples_seen=self._samples,
             nodes_seen=(0 if self._node_ids is None else self._node_ids.size),
             interval_ok=bool(worst <= self._required_interval_s + 1e-9),
@@ -518,8 +514,10 @@ class ComplianceMonitor:
             window_fraction_covered=float(coverage),
             full_core_compliant=bool(coverage >= 1.0 - 1e-9),
             legal_level1_window=bool(self._legal_level1_now()),
-            rolling_mean_w=(self._rolling.mean() if rolling_ok else 0.0),
-            rolling_span_s=self._rolling.span_s(),
+            rolling_mean_w=float(rolling_w.mean()) if rolling_w.size else 0.0,
+            rolling_span_s=(
+                float(rolling_t[-1] - rolling_t[0]) if rolling_t.size else 0.0
+            ),
             outlier_nodes=outliers,
             excursion_nodes=excursions,
         )

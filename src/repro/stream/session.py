@@ -32,7 +32,6 @@ samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +70,10 @@ class FleetFold:
     repair gaps run their own
     :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
 
-    Each batch is validated once, then folded by the estimators'
-    private, trusted folds; their public ``push_batch`` and
-    :meth:`ComplianceMonitor.observe` are not called, and keep their
-    own checks for library callers.
+    Each batch is checked once, by the monitor's ``_admit``, then
+    folded by the estimators' private, trusted folds; their public
+    ``push_batch`` and :meth:`ComplianceMonitor.observe` are not
+    called.
     """
 
     __slots__ = ("monitor", "fleet_series", "covar", "quantiles", "sketch")
@@ -100,36 +99,25 @@ class FleetFold:
     def push(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
         """Fold one batch, judged against its per-tick fleet series.
 
-        The batch is checked once, before anything changes, and
-        refused if it has a non-finite or negative reading, a
+        The batch is checked once, by the monitor's
+        :meth:`~repro.stream.monitor.ComplianceMonitor._admit`, before
+        anything changes: a non-finite or negative reading, a
         ``fleet_w`` that is not one finite mean per tick, another node
         set than the first batch, a timestamp more than 1e-12 s before
-        the one it follows (within the batch or across batches), or a
-        reading whose ratio to ``fleet_w`` overflows.  A refused batch
-        leaves the fold as it was.
+        the one it follows, or a reading whose ratio to ``fleet_w``
+        overflows is refused, and the fold stays as it was.
         """
-        w = batch.watts
-        lo = hi = 0.0
-        if w.size:  # the one min/max pair of SampleBatch.readings_valid
-            lo, hi = float(w.min()), float(w.max())
-            if not (lo >= 0.0 and math.isfinite(hi)):
-                raise ValueError("readings must be finite and non-negative")
-        fleet_w = np.asarray(fleet_w, dtype=np.float64)
-        if (
-            fleet_w.shape != (batch.n_ticks,)
-            or not np.isfinite(fleet_w).all()
-        ):
-            raise ValueError("fleet_w must carry one finite mean per tick")
+        monitor, moments = self.monitor, self.monitor.node_moments
+        fleet_w, lo = monitor._admit(batch, fleet_w)
         if batch.n_ticks == 0:
             return
-        monitor, moments = self.monitor, self.monitor.node_moments
-        ordered = monitor._admit(batch, fleet_w, lo, hi)
+        w = batch.watts
         # The covariance's x shift is the node moments' shift, so the
         # node deviations serve both, read before the monitor's fold
         # seeds them in place.
         d = moments._deviations(w)
         self.covar._fold(d, fleet_w, moments._shift)
-        monitor._fold(batch, fleet_w, d, ordered)
+        monitor._fold(batch, fleet_w, d)
         self.fleet_series._fold(
             fleet_w, self.fleet_series._deviations(fleet_w)
         )

@@ -199,6 +199,17 @@ class TestRefusedBatch:
         mon.observe(_batch(0.0, np.full((4, 5), 100.0)))
         assert mon.report().nodes_seen == 5
 
+    def test_negative_reading(self):
+        # observe refuses what FleetFold.push refuses: the one check.
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((4, 3), 100.0)))
+        before = self._state(mon)
+        watts = np.full((4, 3), 100.0)
+        watts[1, 2] = -1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            mon.observe(_batch(4.0, watts))
+        assert self._state(mon) == before
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reference_mean(self, bad):
         mon = ComplianceMonitor((0.0, 20.0))
@@ -311,6 +322,93 @@ class TestInsufficientData:
         rep = mon.report()
         assert not rep.insufficient_data
         assert "insufficient" not in "\n".join(rep.lines())
+
+
+def _rolling_model(ticks, capacity):
+    """The rolling window as a queue: append each ``(t, w)`` tick, then
+    drop the oldest past ``capacity`` and those more than the horizon
+    (+1e-12 s) before the newest time seen, always keeping the newest
+    tick."""
+    held, newest = [], -np.inf
+    for t, w in ticks:
+        held.append((t, w))
+        newest = max(newest, t)
+        del held[:-capacity]
+        cutoff = newest - monitor_module.ROLLING_HORIZON_S - 1e-12
+        while len(held) > 1 and held[0][0] < cutoff:
+            del held[0]
+    return held
+
+
+class TestRollingWindow:
+    """``rolling_mean_w`` and ``rolling_span_s`` are the mean fleet
+    power and the time span of the ticks the model holds."""
+
+    # A step just past the horizon's 1e-12 s tolerance puts old ticks
+    # on either side of the cut.  The first example keeps a tick below
+    # the cut behind one above it (the window is cut at the first tick
+    # inside, not filtered); the second cuts at the batch's latest
+    # tick, not its last.
+    @example(steps=[0.0, -1e-13, 60.0 + 1.05e-12, -1e-13],
+             fleet=[float(i) for i in range(120)], cuts=set(), capacity=4096)
+    @example(steps=[0.0, 60.0 + 1.05e-12, -1e-13],
+             fleet=[float(i) for i in range(120)], cuts=set(), capacity=4096)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.sampled_from(
+                [0.0, -1e-13, 0.25, 1.0, 7.0, 60.0, 60.0 + 1.05e-12, 61.0]
+            ),
+            min_size=1, max_size=120,
+        ),
+        fleet=st.lists(
+            st.floats(0.0, 1e4, allow_subnormal=False),
+            min_size=120, max_size=120,
+        ),
+        cuts=st.sets(st.integers(1, 119), max_size=10),
+        capacity=st.sampled_from([1, 2, 3, 5, 11, 4096]),
+    )
+    def test_report_equals_the_model(self, steps, fleet, cuts, capacity):
+        times = 100.0 + np.cumsum(steps)
+        fleet_w = np.array(fleet[: times.size])
+        bounds = [0, *sorted(c for c in cuts if c < times.size), times.size]
+        mon = ComplianceMonitor((0.0, 1e4))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monitor_module, "ROLLING_CAPACITY", capacity)
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                mon.observe(
+                    SampleBatch(
+                        times=times[a:b], watts=np.ones((b - a, 2)),
+                        node_ids=np.arange(2),
+                    ),
+                    fleet_w=fleet_w[a:b],
+                )
+                held = _rolling_model(
+                    zip(times[:b].tolist(), fleet_w[:b].tolist()), capacity
+                )
+                rep = mon.report()
+                assert rep.rolling_mean_w == np.array(held)[:, 1].mean()
+                assert rep.rolling_span_s == held[-1][0] - held[0][0]
+
+    def test_high_cadence_fills_the_capacity(self):
+        # 5,000 ticks at 100 Hz span 50 s, inside the 60 s horizon, so
+        # the capacity alone bounds the window.
+        n, cap = 5000, monitor_module.ROLLING_CAPACITY
+        assert n > cap
+        times = np.arange(n) * 0.01
+        watts = 200.0 + np.sin(np.arange(n))[:, None]
+        mon = ComplianceMonitor((0.0, 100.0), required_interval_s=0.01)
+        for a in range(0, n, 700):
+            mon.observe(
+                SampleBatch(
+                    times=times[a:a + 700], watts=watts[a:a + 700],
+                    node_ids=np.arange(1),
+                )
+            )
+        rep = mon.report()
+        assert rep.rolling_span_s == times[-1] - times[-cap]
+        assert rep.rolling_mean_w == watts[-cap:, 0].mean()
+        assert rep.samples_seen == n
 
 
 def _dense_flags(mon: ComplianceMonitor) -> tuple[tuple, tuple]:

@@ -9,7 +9,8 @@ shard-style column slices judged against a global fleet series, and for
 ticks whose fleet series is not positive (the ratio fallback).
 
 A second test checks that one ``FleetFold.push`` calls none of those
-public entry points, so their re-validation cannot creep back.
+public entry points and runs the monitor's one batch check exactly
+once, so a second validation cannot creep back.
 """
 
 import numpy as np
@@ -20,17 +21,11 @@ from hypothesis import strategies as st
 from repro.stream import estimators
 from repro.stream.ingest import SampleBatch
 from repro.stream.monitor import ComplianceMonitor
-from repro.stream.ring import TimeRing
 from repro.stream.session import FleetFold
 
 
 def reference_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
     """The fold as public calls, in the order the fold runs them."""
-    if not batch.readings_valid():
-        raise ValueError("readings must be finite and non-negative")
-    fleet_w = np.asarray(fleet_w, dtype=np.float64)
-    if fleet_w.shape != (batch.n_ticks,) or not np.isfinite(fleet_w).all():
-        raise ValueError("fleet_w must carry one finite mean per tick")
     fold.monitor.observe(batch, fleet_w=fleet_w)
     fold.fleet_series.push_batch(fleet_w)
     fold.sketch.push_batch(batch.watts)
@@ -141,7 +136,6 @@ PUBLIC_ENTRIES = (
     (estimators.RunningCovariance, "push_batch"),
     (estimators.QuantileSketch, "push_batch"),
     (estimators.P2Quantile, "push_batch"),
-    (TimeRing, "push_batch"),
 )
 
 
@@ -157,7 +151,7 @@ def test_push_validates_once(monkeypatch):
 
         return wrapper
 
-    for owner, name in PUBLIC_ENTRIES:
+    for owner, name in (*PUBLIC_ENTRIES, (ComplianceMonitor, "_admit")):
         monkeypatch.setattr(owner, name, counting(owner, name))
     rng = np.random.default_rng(7)
     ids = np.arange(8)
@@ -168,7 +162,8 @@ def test_push_validates_once(monkeypatch):
             watts=rng.uniform(200.0, 300.0, (5, 8)), node_ids=ids,
         )
         fold.push(batch, batch.fleet_means())
-    assert calls == []
-    # The wrappers do see the public route.
+        assert calls == ["_admit"]
+        calls.clear()
+    # The wrappers do see the public route, which runs the same check.
     ComplianceMonitor((0.0, 100.0)).observe(batch)
-    assert calls == ["observe"]
+    assert calls == ["observe", "_admit"]

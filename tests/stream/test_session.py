@@ -210,6 +210,30 @@ class TestFleetFoldRefusal:
         fold.push(nxt, nxt.fleet_means())
         assert np.isfinite(fold.correlation()).all()
 
+    @pytest.mark.parametrize(
+        "bad_w", [[250.0], [[]], [np.nan]], ids=["long", "2d", "nan"]
+    )
+    def test_zero_tick_batch_still_checks_its_fleet_series(self, bad_w):
+        # An empty flush folds nothing, but a fleet series that is not
+        # one mean per tick is refused before the early return.
+        from repro.stream.session import FleetFold
+
+        ids = np.arange(4)
+        fold = FleetFold((0.0, 100.0), required_interval_s=1.0)
+        first = SampleBatch(
+            times=np.arange(3.0), watts=np.full((3, 4), 250.0), node_ids=ids
+        )
+        fold.push(first, first.fleet_means())
+        empty = SampleBatch(
+            times=np.empty(0), watts=np.empty((0, 4)), node_ids=ids
+        )
+        before = pickle.dumps(fold)
+        with pytest.raises(ValueError, match="fleet_w"):
+            fold.push(empty, np.array(bad_w))
+        assert pickle.dumps(fold) == before
+        fold.push(empty, empty.fleet_means())
+        assert pickle.dumps(fold) == before
+
 
 class TestOneDecisionPerFoldState:
     """The stopping decision is Eq. 1–5 over the fold's node means,
