@@ -7,12 +7,13 @@ The driver for the million-node hot path:
   excursion ratios against this *same* series, which is what makes the
   per-shard state the exact column slice of a full-fleet run's.
 * :func:`run_shard` — the per-shard kernel: synthesize the shard's node
-  columns straight into a :class:`~repro.shard.slab.SlabRing` (zero
-  copies, no per-batch allocation), feed the shared
-  :class:`~repro.stream.session.FleetFold`, and return it as a
-  picklable :class:`~repro.shard.reduce.ShardState`.  The simulator's
-  stream holds no NaN, dropped frame or quarantined node, so no
-  recovery pipeline runs beside the fold.
+  columns straight into a :class:`~repro.shard.slab.SlabRing` (no
+  per-batch allocation), feed the shared
+  :class:`~repro.stream.session.FleetFold` (which copies each batch
+  onto its pending stack, since the ring overwrites it), and return
+  it, folded, as a picklable :class:`~repro.shard.reduce.ShardState`.
+  The simulator's stream holds no NaN, dropped frame or quarantined
+  node, so no recovery pipeline runs beside the fold.
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
   pool (or run them inline when ``processes`` is 0, the deterministic
   default), then reduce by exact node-order concatenation.
@@ -109,6 +110,9 @@ def run_shard(
             f"shard saw {ticks_seen} ticks but the reference series has "
             f"{reference_w.size}"
         )
+    # The shard's work ends here: its rows are folded before the state
+    # leaves, not by whoever reads it (a pool worker's parent, say).
+    fold.flush()
     return ShardState(spec=spec, fold=fold)
 
 

@@ -299,6 +299,42 @@ class RunningMoments:
             self._min = self._max = None
         self._count += xs.shape[0]
 
+    def _fold_before(
+        self, xs: np.ndarray, rows: np.ndarray, first: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold a trusted non-empty batch ``xs`` without extremes and
+        return the ``(mean, m2)`` held before each row index in
+        ``rows[first:]``, one row per index; ``rows`` is ascending from
+        0, and by ``rows[first]`` the estimator has observations.
+
+        The stretch between two indices is added as one seeded sum, the
+        sum a fold cut there would add, so each prefix and the end state
+        have the bits of folding the stretches one by one.  ``S1`` and
+        ``S2`` ride side by side in one matrix, and a column's sum never
+        reads another column.
+        """
+        if self._shift is None:
+            self._start(xs[0])
+        n = self._shift.size
+        both = np.empty((xs.shape[0], 2 * n))
+        d = both[:, :n]
+        np.subtract(xs.reshape(xs.shape[0], n), self._shift.ravel(), out=d)
+        np.multiply(d, d, out=both[:, n:])
+        s = np.concatenate((self._s1.ravel(), self._s2.ravel()))
+        before = np.empty((2, rows.size - first, n))  # S1s, then S2s
+        ends = [*rows[1:].tolist(), xs.shape[0]]
+        for k, (a, b) in enumerate(zip(rows.tolist(), ends)):
+            if k >= first:
+                before[:, k - first] = s.reshape(2, n)
+            s = _seeded_sum(both[a:b], s)
+        shape = self._shift.shape
+        self._s1, self._s2 = s[:n].reshape(shape), s[n:].reshape(shape)
+        self._min = self._max = None
+        c = (self._count + rows[first:]).reshape((-1,) + (1,) * len(shape))
+        self._count += xs.shape[0]
+        b1, b2 = before.reshape(before.shape[:2] + shape)
+        return self._shift + b1 / c, _centred_m2(c, b1, b2)
+
     def merge(self, other: "RunningMoments") -> "RunningMoments":
         """Fold another estimator's stream into this one.
 

@@ -63,6 +63,11 @@ EXCURSION_RATIO_FLOOR = 0.005
 #: Warm-up sample count before anomaly flags are emitted — early means
 #: are too noisy to accuse nodes with.
 MIN_SAMPLES_FOR_FLAGS = 30
+#: Smallest fleet mean, in watts, a power ratio is taken against.  A
+#: tick below it carries no physical draw to compare with, so, like a
+#: tick whose mean is not positive, every node's ratio there is 1; a
+#: ratio against a vanishing mean would overflow the ratio moments.
+FLEET_W_FLOOR = 1e-3
 #: Length of the rolling fleet-power window reported live.
 ROLLING_HORIZON_S = 60.0
 #: Most ticks the rolling window holds; past it, the window is the last
@@ -175,6 +180,28 @@ class MonitorReport:
         return out
 
 
+def _excursions(
+    ratios: np.ndarray, starts: np.ndarray, means: np.ndarray, sds: np.ndarray
+) -> np.ndarray | int:
+    """Per node, the ratios more than :data:`EXCURSION_Z` spreads from
+    the mean of their batch; batch ``k`` starts at row ``starts[k]`` and
+    is judged against ``means[k]`` and ``sds[k]``.
+    """
+    # Rounding is monotonic, so no ratio deviates further than the
+    # block's largest or smallest one does: when neither deviates past
+    # the threshold from any batch's mean, no ratio flags.
+    far = np.maximum(
+        np.abs(ratios.max(axis=0) - means), np.abs(ratios.min(axis=0) - means)
+    )
+    if not (far / sds > EXCURSION_Z).any():
+        return 0
+    batch = np.repeat(
+        np.arange(starts.size), np.diff(np.append(starts, ratios.shape[0]))
+    )
+    dev = np.abs(ratios - means[batch]) / sds[batch]
+    return (dev > EXCURSION_Z).sum(axis=0)
+
+
 class ComplianceMonitor:
     """Streaming methodology compliance plus fleet anomaly detection.
 
@@ -246,8 +273,9 @@ class ComplianceMonitor:
         """
         fleet_w, _ = self._admit(batch, fleet_w)
         if batch.n_ticks:
+            self._advance(batch, fleet_w)
             d = self.node_moments._deviations(batch.watts)
-            self._fold(batch, fleet_w, d)
+            self._fold(batch.watts, fleet_w, d, np.zeros(1, dtype=np.int64))
 
     def _admit(
         self, batch: SampleBatch, fleet_w: np.ndarray | None
@@ -260,11 +288,11 @@ class ComplianceMonitor:
         is not one finite mean per tick; and, for a batch with ticks, a
         node set other than the first batch's, a timestamp more than
         1e-12 s before the one it follows (within the batch or across
-        batches), or a reading whose ratio to a positive ``fleet_w``
-        overflows.  Nothing changes here.  A batch that carries the
-        very node-id array of the last folded batch is the same node
-        set without a comparison, so a caller must not rewrite that
-        array in place with other ids.
+        batches), or a reading whose ratio to a ``fleet_w`` of at least
+        :data:`FLEET_W_FLOOR` overflows when squared.  Nothing changes
+        here.  A batch that carries the very node-id array of the last
+        batch taken is the same node set without a comparison, so a
+        caller must not rewrite that array in place with other ids.
         """
         w = batch.watts
         lo = hi = 0.0
@@ -276,12 +304,18 @@ class ComplianceMonitor:
             batch.fleet_means() if fleet_w is None else fleet_w,
             dtype=np.float64,
         )
-        if fleet_w.shape != (batch.n_ticks,) or not np.isfinite(fleet_w).all():
+        if fleet_w.shape != (batch.n_ticks,):
             raise ValueError(
                 "fleet_w must carry one finite reference mean per tick"
             )
         if batch.n_ticks == 0:
             return fleet_w, lo
+        # A NaN anywhere makes the minimum NaN.
+        f_lo, f_hi = float(fleet_w.min()), float(fleet_w.max())
+        if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+            raise ValueError(
+                "fleet_w must carry one finite reference mean per tick"
+            )
         if (
             self._node_ids is not None
             and batch.node_ids is not self._ids_seen
@@ -293,26 +327,28 @@ class ComplianceMonitor:
             t[1:] < t[:-1] - 1e-12
         ).any():
             raise ValueError("timestamps must be non-decreasing")
-        positive = fleet_w > 0
-        if w.size and positive.any():
-            # A bound on every reading / fleet_w first; the row-wise
-            # check runs only when that bound overflows.
-            if not math.isfinite(hi / float(fleet_w[positive].min())):
+        if w.size and f_hi >= FLEET_W_FLOOR:
+            # A bound on every squared reading / fleet_w first; the
+            # row-wise check runs only when that bound overflows.
+            if f_lo < FLEET_W_FLOOR:
+                f_lo = float(fleet_w[fleet_w >= FLEET_W_FLOOR].min())
+            bound = hi / f_lo
+            if not math.isfinite(bound * bound):
+                judged = fleet_w >= FLEET_W_FLOOR
                 with np.errstate(over="ignore"):
-                    rows = w[positive].max(axis=1) / fleet_w[positive]
+                    rows = w[judged].max(axis=1) / fleet_w[judged]
+                    rows *= rows
                 if not np.isfinite(rows).all():
                     raise ValueError(
                         "readings overflow their ratio to fleet_w"
                     )
         return fleet_w, lo
 
-    def _fold(
-        self, batch: SampleBatch, fleet_w: np.ndarray, d: np.ndarray
-    ) -> None:
-        """Fold a batch with ticks that :meth:`_admit` accepted.
-
-        ``d`` is the node moments' deviations of its readings
-        (``node_moments._deviations``), consumed here.
+    def _advance(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
+        """Take the ticks of a batch with ticks that :meth:`_admit`
+        accepted: node set, span, worst interval, rolling window and
+        sample count — everything :meth:`_admit` checks the next batch
+        against.  Its readings wait for :meth:`_fold`.
         """
         if self._node_ids is None:
             self._node_ids = batch.node_ids.copy()
@@ -330,29 +366,8 @@ class ComplianceMonitor:
             self._span = (self._span[0], float(times[-1]))
         if times.size >= 2:
             self._worst_interval_s = max(
-                self._worst_interval_s, float(np.diff(times).max())
+                self._worst_interval_s, float((times[1:] - times[:-1]).max())
             )
-
-        # Excursions are judged on each node's power *ratio* to the
-        # fleet at the same tick (scale-free, so common-mode ramps
-        # cancel), against the node's ratio history *before* this batch
-        # folds in — a step change must not mask itself.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = batch.watts / fleet_w[:, None]
-        ratios[~(fleet_w > 0)] = 1.0
-        if self._ratio_moments.count >= MIN_SAMPLES_FOR_FLAGS:
-            mean = np.asarray(self._ratio_moments.mean)
-            sd = np.maximum(
-                np.asarray(self._ratio_moments.std()), EXCURSION_RATIO_FLOOR
-            )
-            dev = np.abs(ratios - mean) / sd
-            self._excursions += (dev > EXCURSION_Z).sum(axis=0)
-
-        self.node_moments._fold(batch.watts, d)
-        # Only the ratio mean and spread are read, so no extremes.
-        self._ratio_moments._fold(
-            ratios, self._ratio_moments._deviations(ratios), extremes=False
-        )
         # The rolling window keeps the newest ticks within the horizon
         # of the batch's latest one, at most ROLLING_CAPACITY of them.
         cap = ROLLING_CAPACITY
@@ -362,6 +377,43 @@ class ComplianceMonitor:
         cut = int(np.argmax(rolling_t >= cutoff))  # the first tick inside
         self._rolling_t, self._rolling_w = rolling_t[cut:], rolling_w[cut:]
         self._samples += batch.n_samples
+
+    def _fold(
+        self,
+        watts: np.ndarray,
+        fleet_w: np.ndarray,
+        d: np.ndarray,
+        starts: np.ndarray,
+    ) -> None:
+        """Fold the readings of one or more batches, stacked in order,
+        whose ticks :meth:`_advance` has taken.
+
+        ``starts`` holds the row each batch starts at (the first 0).
+        ``d`` is the node moments' deviations of ``watts``
+        (``node_moments._deviations``), consumed here.
+        """
+        # Excursions are judged on each node's power *ratio* to the
+        # fleet at the same tick (scale-free, so common-mode ramps
+        # cancel), against the node's ratio history *before* its batch
+        # folds in — a step change must not mask itself.  The ratio
+        # moments before each batch are the running sums cut at its
+        # first row, the bits a fold of one batch at a time would hold.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            ratios = watts / fleet_w[:, None]
+        ratios[~(fleet_w >= FLEET_W_FLOOR)] = 1.0
+        counts = self._ratio_moments.count + starts
+        first = int(np.searchsorted(counts, MIN_SAMPLES_FOR_FLAGS))
+        means, m2 = self._ratio_moments._fold_before(ratios, starts, first)
+        if first < counts.size:
+            sds = np.maximum(
+                np.sqrt(m2 / (counts[first:, None] - 1)),
+                EXCURSION_RATIO_FLOOR,
+            )
+            self._excursions += _excursions(
+                ratios[starts[first]:], starts[first:] - starts[first],
+                means, sds,
+            )
+        self.node_moments._fold(watts, d)
 
     @classmethod
     def merge_shards(

@@ -2,11 +2,12 @@
 
 :class:`FleetFold` is the per-node fold every route shares — the
 compliance monitor, the node-vs-fleet covariance and the fleet power
-quantile sketch, advanced one batch at a time against a per-tick fleet
-series, with an exact :meth:`FleetFold.concat` for shards.
+quantile sketch, judged against a per-tick fleet series — checked one
+batch at a time at push and folded on read, with an exact
+:meth:`FleetFold.concat` for shards.
 
 :class:`LiveStreamState` is the incremental session core: one fold,
-advanced one :class:`~repro.stream.ingest.SampleBatch` at a time; its
+pushed one :class:`~repro.stream.ingest.SampleBatch` at a time; its
 fleet moments are the fold's per-node moments pooled, and its stopping
 decision is Eq. 1–5 over the fold's node means
 (:meth:`~repro.stream.stopping.SequentialStopper.decide`), evaluated
@@ -32,6 +33,7 @@ samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,38 @@ __all__ = [
 ]
 
 
+#: Pending readings at which :meth:`FleetFold.push` folds what it holds
+#: without waiting for a read; it also bounds the rows a fold keeps.  A
+#: stack of about this many folds fastest per reading: a smaller one
+#: pays more numpy calls per reading, and on a 2-vCPU x86-64 host a
+#: stack past ~24k readings page-faults its temporaries on every fold.
+PENDING_SAMPLES = 20_000
+
+
+class _Pending:
+    """Copies of the readings and fleet series of the batches a fold
+    has taken but not folded, stacked in order."""
+
+    __slots__ = ("watts", "fleet_w", "starts", "rows", "lowest")
+
+    def __init__(self, n_rows: int, n_nodes: int) -> None:
+        self.watts = np.empty((n_rows, n_nodes))
+        self.fleet_w = np.empty(n_rows)
+        self.starts: list[int] = []  # the row each batch starts at
+        self.rows = 0
+        self.lowest = math.inf  # the smallest reading
+
+    def add(
+        self, watts: np.ndarray, fleet_w: np.ndarray, lowest: float
+    ) -> None:
+        a, b = self.rows, self.rows + fleet_w.size
+        self.watts[a:b] = watts
+        self.fleet_w[a:b] = fleet_w
+        self.starts.append(a)
+        self.rows = b
+        self.lowest = min(self.lowest, lowest)
+
+
 class FleetFold:
     """Monitor, covariance and quantiles over one node set, per batch.
 
@@ -70,13 +104,24 @@ class FleetFold:
     repair gaps run their own
     :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
 
-    Each batch is checked once, by the monitor's ``_admit``, then
-    folded by the estimators' private, trusted folds; their public
-    ``push_batch`` and :meth:`ComplianceMonitor.observe` are not
-    called.
+    The fold runs on read.  :meth:`push` checks a batch once, by the
+    monitor's ``_admit``, takes its ticks (node set, span, worst
+    interval, rolling window, sample count) and copies its readings and
+    ``fleet_w`` onto a pending stack.  Reading :attr:`monitor`,
+    :attr:`covar`, :attr:`fleet_series` or :attr:`sketch` — and so
+    :meth:`quantiles_w`, :meth:`correlation`, :meth:`concat` and a
+    pickle — first folds the whole stack in one pass (:meth:`flush`), as
+    does a push that brings it to :data:`PENDING_SAMPLES` readings; a
+    batch that reaches that count alone is folded at once, without a
+    copy.  Each batch is still judged for excursions against the ratio
+    moments before it, so the state has the bits of a fold batch by
+    batch.
     """
 
-    __slots__ = ("monitor", "fleet_series", "covar", "quantiles", "sketch")
+    __slots__ = (
+        "_monitor", "_fleet_series", "_covar", "quantiles", "_sketch",
+        "_pending",
+    )
 
     def __init__(
         self,
@@ -88,41 +133,114 @@ class FleetFold:
         for q in quantiles:
             if not (0.0 < q < 1.0):
                 raise ValueError(f"quantiles must be in (0, 1), got {q}")
-        self.monitor = ComplianceMonitor(
+        self._monitor = ComplianceMonitor(
             core_window, required_interval_s=required_interval_s
         )
-        self.fleet_series = RunningMoments()
-        self.covar = RunningCovariance()
+        self._fleet_series = RunningMoments()
+        self._covar = RunningCovariance()
         self.quantiles = tuple(quantiles)
-        self.sketch = QuantileSketch()
+        self._sketch = QuantileSketch()
+        self._pending: _Pending | None = None
+
+    @property
+    def monitor(self) -> ComplianceMonitor:
+        """The compliance monitor, with every pushed batch folded.
+
+        Read it anew after a push: a reference kept from before sees
+        the pushed ticks but not their readings until the next read.
+        """
+        self.flush()
+        return self._monitor
+
+    @property
+    def fleet_series(self) -> RunningMoments:
+        """Moments of the fleet series, with every pushed batch folded."""
+        self.flush()
+        return self._fleet_series
+
+    @property
+    def covar(self) -> RunningCovariance:
+        """Node-vs-fleet cross sums, with every pushed batch folded."""
+        self.flush()
+        return self._covar
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        """The fleet power sketch, with every pushed batch folded."""
+        self.flush()
+        return self._sketch
+
+    def __getstate__(self):
+        """A pickle is a read: it folds the pending rows first, so a
+        pickled fold (a shard worker's result) carries none."""
+        self.flush()
+        return None, {name: getattr(self, name) for name in self.__slots__}
 
     def push(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
-        """Fold one batch, judged against its per-tick fleet series.
+        """Take one batch, judged against its per-tick fleet series.
 
         The batch is checked once, by the monitor's
         :meth:`~repro.stream.monitor.ComplianceMonitor._admit`, before
         anything changes: a non-finite or negative reading, a
         ``fleet_w`` that is not one finite mean per tick, another node
         set than the first batch, a timestamp more than 1e-12 s before
-        the one it follows, or a reading whose ratio to ``fleet_w``
-        overflows is refused, and the fold stays as it was.
+        the one it follows, or a reading whose squared ratio to
+        ``fleet_w`` overflows is refused, and the fold stays as it was.
+        No array of the caller's is kept, so the caller may overwrite
+        them once this returns.
         """
-        monitor, moments = self.monitor, self.monitor.node_moments
+        monitor = self._monitor
         fleet_w, lo = monitor._admit(batch, fleet_w)
-        if batch.n_ticks == 0:
+        n_ticks, n_nodes = batch.n_ticks, batch.n_nodes
+        if n_ticks == 0:
             return
-        w = batch.watts
+        monitor._advance(batch, fleet_w)
+        stack = self._pending
+        if stack is not None and stack.rows + n_ticks > stack.fleet_w.size:
+            self.flush()
+            stack = None
+        if stack is None:
+            # The rows that hold PENDING_SAMPLES readings, or more.
+            n_rows = -(-PENDING_SAMPLES // max(n_nodes, 1))
+            if n_ticks >= n_rows:  # a full stack alone: fold it uncopied
+                first_row = np.zeros(1, dtype=np.int64)
+                self._fold(batch.watts, fleet_w, first_row, lo)
+                return
+            stack = self._pending = _Pending(n_rows, n_nodes)
+        stack.add(batch.watts, fleet_w, lo)
+        if stack.rows == stack.fleet_w.size:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold every pending batch in one stacked pass."""
+        stack = self._pending
+        if stack is None:
+            return
+        self._pending = None
+        n = stack.rows
+        self._fold(
+            stack.watts[:n], stack.fleet_w[:n], np.array(stack.starts),
+            stack.lowest,
+        )
+
+    def _fold(
+        self, w: np.ndarray, fleet_w: np.ndarray, starts: np.ndarray,
+        lowest: float,
+    ) -> None:
+        """Fold stacked readings whose batches start at rows ``starts``
+        and whose smallest reading is ``lowest``."""
+        moments = self._monitor.node_moments
         # The covariance's x shift is the node moments' shift, so the
         # node deviations serve both, read before the monitor's fold
         # seeds them in place.
         d = moments._deviations(w)
-        self.covar._fold(d, fleet_w, moments._shift)
-        monitor._fold(batch, fleet_w, d)
-        self.fleet_series._fold(
-            fleet_w, self.fleet_series._deviations(fleet_w)
+        self._covar._fold(d, fleet_w, moments._shift)
+        self._monitor._fold(w, fleet_w, d, starts)
+        self._fleet_series._fold(
+            fleet_w, self._fleet_series._deviations(fleet_w)
         )
         if w.size:
-            self.sketch._fold(w, lo)
+            self._sketch._fold(w, lowest)
 
     def quantiles_w(self) -> dict[float, float]:
         """Current estimate of every tracked quantile."""
@@ -150,15 +268,16 @@ class FleetFold:
             if part.quantiles != parts[0].quantiles:
                 raise ValueError(f"shard {i} tracked different quantiles")
         out = cls.__new__(cls)
-        out.monitor = ComplianceMonitor.merge_shards(
+        out._monitor = ComplianceMonitor.merge_shards(
             [p.monitor for p in parts]
         )
-        out.fleet_series = parts[0].fleet_series
-        out.covar = RunningCovariance.concat([p.covar for p in parts])
+        out._fleet_series = parts[0].fleet_series
+        out._covar = RunningCovariance.concat([p.covar for p in parts])
         out.quantiles = parts[0].quantiles
-        out.sketch = QuantileSketch()
+        out._sketch = QuantileSketch()
         for part in parts:
-            out.sketch.merge(part.sketch)
+            out._sketch.merge(part.sketch)
+        out._pending = None
         return out
 
 
@@ -332,7 +451,7 @@ class StreamSessionResult:
 
 
 class LiveStreamState:
-    """Incremental estimator/monitor state, one batch at a time.
+    """Incremental estimator/monitor state, pushed one batch at a time.
 
     The single source of truth for "what does the stream look like so
     far": every driver — the batch replay in :func:`stream_session`,
@@ -341,6 +460,10 @@ class LiveStreamState:
     live snapshot, monitor report and stopping decision, from one
     monitor report) / :meth:`result`, so identical batch streams always
     produce identical verdicts regardless of how the bytes arrived.
+    A push checks the batch and copies it onto the fold's pending
+    stack (:class:`FleetFold`); a read — a verdict, a snapshot, the
+    stopping decision, the result — folds what is pending first, so
+    what it reads has the bits of a fold batch by batch.
 
     The stopping decision is a function of the fold: Eq. 1–5 over the
     node means in node order, computed when first read at a fold state.

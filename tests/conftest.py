@@ -19,6 +19,22 @@ from repro.traces.powertrace import PowerTrace
 from repro.workloads.hpl import HplWorkload
 
 
+#: Suites in which a RuntimeWarning (an overflow, an invalid value) is a
+#: failure: the fold's arithmetic must never produce one silently.
+STRICT_RUNTIME_WARNINGS = (
+    "tests/stream/",
+    "tests/shard/",
+    "tests/test_route_equivalence.py",
+)
+
+
+def pytest_collection_modifyitems(items):
+    strict = pytest.mark.filterwarnings("error::RuntimeWarning")
+    for item in items:
+        if item.nodeid.startswith(STRICT_RUNTIME_WARNINGS):
+            item.add_marker(strict)
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""

@@ -12,6 +12,7 @@ from repro.shard.engine import (
     sharded_session,
 )
 from repro.shard.plan import plan_shards
+from repro.stream import session as session_module
 from repro.stream.session import stream_session
 
 
@@ -85,6 +86,24 @@ class TestPoolEquivalence:
             tiny_run, n_shards=4, ticks_per_batch=16, processes=2
         )
         assert pooled.to_dict() == inline.to_dict()
+
+
+class TestShardStateIsFolded:
+    def test_run_shard_returns_no_pending_rows(self, tiny_run, monkeypatch):
+        # A cap above the whole shard would keep every row pending until
+        # a read; the shard folds them itself, so a pool worker never
+        # sends rows back and the kernel's time includes the fold.
+        monkeypatch.setattr(session_module, "PENDING_SAMPLES", 1 << 16)
+        plan = plan_shards(tiny_run.system.n_nodes, 2, ticks_per_batch=16)
+        reference_w = fleet_reference(tiny_run, ticks_per_batch=16)
+        state = run_shard(
+            tiny_run, plan.shards[0], ticks_per_batch=16,
+            reference_w=reference_w,
+        )
+        assert state.fold._pending is None
+        assert state.samples_ingested == (
+            reference_w.size * plan.shards[0].n_nodes
+        )
 
 
 class TestSerialCrossCheck:

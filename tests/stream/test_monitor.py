@@ -245,23 +245,38 @@ class TestRefusedBatch:
         assert mon.node_moments.mean.tolist() == [100.0] * 3
 
     def test_reading_whose_ratio_overflows(self):
-        # 1e10 W against a 1e-300 W reference mean is an infinite ratio:
-        # refused whole, where the ratio moments used to refuse it after
-        # the node moments had taken the batch.
+        # 1e160 W against a 1e-3 W reference mean (the floor) is a ratio
+        # whose square overflows: refused whole, where the ratio moments
+        # used to refuse it after the node moments had taken the batch.
         mon = ComplianceMonitor((0.0, 20.0))
         mon.observe(_batch(0.0, np.full((4, 3), 100.0)))
         before = self._state(mon)
+        floor = monitor_module.FLEET_W_FLOOR
         with pytest.raises(ValueError, match="overflow"):
             mon.observe(
-                _batch(4.0, np.full((4, 3), 1e10)),
-                fleet_w=np.array([100.0, 1e-300, 100.0, 100.0]),
+                _batch(4.0, np.full((4, 3), 1e160)),
+                fleet_w=np.array([100.0, floor, 100.0, 100.0]),
             )
         assert self._state(mon) == before
-        # Huge readings on a huge-mean tick and tiny ones on a tiny-mean
-        # tick overflow only the coarse bound; every ratio is 1.
-        watts = np.array([[1e150] * 3, [1e-200] * 3, [100.0] * 3])
+        # Huge readings on a huge-mean tick and small ones on a
+        # small-mean tick overflow only the coarse bound; every ratio
+        # is 1.
+        watts = np.array([[1e152] * 3, [2 * floor] * 3, [100.0] * 3])
         mon.observe(_batch(4.0, watts))
         assert mon.samples_seen == 21
+
+    def test_mean_below_the_floor_is_no_reference(self):
+        # 1e10 W against a 1e-300 W mean has no finite ratio; below
+        # FLEET_W_FLOOR a tick is judged like a 0 W one (every ratio 1),
+        # so the batch is taken and the ratio moments stay finite.
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((4, 3), 100.0)))
+        mon.observe(
+            _batch(4.0, np.full((4, 3), 1e10)),
+            fleet_w=np.array([100.0, 1e-300, 100.0, 100.0]),
+        )
+        assert mon.samples_seen == 24
+        assert np.isfinite(mon._ratio_moments.std()).all()
 
     def test_step_back_within_tolerance_is_accepted(self):
         mon = ComplianceMonitor((0.0, 20.0))

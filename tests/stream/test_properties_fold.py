@@ -1,17 +1,28 @@
-"""The trusted fold under ``FleetFold.push`` keeps every bit.
+"""The fold under ``FleetFold.push`` keeps every bit.
 
-``FleetFold.push`` validates a batch once and then calls the
-estimators' private folds.  The reference here is the fold as a
-sequence of public calls — ``ComplianceMonitor.observe``, then each
-estimator's ``push_batch`` — each of which validates on its own.  Both
-must leave every state field with the same bytes, for any batching, for
-shard-style column slices judged against a global fleet series, and for
-ticks whose fleet series is not positive (the ratio fallback).
+``FleetFold.push`` validates a batch once and folds it on read: the
+pending batches are stacked and folded by the estimators' private
+folds in one pass.  Two references hold it to the bits of a fold batch
+by batch:
 
-A second test checks that one ``FleetFold.push`` calls none of those
+* the fold as a sequence of public calls — ``ComplianceMonitor.observe``,
+  then each estimator's ``push_batch`` — each of which validates on its
+  own;
+* ``eager_push``, a test-local copy of the per-batch fold (check, then
+  fold this batch alone, judging its excursions against the ratio
+  moments before it).
+
+Every state field must have the same bytes once the fold has read its
+pending rows, for any batching, any point of reading and any pending
+cap, for shard-style column slices judged against a global fleet
+series, and for ticks whose fleet series is below the ratio floor.
+
+A last test checks that one ``FleetFold.push`` calls none of those
 public entry points and runs the monitor's one batch check exactly
 once, so a second validation cannot creep back.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -19,8 +30,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stream import estimators
+from repro.stream import session as session_module
 from repro.stream.ingest import SampleBatch
-from repro.stream.monitor import ComplianceMonitor
+from repro.stream.monitor import (
+    EXCURSION_RATIO_FLOOR,
+    EXCURSION_Z,
+    FLEET_W_FLOOR,
+    MIN_SAMPLES_FOR_FLAGS,
+    ComplianceMonitor,
+)
 from repro.stream.session import FleetFold
 
 
@@ -30,6 +48,32 @@ def reference_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
     fold.fleet_series.push_batch(fleet_w)
     fold.sketch.push_batch(batch.watts)
     fold.covar.push_batch(batch.watts, fleet_w)
+
+
+def eager_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
+    """The per-batch fold: check the batch, then fold it alone, judging
+    its excursions against the ratio moments before it."""
+    monitor = fold.monitor
+    fleet_w, lo = monitor._admit(batch, fleet_w)
+    if batch.n_ticks == 0:
+        return
+    monitor._advance(batch, fleet_w)
+    w, moments = batch.watts, monitor.node_moments
+    ratio = monitor._ratio_moments
+    d = moments._deviations(w)
+    fold.covar._fold(d, fleet_w, moments._shift)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        ratios = w / fleet_w[:, None]
+    ratios[~(fleet_w >= FLEET_W_FLOOR)] = 1.0
+    if ratio.count >= MIN_SAMPLES_FOR_FLAGS:
+        sd = np.maximum(np.asarray(ratio.std()), EXCURSION_RATIO_FLOOR)
+        dev = np.abs(ratios - np.asarray(ratio.mean)) / sd
+        monitor._excursions += (dev > EXCURSION_Z).sum(axis=0)
+    moments._fold(w, d)
+    ratio._fold(ratios, ratio._deviations(ratios), extremes=False)
+    fold.fleet_series._fold(fleet_w, fold.fleet_series._deviations(fleet_w))
+    if w.size:
+        fold.sketch._fold(w, lo)
 
 
 def _fields(obj, path: str = "fold"):
@@ -115,6 +159,7 @@ def test_trusted_fold_equals_the_public_calls(stream):
         fleet_w = batch.fleet_means() if shard == "whole" else fleet[a:b]
         trusted.push(batch, fleet_w)
         reference_push(public, batch, fleet_w)
+        trusted.flush()
         assert _differing(trusted, public) == []
     assert (
         trusted.monitor.report().to_dict()
@@ -123,6 +168,155 @@ def test_trusted_fold_equals_the_public_calls(stream):
     # The ratio moments keep no extremes, so none can be read stale.
     with pytest.raises(ValueError, match="extremes"):
         trusted.monitor._ratio_moments.minimum
+
+
+@st.composite
+def read_streams(draw):
+    """A stream long enough to pass the flag warm-up, with private
+    steps, batch cuts, a pending cap, and reads between pushes.
+
+    Nodes read about 300 W with one drawn step per stream, so the
+    excursion judge fires at some batchings and not at others; zero
+    readings and ticks whose fleet series is 0 or below the ratio floor
+    are mixed in.  ``reads`` maps a batch index to the read made after
+    that push.
+    """
+    n_ticks = draw(st.integers(1, 90))
+    n_nodes = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    watts = 300.0 + rng.normal(0.0, draw(st.sampled_from([0.0, 1.0, 8.0])),
+                               (n_ticks, n_nodes))
+    node = draw(st.integers(0, n_nodes - 1))
+    t0 = draw(st.integers(0, n_ticks - 1))
+    watts[t0:t0 + draw(st.integers(1, 40)), node] += draw(
+        st.sampled_from([0.0, 80.0, -250.0])
+    )
+    watts[rng.random(watts.shape) < draw(st.sampled_from([0.0, 0.05]))] = 0.0
+    steps = draw(st.lists(st.sampled_from([1.0, 0.0, -1e-13]),
+                          min_size=n_ticks, max_size=n_ticks))
+    times = 100.0 + np.cumsum(steps)
+    if draw(st.booleans()):  # a shard judged against a global series
+        fleet = 300.0 + rng.normal(0.0, 1.0, n_ticks)
+        odd = rng.random(n_ticks) < 0.1
+        fleet[odd] = rng.choice([0.0, -3.0, 1e-300, FLEET_W_FLOOR],
+                                odd.sum())
+    else:
+        fleet = None
+    cuts = sorted(draw(st.sets(st.integers(1, max(n_ticks - 1, 1)),
+                               max_size=12)) - {n_ticks})
+    n_batches = len(cuts) + 1
+    reads = draw(st.dictionaries(
+        st.integers(0, n_batches - 1),
+        st.sampled_from(["report", "quantiles", "correlation", "concat",
+                         "pickle"]),
+        max_size=4,
+    ))
+    cap = draw(st.sampled_from([1, 7, 40, 150, 1 << 15]))
+    return times, watts, fleet, cuts, reads, cap
+
+
+def _read(fold: FleetFold, how: str) -> tuple[FleetFold, object]:
+    """Make one read; return the fold to go on with and what it read."""
+    if how == "report":
+        return fold, fold.monitor.report().to_dict()
+    if how == "quantiles":
+        return fold, fold.quantiles_w() if fold.sketch.count else None
+    if how == "correlation":
+        try:
+            return fold, fold.correlation().tobytes()
+        except ValueError as exc:
+            return fold, str(exc)
+    if how == "concat":
+        if not fold.monitor.samples_seen:
+            return fold, None
+        return fold, _differing(FleetFold.concat([fold]), fold)
+    return pickle.loads(pickle.dumps(fold)), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(read_streams())
+def test_fold_on_read_equals_the_eager_fold(stream):
+    times, watts, fleet, cuts, reads, cap = stream
+    n_ticks, n_nodes = watts.shape
+    lazy = FleetFold((90.0, 200.0), required_interval_s=1.0)
+    eager = FleetFold((90.0, 200.0), required_interval_s=1.0)
+    ids = np.arange(n_nodes)
+    bounds = [0, *cuts, n_ticks]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_module, "PENDING_SAMPLES", cap)
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            # The caller's own arrays, overwritten after every push as
+            # a slab ring overwrites its batches.
+            batch = SampleBatch(
+                times=times[a:b].copy(), watts=watts[a:b].copy(),
+                node_ids=ids,
+            )
+            fleet_w = (
+                batch.fleet_means() if fleet is None else fleet[a:b].copy()
+            )
+            lazy.push(batch, fleet_w)
+            eager_push(eager, batch, fleet_w)
+            for arr in (batch.times, batch.watts, fleet_w):
+                arr.fill(np.nan)
+            if i in reads:
+                lazy, got = _read(lazy, reads[i])
+                eager, want = _read(eager, reads[i])
+                assert got == want
+                assert _differing(lazy, eager) == []
+        lazy.flush()
+    assert _differing(lazy, eager) == []
+    assert lazy.monitor.report() == eager.monitor.report()
+
+
+def _step_stream() -> tuple[np.ndarray, np.ndarray]:
+    """64 nodes at 300 W ± 8 W for 600 ticks, with node 3 stepping up
+    80 W for ticks 100-129: the excursion judge flags it 3, 5 and 0
+    times at 1-, 5- and 600-tick batches."""
+    rng = np.random.default_rng(1)
+    watts = 300.0 + rng.normal(0.0, 8.0, (600, 64))
+    watts[100:130, 3] += 80.0
+    return np.arange(600.0), watts
+
+
+@pytest.mark.parametrize("ticks, flags", [(1, 3), (5, 5), (600, 0)])
+def test_batching_dependent_excursions_keep_their_bits(ticks, flags):
+    times, watts = _step_stream()
+    ids = np.arange(64)
+    lazy = FleetFold((0.0, 600.0), required_interval_s=1.0)
+    eager = FleetFold((0.0, 600.0), required_interval_s=1.0)
+    for a in range(0, 600, ticks):
+        batch = SampleBatch(
+            times=times[a:a + ticks], watts=watts[a:a + ticks], node_ids=ids
+        )
+        lazy.push(batch, batch.fleet_means())
+        eager_push(eager, batch, batch.fleet_means())
+    lazy.flush()
+    assert _differing(lazy, eager) == []
+    assert {
+        f.node_id: f.excursion_count
+        for f in lazy.monitor.report().excursion_nodes
+    } == ({3: flags} if flags else {})
+
+
+def test_zero_node_batches_past_the_stack(monkeypatch):
+    # A batch with no nodes carries no readings, so only its ticks can
+    # fill the pending stack: one longer than the stack folds at once,
+    # a short one waits on it.
+    monkeypatch.setattr(session_module, "PENDING_SAMPLES", 40)
+    lazy = FleetFold((0.0, 1e3), required_interval_s=1.0)
+    eager = FleetFold((0.0, 1e3), required_interval_s=1.0)
+    for a, b in ((0, 50), (50, 55), (55, 100)):
+        batch = SampleBatch(
+            times=np.arange(float(a), float(b)), watts=np.empty((b - a, 0)),
+            node_ids=np.arange(0),
+        )
+        fleet_w = np.full(b - a, 250.0)
+        lazy.push(batch, fleet_w)
+        eager_push(eager, batch, fleet_w)
+    lazy.flush()
+    assert _differing(lazy, eager) == []
+    assert lazy.fleet_series.count == 100
 
 
 #: Every public entry point that validates on its own.
@@ -164,6 +358,9 @@ def test_push_validates_once(monkeypatch):
         fold.push(batch, batch.fleet_means())
         assert calls == ["_admit"]
         calls.clear()
+    # The read folds both batches and checks nothing again.
+    assert fold.monitor.samples_seen == 80
+    assert calls == []
     # The wrappers do see the public route, which runs the same check.
     ComplianceMonitor((0.0, 100.0)).observe(batch)
     assert calls == ["observe", "_admit"]

@@ -235,6 +235,60 @@ class TestFleetFoldRefusal:
         assert pickle.dumps(fold) == before
 
 
+class TestTinyFleetMean:
+    """A fleet mean below ``FLEET_W_FLOOR`` is no reference for a power
+    ratio: its tick is judged like a 0 W one, every ratio 1."""
+
+    @staticmethod
+    def _fold(fleet: np.ndarray, watts: np.ndarray, ticks: range, fold=None):
+        from repro.stream.session import FleetFold
+
+        if fold is None:
+            fold = FleetFold((0.0, 200.0), required_interval_s=1.0)
+        ids = np.arange(watts.shape[1])
+        for k in ticks:
+            fold.push(
+                SampleBatch(times=np.array([float(k)]),
+                            watts=watts[k:k + 1], node_ids=ids),
+                fleet[k:k + 1],
+            )
+        return fold
+
+    def test_excursion_judge_survives_a_tiny_mean(self):
+        # 120 one-tick pushes on 4 nodes at 300 W; tick 40 carries a
+        # 3.65e-250 W fleet mean and from tick 80 node 1 reads 10x.  Its
+        # ratio to that mean squared used to overflow the ratio moments,
+        # so their spread read NaN: every node flagged once, on the tiny
+        # tick, and node 1's step never flagged.
+        watts = np.full((120, 4), 300.0)
+        watts[80:, 1] = 3000.0
+        control = watts.mean(axis=1)
+        fleet = control.copy()
+        fleet[40] = 3.65e-250
+        fold = self._fold(fleet, watts, range(40))
+        before = pickle.dumps(fold)
+        self._fold(fleet, watts, range(40, 41), fold)
+        after = pickle.loads(pickle.dumps(fold))
+        ratio = after.monitor._ratio_moments
+        assert np.isfinite(ratio.std()).all()
+        assert not after.monitor._excursions.any()
+        # The tiny tick left the ratio moments as a tick at the control
+        # mean (every ratio 1) would have.
+        plain = self._fold(control, watts, range(40, 41),
+                           pickle.loads(before))
+        for name in ("_s1", "_s2"):
+            assert getattr(ratio, name).tobytes() == getattr(
+                plain.monitor._ratio_moments, name
+            ).tobytes()
+        self._fold(fleet, watts, range(41, 120), after)
+        self._fold(control, watts, range(41, 120), plain)
+        flags = {f.node_id: f.excursion_count
+                 for f in after.monitor.report().excursion_nodes}
+        assert flags[1] > 0
+        assert flags == {f.node_id: f.excursion_count
+                         for f in plain.monitor.report().excursion_nodes}
+
+
 class TestOneDecisionPerFoldState:
     """The stopping decision is Eq. 1–5 over the fold's node means,
     read at the current fold state (every route's final decision is
