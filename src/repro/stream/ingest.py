@@ -183,8 +183,18 @@ class SampleBatch:
         return w.size == 0 or bool(w.min() >= 0.0 and np.isfinite(w.max()))
 
     def fleet_means(self) -> np.ndarray:
-        """Across-node mean power per tick, shape ``(n_ticks,)``."""
-        return self.watts.mean(axis=1)
+        """Across-node mean power per tick, shape ``(n_ticks,)``.
+
+        The bits of ``watts.mean(axis=1)``, without its wrapper.  A
+        batch with ticks and an empty node set has no mean to take, and
+        raises.
+        """
+        n_ticks, n_nodes = self.watts.shape
+        if n_ticks and not n_nodes:
+            raise ValueError(
+                "a batch with ticks and an empty node set has no fleet mean"
+            )
+        return np.add.reduce(self.watts, axis=1) / n_nodes
 
 
 def replay_run(

@@ -245,6 +245,8 @@ class ComplianceMonitor:
         self._ids_seen: np.ndarray | None = None
         self._excursions: np.ndarray | None = None
         self._span: tuple[float, float] | None = None
+        # The latest tick folded, which the rolling window is cut at.
+        self._newest_s = -math.inf
         self._worst_interval_s = 0.0
         self._samples = 0
 
@@ -273,9 +275,11 @@ class ComplianceMonitor:
         """
         fleet_w, _ = self._admit(batch, fleet_w)
         if batch.n_ticks:
-            self._advance(batch, fleet_w)
+            ticks = np.concatenate(([self._advance(batch)], batch.times))
             d = self.node_moments._deviations(batch.watts)
-            self._fold(batch.watts, fleet_w, d, np.zeros(1, dtype=np.int64))
+            self._fold(
+                batch.watts, fleet_w, d, np.zeros(1, dtype=np.int64), ticks
+            )
 
     def _admit(
         self, batch: SampleBatch, fleet_w: np.ndarray | None
@@ -344,39 +348,27 @@ class ComplianceMonitor:
                     )
         return fleet_w, lo
 
-    def _advance(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
-        """Take the ticks of a batch with ticks that :meth:`_admit`
-        accepted: node set, span, worst interval, rolling window and
-        sample count — everything :meth:`_admit` checks the next batch
-        against.  Its readings wait for :meth:`_fold`.
+    def _advance(self, batch: SampleBatch) -> float:
+        """Take from a batch with ticks that :meth:`_admit` accepted
+        the node set and span end, which :meth:`_admit` checks the next
+        batch against, and its sample count.  Return the tick the batch
+        follows: the span end before it, or its own first tick if it
+        opens the stream.  Its worst interval and rolling window wait
+        for :meth:`_fold`, with its readings.
         """
         if self._node_ids is None:
             self._node_ids = batch.node_ids.copy()
             self._excursions = np.zeros(batch.n_nodes, dtype=np.int64)
         self._ids_seen = batch.node_ids
-
-        # Sampling cadence and span: spacing within the batch and across
-        # the gap from the previous batch.
         times = batch.times
         if self._span is None:
-            self._span = (float(times[0]), float(times[-1]))
+            after = float(times[0])
+            self._span = (after, float(times[-1]))
         else:
-            gap = float(times[0] - self._span[1])
-            self._worst_interval_s = max(self._worst_interval_s, gap)
+            after = self._span[1]
             self._span = (self._span[0], float(times[-1]))
-        if times.size >= 2:
-            self._worst_interval_s = max(
-                self._worst_interval_s, float((times[1:] - times[:-1]).max())
-            )
-        # The rolling window keeps the newest ticks within the horizon
-        # of the batch's latest one, at most ROLLING_CAPACITY of them.
-        cap = ROLLING_CAPACITY
-        rolling_t = np.concatenate((self._rolling_t, times))[-cap:]
-        rolling_w = np.concatenate((self._rolling_w, fleet_w))[-cap:]
-        cutoff = times.max() - ROLLING_HORIZON_S - 1e-12
-        cut = int(np.argmax(rolling_t >= cutoff))  # the first tick inside
-        self._rolling_t, self._rolling_w = rolling_t[cut:], rolling_w[cut:]
         self._samples += batch.n_samples
+        return after
 
     def _fold(
         self,
@@ -384,14 +376,33 @@ class ComplianceMonitor:
         fleet_w: np.ndarray,
         d: np.ndarray,
         starts: np.ndarray,
+        ticks: np.ndarray,
     ) -> None:
-        """Fold the readings of one or more batches, stacked in order,
-        whose ticks :meth:`_advance` has taken.
+        """Fold the ticks and readings of one or more batches, stacked
+        in order, that :meth:`_advance` has taken.
 
         ``starts`` holds the row each batch starts at (the first 0).
         ``d`` is the node moments' deviations of ``watts``
-        (``node_moments._deviations``), consumed here.
+        (``node_moments._deviations``), consumed here.  ``ticks[1:]``
+        are the stacked ticks and ``ticks[0]`` the one they follow
+        (what :meth:`_advance` returned for the first batch).
         """
+        # The worst interval is the largest step between ticks, the gap
+        # from the tick the stack follows included.  The rolling window
+        # keeps the newest ticks within the horizon of the latest tick
+        # folded, at most ROLLING_CAPACITY of them: a cut at the
+        # stack's end has the bits of a cut after every tick.
+        self._worst_interval_s = max(
+            self._worst_interval_s, float((ticks[1:] - ticks[:-1]).max())
+        )
+        times, cap = ticks[1:], ROLLING_CAPACITY
+        self._newest_s = max(self._newest_s, float(times.max()))
+        rolling_t = np.concatenate((self._rolling_t, times[-cap:]))[-cap:]
+        rolling_w = np.concatenate((self._rolling_w, fleet_w[-cap:]))[-cap:]
+        cutoff = self._newest_s - ROLLING_HORIZON_S - 1e-12
+        cut = int(np.argmax(rolling_t >= cutoff))  # the first tick inside
+        self._rolling_t, self._rolling_w = rolling_t[cut:], rolling_w[cut:]
+
         # Excursions are judged on each node's power *ratio* to the
         # fleet at the same tick (scale-free, so common-mode ramps
         # cancel), against the node's ratio history *before* its batch
@@ -455,7 +466,7 @@ class ComplianceMonitor:
         )
         out._node_ids = np.concatenate([m._node_ids for m in monitors])
         out._excursions = np.concatenate([m._excursions for m in monitors])
-        out._span = first._span
+        out._span, out._newest_s = first._span, first._newest_s
         out._worst_interval_s = max(m._worst_interval_s for m in monitors)
         out._samples = sum(m._samples for m in monitors)
         out._rolling_t, out._rolling_w = first._rolling_t, first._rolling_w

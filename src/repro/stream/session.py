@@ -68,24 +68,28 @@ PENDING_SAMPLES = 20_000
 
 
 class _Pending:
-    """Copies of the readings and fleet series of the batches a fold
-    has taken but not folded, stacked in order."""
+    """Copies of the ticks, readings and fleet series of the batches a
+    fold has taken but not folded, stacked in order."""
 
-    __slots__ = ("watts", "fleet_w", "starts", "rows", "lowest")
+    __slots__ = ("watts", "fleet_w", "ticks", "starts", "rows", "lowest")
 
-    def __init__(self, n_rows: int, n_nodes: int) -> None:
+    def __init__(self, n_rows: int, n_nodes: int, after: float) -> None:
         self.watts = np.empty((n_rows, n_nodes))
         self.fleet_w = np.empty(n_rows)
+        # ticks[0] is the tick the stack follows, ticks[1 + i] row i's.
+        self.ticks = np.empty(n_rows + 1)
+        self.ticks[0] = after
         self.starts: list[int] = []  # the row each batch starts at
         self.rows = 0
         self.lowest = math.inf  # the smallest reading
 
     def add(
-        self, watts: np.ndarray, fleet_w: np.ndarray, lowest: float
+        self, batch: SampleBatch, fleet_w: np.ndarray, lowest: float
     ) -> None:
         a, b = self.rows, self.rows + fleet_w.size
-        self.watts[a:b] = watts
+        self.watts[a:b] = batch.watts
         self.fleet_w[a:b] = fleet_w
+        self.ticks[a + 1:b + 1] = batch.times
         self.starts.append(a)
         self.rows = b
         self.lowest = min(self.lowest, lowest)
@@ -105,17 +109,18 @@ class FleetFold:
     :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
 
     The fold runs on read.  :meth:`push` checks a batch once, by the
-    monitor's ``_admit``, takes its ticks (node set, span, worst
-    interval, rolling window, sample count) and copies its readings and
-    ``fleet_w`` onto a pending stack.  Reading :attr:`monitor`,
-    :attr:`covar`, :attr:`fleet_series` or :attr:`sketch` — and so
-    :meth:`quantiles_w`, :meth:`correlation`, :meth:`concat` and a
-    pickle — first folds the whole stack in one pass (:meth:`flush`), as
-    does a push that brings it to :data:`PENDING_SAMPLES` readings; a
-    batch that reaches that count alone is folded at once, without a
-    copy.  Each batch is still judged for excursions against the ratio
-    moments before it, so the state has the bits of a fold batch by
-    batch.
+    monitor's ``_admit``, takes the node set and span end that check
+    reads for the next batch, and the sample count, and copies the batch's
+    ticks, readings and ``fleet_w`` onto a pending stack.  Reading
+    :attr:`monitor`, :attr:`covar`, :attr:`fleet_series` or
+    :attr:`sketch` — and so :meth:`quantiles_w`, :meth:`correlation`,
+    :meth:`concat` and a pickle — first folds the whole stack in one
+    pass (:meth:`flush`): the worst interval and rolling window over the
+    stacked ticks, then the readings.  So does a push that brings the
+    stack to :data:`PENDING_SAMPLES` readings; a batch that reaches that
+    count alone is folded at once, without a copy.  Each batch is still
+    judged for excursions against the ratio moments before it, so the
+    state has the bits of a fold batch by batch.
     """
 
     __slots__ = (
@@ -187,14 +192,17 @@ class FleetFold:
         the one it follows, or a reading whose squared ratio to
         ``fleet_w`` overflows is refused, and the fold stays as it was.
         No array of the caller's is kept, so the caller may overwrite
-        them once this returns.
+        them once this returns.  Of the batch's tick state, the push
+        takes the node set and span end the next check reads, and the
+        sample count; the worst interval and rolling window wait on the
+        stack for the fold.
         """
         monitor = self._monitor
         fleet_w, lo = monitor._admit(batch, fleet_w)
         n_ticks, n_nodes = batch.n_ticks, batch.n_nodes
         if n_ticks == 0:
             return
-        monitor._advance(batch, fleet_w)
+        after = monitor._advance(batch)
         stack = self._pending
         if stack is not None and stack.rows + n_ticks > stack.fleet_w.size:
             self.flush()
@@ -203,11 +211,13 @@ class FleetFold:
             # The rows that hold PENDING_SAMPLES readings, or more.
             n_rows = -(-PENDING_SAMPLES // max(n_nodes, 1))
             if n_ticks >= n_rows:  # a full stack alone: fold it uncopied
-                first_row = np.zeros(1, dtype=np.int64)
-                self._fold(batch.watts, fleet_w, first_row, lo)
+                self._fold(
+                    batch.watts, fleet_w, np.zeros(1, dtype=np.int64),
+                    np.concatenate(([after], batch.times)), lo,
+                )
                 return
-            stack = self._pending = _Pending(n_rows, n_nodes)
-        stack.add(batch.watts, fleet_w, lo)
+            stack = self._pending = _Pending(n_rows, n_nodes, after)
+        stack.add(batch, fleet_w, lo)
         if stack.rows == stack.fleet_w.size:
             self.flush()
 
@@ -220,22 +230,23 @@ class FleetFold:
         n = stack.rows
         self._fold(
             stack.watts[:n], stack.fleet_w[:n], np.array(stack.starts),
-            stack.lowest,
+            stack.ticks[:n + 1], stack.lowest,
         )
 
     def _fold(
         self, w: np.ndarray, fleet_w: np.ndarray, starts: np.ndarray,
-        lowest: float,
+        ticks: np.ndarray, lowest: float,
     ) -> None:
-        """Fold stacked readings whose batches start at rows ``starts``
-        and whose smallest reading is ``lowest``."""
+        """Fold stacked readings whose batches start at rows ``starts``,
+        whose ticks follow ``ticks[0]`` as ``ticks[1:]`` and whose
+        smallest reading is ``lowest``."""
         moments = self._monitor.node_moments
         # The covariance's x shift is the node moments' shift, so the
         # node deviations serve both, read before the monitor's fold
         # seeds them in place.
         d = moments._deviations(w)
         self._covar._fold(d, fleet_w, moments._shift)
-        self._monitor._fold(w, fleet_w, d, starts)
+        self._monitor._fold(w, fleet_w, d, starts, ticks)
         self._fleet_series._fold(
             fleet_w, self._fleet_series._deviations(fleet_w)
         )

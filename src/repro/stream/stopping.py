@@ -171,12 +171,12 @@ class SequentialStopper:
         The batch is evaluated at once, bit-identical to admitting the
         nodes one at a time: one seeded cumulative sum
         (:meth:`RunningMoments.push_each`) gives every prefix's moments,
-        one vectorised quantile call gives every
-        prefix's achieved λ (which sets :attr:`stopped_at`), and one
-        :meth:`evaluate` builds the returned decision.  A prefix whose
-        mean is not positive does not meet the target.  Invalid input —
-        a non-finite or negative mean, more nodes than the population —
-        raises with the stopper unchanged.
+        :meth:`_first_met` the first prefix that meets the target
+        (which sets :attr:`stopped_at`), and one :meth:`evaluate` builds
+        the returned decision.  A prefix whose mean is not positive does
+        not meet the target.  Invalid input — a non-finite or negative
+        mean, more nodes than the population — raises with the stopper
+        unchanged.
         """
         arr = self._admissible(node_mean_watts)
         counts, means, m2s = self.node_means.push_each(arr)
@@ -184,11 +184,36 @@ class SequentialStopper:
         if self._stopped_at is None and ready.any():
             n = counts[ready]
             sd = np.sqrt(m2s[ready] / (n - 1))
-            _, _, met = self._boundary(n, means[ready], sd)
-            hit = np.flatnonzero(met)
-            if hit.size:
-                self._stopped_at = int(n[hit[0]])
+            self._stopped_at = self._first_met(n, means[ready], sd)
         return self.evaluate()
+
+    def _first_met(self, n, mean, sd) -> int | None:
+        """The first of the node counts ``n``, in order, whose prefix
+        ``mean`` and ``sd`` meet the target (``None`` if none does).
+
+        The z rule and a fixed σ/μ take one vectorised boundary over
+        every prefix.  The t rule first drops every prefix that misses
+        even at the z-quantile nudged down by a relative 1e-9, which is
+        at or below every t-quantile: the boundary's products have
+        non-negative factors and their rounding is monotonic, so such a
+        prefix misses at t too.  The t boundary then runs over what is
+        left in node order, in doubling chunks, up to the first hit.
+        """
+        exact = self.method == "z" or self.cv_override is not None
+        q = None if exact else z_quantile(self.confidence) * (1.0 - 1e-9)
+        left = np.flatnonzero(self._boundary(n, mean, sd, q)[2])
+        if exact:
+            return int(n[left[0]]) if left.size else None
+        lo, size = 0, 1
+        while lo < left.size:
+            part = left[lo:lo + size]
+            hit = np.flatnonzero(
+                self._boundary(n[part], mean[part], sd[part])[2]
+            )
+            if hit.size:
+                return int(n[part[hit[0]]])
+            lo, size = lo + size, 2 * size
+        return None
 
     def _admissible(self, node_mean_watts) -> np.ndarray:
         """The means as a flat array, or a ValueError if any is not
@@ -259,18 +284,19 @@ class SequentialStopper:
             )
         return self._stopped_at
 
-    def _boundary(self, n, mean, sd):
+    def _boundary(self, n, mean, sd, q=None):
         """σ/μ, the Eq. 1 relative half-width at ``n`` nodes, and whether
         it meets the target.
 
         Vectorised: ``n``, ``mean`` and ``sd`` may be per-prefix arrays
-        (one quantile call covers them all) or scalars.
+        (one quantile call covers them all) or scalars.  ``q`` replaces
+        the rule's quantile when given.
         """
         cv = self.cv_override if self.cv_override is not None else sd / mean
-        if self.method == "t":
+        if q is None and self.method == "t":
             alpha = 1.0 - self.confidence
             q = special.stdtrit(n - 1, 1.0 - alpha / 2.0)
-        else:
+        elif q is None:
             q = z_quantile(self.confidence)
         fpc = np.sqrt((self.population - n) / (self.population - 1.0))
         achieved = q * cv / np.sqrt(n) * fpc

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.stream import monitor as monitor_module
 from repro.stream.ingest import SampleBatch, replay_run
+from repro.stream.session import FleetFold
 from repro.stream.monitor import (
     MIN_SAMPLES_FOR_FLAGS,
     OUTLIER_Z,
@@ -355,6 +356,17 @@ def _rolling_model(ticks, capacity):
     return held
 
 
+_STEPS = st.lists(
+    st.sampled_from([0.0, -1e-13, 0.25, 1.0, 7.0, 60.0, 60.0 + 1.05e-12, 61.0]),
+    min_size=1, max_size=120,
+)
+_FLEET = st.lists(
+    st.floats(0.0, 1e4, allow_subnormal=False), min_size=120, max_size=120
+)
+_CUTS = st.sets(st.integers(1, 119), max_size=10)
+_CAPACITY = st.sampled_from([1, 2, 3, 5, 11, 4096])
+
+
 class TestRollingWindow:
     """``rolling_mean_w`` and ``rolling_span_s`` are the mean fleet
     power and the time span of the ticks the model holds."""
@@ -363,26 +375,17 @@ class TestRollingWindow:
     # on either side of the cut.  The first example keeps a tick below
     # the cut behind one above it (the window is cut at the first tick
     # inside, not filtered); the second cuts at the batch's latest
-    # tick, not its last.
+    # tick, not its last; the third cuts a batch that steps back at the
+    # latest tick of the one before, once the capacity has dropped the
+    # tick that sat inside the horizon.
     @example(steps=[0.0, -1e-13, 60.0 + 1.05e-12, -1e-13],
              fleet=[float(i) for i in range(120)], cuts=set(), capacity=4096)
     @example(steps=[0.0, 60.0 + 1.05e-12, -1e-13],
              fleet=[float(i) for i in range(120)], cuts=set(), capacity=4096)
+    @example(steps=[0.0, -1e-13, 60.0 + 1.05e-12, -1e-13],
+             fleet=[float(i) for i in range(120)], cuts={3}, capacity=3)
     @settings(max_examples=150, deadline=None)
-    @given(
-        steps=st.lists(
-            st.sampled_from(
-                [0.0, -1e-13, 0.25, 1.0, 7.0, 60.0, 60.0 + 1.05e-12, 61.0]
-            ),
-            min_size=1, max_size=120,
-        ),
-        fleet=st.lists(
-            st.floats(0.0, 1e4, allow_subnormal=False),
-            min_size=120, max_size=120,
-        ),
-        cuts=st.sets(st.integers(1, 119), max_size=10),
-        capacity=st.sampled_from([1, 2, 3, 5, 11, 4096]),
-    )
+    @given(steps=_STEPS, fleet=_FLEET, cuts=_CUTS, capacity=_CAPACITY)
     def test_report_equals_the_model(self, steps, fleet, cuts, capacity):
         times = 100.0 + np.cumsum(steps)
         fleet_w = np.array(fleet[: times.size])
@@ -404,6 +407,42 @@ class TestRollingWindow:
                 rep = mon.report()
                 assert rep.rolling_mean_w == np.array(held)[:, 1].mean()
                 assert rep.rolling_span_s == held[-1][0] - held[0][0]
+
+    # The model's third example, pushed as one stack.
+    @example(steps=[0.0, -1e-13, 60.0 + 1.05e-12, -1e-13],
+             fleet=[float(i) for i in range(120)], cuts={3}, capacity=3,
+             reads=set())
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS, fleet=_FLEET, cuts=_CUTS, capacity=_CAPACITY,
+           reads=st.sets(st.integers(0, 10), max_size=4))
+    def test_stacked_fold_equals_the_model(
+        self, steps, fleet, cuts, capacity, reads
+    ):
+        # FleetFold.push leaves the window to the fold on read, so a
+        # report after batch i (for i in ``reads``) and one at the end
+        # cut a stack of the batches since the last read.
+        times = 100.0 + np.cumsum(steps)
+        fleet_w = np.array(fleet[: times.size])
+        bounds = [0, *sorted(c for c in cuts if c < times.size), times.size]
+        fold = FleetFold((0.0, 1e4), required_interval_s=1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monitor_module, "ROLLING_CAPACITY", capacity)
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                fold.push(
+                    SampleBatch(
+                        times=times[a:b], watts=np.ones((b - a, 2)),
+                        node_ids=np.arange(2),
+                    ),
+                    fleet_w[a:b],
+                )
+                if i in reads or b == times.size:
+                    held = _rolling_model(
+                        zip(times[:b].tolist(), fleet_w[:b].tolist()),
+                        capacity,
+                    )
+                    rep = fold.monitor.report()
+                    assert rep.rolling_mean_w == np.array(held)[:, 1].mean()
+                    assert rep.rolling_span_s == held[-1][0] - held[0][0]
 
     def test_high_cadence_fills_the_capacity(self):
         # 5,000 ticks at 100 Hz span 50 s, inside the 60 s horizon, so

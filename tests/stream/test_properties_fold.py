@@ -10,12 +10,14 @@ by batch:
   own;
 * ``eager_push``, a test-local copy of the per-batch fold (check, then
   fold this batch alone, judging its excursions against the ratio
-  moments before it).
+  moments before it, and take its worst interval and rolling window
+  from its own ticks, as ``_eager_ticks`` does).
 
 Every state field must have the same bytes once the fold has read its
-pending rows, for any batching, any point of reading and any pending
-cap, for shard-style column slices judged against a global fleet
-series, and for ticks whose fleet series is below the ratio floor.
+pending rows, for any batching, any point of reading, any pending cap
+and any rolling-window capacity, for shard-style column slices judged
+against a global fleet series, and for ticks whose fleet series is
+below the ratio floor.
 
 A last test checks that one ``FleetFold.push`` calls none of those
 public entry points and runs the monitor's one batch check exactly
@@ -26,10 +28,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stream import estimators
+from repro.stream import monitor as monitor_module
 from repro.stream import session as session_module
 from repro.stream.ingest import SampleBatch
 from repro.stream.monitor import (
@@ -37,6 +40,7 @@ from repro.stream.monitor import (
     EXCURSION_Z,
     FLEET_W_FLOOR,
     MIN_SAMPLES_FOR_FLAGS,
+    ROLLING_HORIZON_S,
     ComplianceMonitor,
 )
 from repro.stream.session import FleetFold
@@ -50,6 +54,27 @@ def reference_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
     fold.covar.push_batch(batch.watts, fleet_w)
 
 
+def _eager_ticks(monitor, times, fleet_w, span) -> None:
+    """The per-batch tick update: the worst interval over the batch's
+    steps and its gap from ``span``, the span before it; the rolling
+    window cut at the batch's latest tick."""
+    if span is not None:
+        monitor._worst_interval_s = max(
+            monitor._worst_interval_s, float(times[0] - span[1])
+        )
+    if times.size >= 2:
+        monitor._worst_interval_s = max(
+            monitor._worst_interval_s, float((times[1:] - times[:-1]).max())
+        )
+    cap = monitor_module.ROLLING_CAPACITY
+    rolling_t = np.concatenate((monitor._rolling_t, times))[-cap:]
+    rolling_w = np.concatenate((monitor._rolling_w, fleet_w))[-cap:]
+    cutoff = times.max() - ROLLING_HORIZON_S - 1e-12
+    cut = int(np.argmax(rolling_t >= cutoff))
+    monitor._rolling_t, monitor._rolling_w = rolling_t[cut:], rolling_w[cut:]
+    monitor._newest_s = max(monitor._newest_s, float(times.max()))
+
+
 def eager_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
     """The per-batch fold: check the batch, then fold it alone, judging
     its excursions against the ratio moments before it."""
@@ -57,7 +82,9 @@ def eager_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
     fleet_w, lo = monitor._admit(batch, fleet_w)
     if batch.n_ticks == 0:
         return
-    monitor._advance(batch, fleet_w)
+    span = monitor._span
+    monitor._advance(batch)
+    _eager_ticks(monitor, batch.times, fleet_w, span)
     w, moments = batch.watts, monitor.node_moments
     ratio = monitor._ratio_moments
     d = moments._deviations(w)
@@ -179,7 +206,7 @@ def read_streams(draw):
     excursion judge fires at some batchings and not at others; zero
     readings and ticks whose fleet series is 0 or below the ratio floor
     are mixed in.  ``reads`` maps a batch index to the read made after
-    that push.
+    that push.  ``rolling_cap`` is the rolling window's capacity.
     """
     n_ticks = draw(st.integers(1, 90))
     n_nodes = draw(st.integers(1, 5))
@@ -213,7 +240,8 @@ def read_streams(draw):
         max_size=4,
     ))
     cap = draw(st.sampled_from([1, 7, 40, 150, 1 << 15]))
-    return times, watts, fleet, cuts, reads, cap
+    rolling_cap = draw(st.sampled_from([1, 3, 8, 4096]))
+    return times, watts, fleet, cuts, reads, cap, rolling_cap
 
 
 def _read(fold: FleetFold, how: str) -> tuple[FleetFold, object]:
@@ -234,10 +262,24 @@ def _read(fold: FleetFold, how: str) -> tuple[FleetFold, object]:
     return pickle.loads(pickle.dumps(fold)), None
 
 
+def _example(steps, cuts, reads, cap, rolling_cap):
+    """A ``read_streams`` value: two nodes at 300 W, each tick 1 W up."""
+    watts = 300.0 + np.arange(len(steps))[:, None] * np.ones(2)
+    times = 100.0 + np.cumsum(steps)
+    return times, watts, None, cuts, reads, cap, rolling_cap
+
+
 @settings(max_examples=200, deadline=None)
 @given(read_streams())
+# A 1e-13 s step back across a stack boundary: the read after batch 1
+# folds the stack, and batch 2 opens the next one a step back from it.
+@example(_example([1.0] * 40 + [-1e-13] + [1.0] * 39, [20, 40, 60],
+                  {0: "report", 1: "report"}, 1 << 15, 4096))
+# One stack of 70 ticks, 69 s from first to last, into a rolling
+# window of at most 8.
+@example(_example([1.0] * 70, [10, 25, 40, 55], {}, 1 << 15, 8))
 def test_fold_on_read_equals_the_eager_fold(stream):
-    times, watts, fleet, cuts, reads, cap = stream
+    times, watts, fleet, cuts, reads, cap, rolling_cap = stream
     n_ticks, n_nodes = watts.shape
     lazy = FleetFold((90.0, 200.0), required_interval_s=1.0)
     eager = FleetFold((90.0, 200.0), required_interval_s=1.0)
@@ -245,6 +287,7 @@ def test_fold_on_read_equals_the_eager_fold(stream):
     bounds = [0, *cuts, n_ticks]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(session_module, "PENDING_SAMPLES", cap)
+        patch.setattr(monitor_module, "ROLLING_CAPACITY", rolling_cap)
         for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             # The caller's own arrays, overwritten after every push as
             # a slab ring overwrites its batches.
@@ -267,6 +310,11 @@ def test_fold_on_read_equals_the_eager_fold(stream):
         lazy.flush()
     assert _differing(lazy, eager) == []
     assert lazy.monitor.report() == eager.monitor.report()
+    # The tick state the fold takes on read is among the fields compared.
+    assert {
+        "fold._monitor._rolling_t", "fold._monitor._rolling_w",
+        "fold._monitor._worst_interval_s",
+    } <= dict(_fields(lazy)).keys()
 
 
 def _step_stream() -> tuple[np.ndarray, np.ndarray]:

@@ -391,6 +391,26 @@ class TestLiveStateRefusal:
         state.push(narrow)
         assert state.verdict().stopping.n_observed == 8
 
+    @pytest.mark.parametrize("pushed_before", [0, 1])
+    def test_ticks_without_nodes_are_refused_up_front(self, pushed_before):
+        # A RuntimeWarning is an error here, so the refusal must come
+        # before any mean over the empty node set is taken.
+        state = LiveStreamState(
+            population=4, core_window=(0.0, 10.0), required_interval_s=1.0
+        )
+        if pushed_before:
+            state.push(SampleBatch(
+                times=np.arange(2.0), watts=np.full((2, 4), 250.0),
+                node_ids=np.arange(4),
+            ))
+        before = pickle.dumps(vars(state))
+        with pytest.raises(ValueError, match="empty node set"):
+            state.push(SampleBatch(
+                times=np.arange(2.0, 5.0), watts=np.empty((3, 0)),
+                node_ids=np.arange(0),
+            ))
+        assert pickle.dumps(vars(state)) == before
+
     def test_zero_watt_nodes_read_as_not_met(self):
         # Two powered-off nodes in a 16-node batch: the fold accepts
         # 0 W readings, and reading the verdict never raises.

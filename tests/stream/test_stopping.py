@@ -1,8 +1,11 @@
 """Tests for repro.stream.stopping."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import special
 from hypothesis import strategies as st
 
 from repro.core.confidence import (
@@ -13,6 +16,7 @@ from repro.core.confidence import (
 )
 from repro.core.sampling import recommend_sample_size
 from repro.experiments.table5 import ACCURACIES, CVS, PAPER_TABLE5
+from repro.stream import stopping as stopping_module
 from repro.stream.estimators import RunningMoments
 from repro.stream.stopping import SequentialStopper, StoppingDecision
 
@@ -107,6 +111,77 @@ def _stopper_feeds(draw):
         min_nodes=draw(st.integers(2, 5)),
     )
     return chunks, kwargs
+
+
+def _all_prefix_stop(stopper: SequentialStopper, means) -> int | None:
+    """The stop of the scan over every prefix: one boundary, with one
+    quantile per ready prefix, and the first prefix that meets it."""
+    counts, mu, m2 = RunningMoments().push_each(np.asarray(means, float))
+    ready = (counts >= stopper.min_nodes) & (mu > 0)
+    n = counts[ready]
+    sd = np.sqrt(m2[ready] / (n - 1))
+    cv = stopper.cv_override if stopper.cv_override is not None else (
+        sd / mu[ready]
+    )
+    if stopper.method == "t":
+        alpha = 1.0 - stopper.confidence
+        q = special.stdtrit(n - 1, 1.0 - alpha / 2.0)
+    else:
+        q = z_quantile(stopper.confidence)
+    fpc = np.sqrt((stopper.population - n) / (stopper.population - 1.0))
+    hit = np.flatnonzero(q * cv / np.sqrt(n) * fpc <= stopper.accuracy + 1e-12)
+    return int(n[hit[0]]) if hit.size else None
+
+
+@st.composite
+def _scan_cases(draw):
+    """A fleet of up to 3,000 node means about 300 W with a drawn
+    spread, some powered off, and a rule for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_nodes = draw(st.integers(0, 3000))
+    spread = draw(st.sampled_from([0.0, 0.002, 0.01, 0.05, 0.3]))
+    means = np.abs(rng.normal(300.0, 300.0 * spread, n_nodes))
+    means[rng.random(n_nodes) < draw(st.sampled_from([0.0, 0.01, 0.5]))] = 0.0
+    rule = dict(
+        accuracy=draw(st.sampled_from([0.05, 0.01, 0.005, 0.001])),
+        population=n_nodes + draw(st.integers(2, 10**6 - n_nodes)),
+        confidence=draw(st.floats(0.5, 0.999)),
+        method=draw(st.sampled_from(["t", "z"])),
+        cv_override=draw(st.none() | st.floats(1e-3, 0.5)),
+        min_nodes=draw(st.integers(2, 5)),
+    )
+    return means, rule
+
+
+class TestStoppingScan:
+    """``stopped_at`` from the pruned scan is the all-prefix scan's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scan_cases())
+    def test_stop_equals_the_all_prefix_scan(self, case):
+        means, rule = case
+        stopper = SequentialStopper(**rule)
+        stopper.update_many(means)
+        assert stopper.stopped_at == _all_prefix_stop(stopper, means)
+
+    def test_early_stop_quantiles_few_prefixes(self, monkeypatch):
+        # 100,000 nodes within 1% of each other meet a 1% target within
+        # a handful of nodes; the t-quantile must not run on the rest.
+        sizes: list[int] = []
+
+        def stdtrit(df, p):
+            sizes.append(np.size(df))
+            return special.stdtrit(df, p)
+
+        monkeypatch.setattr(
+            stopping_module, "special", SimpleNamespace(stdtrit=stdtrit)
+        )
+        means = np.random.default_rng(3).normal(300.0, 3.0, 100_000)
+        stopper = SequentialStopper(accuracy=0.01, population=10**6)
+        stopper.update_many(means)
+        assert stopper.stopped_at == _all_prefix_stop(stopper, means)
+        assert stopper.stopped_at < 100
+        assert sum(sizes) < 1000
 
 
 class TestSequentialTable5:
