@@ -290,9 +290,9 @@ class ComplianceMonitor:
         ``fleet_w`` of ``None`` is the batch's own tick means.
         Refused: a non-finite or negative reading; a ``fleet_w`` that
         is not one finite mean per tick; and, for a batch with ticks, a
-        node set other than the first batch's, a timestamp more than
-        1e-12 s before the one it follows (within the batch or across
-        batches), or a reading whose ratio to a ``fleet_w`` of at least
+        node set other than the first batch's, a timestamp that is not
+        finite or is more than 1e-12 s before the one it follows (within
+        the batch or across batches), or a reading whose ratio to a ``fleet_w`` of at least
         :data:`FLEET_W_FLOOR` overflows when squared.  Nothing changes
         here.  A batch that carries the very node-id array of the last
         batch taken is the same node set without a comparison, so a
@@ -327,10 +327,15 @@ class ComplianceMonitor:
         ):
             raise ValueError("batch node set changed mid-stream")
         t = batch.times
-        if (self._span is not None and t[0] < self._span[1] - 1e-12) or (
-            t[1:] < t[:-1] - 1e-12
-        ).any():
-            raise ValueError("timestamps must be non-decreasing")
+        # NaN fails every ``>=`` and an infinite tick between finite
+        # ends breaks the order, so no non-finite tick gets through.
+        if not (
+            math.isfinite(t[0])
+            and math.isfinite(t[-1])
+            and (self._span is None or t[0] >= self._span[1] - 1e-12)
+            and (t[1:] >= t[:-1] - 1e-12).all()
+        ):
+            raise ValueError("timestamps must be finite and non-decreasing")
         if w.size and f_hi >= FLEET_W_FLOOR:
             # A bound on every squared reading / fleet_w first; the
             # row-wise check runs only when that bound overflows.

@@ -188,8 +188,8 @@ class FleetFold:
         :meth:`~repro.stream.monitor.ComplianceMonitor._admit`, before
         anything changes: a non-finite or negative reading, a
         ``fleet_w`` that is not one finite mean per tick, another node
-        set than the first batch, a timestamp more than 1e-12 s before
-        the one it follows, or a reading whose squared ratio to
+        set than the first batch, a timestamp that is not finite or is
+        more than 1e-12 s before the one it follows, or a reading whose squared ratio to
         ``fleet_w`` overflows is refused, and the fold stays as it was.
         No array of the caller's is kept, so the caller may overwrite
         them once this returns.  Of the batch's tick state, the push

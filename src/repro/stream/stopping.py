@@ -191,19 +191,16 @@ class SequentialStopper:
         """The first of the node counts ``n``, in order, whose prefix
         ``mean`` and ``sd`` meet the target (``None`` if none does).
 
-        The z rule and a fixed σ/μ take one vectorised boundary over
-        every prefix.  The t rule first drops every prefix that misses
-        even at the z-quantile nudged down by a relative 1e-9, which is
-        at or below every t-quantile: the boundary's products have
-        non-negative factors and their rounding is monotonic, so such a
-        prefix misses at t too.  The t boundary then runs over what is
-        left in node order, in doubling chunks, up to the first hit.
+        Every prefix that misses even at the z-quantile nudged down by a
+        relative 1e-9, which is at or below both rules' quantiles, is
+        dropped first: the boundary's products have non-negative factors
+        and their rounding is monotonic, so such a prefix misses at the
+        rule's own quantile too.  The rule's boundary then runs over
+        what is left in node order, in doubling chunks, up to the first
+        hit.
         """
-        exact = self.method == "z" or self.cv_override is not None
-        q = None if exact else z_quantile(self.confidence) * (1.0 - 1e-9)
+        q = z_quantile(self.confidence) * (1.0 - 1e-9)
         left = np.flatnonzero(self._boundary(n, mean, sd, q)[2])
-        if exact:
-            return int(n[left[0]]) if left.size else None
         lo, size = 0, 1
         while lo < left.size:
             part = left[lo:lo + size]

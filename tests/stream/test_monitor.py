@@ -245,6 +245,24 @@ class TestRefusedBatch:
         assert self._state(mon) == before
         assert mon.node_moments.mean.tolist() == [100.0] * 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "inner", "last"])
+    def test_non_finite_timestamp(self, bad, at):
+        # A NaN tick used to pass every `<` order check and then hide
+        # the cadence gaps of whatever it was folded with.
+        mon = ComplianceMonitor((0.0, 20.0))
+        mon.observe(_batch(0.0, np.full((5, 3), 100.0)))
+        before = self._state(mon)
+        times = np.arange(5.0, 10.0)
+        times[at] = bad
+        late = SampleBatch(
+            times=times, watts=np.full((5, 3), 200.0),
+            node_ids=np.arange(3),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            mon.observe(late)
+        assert self._state(mon) == before
+
     def test_reading_whose_ratio_overflows(self):
         # 1e160 W against a 1e-3 W reference mean (the floor) is a ratio
         # whose square overflows: refused whole, where the ratio moments

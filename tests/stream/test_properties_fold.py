@@ -57,7 +57,8 @@ def reference_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
 def _eager_ticks(monitor, times, fleet_w, span) -> None:
     """The per-batch tick update: the worst interval over the batch's
     steps and its gap from ``span``, the span before it; the rolling
-    window cut at the batch's latest tick."""
+    window cut at the latest tick seen so far, as ``_rolling_model`` in
+    ``test_monitor.py`` cuts it after every tick."""
     if span is not None:
         monitor._worst_interval_s = max(
             monitor._worst_interval_s, float(times[0] - span[1])
@@ -69,10 +70,10 @@ def _eager_ticks(monitor, times, fleet_w, span) -> None:
     cap = monitor_module.ROLLING_CAPACITY
     rolling_t = np.concatenate((monitor._rolling_t, times))[-cap:]
     rolling_w = np.concatenate((monitor._rolling_w, fleet_w))[-cap:]
-    cutoff = times.max() - ROLLING_HORIZON_S - 1e-12
+    monitor._newest_s = max(monitor._newest_s, float(times.max()))
+    cutoff = monitor._newest_s - ROLLING_HORIZON_S - 1e-12
     cut = int(np.argmax(rolling_t >= cutoff))
     monitor._rolling_t, monitor._rolling_w = rolling_t[cut:], rolling_w[cut:]
-    monitor._newest_s = max(monitor._newest_s, float(times.max()))
 
 
 def eager_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
@@ -205,8 +206,12 @@ def read_streams(draw):
     Nodes read about 300 W with one drawn step per stream, so the
     excursion judge fires at some batchings and not at others; zero
     readings and ticks whose fleet series is 0 or below the ratio floor
-    are mixed in.  ``reads`` maps a batch index to the read made after
-    that push.  ``rolling_cap`` is the rolling window's capacity.
+    are mixed in.  Tick steps include repeats, steps back within the
+    1e-12 s tolerance, and a step just over the rolling horizon plus
+    that tolerance, which puts ticks between a cut at a batch's own
+    latest tick and a cut at the latest tick seen.  ``reads`` maps a
+    batch index to the read made after that push.  ``rolling_cap`` is
+    the rolling window's capacity.
     """
     n_ticks = draw(st.integers(1, 90))
     n_nodes = draw(st.integers(1, 5))
@@ -220,8 +225,10 @@ def read_streams(draw):
         st.sampled_from([0.0, 80.0, -250.0])
     )
     watts[rng.random(watts.shape) < draw(st.sampled_from([0.0, 0.05]))] = 0.0
-    steps = draw(st.lists(st.sampled_from([1.0, 0.0, -1e-13]),
-                          min_size=n_ticks, max_size=n_ticks))
+    steps = draw(st.lists(
+        st.sampled_from([1.0, 0.0, -1e-13, 60.0 + 1.05e-12]),
+        min_size=n_ticks, max_size=n_ticks,
+    ))
     times = 100.0 + np.cumsum(steps)
     if draw(st.booleans()):  # a shard judged against a global series
         fleet = 300.0 + rng.normal(0.0, 1.0, n_ticks)
@@ -278,6 +285,10 @@ def _example(steps, cuts, reads, cap, rolling_cap):
 # One stack of 70 ticks, 69 s from first to last, into a rolling
 # window of at most 8.
 @example(_example([1.0] * 70, [10, 25, 40, 55], {}, 1 << 15, 8))
+# A batch whose latest tick steps back from the one before it: a cut at
+# that tick keeps the second tick, a cut at the latest tick seen drops it.
+@example(_example([0.0, -1e-13, 60.0 + 1.05e-12, -1e-13], [3], {},
+                  1 << 15, 3))
 def test_fold_on_read_equals_the_eager_fold(stream):
     times, watts, fleet, cuts, reads, cap, rolling_cap = stream
     n_ticks, n_nodes = watts.shape

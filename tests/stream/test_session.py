@@ -411,6 +411,31 @@ class TestLiveStateRefusal:
             ))
         assert pickle.dumps(vars(state)) == before
 
+    @pytest.mark.parametrize("read_between", [False, True])
+    def test_non_finite_tick_is_refused(self, read_between):
+        # A NaN tick stacked with a 49 s gap used to make the stack's
+        # worst step NaN, so the gap read as met unless a read had
+        # folded it first.
+        state = LiveStreamState(
+            population=4, core_window=(0.0, 50.0), required_interval_s=1.0
+        )
+        state.push(SampleBatch(
+            times=np.array([0.0, 1.0, 50.0]), watts=np.full((3, 4), 250.0),
+            node_ids=np.arange(4),
+        ))
+        if read_between:
+            state.verdict()
+        before = pickle.dumps(vars(state))
+        with pytest.raises(ValueError, match="finite"):
+            state.push(SampleBatch(
+                times=np.array([np.nan]), watts=np.full((1, 4), 250.0),
+                node_ids=np.arange(4),
+            ))
+        assert pickle.dumps(vars(state)) == before
+        report = state.verdict().monitor
+        assert report.worst_interval_s == 49.0
+        assert not report.interval_ok
+
     def test_zero_watt_nodes_read_as_not_met(self):
         # Two powered-off nodes in a 16-node batch: the fold accepts
         # 0 W readings, and reading the verdict never raises.

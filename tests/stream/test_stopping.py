@@ -164,9 +164,11 @@ class TestStoppingScan:
         stopper.update_many(means)
         assert stopper.stopped_at == _all_prefix_stop(stopper, means)
 
-    def test_early_stop_quantiles_few_prefixes(self, monkeypatch):
+    @pytest.mark.parametrize("cv_override", [None, 0.005])
+    def test_early_stop_quantiles_few_prefixes(self, monkeypatch, cv_override):
         # 100,000 nodes within 1% of each other meet a 1% target within
-        # a handful of nodes; the t-quantile must not run on the rest.
+        # a handful of nodes, as does a fixed σ/μ of 0.5%; the
+        # t-quantile must not run on the rest.
         sizes: list[int] = []
 
         def stdtrit(df, p):
@@ -177,7 +179,9 @@ class TestStoppingScan:
             stopping_module, "special", SimpleNamespace(stdtrit=stdtrit)
         )
         means = np.random.default_rng(3).normal(300.0, 3.0, 100_000)
-        stopper = SequentialStopper(accuracy=0.01, population=10**6)
+        stopper = SequentialStopper(
+            accuracy=0.01, population=10**6, cv_override=cv_override
+        )
         stopper.update_many(means)
         assert stopper.stopped_at == _all_prefix_stop(stopper, means)
         assert stopper.stopped_at < 100
