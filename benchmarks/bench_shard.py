@@ -33,7 +33,7 @@ from repro.cluster.node import NodeConfig
 from repro.cluster.system import SystemModel
 from repro.cluster.thermal import FanController
 from repro.cluster.variability import ManufacturingVariation
-from repro.shard.engine import fleet_reference, run_shard
+from repro.shard.engine import fleet_reference, run_shard, shard_rows
 from repro.shard.plan import plan_shards
 from repro.shard.reduce import reduce_states
 from repro.stream.ingest import SampleBatch
@@ -92,8 +92,12 @@ def _materialised_pass(run: SimulatedRun) -> tuple[float, int]:
     return elapsed, times.size * run.system.n_nodes
 
 
-def _sharded_pass(run: SimulatedRun, n_shards: int, reference_w):
-    """Time every shard kernel; return (states, per-shard seconds)."""
+def _sharded_pass(run: SimulatedRun, n_shards: int, reference_w, table):
+    """Time every shard kernel; return (states, per-shard seconds).
+
+    Each shard interpolates from its column slice of the fleet table,
+    so a shard's time holds no tabulation.
+    """
     plan = plan_shards(
         run.system.n_nodes, n_shards, ticks_per_batch=_TICKS_PER_BATCH
     )
@@ -104,6 +108,7 @@ def _sharded_pass(run: SimulatedRun, n_shards: int, reference_w):
             run_shard(
                 run,
                 spec,
+                shard_rows(table, spec),
                 ticks_per_batch=_TICKS_PER_BATCH,
                 reference_w=reference_w,
             )
@@ -116,8 +121,10 @@ def _sweep():
     run = _make_run()
     mat_s, n_samples = _materialised_pass(run)
 
+    # The session's one fleet tabulation is timed here, with the
+    # reference pass that streams from it.
     t0 = time.perf_counter()
-    reference_w = fleet_reference(
+    reference_w, table = fleet_reference(
         run, ticks_per_batch=_TICKS_PER_BATCH
     )
     reference_s = time.perf_counter() - t0
@@ -125,7 +132,7 @@ def _sweep():
     rows = []
     node_means = None
     for k in _SHARD_COUNTS:
-        plan, states, shard_s = _sharded_pass(run, k, reference_w)
+        plan, states, shard_s = _sharded_pass(run, k, reference_w, table)
         fleet = reduce_states(states, plan)
         means = np.asarray(fleet.node_moments.mean)
         if node_means is None:

@@ -3,18 +3,20 @@
 The scale layer of the pipeline.  A fleet too large for one process is
 partitioned into contiguous node ranges (:mod:`repro.shard.plan`), each
 range streams through the full per-node kernel over preallocated
-columnar slabs (:mod:`repro.shard.slab`,
-:meth:`~repro.traces.synth.SimulatedRun.stream_run`), and the per-shard
+columnar slabs (:mod:`repro.shard.slab`), interpolating from its column
+slice of one fleet power table, and the per-shard
 estimator states reassemble by node-order concatenation
 (:mod:`repro.shard.reduce`) into fleet statistics that are
 **bit-identical for any shard count** (:mod:`repro.shard.engine`).
 """
 
 from repro.shard.engine import (
+    RowTable,
     ShardSessionResult,
     fleet_reference,
     run_shard,
     run_sharded,
+    shard_rows,
     sharded_session,
 )
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
@@ -23,6 +25,7 @@ from repro.shard.slab import Slab, SlabRing
 
 __all__ = [
     "FleetState",
+    "RowTable",
     "ShardPlan",
     "ShardSessionResult",
     "ShardSpec",
@@ -34,5 +37,6 @@ __all__ = [
     "reduce_states",
     "run_shard",
     "run_sharded",
+    "shard_rows",
     "sharded_session",
 ]

@@ -2,12 +2,14 @@
 
 The driver for the million-node hot path:
 
-* :func:`fleet_reference` — one vectorised streaming pass computing the
+* :func:`fleet_reference` — tabulate the fleet's core-phase power rows
+  once, then one vectorised streaming pass over them computing the
   global per-tick fleet mean.  Every shard judges covariance and
   excursion ratios against this *same* series, which is what makes the
   per-shard state the exact column slice of a full-fleet run's.
-* :func:`run_shard` — the per-shard kernel: synthesize the shard's node
-  columns straight into a :class:`~repro.shard.slab.SlabRing` (no
+* :func:`run_shard` — the per-shard kernel: interpolate the shard's
+  node columns from its slice of the fleet table (:func:`shard_rows`)
+  straight into a :class:`~repro.shard.slab.SlabRing` (no
   per-batch allocation), feed the shared
   :class:`~repro.stream.session.FleetFold` (which copies each batch
   onto its pending stack, since the ring overwrites it), and return
@@ -47,38 +49,96 @@ from repro.stream.stopping import SequentialStopper, StoppingDecision
 from repro.traces.synth import SimulatedRun
 
 __all__ = [
+    "RowTable",
     "fleet_reference",
     "run_shard",
     "run_sharded",
+    "shard_rows",
     "ShardSessionResult",
     "sharded_session",
 ]
 
 
+@dataclass(frozen=True)
+class RowTable:
+    """Core-phase power rows for the nodes ``[node_lo, node_hi)``.
+
+    ``(grid, pos, w)`` is a
+    :meth:`~repro.traces.synth.SimulatedRun._level_grids` table
+    tabulated over the ``in_span`` tick mask: ``grid`` is R × the node
+    count, column ``j`` being node ``node_lo + j``, and ``pos``/``w``
+    hold one entry per tick of the span.
+    """
+
+    node_lo: int
+    node_hi: int
+    in_span: np.ndarray
+    grid: np.ndarray
+    pos: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.grid.shape[1] != self.node_hi - self.node_lo:
+            raise ValueError(
+                f"grid has {self.grid.shape[1]} columns for nodes "
+                f"[{self.node_lo}, {self.node_hi})"
+            )
+        n_ticks = np.count_nonzero(self.in_span)
+        if not self.pos.size == self.w.size == n_ticks:
+            raise ValueError("pos and w must hold one entry per span tick")
+
+
 def fleet_reference(
     run: SimulatedRun, *, ticks_per_batch: int = 60
-) -> np.ndarray:
-    """The global per-tick fleet mean power, computed in one pass.
+) -> tuple[np.ndarray, RowTable]:
+    """Tabulate the fleet once; return its per-tick mean and the table.
 
-    Streams the whole fleet's core phase through
-    :meth:`~repro.traces.synth.SimulatedRun.stream_run` (slab-backed,
-    never materialising the run) and keeps only the across-node mean of
-    each tick — O(n_ticks) memory.  The values are bit-identical to the
-    ``batch.fleet_means()`` a serial session computes, so a shard
-    pushing ratios or covariance against this series reproduces the
-    serial arithmetic exactly.
+    Tabulates the core phase's bracketing power rows for every node, a
+    :class:`RowTable` whose ``grid`` is R × ``n_nodes`` (a handful of
+    rows per frequency level at 1 Hz; see
+    :meth:`~repro.traces.synth.SimulatedRun.stream_run`), then streams
+    the whole fleet from it through a slab ring and keeps only the
+    across-node mean of each tick.  Returns ``(reference_w, table)``:
+    :func:`run_sharded` hands each shard its column slice of ``table``
+    (:func:`shard_rows`), so the fleet is tabulated once per session,
+    and the table lives until the last shard has run.  The means are
+    bit-identical to the ``batch.fleet_means()`` a serial session
+    computes, so a shard pushing ratios or covariance against this
+    series reproduces the serial arithmetic exactly.
     """
-    ring = SlabRing(ticks_per_batch, run.system.n_nodes)
+    n_nodes = run.system.n_nodes
+    ids = np.arange(n_nodes, dtype=np.int64)
+    in_core = run._in_span(*run.core_window)
+    table = RowTable(0, n_nodes, in_core, *run._level_grids(ids, in_core))
+    ring = SlabRing(ticks_per_batch, n_nodes)
     chunks = [
         batch.fleet_means()
-        for batch in run.stream_run(ticks_per_batch=ticks_per_batch, ring=ring)
+        for batch in run._stream_rows(
+            (table.grid, table.pos, table.w), ids, in_core,
+            ticks_per_batch=ticks_per_batch, ring=ring,
+        )
     ]
-    return np.concatenate(chunks)
+    return np.concatenate(chunks), table
+
+
+def shard_rows(table: RowTable, spec: ShardSpec) -> RowTable:
+    """A shard's column slice of a :func:`fleet_reference` table."""
+    if not table.node_lo <= spec.node_lo < spec.node_hi <= table.node_hi:
+        raise ValueError(
+            f"shard nodes [{spec.node_lo}, {spec.node_hi}) are outside "
+            f"the table's [{table.node_lo}, {table.node_hi})"
+        )
+    lo, hi = spec.node_lo - table.node_lo, spec.node_hi - table.node_lo
+    return RowTable(
+        spec.node_lo, spec.node_hi, table.in_span,
+        table.grid[:, lo:hi], table.pos, table.w,
+    )
 
 
 def run_shard(
     run: SimulatedRun,
     spec: ShardSpec,
+    rows: RowTable,
     *,
     ticks_per_batch: int,
     reference_w: np.ndarray,
@@ -86,17 +146,23 @@ def run_shard(
     """Run the full per-shard kernel over one contiguous node range.
 
     This is the unit of work a pool worker executes — and the unit the
-    shard benchmark times.  ``reference_w`` is the
+    shard benchmark times.  ``rows`` is the shard's column slice of the
+    :func:`fleet_reference` table (:func:`shard_rows`); the kernel
+    interpolates from it and tabulates nothing.  ``reference_w`` is the
     :func:`fleet_reference` series; its length must match the shard's
     tick count.
     """
+    if (rows.node_lo, rows.node_hi) != (spec.node_lo, spec.node_hi):
+        raise ValueError(
+            f"row table covers nodes [{rows.node_lo}, {rows.node_hi}) "
+            f"but the shard covers [{spec.node_lo}, {spec.node_hi})"
+        )
     ring = SlabRing(ticks_per_batch, spec.n_nodes)
     fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
     ticks_seen = 0
-    for batch in run.stream_run(
-        node_indices=spec.node_indices,
-        ticks_per_batch=ticks_per_batch,
-        ring=ring,
+    for batch in run._stream_rows(
+        (rows.grid, rows.pos, rows.w), spec.node_indices, rows.in_span,
+        ticks_per_batch=ticks_per_batch, ring=ring,
     ):
         n_t = batch.n_ticks
         if ticks_seen + n_t > reference_w.size:
@@ -128,7 +194,9 @@ def run_sharded(
     shard inline in this process — still through the identical kernel,
     so results are bit-identical either way; ``>= 2`` fans shards over
     a ``fork`` multiprocessing pool (falling back to inline where fork
-    is unavailable).
+    is unavailable).  The fleet is tabulated once, by
+    :func:`fleet_reference`; each task carries only its shard's column
+    slice of that table.
     """
     if plan.n_nodes != run.system.n_nodes:
         raise ValueError(
@@ -142,18 +210,22 @@ def run_sharded(
         and plan.n_shards >= 2
         and "fork" in multiprocessing.get_all_start_methods()
     )
+    reference_w, table = fleet_reference(
+        run, ticks_per_batch=plan.ticks_per_batch
+    )
     work = functools.partial(
         run_shard,
         run,
         ticks_per_batch=plan.ticks_per_batch,
-        reference_w=fleet_reference(run, ticks_per_batch=plan.ticks_per_batch),
+        reference_w=reference_w,
     )
+    tasks = [(spec, shard_rows(table, spec)) for spec in plan]
     if use_pool:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(processes, plan.n_shards)) as pool:
-            states = pool.map(work, plan.shards)
+            states = pool.starmap(work, tasks)
     else:
-        states = [work(spec) for spec in plan]
+        states = [work(*task) for task in tasks]
     return reduce_states(states, plan)
 
 

@@ -222,13 +222,22 @@ class SimulatedRun:
     def _validated_indices(
         self, node_indices: np.ndarray | None
     ) -> np.ndarray:
-        """Resolve and validate a node subset (default: every node)."""
+        """Resolve and validate a node subset (default: every node).
+
+        Indices must be integers: a float or bool array is refused, not
+        truncated or read as a mask.
+        """
         if node_indices is None:
             return np.arange(self.system.n_nodes, dtype=np.int64)
-        idx = np.asarray(node_indices, dtype=np.int64).ravel()
+        idx = np.asarray(node_indices).ravel()
         if idx.size == 0:
             raise ValueError("node subset must be non-empty")
-        if np.any(idx < 0) or np.any(idx >= self.system.n_nodes):
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(
+                f"node indices must be integers, got dtype {idx.dtype}"
+            )
+        idx = idx.astype(np.int64, copy=False)
+        if idx.min() < 0 or idx.max() >= self.system.n_nodes:
             raise ValueError("node index out of range")
         if np.unique(idx).size != idx.size:
             raise ValueError("node indices must be unique")
@@ -310,11 +319,16 @@ class SimulatedRun:
         the streaming and batch layers agree exactly; the property
         suite locks this.
 
+        The subset's rows are tabulated once, an R × ``len(node_indices)``
+        table for the R rows the span's ticks bracket, and held while
+        the stream runs; :meth:`_stream_rows` then interpolates from it.
+        The shard engine tabulates the whole fleet once and streams each
+        shard from its column slice of that table instead.
+
         Parameters
         ----------
         node_indices:
-            Fleet subset to stream (default: every node) — a shard
-            worker passes its contiguous node range.
+            Fleet subset to stream (default: every node).
         ticks_per_batch:
             Ticks per yielded batch (the collector's flush interval).
         core_only:
@@ -329,16 +343,39 @@ class SimulatedRun:
             each batch is a fresh allocation, matching
             :func:`~repro.stream.ingest.replay_run` semantics.
         """
-        if ticks_per_batch < 1:
-            raise ValueError("ticks_per_batch must be >= 1")
         idx = self._validated_indices(node_indices)
         span = self.core_window if core_only else (None, None)
         in_span = self._in_span(*span)
+        yield from self._stream_rows(
+            self._level_grids(idx, in_span), idx, in_span,
+            ticks_per_batch=ticks_per_batch, ring=ring,
+        )
+
+    def _stream_rows(
+        self,
+        rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+        node_ids: np.ndarray,
+        in_span: np.ndarray,
+        *,
+        ticks_per_batch: int,
+        ring=None,
+    ):
+        """Stream batches interpolated from tabulated rows.
+
+        ``rows`` is the :meth:`_level_grids` table ``(grid, pos, w)``
+        tabulated over the ``in_span`` mask, or any column slice of one;
+        column ``j`` of ``grid`` is node ``node_ids[j]``.  A column slice
+        yields the same bits as tabulating its nodes alone, since each
+        grid cell depends only on its node and row.  ``ticks_per_batch``
+        and ``ring`` are as in :meth:`stream_run`.
+        """
+        if ticks_per_batch < 1:
+            raise ValueError("ticks_per_batch must be >= 1")
+        grid, pos, w = rows
         times = self._times[in_span]
         noise = self._noise[in_span]
-        grid, pos, w = self._level_grids(idx, in_span)
-        ids = idx.copy()
-        scratch = np.empty((min(ticks_per_batch, times.size), idx.size))
+        ids = np.array(node_ids, dtype=np.int64)
+        scratch = np.empty((min(ticks_per_batch, times.size), ids.size))
         # Deferred import: repro.stream.ingest imports this module.
         from repro.stream.ingest import SampleBatch
 
@@ -358,7 +395,7 @@ class SimulatedRun:
                     batch_ids = slab.node_ids
                     held.append(slab)
                 else:
-                    out = np.empty((n_t, idx.size))
+                    out = np.empty((n_t, ids.size))
                     batch_times = times[lo:hi]
                     batch_ids = ids
                 _interpolate(grid, pos[lo:hi], w[lo:hi], out, scratch[:n_t])

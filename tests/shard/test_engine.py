@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.shard.engine import (
+    RowTable,
     fleet_reference,
     run_shard,
     run_sharded,
+    shard_rows,
     sharded_session,
 )
 from repro.shard.plan import plan_shards
@@ -38,7 +40,7 @@ class TestFleetReference:
     def test_matches_the_serial_fleet_mean(self, tiny_run):
         t0_s, t1_s = tiny_run.core_window
         _, watts = tiny_run.node_power_matrix(t0_s, t1_s)
-        ref_w = fleet_reference(tiny_run, ticks_per_batch=17)
+        ref_w, _ = fleet_reference(tiny_run, ticks_per_batch=17)
         assert np.array_equal(ref_w, watts.mean(axis=1))
 
 
@@ -95,10 +97,10 @@ class TestShardStateIsFolded:
         # sends rows back and the kernel's time includes the fold.
         monkeypatch.setattr(session_module, "PENDING_SAMPLES", 1 << 16)
         plan = plan_shards(tiny_run.system.n_nodes, 2, ticks_per_batch=16)
-        reference_w = fleet_reference(tiny_run, ticks_per_batch=16)
+        reference_w, rows = fleet_reference(tiny_run, ticks_per_batch=16)
         state = run_shard(
-            tiny_run, plan.shards[0], ticks_per_batch=16,
-            reference_w=reference_w,
+            tiny_run, plan.shards[0], shard_rows(rows, plan.shards[0]),
+            ticks_per_batch=16, reference_w=reference_w,
         )
         assert state.fold._pending is None
         assert state.samples_ingested == (
@@ -142,13 +144,44 @@ class TestValidation:
 
     def test_reference_length_is_checked(self, tiny_run):
         plan = plan_shards(tiny_run.system.n_nodes, 2, ticks_per_batch=16)
+        _, rows = fleet_reference(tiny_run, ticks_per_batch=16)
         with pytest.raises(ValueError, match="reference series"):
             run_shard(
                 tiny_run,
                 plan.shards[0],
+                shard_rows(rows, plan.shards[0]),
                 ticks_per_batch=16,
                 reference_w=np.zeros(3),
             )
+
+    @pytest.mark.parametrize("which", ["fleet", "other-shard"])
+    def test_row_table_must_match_the_shard(self, tiny_run, which):
+        plan = plan_shards(tiny_run.system.n_nodes, 2, ticks_per_batch=16)
+        assert plan.shards[0].n_nodes == plan.shards[1].n_nodes
+        reference_w, table = fleet_reference(tiny_run, ticks_per_batch=16)
+        # The whole fleet's table, or a same-width slice of shard 1.
+        rows = table if which == "fleet" else shard_rows(table, plan.shards[1])
+        with pytest.raises(ValueError, match="row table covers nodes"):
+            run_shard(
+                tiny_run,
+                plan.shards[0],
+                rows,
+                ticks_per_batch=16,
+                reference_w=reference_w,
+            )
+
+    def test_row_table_is_checked_on_construction(self, tiny_run):
+        _, table = fleet_reference(tiny_run, ticks_per_batch=16)
+        with pytest.raises(ValueError, match="columns"):
+            RowTable(0, 3, table.in_span, table.grid, table.pos, table.w)
+        with pytest.raises(ValueError, match="span tick"):
+            RowTable(
+                table.node_lo, table.node_hi, table.in_span,
+                table.grid, table.pos[1:], table.w[1:],
+            )
+        outside = plan_shards(tiny_run.system.n_nodes + 1, 1).shards[0]
+        with pytest.raises(ValueError, match="outside"):
+            shard_rows(table, outside)
 
     def test_negative_processes_are_refused(self, tiny_run):
         plan = plan_shards(tiny_run.system.n_nodes, 2)

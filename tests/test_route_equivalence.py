@@ -44,7 +44,12 @@ from repro.cluster.variability import ManufacturingVariation
 from repro.faults.recovery import fold_quality_report
 from repro.serve import ServiceConfig, TelemetryApp, make_request
 from repro.serve.app import RPWR_CONTENT_TYPE
-from repro.shard.engine import fleet_reference, run_shard, sharded_session
+from repro.shard.engine import (
+    fleet_reference,
+    run_shard,
+    shard_rows,
+    sharded_session,
+)
 from repro.shard.plan import ShardPlan, ShardSpec
 from repro.shard.reduce import reduce_states
 from repro.stream.estimators import QUANTILE_REL_ERROR
@@ -262,9 +267,12 @@ def test_every_route_folds_the_same_bits(
         label="cuts",
     )
     plan = _plan_from_cuts(cuts, n_nodes, ticks)
-    ref_w = fleet_reference(run, ticks_per_batch=ticks)
+    ref_w, rows = fleet_reference(run, ticks_per_batch=ticks)
     states = [
-        run_shard(run, spec, ticks_per_batch=ticks, reference_w=ref_w)
+        run_shard(
+            run, spec, shard_rows(rows, spec),
+            ticks_per_batch=ticks, reference_w=ref_w,
+        )
         for spec in plan
     ]
     fleet = reduce_states(

@@ -120,6 +120,50 @@ class TestSubsetTrace:
         )
 
 
+class TestNodeIndices:
+    """A node subset is integer ids: nothing is truncated or read as a
+    mask."""
+
+    @pytest.mark.parametrize(
+        "idx",
+        [np.array([0.9, 2.7]), np.array([1.0, 2.0]), np.array([True, False])],
+        ids=["fractional", "whole-floats", "bool-mask"],
+    )
+    def test_non_integer_dtype_is_refused(self, run, idx):
+        with pytest.raises(ValueError, match="integers"):
+            run.node_power_matrix(node_indices=idx)
+        with pytest.raises(ValueError, match="integers"):
+            next(run.stream_run(node_indices=idx))
+
+    def test_empty_list_is_refused_as_empty(self, run):
+        with pytest.raises(ValueError, match="non-empty"):
+            run.node_power_matrix(node_indices=[])
+
+    def test_python_int_list_is_accepted(self, run):
+        _, got = run.node_power_matrix(node_indices=[5, 2])
+        _, want = run.node_power_matrix(node_indices=np.array([5, 2]))
+        assert got.tobytes() == want.tobytes()
+
+    def test_unsorted_with_duplicates_is_refused(self, run):
+        with pytest.raises(ValueError, match="unique"):
+            run._validated_indices(np.array([5, 2, 9, 2]))
+
+    def test_unsorted_keeps_its_order(self, run):
+        got = run._validated_indices(np.array([5, 2, 9]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [5, 2, 9]
+
+    @pytest.mark.parametrize(
+        "idx, message",
+        [([0, 64], "out of range"), ([-1, 3], "out of range"),
+         ([1, 1, 2], "unique"), ([3, 2, 70], "out of range")],
+    )
+    def test_bad_subsets_are_refused(self, run, small_system, idx, message):
+        assert small_system.n_nodes == 64
+        with pytest.raises(ValueError, match=message):
+            run._validated_indices(np.array(idx))
+
+
 class TestNodeAveragePowers:
     def test_shape(self, run, small_system):
         watts = run.node_average_powers()
