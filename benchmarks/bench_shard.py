@@ -1,9 +1,9 @@
-"""Shard engine benchmark — zero-copy streaming and shard scaling.
+"""Shard engine benchmark — streaming synthesis and shard scaling.
 
 Two questions the million-node hot path must answer with numbers:
 
-* what does the zero-copy slab path (:meth:`SimulatedRun.stream_run`
-  into a :class:`SlabRing`) save over the materialise-then-slice
+* what does streaming synthesis (:meth:`SimulatedRun.stream_run`,
+  one fresh buffer per batch) save over the materialise-then-slice
   replay of the same kernel?
 * how does the per-shard critical path shrink as the fleet is split —
   i.e. what aggregate throughput would ``k`` cores reach?

@@ -58,6 +58,21 @@ python -m repro.cli wire --system l-csc --max-nodes 12 \
     --core-seconds 600 --codecs delta-varint,quant8 \
     --drop 0 0.1 --corrupt 0.1
 
+echo "== shard smoke (inline vs fork pool, one-tick core phase)"
+# The same sharded session inline and over a two-worker fork pool must
+# print byte-identical JSON; a core phase of a single tick has no
+# correlation and must still summarise (NaN), not crash.
+shard_dir=$(mktemp -d)
+trap 'rm -rf "$shard_dir"' EXIT
+for procs in 0 2; do
+    python -m repro.cli shard --system calcul-quebec --core-seconds 60 \
+        --shards 4 --format json --processes "$procs" \
+        > "$shard_dir/processes-$procs.json"
+done
+cmp "$shard_dir/processes-0.json" "$shard_dir/processes-2.json"
+python -m repro.cli shard --system calcul-quebec --core-seconds 0.5 \
+    > /dev/null
+
 echo "== serve smoke (service self-test over one TCP lifecycle)"
 # Boot the telemetry service on an ephemeral port, run a full
 # create/ingest/verdict/close lifecycle against it over real sockets,

@@ -959,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sequential stopping target lambda")
     shard.add_argument("--confidence", type=float, default=0.95)
     shard.add_argument("--ticks-per-batch", type=int, default=60,
-                       help="slab capacity / collector flush interval")
+                       help="collector flush interval in ticks")
     shard.add_argument("--core-seconds", type=float,
                        default=SECONDS_PER_HOUR,
                        help="core-phase length for non-trace systems")

@@ -1,10 +1,9 @@
-"""Sharded hot path: slabs, shard planning, exact reduction.
+"""Sharded hot path: shard planning, one fleet table, exact reduction.
 
 The scale layer of the pipeline.  A fleet too large for one process is
 partitioned into contiguous node ranges (:mod:`repro.shard.plan`), each
-range streams through the full per-node kernel over preallocated
-columnar slabs (:mod:`repro.shard.slab`), interpolating from its column
-slice of one fleet power table, and the per-shard
+range streams through the full per-node kernel, interpolating from its
+column slice of one fleet power table, and the per-shard
 estimator states reassemble by node-order concatenation
 (:mod:`repro.shard.reduce`) into fleet statistics that are
 **bit-identical for any shard count** (:mod:`repro.shard.engine`).
@@ -21,7 +20,6 @@ from repro.shard.engine import (
 )
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 from repro.shard.reduce import FleetState, ShardState, reduce_states
-from repro.shard.slab import Slab, SlabRing
 
 __all__ = [
     "FleetState",
@@ -30,8 +28,6 @@ __all__ = [
     "ShardSessionResult",
     "ShardSpec",
     "ShardState",
-    "Slab",
-    "SlabRing",
     "fleet_reference",
     "plan_shards",
     "reduce_states",

@@ -8,12 +8,10 @@ The driver for the million-node hot path:
   excursion ratios against this *same* series, which is what makes the
   per-shard state the exact column slice of a full-fleet run's.
 * :func:`run_shard` — the per-shard kernel: interpolate the shard's
-  node columns from its slice of the fleet table (:func:`shard_rows`)
-  straight into a :class:`~repro.shard.slab.SlabRing` (no
-  per-batch allocation), feed the shared
-  :class:`~repro.stream.session.FleetFold` (which copies each batch
-  onto its pending stack, since the ring overwrites it), and return
-  it, folded, as a picklable :class:`~repro.shard.reduce.ShardState`.
+  node columns from its slice of the fleet table (:func:`shard_rows`),
+  feed each batch to the shared
+  :class:`~repro.stream.session.FleetFold`, and return it, folded, as
+  a picklable :class:`~repro.shard.reduce.ShardState`.
   The simulator's stream holds no NaN, dropped frame or quarantined
   node, so no recovery pipeline runs beside the fold.
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
@@ -41,7 +39,6 @@ from repro.faults.quality import QualityReport
 from repro.faults.recovery import fold_quality_report
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 from repro.shard.reduce import FleetState, ShardState, reduce_states
-from repro.shard.slab import SlabRing
 from repro.stream.estimators import QUANTILE_REL_ERROR, RunningMoments
 from repro.stream.monitor import MonitorReport
 from repro.stream.session import FleetFold
@@ -97,8 +94,8 @@ def fleet_reference(
     :class:`RowTable` whose ``grid`` is R × ``n_nodes`` (a handful of
     rows per frequency level at 1 Hz; see
     :meth:`~repro.traces.synth.SimulatedRun.stream_run`), then streams
-    the whole fleet from it through a slab ring and keeps only the
-    across-node mean of each tick.  Returns ``(reference_w, table)``:
+    the whole fleet from it and keeps only the across-node mean of each
+    tick.  Returns ``(reference_w, table)``:
     :func:`run_sharded` hands each shard its column slice of ``table``
     (:func:`shard_rows`), so the fleet is tabulated once per session,
     and the table lives until the last shard has run.  The means are
@@ -110,12 +107,11 @@ def fleet_reference(
     ids = np.arange(n_nodes, dtype=np.int64)
     in_core = run._in_span(*run.core_window)
     table = RowTable(0, n_nodes, in_core, *run._level_grids(ids, in_core))
-    ring = SlabRing(ticks_per_batch, n_nodes)
     chunks = [
         batch.fleet_means()
         for batch in run._stream_rows(
             (table.grid, table.pos, table.w), ids, in_core,
-            ticks_per_batch=ticks_per_batch, ring=ring,
+            ticks_per_batch=ticks_per_batch,
         )
     ]
     return np.concatenate(chunks), table
@@ -157,12 +153,11 @@ def run_shard(
             f"row table covers nodes [{rows.node_lo}, {rows.node_hi}) "
             f"but the shard covers [{spec.node_lo}, {spec.node_hi})"
         )
-    ring = SlabRing(ticks_per_batch, spec.n_nodes)
     fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
     ticks_seen = 0
     for batch in run._stream_rows(
         (rows.grid, rows.pos, rows.w), spec.node_indices, rows.in_span,
-        ticks_per_batch=ticks_per_batch, ring=ring,
+        ticks_per_batch=ticks_per_batch,
     ):
         n_t = batch.n_ticks
         if ticks_seen + n_t > reference_w.size:
@@ -345,7 +340,7 @@ def sharded_session(
             original_level=2,
         ),
         node_moments=fleet.node_moments,
-        node_fleet_correlation=float(np.mean(fleet.fold.correlation())),
+        node_fleet_correlation=fleet.fold.mean_correlation(),
         quantiles_w=fleet.fold.quantiles_w(),
         samples_ingested=fleet.samples_ingested,
     )

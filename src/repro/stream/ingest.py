@@ -82,9 +82,10 @@ class SampleBatch:
     float64 (``times``/``watts``) and integer (``node_ids``) arrays,
     copying when the caller hands over a strided or mistyped array, so
     every downstream kernel sees the one layout it is vectorised for
-    and never silently falls onto a strided slow path.  The hot path —
-    the shard layer's preallocated slabs — uses :meth:`from_columns`,
-    which refuses to copy instead.
+    and never silently falls onto a strided slow path.  Conforming
+    arrays — the fresh buffers
+    :meth:`~repro.traces.synth.SimulatedRun.stream_run` fills — are
+    wrapped as given, without a copy.
 
     Attributes
     ----------
@@ -121,36 +122,6 @@ class SampleBatch:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "watts", watts)
         object.__setattr__(self, "node_ids", node_ids)
-
-    @classmethod
-    def from_columns(
-        cls,
-        times: np.ndarray,
-        watts: np.ndarray,
-        node_ids: np.ndarray,
-    ) -> "SampleBatch":
-        """Zero-copy constructor over already-conforming column arrays.
-
-        The shard layer's entry point: the arrays are used as given —
-        typically views into a preallocated
-        :class:`~repro.shard.slab.Slab` — so a layout violation raises
-        instead of silently copying, keeping the hot path allocation-
-        free by contract.
-        """
-        times = np.asarray(times)
-        watts = np.asarray(watts)
-        if times.dtype != np.float64 or watts.dtype != np.float64:
-            raise ValueError(
-                "from_columns requires float64 times/watts, got "
-                f"{times.dtype}/{watts.dtype}"
-            )
-        if watts.ndim != 2 or not watts.flags["C_CONTIGUOUS"]:
-            raise ValueError(
-                "from_columns requires a C-contiguous 2-D watts matrix"
-            )
-        if not times.flags["C_CONTIGUOUS"]:
-            raise ValueError("from_columns requires C-contiguous times")
-        return cls(times=times, watts=watts, node_ids=node_ids)
 
     @property
     def n_ticks(self) -> int:
@@ -220,19 +191,8 @@ def replay_run(
         Restrict the replay to the core phase — what a methodology
         measurement would ingest.  ``False`` streams the full run.
     """
-    if ticks_per_batch < 1:
-        raise ValueError("ticks_per_batch must be >= 1")
-    if core_only:
-        t0_s, t1_s = run.core_window
-        times, watts = run.node_power_matrix(t0_s, t1_s, node_indices)
-    else:
-        times, watts = run.node_power_matrix(node_indices=node_indices)
-    if node_indices is None:
-        ids = np.arange(run.system.n_nodes, dtype=np.int64)
-    else:
-        ids = np.asarray(node_indices, dtype=np.int64).ravel()
-    for lo in range(0, times.size, ticks_per_batch):
-        hi = min(lo + ticks_per_batch, times.size)
-        yield SampleBatch(
-            times=times[lo:hi], watts=watts[lo:hi], node_ids=ids
-        )
+    return run.stream_run(
+        node_indices=node_indices,
+        ticks_per_batch=ticks_per_batch,
+        core_only=core_only,
+    )

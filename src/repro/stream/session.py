@@ -263,6 +263,18 @@ class FleetFold:
             self.monitor.node_moments, self.fleet_series
         )
 
+    def mean_correlation(self) -> float:
+        """The node-vs-fleet correlation averaged over the nodes.
+
+        A degenerate stream (a single tick, or constant readings) has
+        no correlation, not a zero one: it reads NaN.
+        """
+        try:
+            correlation = self.correlation()
+        except ValueError:
+            return float("nan")
+        return float(np.mean(correlation))
+
     @classmethod
     def concat(cls, parts: list["FleetFold"]) -> "FleetFold":
         """Reassemble node-ordered, node-partitioned folds (exact).
@@ -642,18 +654,12 @@ class LiveStreamState:
             snapshots.append(
                 self.snapshot_at(final_monitor.t_now_s, final_monitor)
             )
-        try:
-            correlation = float(np.mean(self.fold.correlation()))
-        except ValueError:
-            # Degenerate stream (a single tick, or constant readings):
-            # the correlation is undefined, not zero — surface as NaN.
-            correlation = float("nan")
         return StreamSessionResult(
             snapshots=snapshots,
             monitor_report=final_monitor,
             stopping=self.decision,
             node_moments=self.fold.monitor.node_moments,
-            node_fleet_correlation=correlation,
+            node_fleet_correlation=self.fold.mean_correlation(),
             quantiles_w=self.fold.quantiles_w(),
             queue_high_watermark=queue_high_watermark,
             samples_ingested=self.samples_ingested,

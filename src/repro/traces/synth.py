@@ -305,7 +305,6 @@ class SimulatedRun:
         node_indices: np.ndarray | None = None,
         ticks_per_batch: int = 60,
         core_only: bool = True,
-        ring=None,
     ):
         """Stream per-node power batches without materialising the run.
 
@@ -334,21 +333,13 @@ class SimulatedRun:
         core_only:
             Restrict to the core phase, as a methodology measurement
             would; ``False`` streams the full run.
-        ring:
-            Optional :class:`~repro.shard.slab.SlabRing` of capacity
-            ``ticks_per_batch`` × ``len(node_indices)``.  When given,
-            batches are zero-copy views into the ring's preallocated
-            slabs and a yielded view stays valid until one further
-            batch has been yielded (double buffering); when ``None``
-            each batch is a fresh allocation, matching
-            :func:`~repro.stream.ingest.replay_run` semantics.
         """
         idx = self._validated_indices(node_indices)
         span = self.core_window if core_only else (None, None)
         in_span = self._in_span(*span)
         yield from self._stream_rows(
             self._level_grids(idx, in_span), idx, in_span,
-            ticks_per_batch=ticks_per_batch, ring=ring,
+            ticks_per_batch=ticks_per_batch,
         )
 
     def _stream_rows(
@@ -358,7 +349,6 @@ class SimulatedRun:
         in_span: np.ndarray,
         *,
         ticks_per_batch: int,
-        ring=None,
     ):
         """Stream batches interpolated from tabulated rows.
 
@@ -366,8 +356,9 @@ class SimulatedRun:
         tabulated over the ``in_span`` mask, or any column slice of one;
         column ``j`` of ``grid`` is node ``node_ids[j]``.  A column slice
         yields the same bits as tabulating its nodes alone, since each
-        grid cell depends only on its node and row.  ``ticks_per_batch``
-        and ``ring`` are as in :meth:`stream_run`.
+        grid cell depends only on its node and row.  Each batch's
+        readings are a fresh array the batch owns, so a consumer may
+        keep any batch.
         """
         if ticks_per_batch < 1:
             raise ValueError("ticks_per_batch must be >= 1")
@@ -379,34 +370,12 @@ class SimulatedRun:
         # Deferred import: repro.stream.ingest imports this module.
         from repro.stream.ingest import SampleBatch
 
-        held: list = []
-        try:
-            for lo in range(0, times.size, ticks_per_batch):
-                hi = min(lo + ticks_per_batch, times.size)
-                n_t = hi - lo
-                if ring is not None:
-                    if held:
-                        ring.release(held.pop())
-                    slab = ring.acquire()
-                    out = slab.watts[:n_t]
-                    slab.times[:n_t] = times[lo:hi]
-                    slab.node_ids[:] = ids
-                    batch_times = slab.times[:n_t]
-                    batch_ids = slab.node_ids
-                    held.append(slab)
-                else:
-                    out = np.empty((n_t, ids.size))
-                    batch_times = times[lo:hi]
-                    batch_ids = ids
-                _interpolate(grid, pos[lo:hi], w[lo:hi], out, scratch[:n_t])
-                out *= noise[lo:hi, None]
-                yield SampleBatch.from_columns(
-                    times=batch_times, watts=out, node_ids=batch_ids
-                )
-        finally:
-            if ring is not None:
-                for slab in held:
-                    ring.release(slab)
+        for lo in range(0, times.size, ticks_per_batch):
+            hi = min(lo + ticks_per_batch, times.size)
+            out = np.empty((hi - lo, ids.size))
+            _interpolate(grid, pos[lo:hi], w[lo:hi], out, scratch[:hi - lo])
+            out *= noise[lo:hi, None]
+            yield SampleBatch(times=times[lo:hi], watts=out, node_ids=ids)
 
     def node_average_powers(self) -> np.ndarray:
         """True per-node time-averaged power over the core phase.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.shard.engine import (
 from repro.shard.plan import plan_shards
 from repro.stream import session as session_module
 from repro.stream.session import stream_session
+from repro.traces.synth import simulate_run
+from repro.workloads.base import ConstantWorkload
 
 
 def _identity_view(result) -> dict:
@@ -134,6 +138,31 @@ class TestSerialCrossCheck:
         # Both pool their fleet scalar from the same per-node moments.
         assert sharded.fleet_moments.mean == serial.fleet_moments.mean
         assert sharded.fleet_moments.std() == serial.fleet_moments.std()
+
+
+class TestOneTickCorePhase:
+    def test_sharded_and_stream_sessions_agree_on_nan(self, tiny_run):
+        # One tick has no correlation: both routes report NaN.
+        workload = ConstantWorkload(
+            core_s=0.5, setup_s=20.0, teardown_s=10.0
+        )
+        run = simulate_run(tiny_run.system, workload, dt=1.0, seed=3)
+        serial = stream_session(run)
+        sharded = sharded_session(run, n_shards=3)
+        assert serial.samples_ingested == run.system.n_nodes
+        assert math.isnan(serial.node_fleet_correlation)
+        assert math.isnan(sharded.node_fleet_correlation)
+        assert np.array_equal(
+            np.asarray(sharded.node_moments.mean),
+            np.asarray(serial.node_moments.mean),
+        )
+        assert sharded.quantiles_w == serial.quantiles_w
+        assert sharded.stopping.to_dict() == serial.stopping.to_dict()
+        assert (
+            sharded.monitor_report.to_dict()
+            == serial.monitor_report.to_dict()
+        )
+        assert sharded.samples_ingested == serial.samples_ingested
 
 
 class TestValidation:

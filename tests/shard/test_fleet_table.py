@@ -29,7 +29,6 @@ from repro.shard.engine import (
     sharded_session,
 )
 from repro.shard.plan import ShardPlan, ShardSpec
-from repro.shard.slab import SlabRing
 from repro.stream.ingest import SampleBatch
 from repro.stream.session import FleetFold
 from repro.traces import synth
@@ -139,29 +138,20 @@ def _parent_reference(run, ticks_per_batch: int) -> np.ndarray:
 
 def _parent_run_shard(run, spec, *, ticks_per_batch, reference_w):
     """The shard kernel that tabulated its own node columns: the shard
-    kernel and the slab-backed stream it drove, before the fleet table."""
+    kernel and the stream it drove, before the fleet table."""
     idx = spec.node_indices
     in_core = run._in_span(*run.core_window)
     grid, pos, w = run._level_grids(idx, in_core)
     times, noise = run._times[in_core], run._noise[in_core]
-    ring = SlabRing(ticks_per_batch, spec.n_nodes)
     fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
     scratch = np.empty((min(ticks_per_batch, times.size), idx.size))
-    slab = None
     for lo in range(0, times.size, ticks_per_batch):
         hi = min(lo + ticks_per_batch, times.size)
         n_t = hi - lo
-        if slab is not None:
-            ring.release(slab)
-        slab = ring.acquire()
-        out = slab.watts[:n_t]
-        slab.times[:n_t] = times[lo:hi]
-        slab.node_ids[:] = idx
+        out = np.empty((n_t, idx.size))
         synth._interpolate(grid, pos[lo:hi], w[lo:hi], out, scratch[:n_t])
         out *= noise[lo:hi, None]
-        batch = SampleBatch.from_columns(
-            times=slab.times[:n_t], watts=out, node_ids=slab.node_ids
-        )
+        batch = SampleBatch(times=times[lo:hi], watts=out, node_ids=idx)
         fold.push(batch, reference_w[lo:hi])
     fold.flush()
     return fold

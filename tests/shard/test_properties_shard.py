@@ -1,9 +1,7 @@
 """Property-based shard invariants (hypothesis).
 
-* the slab ring never aliases a live view, under arbitrary
-  acquire/release schedules;
-* ``stream_run`` reproduces ``node_power_matrix`` cell-for-cell for
-  arbitrary batch sizes and node subsets.
+``stream_run`` reproduces ``node_power_matrix`` cell-for-cell for
+arbitrary batch sizes and node subsets.
 
 Shard-merge equivalence over any contiguous partition is part of the
 route-equivalence property in ``tests/test_route_equivalence.py``.
@@ -12,42 +10,10 @@ route-equivalence property in ``tests/test_route_equivalence.py``.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard.slab import SlabRing
-
 TINY_NODES = 12
-
-
-class TestRingAliasing:
-    @settings(max_examples=60)
-    @given(program=st.lists(st.booleans(), max_size=40))
-    def test_random_schedules_never_alias_a_live_view(self, program):
-        """True = acquire, False = release oldest; checked against a
-        reference model of the round-robin borrow state."""
-        ring = SlabRing(4, 2)
-        depth = ring.depth
-        held: list = []
-        cursor = 0
-        for op in program:
-            if op:
-                next_is_live = any(
-                    slot == cursor % depth for slot, _ in held
-                )
-                if next_is_live:
-                    with pytest.raises(RuntimeError):
-                        ring.acquire()
-                else:
-                    slab = ring.acquire()
-                    assert all(s is not slab for _, s in held)
-                    held.append((cursor % depth, slab))
-                    cursor += 1
-            elif held:
-                _, slab = held.pop(0)
-                ring.release(slab)
-        assert ring.borrowed == len(held)
 
 
 class TestStreamRunProperty:

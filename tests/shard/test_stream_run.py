@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.shard.slab import SlabRing
-
 
 def _collect(run, **kwargs):
     """Materialise a stream back into (times, watts) for comparison."""
@@ -59,31 +57,25 @@ class TestStreamRunEquality:
         assert batch.n_ticks == 8
 
 
-class TestStreamRunRing:
-    def test_ring_path_is_bit_identical_and_zero_copy(self, small_run):
-        _, ref_watts = _collect(small_run, ticks_per_batch=64)
-        ring = SlabRing(64, small_run.system.n_nodes)
-        chunks = []
-        for batch in small_run.stream_run(ticks_per_batch=64, ring=ring):
-            assert any(
-                np.shares_memory(batch.watts, slab.watts)
-                for slab in ring._slabs
-            )
-            chunks.append(batch.watts.copy())
-        assert np.array_equal(np.vstack(chunks), ref_watts)
-        assert ring.borrowed == 0
+class TestStreamRunBatches:
+    def test_each_batch_owns_fresh_readings(self, small_run):
+        batches = list(small_run.stream_run(ticks_per_batch=64))
+        for k, batch in enumerate(batches):
+            assert batch.watts.flags["OWNDATA"]
+            for other in batches[k + 1:]:
+                assert not np.shares_memory(batch.watts, other.watts)
 
-    def test_ring_views_stay_valid_for_one_step(self, small_run):
-        # Double buffering: the previous batch must still hold its
-        # values while the caller inspects the current one.
-        ring = SlabRing(32, small_run.system.n_nodes)
-        previous = None
-        previous_copy = None
-        for batch in small_run.stream_run(ticks_per_batch=32, ring=ring):
-            if previous is not None:
-                assert np.array_equal(previous.watts, previous_copy)
-            previous = batch
-            previous_copy = batch.watts.copy()
+    def test_kept_batches_equal_their_matrix_slices(self, small_run):
+        # Every batch stays valid after the stream has moved past it.
+        t0_s, t1_s = small_run.core_window
+        ref_times, ref_watts = small_run.node_power_matrix(t0_s, t1_s)
+        batches = list(small_run.stream_run(ticks_per_batch=32))
+        assert sum(b.n_ticks for b in batches) == ref_times.size
+        for k, batch in enumerate(batches):
+            lo = 32 * k
+            hi = lo + batch.n_ticks
+            np.testing.assert_array_equal(batch.times, ref_times[lo:hi])
+            assert np.array_equal(batch.watts, ref_watts[lo:hi])
 
 
 class TestStreamRunValidation:

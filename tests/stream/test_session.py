@@ -2,14 +2,20 @@
 
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.cluster.system import SystemModel
+from repro.cluster.thermal import FanController
+from repro.cluster.variability import ManufacturingVariation
 from repro.core.confidence import finite_population_correction, t_quantile
 from repro.stream.ingest import SampleBatch, replay_run
 from repro.stream.session import LiveStreamState, stream_session
 from repro.stream.stopping import SequentialStopper
+from repro.traces.synth import simulate_run
+from repro.workloads.base import ConstantWorkload
 
 
 @pytest.fixture()
@@ -233,6 +239,34 @@ class TestFleetFoldRefusal:
         assert pickle.dumps(fold) == before
         fold.push(empty, empty.fleet_means())
         assert pickle.dumps(fold) == before
+
+
+class TestReplayFootprint:
+    def test_replay_never_holds_the_full_core_matrix(self, cpu_config):
+        """``stream_session`` streams its batches: its peak traced
+        allocation stays below one full core-phase matrix."""
+        system = SystemModel(
+            "footprint", 256, cpu_config,
+            variation=ManufacturingVariation(sigma=0.02),
+            fan_controller=FanController(
+                fan_model=cpu_config.fan, reference_watts=300.0
+            ),
+            seed=7,
+        )
+        workload = ConstantWorkload(
+            core_s=1800.0, setup_s=20.0, teardown_s=10.0
+        )
+        run = simulate_run(system, workload, dt=1.0, seed=7)
+        n_ticks = int(run._in_span(*run.core_window).sum())
+        matrix_bytes = n_ticks * system.n_nodes * 8
+        tracemalloc.start()
+        try:
+            result = stream_session(run)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.samples_ingested == n_ticks * system.n_nodes
+        assert peak < matrix_bytes, (peak, matrix_bytes)
 
 
 class TestTinyFleetMean:

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.system import SystemModel
-from repro.shard.slab import SlabRing
 from repro.traces import synth
 from repro.traces.synth import simulate_run
 from repro.workloads.base import ConstantWorkload
@@ -286,9 +285,9 @@ class TestLevelGrids:
         max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @example(subset="unsorted", span=None, ticks=1, use_ring=False)
-    @example(subset=None, span=None, ticks="over", use_ring=True)
-    @example(subset="unsorted", span=(0.2, 0.9), ticks="over", use_ring=False)
+    @example(subset="unsorted", span=None, ticks=1)
+    @example(subset=None, span=None, ticks="over")
+    @example(subset="unsorted", span=(0.2, 0.9), ticks="over")
     @given(
         subset=st.one_of(
             st.none(),
@@ -300,10 +299,9 @@ class TestLevelGrids:
             st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
         ),
         ticks=st.one_of(st.sampled_from([1, "over"]), st.integers(2, 97)),
-        use_ring=st.booleans(),
     )
     def test_matches_the_full_grid_tabulation(
-        self, any_run, subset, span, ticks, use_ring
+        self, any_run, subset, span, ticks
     ):
         run = any_run
         idx = self._subset(run, subset)
@@ -328,11 +326,8 @@ class TestLevelGrids:
         want, bracketing = _full_grid_reference(run, cols, in_core)
         n_ticks = int(in_core.sum())
         tpb = n_ticks + 1 if ticks == "over" else ticks
-        ring = SlabRing(tpb, cols.size) if use_ring else None
         with _tabulated_rows() as rows:
-            batches = _streamed(
-                run, node_indices=idx, ticks_per_batch=tpb, ring=ring
-            )
+            batches = _streamed(run, node_indices=idx, ticks_per_batch=tpb)
         assert rows == bracketing
         assert len(batches) == -(-n_ticks // tpb)
         for k, (times, watts) in enumerate(batches):
