@@ -15,7 +15,7 @@ wall-clock on a ``k``-core machine.  ``extra_info`` records the
 machine's core count and the per-shard times so a multi-core rerun can
 be compared honestly (see docs/sharding.md).
 
-Like the fault bench, no timing is reported unless the sharded states
+Like the fault bench, no timing is reported unless the sharded folds
 reduce to bit-identical fleet statistics — the exactness audit rides
 inside the benchmark.
 """
@@ -37,7 +37,7 @@ from repro.shard.engine import fleet_reference, run_shard, shard_rows
 from repro.shard.plan import plan_shards
 from repro.shard.reduce import reduce_states
 from repro.stream.ingest import SampleBatch
-from repro.stream.session import FleetFold
+from repro.stream.monitor import ComplianceMonitor
 from repro.traces.synth import SimulatedRun, simulate_run
 from repro.workloads.hpl import HplWorkload
 
@@ -78,7 +78,9 @@ def _materialised_pass(run: SimulatedRun) -> tuple[float, int]:
     lo_s, hi_s = run.core_window
     times, watts = run.node_power_matrix(lo_s, hi_s)
     ids = np.arange(run.system.n_nodes, dtype=np.int64)
-    fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
+    fold = ComplianceMonitor(
+        run.core_window, required_interval_s=max(run.dt, 1.0)
+    )
     for lo in range(0, times.size, _TICKS_PER_BATCH):
         hi = min(lo + _TICKS_PER_BATCH, times.size)
         batch = SampleBatch(
@@ -86,14 +88,14 @@ def _materialised_pass(run: SimulatedRun) -> tuple[float, int]:
             watts=watts[lo:hi].copy(),
             node_ids=ids,
         )
-        fold.push(batch, batch.fleet_means())
+        fold.observe(batch)
     fold.flush()  # the fold runs on read; time it, not only the pushes
     elapsed = time.perf_counter() - t0
     return elapsed, times.size * run.system.n_nodes
 
 
 def _sharded_pass(run: SimulatedRun, n_shards: int, reference_w, table):
-    """Time every shard kernel; return (states, per-shard seconds).
+    """Time every shard kernel; return (folds, per-shard seconds).
 
     Each shard interpolates from its column slice of the fleet table,
     so a shard's time holds no tabulation.
@@ -101,10 +103,10 @@ def _sharded_pass(run: SimulatedRun, n_shards: int, reference_w, table):
     plan = plan_shards(
         run.system.n_nodes, n_shards, ticks_per_batch=_TICKS_PER_BATCH
     )
-    states, shard_s = [], []
+    folds, shard_s = [], []
     for spec in plan:
         t0 = time.perf_counter()
-        states.append(
+        folds.append(
             run_shard(
                 run,
                 spec,
@@ -114,7 +116,7 @@ def _sharded_pass(run: SimulatedRun, n_shards: int, reference_w, table):
             )
         )
         shard_s.append(time.perf_counter() - t0)
-    return plan, states, shard_s
+    return plan, folds, shard_s
 
 
 def _sweep():
@@ -132,8 +134,8 @@ def _sweep():
     rows = []
     node_means = None
     for k in _SHARD_COUNTS:
-        plan, states, shard_s = _sharded_pass(run, k, reference_w, table)
-        fleet = reduce_states(states, plan)
+        plan, folds, shard_s = _sharded_pass(run, k, reference_w, table)
+        fleet = reduce_states(folds, plan)
         means = np.asarray(fleet.node_moments.mean)
         if node_means is None:
             node_means = means

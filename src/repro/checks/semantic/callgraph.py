@@ -98,18 +98,6 @@ class CallGraph:
                     lowlink[parent] = min(lowlink[parent], lowlink[node])
         return components
 
-    def reachable_from(self, entry: FunctionKey) -> set[FunctionKey]:
-        """Every function transitively callable from ``entry`` (inclusive)."""
-        seen = {entry}
-        frontier = [entry]
-        while frontier:
-            node = frontier.pop()
-            for callee in self.edges.get(node, ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    frontier.append(callee)
-        return seen
-
     def witness_path(
         self, entry: FunctionKey, target: FunctionKey
     ) -> list[FunctionKey] | None:

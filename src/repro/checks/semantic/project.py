@@ -275,16 +275,6 @@ class ProjectContext:
             return (resolved[1], resolved[2])
         return None
 
-    def module_for_path_patterns(
-        self, patterns: tuple[str, ...]
-    ) -> list[ModuleInfo]:
-        """Modules whose path matches any of the given config patterns."""
-        return [
-            info
-            for info in sorted(self.modules.values(), key=lambda m: m.name)
-            if info.matches_any(patterns)
-        ]
-
     def is_rng_module(self, module: str) -> bool:
         """Whether a module is a configured explicit-seed RNG entry point."""
         info = self.modules.get(module)

@@ -441,7 +441,7 @@ class TelemetrySession:
         if state.samples_ingested == 0:
             return None
         quality = fold_quality_report(
-            state.fold.monitor.node_moments,
+            state.fold.node_moments,
             cells_folded=state.samples_ingested,
             cells_written_off=self._gap_cells,
             original_level=self.config.compliance_level,
@@ -466,7 +466,7 @@ class TelemetrySession:
                 "samples_ingested": 0,
                 "insufficient_data": True,
                 "stopping": state.decision.to_dict(),
-                "monitor": state.fold.monitor.report().to_dict(),
+                "monitor": state.fold.report().to_dict(),
             }
         result = state.result(
             queue_high_watermark=self.queue_high_watermark

@@ -19,15 +19,13 @@ from repro.shard.engine import (
     sharded_session,
 )
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
-from repro.shard.reduce import FleetState, ShardState, reduce_states
+from repro.shard.reduce import reduce_states
 
 __all__ = [
-    "FleetState",
     "RowTable",
     "ShardPlan",
     "ShardSessionResult",
     "ShardSpec",
-    "ShardState",
     "fleet_reference",
     "plan_shards",
     "reduce_states",

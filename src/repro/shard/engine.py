@@ -9,9 +9,9 @@ The driver for the million-node hot path:
   per-shard state the exact column slice of a full-fleet run's.
 * :func:`run_shard` — the per-shard kernel: interpolate the shard's
   node columns from its slice of the fleet table (:func:`shard_rows`),
-  feed each batch to the shared
-  :class:`~repro.stream.session.FleetFold`, and return it, folded, as
-  a picklable :class:`~repro.shard.reduce.ShardState`.
+  feed each batch to the shared fold's one entry,
+  :meth:`~repro.stream.monitor.ComplianceMonitor.observe`, and return
+  the monitor, folded and picklable.
   The simulator's stream holds no NaN, dropped frame or quarantined
   node, so no recovery pipeline runs beside the fold.
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
@@ -38,10 +38,9 @@ import numpy as np
 from repro.faults.quality import QualityReport
 from repro.faults.recovery import fold_quality_report
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
-from repro.shard.reduce import FleetState, ShardState, reduce_states
+from repro.shard.reduce import reduce_states
 from repro.stream.estimators import QUANTILE_REL_ERROR, RunningMoments
-from repro.stream.monitor import MonitorReport
-from repro.stream.session import FleetFold
+from repro.stream.monitor import ComplianceMonitor, MonitorReport
 from repro.stream.stopping import SequentialStopper, StoppingDecision
 from repro.traces.synth import SimulatedRun
 
@@ -138,7 +137,7 @@ def run_shard(
     *,
     ticks_per_batch: int,
     reference_w: np.ndarray,
-) -> ShardState:
+) -> ComplianceMonitor:
     """Run the full per-shard kernel over one contiguous node range.
 
     This is the unit of work a pool worker executes — and the unit the
@@ -153,7 +152,9 @@ def run_shard(
             f"row table covers nodes [{rows.node_lo}, {rows.node_hi}) "
             f"but the shard covers [{spec.node_lo}, {spec.node_hi})"
         )
-    fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
+    fold = ComplianceMonitor(
+        run.core_window, required_interval_s=max(run.dt, 1.0)
+    )
     ticks_seen = 0
     for batch in run._stream_rows(
         (rows.grid, rows.pos, rows.w), spec.node_indices, rows.in_span,
@@ -164,17 +165,17 @@ def run_shard(
             raise ValueError(
                 "reference series shorter than the shard's tick stream"
             )
-        fold.push(batch, reference_w[ticks_seen : ticks_seen + n_t])
+        fold.observe(batch, reference_w[ticks_seen : ticks_seen + n_t])
         ticks_seen += n_t
     if ticks_seen != reference_w.size:
         raise ValueError(
             f"shard saw {ticks_seen} ticks but the reference series has "
             f"{reference_w.size}"
         )
-    # The shard's work ends here: its rows are folded before the state
+    # The shard's work ends here: its rows are folded before the fold
     # leaves, not by whoever reads it (a pool worker's parent, say).
     fold.flush()
-    return ShardState(spec=spec, fold=fold)
+    return fold
 
 
 def run_sharded(
@@ -182,8 +183,8 @@ def run_sharded(
     plan: ShardPlan,
     *,
     processes: int = 0,
-) -> FleetState:
-    """Execute every shard of a plan and reduce to the fleet state.
+) -> ComplianceMonitor:
+    """Execute every shard of a plan and reduce to the fleet fold.
 
     ``processes`` is the worker-pool width: 0 (the default) runs every
     shard inline in this process — still through the identical kernel,
@@ -218,10 +219,10 @@ def run_sharded(
     if use_pool:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(processes, plan.n_shards)) as pool:
-            states = pool.starmap(work, tasks)
+            folds = pool.starmap(work, tasks)
     else:
-        states = [work(*task) for task in tasks]
-    return reduce_states(states, plan)
+        folds = [work(*task) for task in tasks]
+    return reduce_states(folds, plan)
 
 
 @dataclass
@@ -326,7 +327,7 @@ def sharded_session(
     fleet = run_sharded(run, plan, processes=processes)
     return ShardSessionResult(
         plan=plan,
-        monitor_report=fleet.fold.monitor.report(),
+        monitor_report=fleet.report(),
         stopping=SequentialStopper.decide(
             fleet.node_moments.mean,
             accuracy=accuracy,
@@ -335,12 +336,12 @@ def sharded_session(
         ),
         quality=fold_quality_report(
             fleet.node_moments,
-            cells_folded=fleet.samples_ingested,
+            cells_folded=fleet.samples_seen,
             cells_written_off=0,
             original_level=2,
         ),
         node_moments=fleet.node_moments,
-        node_fleet_correlation=fleet.fold.mean_correlation(),
-        quantiles_w=fleet.fold.quantiles_w(),
-        samples_ingested=fleet.samples_ingested,
+        node_fleet_correlation=fleet.mean_correlation(),
+        quantiles_w=fleet.quantiles_w(),
+        samples_ingested=fleet.samples_seen,
     )

@@ -3,10 +3,12 @@
 A shard's per-node state is *column-independent*: a node's shifted
 running sums, its covariance cross sum, an excursion counter — each
 depends only on its own node's sample stream.  Under a contiguous node
-partition, a shard therefore holds exactly the column slice of the
-state a full-fleet run would hold, and the fleet state is the
-node-ordered **concatenation** of the shard states.  Concatenation involves no floating-point
-combination at all, so the reduction is exact to the bit and
+partition, a shard's :class:`~repro.stream.monitor.ComplianceMonitor`
+therefore holds exactly the column slice of the state a full-fleet run
+would hold, and the fleet monitor is the node-ordered
+**concatenation** of the shard monitors.  Concatenation involves no
+floating-point combination at all, so the reduction is exact to the
+bit and
 independent of the shard count — the property the hypothesis suite
 drives with random partitions.
 
@@ -20,67 +22,41 @@ per-node moments the same way, so it matches bitwise too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from repro.shard.plan import ShardPlan, ShardSpec
-from repro.stream.estimators import RunningMoments
-from repro.stream.session import FleetFold
+from repro.shard.plan import ShardPlan
+from repro.stream.monitor import ComplianceMonitor
 
-__all__ = ["ShardState", "FleetState", "reduce_states"]
+__all__ = ["reduce_states"]
 
 
-@dataclass
-class ShardState:
-    """Everything one shard worker learned about its node range.
+def reduce_states(
+    folds: list[ComplianceMonitor], plan: ShardPlan
+) -> ComplianceMonitor:
+    """Merge per-shard folds into the fleet fold (exact).
 
-    Picklable — the unit a worker process returns.  ``fold`` was fed
-    the *global* fleet reference series, so its monitor and covariance
-    state is the exact column slice of a full-fleet fold's.
+    Each fold is a :func:`~repro.shard.engine.run_shard` result, which
+    was fed the *global* fleet reference series, so its state is the
+    exact column slice of a full-fleet fold's.  The folds may arrive in
+    any order, but must tile the plan exactly: one per planned shard,
+    each over that shard's node range.  They are then concatenated in
+    node order (:meth:`ComplianceMonitor.merge_shards`).
     """
-
-    spec: ShardSpec
-    fold: FleetFold
-
-    @property
-    def samples_ingested(self) -> int:
-        """Samples the shard's fold took in."""
-        return self.fold.monitor.samples_seen
-
-
-@dataclass
-class FleetState:
-    """The merged fleet view, ready for report rendering."""
-
-    fold: FleetFold
-
-    @property
-    def samples_ingested(self) -> int:
-        """Samples the merged fold took in."""
-        return self.fold.monitor.samples_seen
-
-    @property
-    def node_moments(self) -> RunningMoments:
-        """Per-node moments of the merged fleet, in node order."""
-        return self.fold.monitor.node_moments
-
-
-def reduce_states(states: list[ShardState], plan: ShardPlan) -> FleetState:
-    """Merge per-shard states into the fleet state (exact).
-
-    Validates that the states tile the plan exactly — every planned
-    shard present once — then concatenates the folds
-    (:meth:`FleetFold.concat`) in node order.
-    """
-    if len(states) != plan.n_shards:
+    if len(folds) != plan.n_shards:
         raise ValueError(
-            f"got {len(states)} shard states for a {plan.n_shards}-shard "
-            "plan"
+            f"got {len(folds)} shard folds for a {plan.n_shards}-shard plan"
         )
-    ordered = sorted(states, key=lambda s: s.spec.node_lo)
-    for state, spec in zip(ordered, plan):
-        if state.spec != spec:
+
+    def first_node(fold: ComplianceMonitor) -> list[int]:
+        return [] if fold._node_ids is None else fold._node_ids[:1].tolist()
+
+    ordered = sorted(folds, key=first_node)
+    for fold, spec in zip(ordered, plan):
+        if fold._node_ids is None or not np.array_equal(
+            fold._node_ids, spec.node_indices
+        ):
             raise ValueError(
-                f"shard state {state.spec.shard_index} does not match "
-                f"the plan's shard {spec.shard_index}: ranges disagree"
+                f"no fold covers exactly the nodes [{spec.node_lo}, "
+                f"{spec.node_hi}) of the plan's shard {spec.shard_index}"
             )
-    return FleetState(fold=FleetFold.concat([s.fold for s in ordered]))
+    return ComplianceMonitor.merge_shards(ordered)

@@ -260,8 +260,9 @@ class RunningMoments:
         are added onto the running sums row by row, so the state equals
         ``n`` pushes bit for bit.  A non-finite value, or an observation
         of another shape, raises before the estimator changes; the rest
-        is :meth:`_fold`, which :class:`~repro.stream.session.FleetFold`
-        calls directly on batches it has validated.
+        is :meth:`_fold`, which
+        :class:`~repro.stream.monitor.ComplianceMonitor` calls directly
+        on batches it has validated.
         """
         xs = _as_observation(xs)
         if xs.ndim == 0:
@@ -606,7 +607,7 @@ class RunningCovariance:
         """Add a trusted non-empty batch by its deviations ``dx = xs −
         shift_x`` from the ``x`` shift, which the first batch adopts.
 
-        :class:`~repro.stream.session.FleetFold` passes the node
+        :class:`~repro.stream.monitor.ComplianceMonitor` passes its node
         moments' deviations here: both shifts are the first row of the
         first batch, so they are the same array bit for bit.
         """

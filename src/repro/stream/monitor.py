@@ -23,11 +23,12 @@ All state is streaming: per-node moments of power and of the power
 ratio (shifted running sums, vectorised across the fleet and the same
 bits for any batching), the fleet power of the last
 :data:`ROLLING_HORIZON_S` simulated seconds (at most
-:data:`ROLLING_CAPACITY` ticks), and scalar extremes.
+:data:`ROLLING_CAPACITY` ticks), scalar extremes, and the fleet power
+quantile sketch and node-vs-fleet covariance every route reports.
 
-Every batch passes one check, :meth:`ComplianceMonitor._admit`, before
-it folds, whether it comes through :meth:`ComplianceMonitor.observe`
-or :meth:`repro.stream.session.FleetFold.push`.
+:meth:`ComplianceMonitor.observe` is the one way a batch enters
+per-node state: one check, :meth:`ComplianceMonitor._admit`, then a
+copy onto a pending stack that every read folds in one pass.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ from repro.core.windows import (
     MeasurementWindow,
     is_legal_level1_window,
 )
-from repro.stream.estimators import RunningMoments
+from repro.stream.estimators import (
+    QuantileSketch,
+    RunningCovariance,
+    RunningMoments,
+)
 from repro.stream.ingest import SampleBatch
 
 __all__ = ["NodeFlags", "MonitorReport", "ComplianceMonitor"]
@@ -73,6 +78,13 @@ ROLLING_HORIZON_S = 60.0
 #: Most ticks the rolling window holds; past it, the window is the last
 #: this many ticks.
 ROLLING_CAPACITY = 4096
+#: Pending readings at which :meth:`ComplianceMonitor.observe` folds
+#: what it holds without waiting for a read; it also bounds the rows a
+#: fold keeps.  A stack of about this many folds fastest per reading: a
+#: smaller one pays more numpy calls per reading, and on a 2-vCPU
+#: x86-64 host a stack past ~24k readings page-faults its temporaries
+#: on every fold.
+PENDING_SAMPLES = 20_000
 
 
 @dataclass(frozen=True)
@@ -202,8 +214,37 @@ def _excursions(
     return (dev > EXCURSION_Z).sum(axis=0)
 
 
+class _Pending:
+    """Copies of the ticks, readings and fleet series of the batches a
+    monitor has taken but not folded, stacked in order."""
+
+    __slots__ = ("watts", "fleet_w", "ticks", "starts", "rows", "lowest")
+
+    def __init__(self, n_rows: int, n_nodes: int, after: float) -> None:
+        self.watts = np.empty((n_rows, n_nodes))
+        self.fleet_w = np.empty(n_rows)
+        # ticks[0] is the tick the stack follows, ticks[1 + i] row i's.
+        self.ticks = np.empty(n_rows + 1)
+        self.ticks[0] = after
+        self.starts: list[int] = []  # the row each batch starts at
+        self.rows = 0
+        self.lowest = math.inf  # the smallest reading
+
+    def add(
+        self, batch: SampleBatch, fleet_w: np.ndarray, lowest: float
+    ) -> None:
+        a, b = self.rows, self.rows + fleet_w.size
+        self.watts[a:b] = batch.watts
+        self.fleet_w[a:b] = fleet_w
+        self.ticks[a + 1:b + 1] = batch.times
+        self.starts.append(a)
+        self.rows = b
+        self.lowest = min(self.lowest, lowest)
+
+
 class ComplianceMonitor:
-    """Streaming methodology compliance plus fleet anomaly detection.
+    """Streaming methodology compliance plus fleet anomaly detection:
+    the per-node fold every route shares.
 
     Parameters
     ----------
@@ -212,10 +253,30 @@ class ComplianceMonitor:
         measures against.
     required_interval_s:
         Maximum legal sample spacing (1 s for Levels 1/2).
+    quantiles:
+        Fleet power quantiles :meth:`quantiles_w` reads from the sketch.
 
     The anomaly thresholds are the module constants
     :data:`OUTLIER_Z`, :data:`EXCURSION_Z`,
     :data:`EXCURSION_RATIO_FLOOR` and :data:`MIN_SAMPLES_FOR_FLAGS`.
+
+    :meth:`observe` judges each batch against ``fleet_w``, the per-tick
+    fleet mean series: the batch's own for a whole-fleet stream, or
+    the global reference slice for a shard, so a shard's monitor is
+    the exact column slice of the full-fleet one (:meth:`merge_shards`).
+    ``fleet_series`` holds that series' moments, the ``y`` side of the
+    node-vs-fleet ``covar`` whose ``x`` side is ``node_moments``.
+
+    The fold runs on read.  :meth:`observe` checks a batch, takes what
+    the next check reads, and copies the batch onto a pending stack.
+    Reading :attr:`node_moments`, :attr:`covar`, :attr:`fleet_series`
+    or :attr:`sketch` — and so :meth:`report`, :meth:`quantiles_w`,
+    :meth:`correlation`, :meth:`merge_shards` and a pickle — first
+    folds the whole stack in one pass (:meth:`flush`).  So does a batch
+    that brings the stack to :data:`PENDING_SAMPLES` readings; a batch
+    that reaches that count alone is folded at once, without a copy.
+    Each batch is still judged for excursions against the ratio moments
+    before it, so the state has the bits of a fold batch by batch.
     """
 
     def __init__(
@@ -223,6 +284,7 @@ class ComplianceMonitor:
         core_window_s: tuple[float, float],
         *,
         required_interval_s: float = 1.0,
+        quantiles: tuple[float, ...] = (0.5, 0.95),
     ) -> None:
         c0, c1 = float(core_window_s[0]), float(core_window_s[1])
         if not (math.isfinite(c0) and math.isfinite(c1) and c1 > c0):
@@ -232,9 +294,17 @@ class ComplianceMonitor:
         required_s = float(required_interval_s)
         if not (required_s > 0 and math.isfinite(required_s)):
             raise ValueError("required_interval_s must be positive and finite")
+        for q in quantiles:
+            if not (0.0 < q < 1.0):
+                raise ValueError(f"quantiles must be in (0, 1), got {q}")
         self._core = (c0, c1)
         self._required_interval_s = required_s
-        self.node_moments = RunningMoments()
+        self.quantiles = tuple(quantiles)
+        self._node_moments = RunningMoments()
+        self._fleet_series = RunningMoments()
+        self._covar = RunningCovariance()
+        self._sketch = QuantileSketch()
+        self._pending: _Pending | None = None
         self._ratio_moments = RunningMoments()
         # The rolling window: tick times and fleet means, oldest first.
         self._rolling_t = np.empty(0)
@@ -256,30 +326,94 @@ class ComplianceMonitor:
         """Scalar samples observed so far."""
         return self._samples
 
+    @property
+    def node_moments(self) -> RunningMoments:
+        """Per-node power moments, with every observed batch folded.
+
+        Read it anew after :meth:`observe`: a reference kept from
+        before does not see the pending readings.
+        """
+        self.flush()
+        return self._node_moments
+
+    @property
+    def fleet_series(self) -> RunningMoments:
+        """Moments of the fleet series, with every batch folded."""
+        self.flush()
+        return self._fleet_series
+
+    @property
+    def covar(self) -> RunningCovariance:
+        """Node-vs-fleet cross sums, with every batch folded."""
+        self.flush()
+        return self._covar
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        """The fleet power sketch, with every batch folded."""
+        self.flush()
+        return self._sketch
+
+    def __getstate__(self):
+        """A pickle is a read: it folds the pending rows first, so a
+        pickled monitor (a shard worker's result) carries none."""
+        self.flush()
+        return self.__dict__
+
     def observe(
         self, batch: SampleBatch, fleet_w: np.ndarray | None = None
     ) -> None:
-        """Fold one batch into the monitor's state.
+        """Take one batch, judged against its per-tick fleet series.
 
-        ``fleet_w`` optionally supplies the per-tick fleet mean power
-        to judge ratios (and feed the rolling window) against; the
+        ``fleet_w`` is the per-tick fleet mean power to judge ratios
+        (and feed the rolling window and covariance) against; the
         default is the batch's own across-node mean.  A shard-local
         monitor — one observing only a node slice of the fleet — must
-        pass the *global* reference series here, so its excursion and
-        rolling state is exactly the column slice of what a full-fleet
-        monitor would hold (the :meth:`merge_shards` contract).
+        pass the *global* reference series here, so its state is
+        exactly the column slice of what a full-fleet monitor would
+        hold (the :meth:`merge_shards` contract).
 
-        The batch is checked by :meth:`_admit`, the one check
-        :class:`~repro.stream.session.FleetFold` runs too, and a
-        refused batch changes nothing.
+        The batch is checked once, by :meth:`_admit`, and a refused
+        batch changes nothing.  No array of the caller's is kept, so
+        the caller may overwrite them once this returns.  Of the
+        batch's tick state, this takes the node set and span end the
+        next check reads, and the sample count; the worst interval,
+        rolling window and readings wait on the stack for the fold.
         """
-        fleet_w, _ = self._admit(batch, fleet_w)
-        if batch.n_ticks:
-            ticks = np.concatenate(([self._advance(batch)], batch.times))
-            d = self.node_moments._deviations(batch.watts)
-            self._fold(
-                batch.watts, fleet_w, d, np.zeros(1, dtype=np.int64), ticks
-            )
+        fleet_w, lo = self._admit(batch, fleet_w)
+        n_ticks, n_nodes = batch.n_ticks, batch.n_nodes
+        if n_ticks == 0:
+            return
+        after = self._advance(batch)
+        stack = self._pending
+        if stack is not None and stack.rows + n_ticks > stack.fleet_w.size:
+            self.flush()
+            stack = None
+        if stack is None:
+            # The rows that hold PENDING_SAMPLES readings, or more.
+            n_rows = -(-PENDING_SAMPLES // max(n_nodes, 1))
+            if n_ticks >= n_rows:  # a full stack alone: fold it uncopied
+                self._fold(
+                    batch.watts, fleet_w, np.zeros(1, dtype=np.int64),
+                    np.concatenate(([after], batch.times)), lo,
+                )
+                return
+            stack = self._pending = _Pending(n_rows, n_nodes, after)
+        stack.add(batch, fleet_w, lo)
+        if stack.rows == stack.fleet_w.size:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold every pending batch in one stacked pass."""
+        stack = self._pending
+        if stack is None:
+            return
+        self._pending = None
+        n = stack.rows
+        self._fold(
+            stack.watts[:n], stack.fleet_w[:n], np.array(stack.starts),
+            stack.ticks[:n + 1], stack.lowest,
+        )
 
     def _admit(
         self, batch: SampleBatch, fleet_w: np.ndarray | None
@@ -379,19 +513,30 @@ class ComplianceMonitor:
         self,
         watts: np.ndarray,
         fleet_w: np.ndarray,
-        d: np.ndarray,
         starts: np.ndarray,
         ticks: np.ndarray,
+        lowest: float,
     ) -> None:
         """Fold the ticks and readings of one or more batches, stacked
         in order, that :meth:`_advance` has taken.
 
         ``starts`` holds the row each batch starts at (the first 0).
-        ``d`` is the node moments' deviations of ``watts``
-        (``node_moments._deviations``), consumed here.  ``ticks[1:]``
-        are the stacked ticks and ``ticks[0]`` the one they follow
-        (what :meth:`_advance` returned for the first batch).
+        ``ticks[1:]`` are the stacked ticks and ``ticks[0]`` the one
+        they follow (what :meth:`_advance` returned for the first
+        batch).  ``lowest`` is the smallest reading.
         """
+        moments = self._node_moments
+        # The covariance's x shift is the node moments' shift, so the
+        # node deviations serve both, read before the node moments'
+        # fold seeds them in place.
+        d = moments._deviations(watts)
+        self._covar._fold(d, fleet_w, moments._shift)
+        self._fleet_series._fold(
+            fleet_w, self._fleet_series._deviations(fleet_w)
+        )
+        if watts.size:
+            self._sketch._fold(watts, lowest)
+
         # The worst interval is the largest step between ticks, the gap
         # from the tick the stack follows included.  The rolling window
         # keeps the newest ticks within the horizon of the latest tick
@@ -429,7 +574,27 @@ class ComplianceMonitor:
                 ratios[starts[first]:], starts[first:] - starts[first],
                 means, sds,
             )
-        self.node_moments._fold(watts, d)
+        moments._fold(watts, d)
+
+    def quantiles_w(self) -> dict[float, float]:
+        """Current estimate of every tracked quantile."""
+        return {q: self.sketch.quantile(q) for q in self.quantiles}
+
+    def correlation(self) -> np.ndarray:
+        """Each node's Pearson correlation with the fleet series."""
+        return self.covar.correlation(self._node_moments, self._fleet_series)
+
+    def mean_correlation(self) -> float:
+        """The node-vs-fleet correlation averaged over the nodes.
+
+        A degenerate stream (a single tick, or constant readings) has
+        no correlation, not a zero one: it reads NaN.
+        """
+        try:
+            correlation = self.correlation()
+        except ValueError:
+            return float("nan")
+        return float(np.mean(correlation))
 
     @classmethod
     def merge_shards(
@@ -440,19 +605,22 @@ class ComplianceMonitor:
         Each input observed a disjoint, contiguous node slice of the
         same tick stream, with :meth:`observe` given the global fleet
         reference.  All per-node state (moments, ratio moments,
-        excursion counts) is then column-independent, so the fleet
-        monitor is the node-ordered concatenation of the shard arrays —
-        bit-identical to a single monitor over the whole fleet, for
-        any shard count.  The shards must agree on the core window and
-        the tick span, or the merge is refused.  The worst interval is
-        the shards' largest.  The rolling window is a function of the
-        ticks and the global reference alone, so the first shard's is
-        adopted without a check.
+        covariance, excursion counts) is then column-independent, so
+        the fleet monitor is the node-ordered concatenation of the
+        shard arrays — bit-identical to a single monitor over the whole
+        fleet, for any shard count.  The shards must agree on the core
+        window, the tick span and the quantiles, or the merge is
+        refused.  The worst interval is the shards' largest and the
+        quantile sketches add their counts.  The rolling window and the
+        fleet series moments are functions of the ticks and the global
+        reference alone, so the first shard's are adopted without a
+        check.
         """
         if not monitors:
             raise ValueError("merge_shards needs at least one monitor")
         first = monitors[0]
         for i, m in enumerate(monitors):
+            m.flush()
             if m._node_ids is None:
                 raise ValueError(f"shard monitor {i} saw no samples")
             if m._core != first._core:
@@ -462,10 +630,20 @@ class ComplianceMonitor:
                     f"shard monitor {i} covered a different tick span; "
                     "shards must replay the same stream"
                 )
-        out = cls(first._core, required_interval_s=first._required_interval_s)
-        out.node_moments = RunningMoments.concat(
-            [m.node_moments for m in monitors]
+            if m.quantiles != first.quantiles:
+                raise ValueError(f"shard {i} tracked different quantiles")
+        out = cls(
+            first._core,
+            required_interval_s=first._required_interval_s,
+            quantiles=first.quantiles,
         )
+        out._node_moments = RunningMoments.concat(
+            [m._node_moments for m in monitors]
+        )
+        out._fleet_series = first._fleet_series
+        out._covar = RunningCovariance.concat([m._covar for m in monitors])
+        for m in monitors:
+            out._sketch.merge(m._sketch)
         out._ratio_moments = RunningMoments.concat(
             [m._ratio_moments for m in monitors]
         )
@@ -507,10 +685,10 @@ class ComplianceMonitor:
         both."""
         if (
             self._node_ids is None
-            or self.node_moments.count < MIN_SAMPLES_FOR_FLAGS
+            or self._node_moments.count < MIN_SAMPLES_FOR_FLAGS
         ):
             return (), ()
-        means = np.asarray(self.node_moments.mean)
+        means = np.asarray(self._node_moments.mean)
         fleet_mu = float(means.mean())
         fleet_sd = float(means.std(ddof=1)) if means.size > 1 else 0.0
         if fleet_sd > 0:
@@ -548,7 +726,9 @@ class ComplianceMonitor:
         the report comes back with ``insufficient_data=True`` and every
         compliance field conservative instead of vacuously passing
         (an all-dropout window must not read as "interval ok").
+        Pending batches are folded first.
         """
+        self.flush()
         if self._samples == 0:
             return MonitorReport(
                 t_now_s=0.0,

@@ -1,15 +1,10 @@
 """End-to-end streaming sessions: replay → estimate → monitor → stop.
 
-:class:`FleetFold` is the per-node fold every route shares — the
-compliance monitor, the node-vs-fleet covariance and the fleet power
-quantile sketch, judged against a per-tick fleet series — checked one
-batch at a time at push and folded on read, with an exact
-:meth:`FleetFold.concat` for shards.
-
-:class:`LiveStreamState` is the incremental session core: one fold,
-pushed one :class:`~repro.stream.ingest.SampleBatch` at a time; its
-fleet moments are the fold's per-node moments pooled, and its stopping
-decision is Eq. 1–5 over the fold's node means
+:class:`LiveStreamState` is the incremental session core: one
+:class:`~repro.stream.monitor.ComplianceMonitor`, the per-node fold
+every route shares, fed one :class:`~repro.stream.ingest.SampleBatch`
+at a time; its fleet moments are the fold's per-node moments pooled,
+and its stopping decision is Eq. 1–5 over the fold's node means
 (:meth:`~repro.stream.stopping.SequentialStopper.decide`), evaluated
 when read.  Two drivers share it:
 
@@ -33,275 +28,23 @@ samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.stream.estimators import (
-    QUANTILE_REL_ERROR,
-    QuantileSketch,
-    RunningCovariance,
-    RunningMoments,
-)
+from repro.stream.estimators import QUANTILE_REL_ERROR, RunningMoments
 from repro.stream.ingest import SampleBatch, replay_run
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
 from repro.stream.stopping import SequentialStopper, StoppingDecision
 from repro.traces.synth import SimulatedRun
 
 __all__ = [
-    "FleetFold",
     "StreamSnapshot",
     "StreamVerdict",
     "StreamSessionResult",
     "LiveStreamState",
     "stream_session",
 ]
-
-
-#: Pending readings at which :meth:`FleetFold.push` folds what it holds
-#: without waiting for a read; it also bounds the rows a fold keeps.  A
-#: stack of about this many folds fastest per reading: a smaller one
-#: pays more numpy calls per reading, and on a 2-vCPU x86-64 host a
-#: stack past ~24k readings page-faults its temporaries on every fold.
-PENDING_SAMPLES = 20_000
-
-
-class _Pending:
-    """Copies of the ticks, readings and fleet series of the batches a
-    fold has taken but not folded, stacked in order."""
-
-    __slots__ = ("watts", "fleet_w", "ticks", "starts", "rows", "lowest")
-
-    def __init__(self, n_rows: int, n_nodes: int, after: float) -> None:
-        self.watts = np.empty((n_rows, n_nodes))
-        self.fleet_w = np.empty(n_rows)
-        # ticks[0] is the tick the stack follows, ticks[1 + i] row i's.
-        self.ticks = np.empty(n_rows + 1)
-        self.ticks[0] = after
-        self.starts: list[int] = []  # the row each batch starts at
-        self.rows = 0
-        self.lowest = math.inf  # the smallest reading
-
-    def add(
-        self, batch: SampleBatch, fleet_w: np.ndarray, lowest: float
-    ) -> None:
-        a, b = self.rows, self.rows + fleet_w.size
-        self.watts[a:b] = batch.watts
-        self.fleet_w[a:b] = fleet_w
-        self.ticks[a + 1:b + 1] = batch.times
-        self.starts.append(a)
-        self.rows = b
-        self.lowest = min(self.lowest, lowest)
-
-
-class FleetFold:
-    """Monitor, covariance and quantiles over one node set, per batch.
-
-    :meth:`push` judges a batch against ``fleet_w``, the per-tick fleet
-    mean series: the batch's own :meth:`SampleBatch.fleet_means` for a
-    whole-fleet stream, or the global reference slice for a shard, so a
-    shard's fold is the exact column slice of the full-fleet fold.
-    ``fleet_series`` holds that series' moments, the ``y`` side of the
-    node-vs-fleet covariance whose ``x`` side is the monitor's
-    ``node_moments``.  Recovery is not part of the fold; drivers that
-    repair gaps run their own
-    :class:`~repro.faults.recovery.RecoveryPipeline` beside it.
-
-    The fold runs on read.  :meth:`push` checks a batch once, by the
-    monitor's ``_admit``, takes the node set and span end that check
-    reads for the next batch, and the sample count, and copies the batch's
-    ticks, readings and ``fleet_w`` onto a pending stack.  Reading
-    :attr:`monitor`, :attr:`covar`, :attr:`fleet_series` or
-    :attr:`sketch` — and so :meth:`quantiles_w`, :meth:`correlation`,
-    :meth:`concat` and a pickle — first folds the whole stack in one
-    pass (:meth:`flush`): the worst interval and rolling window over the
-    stacked ticks, then the readings.  So does a push that brings the
-    stack to :data:`PENDING_SAMPLES` readings; a batch that reaches that
-    count alone is folded at once, without a copy.  Each batch is still
-    judged for excursions against the ratio moments before it, so the
-    state has the bits of a fold batch by batch.
-    """
-
-    __slots__ = (
-        "_monitor", "_fleet_series", "_covar", "quantiles", "_sketch",
-        "_pending",
-    )
-
-    def __init__(
-        self,
-        core_window: tuple[float, float],
-        *,
-        required_interval_s: float,
-        quantiles: tuple[float, ...] = (0.5, 0.95),
-    ) -> None:
-        for q in quantiles:
-            if not (0.0 < q < 1.0):
-                raise ValueError(f"quantiles must be in (0, 1), got {q}")
-        self._monitor = ComplianceMonitor(
-            core_window, required_interval_s=required_interval_s
-        )
-        self._fleet_series = RunningMoments()
-        self._covar = RunningCovariance()
-        self.quantiles = tuple(quantiles)
-        self._sketch = QuantileSketch()
-        self._pending: _Pending | None = None
-
-    @property
-    def monitor(self) -> ComplianceMonitor:
-        """The compliance monitor, with every pushed batch folded.
-
-        Read it anew after a push: a reference kept from before sees
-        the pushed ticks but not their readings until the next read.
-        """
-        self.flush()
-        return self._monitor
-
-    @property
-    def fleet_series(self) -> RunningMoments:
-        """Moments of the fleet series, with every pushed batch folded."""
-        self.flush()
-        return self._fleet_series
-
-    @property
-    def covar(self) -> RunningCovariance:
-        """Node-vs-fleet cross sums, with every pushed batch folded."""
-        self.flush()
-        return self._covar
-
-    @property
-    def sketch(self) -> QuantileSketch:
-        """The fleet power sketch, with every pushed batch folded."""
-        self.flush()
-        return self._sketch
-
-    def __getstate__(self):
-        """A pickle is a read: it folds the pending rows first, so a
-        pickled fold (a shard worker's result) carries none."""
-        self.flush()
-        return None, {name: getattr(self, name) for name in self.__slots__}
-
-    def push(self, batch: SampleBatch, fleet_w: np.ndarray) -> None:
-        """Take one batch, judged against its per-tick fleet series.
-
-        The batch is checked once, by the monitor's
-        :meth:`~repro.stream.monitor.ComplianceMonitor._admit`, before
-        anything changes: a non-finite or negative reading, a
-        ``fleet_w`` that is not one finite mean per tick, another node
-        set than the first batch, a timestamp that is not finite or is
-        more than 1e-12 s before the one it follows, or a reading whose squared ratio to
-        ``fleet_w`` overflows is refused, and the fold stays as it was.
-        No array of the caller's is kept, so the caller may overwrite
-        them once this returns.  Of the batch's tick state, the push
-        takes the node set and span end the next check reads, and the
-        sample count; the worst interval and rolling window wait on the
-        stack for the fold.
-        """
-        monitor = self._monitor
-        fleet_w, lo = monitor._admit(batch, fleet_w)
-        n_ticks, n_nodes = batch.n_ticks, batch.n_nodes
-        if n_ticks == 0:
-            return
-        after = monitor._advance(batch)
-        stack = self._pending
-        if stack is not None and stack.rows + n_ticks > stack.fleet_w.size:
-            self.flush()
-            stack = None
-        if stack is None:
-            # The rows that hold PENDING_SAMPLES readings, or more.
-            n_rows = -(-PENDING_SAMPLES // max(n_nodes, 1))
-            if n_ticks >= n_rows:  # a full stack alone: fold it uncopied
-                self._fold(
-                    batch.watts, fleet_w, np.zeros(1, dtype=np.int64),
-                    np.concatenate(([after], batch.times)), lo,
-                )
-                return
-            stack = self._pending = _Pending(n_rows, n_nodes, after)
-        stack.add(batch, fleet_w, lo)
-        if stack.rows == stack.fleet_w.size:
-            self.flush()
-
-    def flush(self) -> None:
-        """Fold every pending batch in one stacked pass."""
-        stack = self._pending
-        if stack is None:
-            return
-        self._pending = None
-        n = stack.rows
-        self._fold(
-            stack.watts[:n], stack.fleet_w[:n], np.array(stack.starts),
-            stack.ticks[:n + 1], stack.lowest,
-        )
-
-    def _fold(
-        self, w: np.ndarray, fleet_w: np.ndarray, starts: np.ndarray,
-        ticks: np.ndarray, lowest: float,
-    ) -> None:
-        """Fold stacked readings whose batches start at rows ``starts``,
-        whose ticks follow ``ticks[0]`` as ``ticks[1:]`` and whose
-        smallest reading is ``lowest``."""
-        moments = self._monitor.node_moments
-        # The covariance's x shift is the node moments' shift, so the
-        # node deviations serve both, read before the monitor's fold
-        # seeds them in place.
-        d = moments._deviations(w)
-        self._covar._fold(d, fleet_w, moments._shift)
-        self._monitor._fold(w, fleet_w, d, starts, ticks)
-        self._fleet_series._fold(
-            fleet_w, self._fleet_series._deviations(fleet_w)
-        )
-        if w.size:
-            self._sketch._fold(w, lowest)
-
-    def quantiles_w(self) -> dict[float, float]:
-        """Current estimate of every tracked quantile."""
-        return {q: self.sketch.quantile(q) for q in self.quantiles}
-
-    def correlation(self) -> np.ndarray:
-        """Each node's Pearson correlation with the fleet series."""
-        return self.covar.correlation(
-            self.monitor.node_moments, self.fleet_series
-        )
-
-    def mean_correlation(self) -> float:
-        """The node-vs-fleet correlation averaged over the nodes.
-
-        A degenerate stream (a single tick, or constant readings) has
-        no correlation, not a zero one: it reads NaN.
-        """
-        try:
-            correlation = self.correlation()
-        except ValueError:
-            return float("nan")
-        return float(np.mean(correlation))
-
-    @classmethod
-    def concat(cls, parts: list["FleetFold"]) -> "FleetFold":
-        """Reassemble node-ordered, node-partitioned folds (exact).
-
-        Monitor and covariance state is column-independent, so they
-        concatenate; every shard pushed the same fleet series, so its
-        moments are taken from the first; the quantile sketches add
-        their counts.  Every piece is exact, so the result is
-        independent of the partition.
-        """
-        if not parts:
-            raise ValueError("concat needs at least one part")
-        for i, part in enumerate(parts):
-            if part.quantiles != parts[0].quantiles:
-                raise ValueError(f"shard {i} tracked different quantiles")
-        out = cls.__new__(cls)
-        out._monitor = ComplianceMonitor.merge_shards(
-            [p.monitor for p in parts]
-        )
-        out._fleet_series = parts[0].fleet_series
-        out._covar = RunningCovariance.concat([p.covar for p in parts])
-        out.quantiles = parts[0].quantiles
-        out._sketch = QuantileSketch()
-        for part in parts:
-            out._sketch.merge(part.sketch)
-        out._pending = None
-        return out
 
 
 @dataclass(frozen=True)
@@ -483,8 +226,8 @@ class LiveStreamState:
     live snapshot, monitor report and stopping decision, from one
     monitor report) / :meth:`result`, so identical batch streams always
     produce identical verdicts regardless of how the bytes arrived.
-    A push checks the batch and copies it onto the fold's pending
-    stack (:class:`FleetFold`); a read — a verdict, a snapshot, the
+    A push hands the batch to the fold's one entry,
+    :meth:`~repro.stream.monitor.ComplianceMonitor.observe`; a read — a verdict, a snapshot, the
     stopping decision, the result — folds what is pending first, so
     what it reads has the bits of a fold batch by batch.
 
@@ -525,7 +268,7 @@ class LiveStreamState:
     ) -> None:
         if not report_every_s > 0:
             raise ValueError("report_every_s must be positive")
-        self.fold = FleetFold(
+        self.fold = ComplianceMonitor(
             core_window,
             required_interval_s=required_interval_s,
             quantiles=quantiles,
@@ -569,7 +312,7 @@ class LiveStreamState:
             raise ValueError("cannot push into a finalized stream state")
         if batch.n_nodes > self._rule["population"]:
             raise ValueError("more node measurements than the population")
-        self.fold.push(batch, batch.fleet_means())
+        self.fold.observe(batch)
         self.samples_ingested += batch.n_samples
         self.batches_ingested += 1
 
@@ -578,7 +321,7 @@ class LiveStreamState:
             self._next_report_s = batch.t0_s + self.report_every_s
         while t_now >= self._next_report_s - 1e-9:
             self.snapshots.append(
-                self.snapshot_at(t_now, self.fold.monitor.report())
+                self.snapshot_at(t_now, self.fold.report())
             )
             self._next_report_s += self.report_every_s
 
@@ -586,16 +329,16 @@ class LiveStreamState:
         """Build a snapshot of the current state, stamped ``t_s``, from
         the monitor's current ``report``."""
         decision = self.decision
-        fleet = self.fold.monitor.node_moments.pooled()
+        fleet = self.fold.node_moments.pooled()
         have_sd = fleet.count >= 2
-        node_means = np.asarray(self.fold.monitor.node_moments.mean)
+        node_means = np.asarray(self.fold.node_moments.mean)
         mu = float(node_means.mean())
         sd_nodes = (
             float(node_means.std(ddof=1)) if node_means.size > 1 else 0.0
         )
         return StreamSnapshot(
             t_s=float(t_s),
-            samples_seen=self.fold.monitor.samples_seen,
+            samples_seen=self.fold.samples_seen,
             fleet_mean_w=float(np.asarray(fleet.mean)),
             fleet_std_w=(float(np.asarray(fleet.std())) if have_sd else 0.0),
             node_cv=(sd_nodes / mu if mu > 0 else 0.0),
@@ -616,7 +359,7 @@ class LiveStreamState:
         with the monitor's current stream time, and is ``None`` while
         nothing has been ingested (an empty stream has no moments).
         """
-        report = self.fold.monitor.report()
+        report = self.fold.report()
         snapshot = (
             self.snapshot_at(report.t_now_s, report)
             if self.samples_ingested else None
@@ -648,7 +391,7 @@ class LiveStreamState:
             raise ValueError("cannot summarise an empty stream")
         prefixes = SequentialStopper(**self._rule)
         prefixes.update_many(self._node_means())
-        final_monitor = self.fold.monitor.report()
+        final_monitor = self.fold.report()
         snapshots = list(self.snapshots)
         if not snapshots:
             snapshots.append(
@@ -658,7 +401,7 @@ class LiveStreamState:
             snapshots=snapshots,
             monitor_report=final_monitor,
             stopping=self.decision,
-            node_moments=self.fold.monitor.node_moments,
+            node_moments=self.fold.node_moments,
             node_fleet_correlation=self.fold.mean_correlation(),
             quantiles_w=self.fold.quantiles_w(),
             queue_high_watermark=queue_high_watermark,
@@ -670,7 +413,7 @@ class LiveStreamState:
         """Each node's mean so far, in node order (none before data)."""
         if not self.samples_ingested:
             return np.empty(0)
-        return np.asarray(self.fold.monitor.node_moments.mean)
+        return np.asarray(self.fold.node_moments.mean)
 
 
 def stream_session(

@@ -449,11 +449,6 @@ def simulate_run(
         phi = float(np.exp(-dt / noise_correlation_s))
         innov_sd = noise_cv * np.sqrt(1.0 - phi**2)
         eps = rng.standard_normal(n) * innov_sd
-        ar = np.empty(n)
-        ar[0] = rng.standard_normal() * noise_cv
-        # AR(1) recursion via lfilter-style vectorisation would need
-        # scipy.signal; the paper-scale n (~1e5) makes a tight loop in
-        # NumPy acceptable, but scipy is a dependency — use it.
         from scipy.signal import lfilter
 
         ar = lfilter([1.0], [1.0, -phi], eps)

@@ -88,11 +88,6 @@ class FrameHeader:
     tick: int
     payload_len: int
 
-    @property
-    def zlib_wrapped(self) -> bool:
-        """Whether the payload has the zlib outer layer."""
-        return bool(self.flags & FLAG_ZLIB)
-
 
 @dataclass(frozen=True)
 class FrameEvent:

@@ -20,12 +20,16 @@ from repro.workloads.hpl import HplWorkload
 
 
 #: Suites in which a RuntimeWarning (an overflow, an invalid value) is a
-#: failure: neither the fold's arithmetic nor the power synthesis that
-#: feeds it may produce one silently.
+#: failure: neither the fold's arithmetic, the power synthesis that
+#: feeds it, nor the wire, recovery and service layers in front of it
+#: may produce one silently.
 STRICT_RUNTIME_WARNINGS = (
     "tests/stream/",
     "tests/shard/",
     "tests/traces/",
+    "tests/serve/",
+    "tests/faults/",
+    "tests/wire/",
     "tests/test_route_equivalence.py",
 )
 

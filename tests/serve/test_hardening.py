@@ -262,12 +262,12 @@ class TestCorruptFrames:
             await harness.session.drain()
             state = harness.session.state
             assert state.samples_ingested == 0
-            assert state.fold.monitor.samples_seen == 0
+            assert state.fold.samples_seen == 0
             assert state.fold.sketch.count == 0
             assert not harness.session.worker_errors
             await harness.assert_still_functional(serve_batches)
             assert state.fold.sketch.count == state.samples_ingested
-            assert state.fold.monitor.samples_seen == state.samples_ingested
+            assert state.fold.samples_seen == state.samples_ingested
 
         asyncio.run(scenario())
 

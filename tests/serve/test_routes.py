@@ -265,7 +265,7 @@ class TestSessionRoutes:
             return session, body(quality)["quality"]
 
         session, q = asyncio.run(scenario())
-        node_moments = session.state.fold.monitor.node_moments
+        node_moments = session.state.fold.node_moments
         expected = float(np.asarray(node_moments.std()).mean())
         assert q["sigma_tick_w"] == expected
         assert q["sigma_tick_w"] < float(node_moments.pooled().std())
@@ -341,7 +341,7 @@ class TestVerdictRoute:
         # The verdict body as rendered from three separate reads: a
         # snapshot stamped at the report's stream time, a second report
         # and the stopping decision.
-        monitor = state.fold.monitor
+        monitor = state.fold
         snapshot = (
             state.snapshot_at(
                 monitor.report().t_now_s, monitor.report()
@@ -386,7 +386,7 @@ class TestVerdictRoute:
         async def scenario():
             sid = await open_session(app, session_config)
             (session,) = app.registry.all_sessions()
-            served = session.state.fold.monitor
+            served = session.state.fold
             reads = []
             for k in range(len(json_payloads) + 1):
                 if k:

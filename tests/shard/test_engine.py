@@ -15,8 +15,10 @@ from repro.shard.engine import (
     shard_rows,
     sharded_session,
 )
-from repro.shard.plan import plan_shards
-from repro.stream import session as session_module
+from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
+from repro.shard.reduce import reduce_states
+from repro.stream import monitor as monitor_module
+from repro.stream.monitor import ComplianceMonitor
 from repro.stream.session import stream_session
 from repro.traces.synth import simulate_run
 from repro.workloads.base import ConstantWorkload
@@ -99,15 +101,15 @@ class TestShardStateIsFolded:
         # A cap above the whole shard would keep every row pending until
         # a read; the shard folds them itself, so a pool worker never
         # sends rows back and the kernel's time includes the fold.
-        monkeypatch.setattr(session_module, "PENDING_SAMPLES", 1 << 16)
+        monkeypatch.setattr(monitor_module, "PENDING_SAMPLES", 1 << 16)
         plan = plan_shards(tiny_run.system.n_nodes, 2, ticks_per_batch=16)
         reference_w, rows = fleet_reference(tiny_run, ticks_per_batch=16)
-        state = run_shard(
+        fold = run_shard(
             tiny_run, plan.shards[0], shard_rows(rows, plan.shards[0]),
             ticks_per_batch=16, reference_w=reference_w,
         )
-        assert state.fold._pending is None
-        assert state.samples_ingested == (
+        assert fold._pending is None
+        assert fold.samples_seen == (
             reference_w.size * plan.shards[0].n_nodes
         )
 
@@ -211,6 +213,50 @@ class TestValidation:
         outside = plan_shards(tiny_run.system.n_nodes + 1, 1).shards[0]
         with pytest.raises(ValueError, match="outside"):
             shard_rows(table, outside)
+
+    @staticmethod
+    def _folds(run, plan):
+        reference_w, table = fleet_reference(
+            run, ticks_per_batch=plan.ticks_per_batch
+        )
+        return [
+            run_shard(
+                run, spec, shard_rows(table, spec),
+                ticks_per_batch=plan.ticks_per_batch,
+                reference_w=reference_w,
+            )
+            for spec in plan
+        ]
+
+    def test_reduce_refuses_a_wrong_number_of_folds(self, tiny_run):
+        plan = plan_shards(tiny_run.system.n_nodes, 3, ticks_per_batch=16)
+        folds = self._folds(tiny_run, plan)
+        for wrong in (folds[:2], [*folds, folds[0]], []):
+            with pytest.raises(ValueError, match="shard folds for a 3-shard"):
+                reduce_states(wrong, plan)
+        # The full set, in any arrival order, merges.
+        merged = reduce_states(folds[::-1], plan)
+        assert merged.samples_seen == sum(f.samples_seen for f in folds)
+
+    @pytest.mark.parametrize("wrong", ["repeated", "other-cut", "empty"])
+    def test_reduce_refuses_a_fold_off_its_planned_shard(
+        self, tiny_run, wrong
+    ):
+        n = tiny_run.system.n_nodes
+        plan = plan_shards(n, 2, ticks_per_batch=16)
+        folds = self._folds(tiny_run, plan)
+        if wrong == "repeated":  # shard 0's fold twice: shard 1 has none
+            folds = [folds[0], folds[0]]
+        elif wrong == "other-cut":  # two folds that tile the fleet
+            other = ShardPlan(
+                n_nodes=n, ticks_per_batch=16,
+                shards=(ShardSpec(0, 2, 0, 5), ShardSpec(1, 2, 5, n)),
+            )
+            folds = self._folds(tiny_run, other)
+        else:  # a fold that saw no batch
+            folds[1] = ComplianceMonitor(tiny_run.core_window)
+        with pytest.raises(ValueError, match="no fold covers exactly"):
+            reduce_states(folds, plan)
 
     def test_negative_processes_are_refused(self, tiny_run):
         plan = plan_shards(tiny_run.system.n_nodes, 2)

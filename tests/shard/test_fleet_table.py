@@ -30,7 +30,7 @@ from repro.shard.engine import (
 )
 from repro.shard.plan import ShardPlan, ShardSpec
 from repro.stream.ingest import SampleBatch
-from repro.stream.session import FleetFold
+from repro.stream.monitor import ComplianceMonitor
 from repro.traces import synth
 from repro.workloads.hpl import HplWorkload
 
@@ -143,7 +143,9 @@ def _parent_run_shard(run, spec, *, ticks_per_batch, reference_w):
     in_core = run._in_span(*run.core_window)
     grid, pos, w = run._level_grids(idx, in_core)
     times, noise = run._times[in_core], run._noise[in_core]
-    fold = FleetFold(run.core_window, required_interval_s=max(run.dt, 1.0))
+    fold = ComplianceMonitor(
+        run.core_window, required_interval_s=max(run.dt, 1.0)
+    )
     scratch = np.empty((min(ticks_per_batch, times.size), idx.size))
     for lo in range(0, times.size, ticks_per_batch):
         hi = min(lo + ticks_per_batch, times.size)
@@ -152,7 +154,7 @@ def _parent_run_shard(run, spec, *, ticks_per_batch, reference_w):
         synth._interpolate(grid, pos[lo:hi], w[lo:hi], out, scratch[:n_t])
         out *= noise[lo:hi, None]
         batch = SampleBatch(times=times[lo:hi], watts=out, node_ids=idx)
-        fold.push(batch, reference_w[lo:hi])
+        fold.observe(batch, reference_w[lo:hi])
     fold.flush()
     return fold
 
@@ -218,4 +220,4 @@ class TestShardFromTheFleetTable:
             want = _parent_run_shard(
                 run, spec, ticks_per_batch=tpb, reference_w=parent_w
             )
-            assert _state(got.fold) == _state(want), spec
+            assert _state(got) == _state(want), spec

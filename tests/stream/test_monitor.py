@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stream import monitor as monitor_module
+from repro.stream.estimators import QUANTILE_REL_ERROR
 from repro.stream.ingest import SampleBatch, replay_run
-from repro.stream.session import FleetFold
 from repro.stream.monitor import (
     MIN_SAMPLES_FOR_FLAGS,
     OUTLIER_Z,
@@ -172,7 +172,9 @@ class TestRefusedBatch:
 
     @staticmethod
     def _state(mon: ComplianceMonitor) -> bytes:
-        return pickle.dumps(mon.__dict__)
+        # A pickle folds the pending stack first, so this is the whole
+        # folded state.
+        return pickle.dumps(mon)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_reading_after_good_batch(self, bad):
@@ -201,7 +203,7 @@ class TestRefusedBatch:
         assert mon.report().nodes_seen == 5
 
     def test_negative_reading(self):
-        # observe refuses what FleetFold.push refuses: the one check.
+        # Refused by the one check, before the batch reaches the stack.
         mon = ComplianceMonitor((0.0, 20.0))
         mon.observe(_batch(0.0, np.full((4, 3), 100.0)))
         before = self._state(mon)
@@ -295,6 +297,7 @@ class TestRefusedBatch:
             fleet_w=np.array([100.0, 1e-300, 100.0, 100.0]),
         )
         assert mon.samples_seen == 24
+        mon.flush()
         assert np.isfinite(mon._ratio_moments.std()).all()
 
     def test_step_back_within_tolerance_is_accepted(self):
@@ -321,6 +324,86 @@ class TestRefusedBatch:
                 with pytest.raises(ValueError):
                     faulted.observe(_batch(10.0, watts))
         assert self._state(faulted) == self._state(clean)
+
+
+class TestReadRightAfterObserve:
+    """Every read folds what ``observe`` left pending, so a read made
+    right after it sees the batch, whether the batch waits on the stack
+    (below :data:`PENDING_SAMPLES` readings) or is folded at once (at
+    it).  A first batch near 100 W and a second near 300 W make each
+    read tell the two apart."""
+
+    N_NODES = 8
+
+    def _observed(self, size: str):
+        rng = np.random.default_rng(11)
+        n_second = {
+            "below": 10,
+            "at": monitor_module.PENDING_SAMPLES // self.N_NODES,
+        }[size]
+        ids = np.arange(self.N_NODES)
+        common = rng.normal(0.0, 5.0, (5 + n_second, 1))
+        watts = common + rng.normal(0.0, 1.0, (5 + n_second, self.N_NODES))
+        watts[:5] += 100.0
+        watts[5:] += 300.0
+        times = np.arange(float(watts.shape[0]))
+        mon = ComplianceMonitor((0.0, times[-1] + 1.0), quantiles=(0.5, 0.9))
+        mon.observe(SampleBatch(times=times[:5], watts=watts[:5],
+                                node_ids=ids))
+        mon.flush()
+        mon.observe(SampleBatch(times=times[5:], watts=watts[5:],
+                                node_ids=ids))
+        # The path the batch took: stacked below the cap, folded at it.
+        assert (mon._pending is None) == (size == "at")
+        return mon, times, watts
+
+    @pytest.mark.parametrize("size", ["below", "at"])
+    def test_node_moments(self, size):
+        mon, _, watts = self._observed(size)
+        moments = mon.node_moments
+        assert moments.count == watts.shape[0]
+        np.testing.assert_allclose(moments.mean, watts.mean(axis=0))
+
+    @pytest.mark.parametrize("size", ["below", "at"])
+    def test_report(self, size):
+        mon, times, watts = self._observed(size)
+        rep = mon.report()
+        assert rep.samples_seen == watts.size
+        assert rep.t_now_s == times[-1]
+        # The rolling window holds the second batch's ticks.
+        held = times >= times[-1] - monitor_module.ROLLING_HORIZON_S
+        assert rep.rolling_span_s == times[-1] - times[held][0]
+        assert rep.rolling_mean_w == pytest.approx(
+            watts[held].mean(axis=1).mean()
+        )
+
+    @pytest.mark.parametrize("size", ["below", "at"])
+    def test_quantiles_w(self, size):
+        mon, _, watts = self._observed(size)
+        got = mon.quantiles_w()
+        for q in (0.5, 0.9):
+            want = np.quantile(watts, q)
+            assert abs(got[q] - want) <= 2 * QUANTILE_REL_ERROR * want
+
+    @pytest.mark.parametrize("size", ["below", "at"])
+    def test_correlation(self, size):
+        mon, _, watts = self._observed(size)
+        fleet = watts.mean(axis=1)
+        want = [
+            np.corrcoef(watts[:, j], fleet)[0, 1]
+            for j in range(self.N_NODES)
+        ]
+        np.testing.assert_allclose(mon.correlation(), want)
+
+    @pytest.mark.parametrize("size", ["below", "at"])
+    def test_pickle_round_trip(self, size):
+        mon, _, watts = self._observed(size)
+        loaded = pickle.loads(pickle.dumps(mon))
+        # The pickle carries the batch folded, not a pending stack.
+        assert loaded._pending is None
+        assert loaded._node_moments.count == watts.shape[0]
+        assert loaded._sketch.count == watts.size
+        assert loaded.report() == mon.report()
 
 
 class TestInsufficientData:
@@ -436,17 +519,17 @@ class TestRollingWindow:
     def test_stacked_fold_equals_the_model(
         self, steps, fleet, cuts, capacity, reads
     ):
-        # FleetFold.push leaves the window to the fold on read, so a
-        # report after batch i (for i in ``reads``) and one at the end
-        # cut a stack of the batches since the last read.
+        # observe leaves the window to the fold on read, so a report
+        # after batch i (for i in ``reads``) and one at the end cut a
+        # stack of the batches since the last read.
         times = 100.0 + np.cumsum(steps)
         fleet_w = np.array(fleet[: times.size])
         bounds = [0, *sorted(c for c in cuts if c < times.size), times.size]
-        fold = FleetFold((0.0, 1e4), required_interval_s=1.0)
+        fold = ComplianceMonitor((0.0, 1e4), required_interval_s=1.0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(monitor_module, "ROLLING_CAPACITY", capacity)
             for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                fold.push(
+                fold.observe(
                     SampleBatch(
                         times=times[a:b], watts=np.ones((b - a, 2)),
                         node_ids=np.arange(2),
@@ -458,7 +541,7 @@ class TestRollingWindow:
                         zip(times[:b].tolist(), fleet_w[:b].tolist()),
                         capacity,
                     )
-                    rep = fold.monitor.report()
+                    rep = fold.report()
                     assert rep.rolling_mean_w == np.array(held)[:, 1].mean()
                     assert rep.rolling_span_s == held[-1][0] - held[0][0]
 

@@ -1,13 +1,13 @@
-"""The fold under ``FleetFold.push`` keeps every bit.
+"""The fold under ``ComplianceMonitor.observe`` keeps every bit.
 
-``FleetFold.push`` validates a batch once and folds it on read: the
-pending batches are stacked and folded by the estimators' private
-folds in one pass.  Two references hold it to the bits of a fold batch
-by batch:
+``ComplianceMonitor.observe`` validates a batch once and folds it on
+read: the pending batches are stacked and folded by the estimators'
+private folds in one pass.  Two references hold it to the bits of a
+fold batch by batch:
 
-* the fold as a sequence of public calls — ``ComplianceMonitor.observe``,
-  then each estimator's ``push_batch`` — each of which validates on its
-  own;
+* ``reference_push``: the per-batch monitor update below, with every
+  estimator fed by its public ``push_batch``, each of which validates
+  on its own;
 * ``eager_push``, a test-local copy of the per-batch fold (check, then
   fold this batch alone, judging its excursions against the ratio
   moments before it, and take its worst interval and rolling window
@@ -19,9 +19,9 @@ and any rolling-window capacity, for shard-style column slices judged
 against a global fleet series, and for ticks whose fleet series is
 below the ratio floor.
 
-A last test checks that one ``FleetFold.push`` calls none of those
-public entry points and runs the monitor's one batch check exactly
-once, so a second validation cannot creep back.
+A last test checks that one ``observe`` calls none of the other public
+entry points and runs the monitor's one batch check exactly once, so a
+second validation cannot creep back.
 """
 
 import pickle
@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 
 from repro.stream import estimators
 from repro.stream import monitor as monitor_module
-from repro.stream import session as session_module
 from repro.stream.ingest import SampleBatch
 from repro.stream.monitor import (
     EXCURSION_RATIO_FLOOR,
@@ -43,15 +42,6 @@ from repro.stream.monitor import (
     ROLLING_HORIZON_S,
     ComplianceMonitor,
 )
-from repro.stream.session import FleetFold
-
-
-def reference_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
-    """The fold as public calls, in the order the fold runs them."""
-    fold.monitor.observe(batch, fleet_w=fleet_w)
-    fold.fleet_series.push_batch(fleet_w)
-    fold.sketch.push_batch(batch.watts)
-    fold.covar.push_batch(batch.watts, fleet_w)
 
 
 def _eager_ticks(monitor, times, fleet_w, span) -> None:
@@ -76,32 +66,58 @@ def _eager_ticks(monitor, times, fleet_w, span) -> None:
     monitor._rolling_t, monitor._rolling_w = rolling_t[cut:], rolling_w[cut:]
 
 
-def eager_push(fold: FleetFold, batch: SampleBatch, fleet_w) -> None:
-    """The per-batch fold: check the batch, then fold it alone, judging
-    its excursions against the ratio moments before it."""
-    monitor = fold.monitor
+def _eager_monitor(monitor: ComplianceMonitor, batch: SampleBatch, fleet_w):
+    """Check the batch, then fold its ticks and power ratios alone,
+    judging its excursions against the ratio moments before it.  Return
+    the checked fleet series and smallest reading, or ``None`` for a
+    batch without ticks."""
     fleet_w, lo = monitor._admit(batch, fleet_w)
     if batch.n_ticks == 0:
-        return
+        return None
     span = monitor._span
     monitor._advance(batch)
     _eager_ticks(monitor, batch.times, fleet_w, span)
-    w, moments = batch.watts, monitor.node_moments
     ratio = monitor._ratio_moments
-    d = moments._deviations(w)
-    fold.covar._fold(d, fleet_w, moments._shift)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ratios = w / fleet_w[:, None]
+        ratios = batch.watts / fleet_w[:, None]
     ratios[~(fleet_w >= FLEET_W_FLOOR)] = 1.0
     if ratio.count >= MIN_SAMPLES_FOR_FLAGS:
         sd = np.maximum(np.asarray(ratio.std()), EXCURSION_RATIO_FLOOR)
         dev = np.abs(ratios - np.asarray(ratio.mean)) / sd
         monitor._excursions += (dev > EXCURSION_Z).sum(axis=0)
-    moments._fold(w, d)
     ratio._fold(ratios, ratio._deviations(ratios), extremes=False)
-    fold.fleet_series._fold(fleet_w, fold.fleet_series._deviations(fleet_w))
+    return fleet_w, lo
+
+
+def reference_push(
+    fold: ComplianceMonitor, batch: SampleBatch, fleet_w
+) -> None:
+    """The per-batch monitor update, then each estimator's public
+    ``push_batch``, in the order the fold runs them."""
+    admitted = _eager_monitor(fold, batch, fleet_w)
+    if admitted is None:
+        return
+    fleet_w, _ = admitted
+    fold._covar.push_batch(batch.watts, fleet_w)
+    fold._node_moments.push_batch(batch.watts)
+    fold._fleet_series.push_batch(fleet_w)
+    fold._sketch.push_batch(batch.watts)
+
+
+def eager_push(fold: ComplianceMonitor, batch: SampleBatch, fleet_w) -> None:
+    """The per-batch fold: check the batch, then fold it alone, judging
+    its excursions against the ratio moments before it."""
+    admitted = _eager_monitor(fold, batch, fleet_w)
+    if admitted is None:
+        return
+    fleet_w, lo = admitted
+    w, moments = batch.watts, fold._node_moments
+    d = moments._deviations(w)
+    fold._covar._fold(d, fleet_w, moments._shift)
+    moments._fold(w, d)
+    fold._fleet_series._fold(fleet_w, fold._fleet_series._deviations(fleet_w))
     if w.size:
-        fold.sketch._fold(w, lo)
+        fold._sketch._fold(w, lo)
 
 
 def _fields(obj, path: str = "fold"):
@@ -175,8 +191,8 @@ def streams(draw):
 @given(streams())
 def test_trusted_fold_equals_the_public_calls(stream):
     times, watts, fleet, cuts, (lo, hi), shard, fresh_ids = stream
-    trusted = FleetFold((90.0, 200.0), required_interval_s=1.0)
-    public = FleetFold((90.0, 200.0), required_interval_s=1.0)
+    trusted = ComplianceMonitor((90.0, 200.0), required_interval_s=1.0)
+    public = ComplianceMonitor((90.0, 200.0), required_interval_s=1.0)
     ids = np.arange(lo, hi)
     bounds = [0, *cuts, times.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -185,17 +201,14 @@ def test_trusted_fold_equals_the_public_calls(stream):
             node_ids=ids.copy() if fresh_ids else ids,
         )
         fleet_w = batch.fleet_means() if shard == "whole" else fleet[a:b]
-        trusted.push(batch, fleet_w)
+        trusted.observe(batch, fleet_w)
         reference_push(public, batch, fleet_w)
         trusted.flush()
         assert _differing(trusted, public) == []
-    assert (
-        trusted.monitor.report().to_dict()
-        == public.monitor.report().to_dict()
-    )
+    assert trusted.report().to_dict() == public.report().to_dict()
     # The ratio moments keep no extremes, so none can be read stale.
     with pytest.raises(ValueError, match="extremes"):
-        trusted.monitor._ratio_moments.minimum
+        trusted._ratio_moments.minimum
 
 
 @st.composite
@@ -251,10 +264,12 @@ def read_streams(draw):
     return times, watts, fleet, cuts, reads, cap, rolling_cap
 
 
-def _read(fold: FleetFold, how: str) -> tuple[FleetFold, object]:
+def _read(
+    fold: ComplianceMonitor, how: str
+) -> tuple[ComplianceMonitor, object]:
     """Make one read; return the fold to go on with and what it read."""
     if how == "report":
-        return fold, fold.monitor.report().to_dict()
+        return fold, fold.report().to_dict()
     if how == "quantiles":
         return fold, fold.quantiles_w() if fold.sketch.count else None
     if how == "correlation":
@@ -263,9 +278,9 @@ def _read(fold: FleetFold, how: str) -> tuple[FleetFold, object]:
         except ValueError as exc:
             return fold, str(exc)
     if how == "concat":
-        if not fold.monitor.samples_seen:
+        if not fold.samples_seen:
             return fold, None
-        return fold, _differing(FleetFold.concat([fold]), fold)
+        return fold, _differing(ComplianceMonitor.merge_shards([fold]), fold)
     return pickle.loads(pickle.dumps(fold)), None
 
 
@@ -292,16 +307,16 @@ def _example(steps, cuts, reads, cap, rolling_cap):
 def test_fold_on_read_equals_the_eager_fold(stream):
     times, watts, fleet, cuts, reads, cap, rolling_cap = stream
     n_ticks, n_nodes = watts.shape
-    lazy = FleetFold((90.0, 200.0), required_interval_s=1.0)
-    eager = FleetFold((90.0, 200.0), required_interval_s=1.0)
+    lazy = ComplianceMonitor((90.0, 200.0), required_interval_s=1.0)
+    eager = ComplianceMonitor((90.0, 200.0), required_interval_s=1.0)
     ids = np.arange(n_nodes)
     bounds = [0, *cuts, n_ticks]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(session_module, "PENDING_SAMPLES", cap)
+        patch.setattr(monitor_module, "PENDING_SAMPLES", cap)
         patch.setattr(monitor_module, "ROLLING_CAPACITY", rolling_cap)
         for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            # The caller's own arrays, overwritten after every push as
-            # a slab ring overwrites its batches.
+            # The caller's own arrays, overwritten after every push,
+            # which no state may alias.
             batch = SampleBatch(
                 times=times[a:b].copy(), watts=watts[a:b].copy(),
                 node_ids=ids,
@@ -309,7 +324,7 @@ def test_fold_on_read_equals_the_eager_fold(stream):
             fleet_w = (
                 batch.fleet_means() if fleet is None else fleet[a:b].copy()
             )
-            lazy.push(batch, fleet_w)
+            lazy.observe(batch, fleet_w)
             eager_push(eager, batch, fleet_w)
             for arr in (batch.times, batch.watts, fleet_w):
                 arr.fill(np.nan)
@@ -320,11 +335,10 @@ def test_fold_on_read_equals_the_eager_fold(stream):
                 assert _differing(lazy, eager) == []
         lazy.flush()
     assert _differing(lazy, eager) == []
-    assert lazy.monitor.report() == eager.monitor.report()
+    assert lazy.report() == eager.report()
     # The tick state the fold takes on read is among the fields compared.
     assert {
-        "fold._monitor._rolling_t", "fold._monitor._rolling_w",
-        "fold._monitor._worst_interval_s",
+        "fold._rolling_t", "fold._rolling_w", "fold._worst_interval_s",
     } <= dict(_fields(lazy)).keys()
 
 
@@ -342,19 +356,19 @@ def _step_stream() -> tuple[np.ndarray, np.ndarray]:
 def test_batching_dependent_excursions_keep_their_bits(ticks, flags):
     times, watts = _step_stream()
     ids = np.arange(64)
-    lazy = FleetFold((0.0, 600.0), required_interval_s=1.0)
-    eager = FleetFold((0.0, 600.0), required_interval_s=1.0)
+    lazy = ComplianceMonitor((0.0, 600.0), required_interval_s=1.0)
+    eager = ComplianceMonitor((0.0, 600.0), required_interval_s=1.0)
     for a in range(0, 600, ticks):
         batch = SampleBatch(
             times=times[a:a + ticks], watts=watts[a:a + ticks], node_ids=ids
         )
-        lazy.push(batch, batch.fleet_means())
+        lazy.observe(batch, batch.fleet_means())
         eager_push(eager, batch, batch.fleet_means())
     lazy.flush()
     assert _differing(lazy, eager) == []
     assert {
         f.node_id: f.excursion_count
-        for f in lazy.monitor.report().excursion_nodes
+        for f in lazy.report().excursion_nodes
     } == ({3: flags} if flags else {})
 
 
@@ -362,16 +376,16 @@ def test_zero_node_batches_past_the_stack(monkeypatch):
     # A batch with no nodes carries no readings, so only its ticks can
     # fill the pending stack: one longer than the stack folds at once,
     # a short one waits on it.
-    monkeypatch.setattr(session_module, "PENDING_SAMPLES", 40)
-    lazy = FleetFold((0.0, 1e3), required_interval_s=1.0)
-    eager = FleetFold((0.0, 1e3), required_interval_s=1.0)
+    monkeypatch.setattr(monitor_module, "PENDING_SAMPLES", 40)
+    lazy = ComplianceMonitor((0.0, 1e3), required_interval_s=1.0)
+    eager = ComplianceMonitor((0.0, 1e3), required_interval_s=1.0)
     for a, b in ((0, 50), (50, 55), (55, 100)):
         batch = SampleBatch(
             times=np.arange(float(a), float(b)), watts=np.empty((b - a, 0)),
             node_ids=np.arange(0),
         )
         fleet_w = np.full(b - a, 250.0)
-        lazy.push(batch, fleet_w)
+        lazy.observe(batch, fleet_w)
         eager_push(eager, batch, fleet_w)
     lazy.flush()
     assert _differing(lazy, eager) == []
@@ -408,18 +422,16 @@ def test_push_validates_once(monkeypatch):
         monkeypatch.setattr(owner, name, counting(owner, name))
     rng = np.random.default_rng(7)
     ids = np.arange(8)
-    fold = FleetFold((0.0, 100.0), required_interval_s=1.0)
+    fold = ComplianceMonitor((0.0, 100.0), required_interval_s=1.0)
     for t0 in (0.0, 5.0):
         batch = SampleBatch(
             times=np.arange(t0, t0 + 5.0),
             watts=rng.uniform(200.0, 300.0, (5, 8)), node_ids=ids,
         )
-        fold.push(batch, batch.fleet_means())
-        assert calls == ["_admit"]
+        fold.observe(batch, batch.fleet_means())
+        # The wrappers see the entry itself, and inside it one check.
+        assert calls == ["observe", "_admit"]
         calls.clear()
     # The read folds both batches and checks nothing again.
-    assert fold.monitor.samples_seen == 80
+    assert fold.report().samples_seen == 80
     assert calls == []
-    # The wrappers do see the public route, which runs the same check.
-    ComplianceMonitor((0.0, 100.0)).observe(batch)
-    assert calls == ["observe", "_admit"]

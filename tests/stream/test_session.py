@@ -12,6 +12,7 @@ from repro.cluster.thermal import FanController
 from repro.cluster.variability import ManufacturingVariation
 from repro.core.confidence import finite_population_correction, t_quantile
 from repro.stream.ingest import SampleBatch, replay_run
+from repro.stream.monitor import ComplianceMonitor
 from repro.stream.session import LiveStreamState, stream_session
 from repro.stream.stopping import SequentialStopper
 from repro.traces.synth import simulate_run
@@ -112,17 +113,16 @@ class TestStreamSession:
 class TestFleetFoldRefusal:
     @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
     def test_refused_batch_leaves_fold_unchanged(self, small_run, bad):
-        from repro.stream.ingest import SampleBatch
-        from repro.stream.session import FleetFold
-
         batches = list(small_run.stream_run(ticks_per_batch=30))
-        fold = FleetFold(small_run.core_window, required_interval_s=1.0)
-        fold.push(batches[0], batches[0].fleet_means())
+        fold = ComplianceMonitor(
+            small_run.core_window, required_interval_s=1.0
+        )
+        fold.observe(batches[0], batches[0].fleet_means())
         before = (
-            fold.monitor.samples_seen,
+            fold.samples_seen,
             fold.sketch.count,
             fold.covar.count,
-            fold.monitor.report().to_dict(),
+            fold.report().to_dict(),
         )
         watts = batches[1].watts.copy()
         watts[3, 1] = bad
@@ -131,12 +131,12 @@ class TestFleetFoldRefusal:
             node_ids=batches[1].node_ids,
         )
         with pytest.raises(ValueError, match="finite and non-negative"):
-            fold.push(poisoned, batches[1].fleet_means())
+            fold.observe(poisoned, batches[1].fleet_means())
         after = (
-            fold.monitor.samples_seen,
+            fold.samples_seen,
             fold.sketch.count,
             fold.covar.count,
-            fold.monitor.report().to_dict(),
+            fold.report().to_dict(),
         )
         assert after == before
 
@@ -145,9 +145,6 @@ class TestFleetFoldRefusal:
         # A fleet series that is not one finite mean per tick is refused
         # before the monitor, the fleet series, the sketch or the
         # covariance moves, so the fold stays usable.
-        from repro.stream.ingest import SampleBatch
-        from repro.stream.session import FleetFold
-
         rng = np.random.default_rng(3)
         ids = np.arange(5)
 
@@ -158,9 +155,9 @@ class TestFleetFoldRefusal:
                 node_ids=ids,
             )
 
-        fold = FleetFold((0.0, 100.0), required_interval_s=1.0)
+        fold = ComplianceMonitor((0.0, 100.0), required_interval_s=1.0)
         first = batch(0.0)
-        fold.push(first, first.fleet_means())
+        fold.observe(first, first.fleet_means())
         nxt = batch(4.0)
         fleet_w = nxt.fleet_means()
         bad_w = {
@@ -172,10 +169,10 @@ class TestFleetFoldRefusal:
         }[bad]
         before = _state(fold)
         with pytest.raises(ValueError, match="fleet_w"):
-            fold.push(nxt, bad_w)
+            fold.observe(nxt, bad_w)
         assert _state(fold) == before
-        fold.push(nxt, fleet_w)
-        assert fold.monitor.samples_seen == 40
+        fold.observe(nxt, fleet_w)
+        assert fold.samples_seen == 40
         assert np.isfinite(fold.correlation()).all()
 
 
@@ -191,29 +188,27 @@ class TestFleetFoldRefusal:
         # Refused once, before any estimator moves: the monitor's
         # moments used to take the batch before the ring refused it,
         # which left the covariance's marginals out of step.
-        from repro.stream.session import FleetFold
-
         rng = np.random.default_rng(4)
         ids = np.arange(6)
-        fold = FleetFold((0.0, 100.0), required_interval_s=1.0)
+        fold = ComplianceMonitor((0.0, 100.0), required_interval_s=1.0)
         first = SampleBatch(
             times=np.arange(5.0), watts=rng.uniform(200.0, 300.0, (5, 6)),
             node_ids=ids,
         )
-        fold.push(first, first.fleet_means())
+        fold.observe(first, first.fleet_means())
         late = SampleBatch(
             times=times, watts=rng.uniform(200.0, 300.0, (5, 6)),
             node_ids=ids,
         )
         before = pickle.dumps(fold)
         with pytest.raises(ValueError, match="non-decreasing"):
-            fold.push(late, late.fleet_means())
+            fold.observe(late, late.fleet_means())
         assert pickle.dumps(fold) == before
         nxt = SampleBatch(
             times=np.arange(5.0, 10.0),
             watts=rng.uniform(200.0, 300.0, (5, 6)), node_ids=ids,
         )
-        fold.push(nxt, nxt.fleet_means())
+        fold.observe(nxt, nxt.fleet_means())
         assert np.isfinite(fold.correlation()).all()
 
     @pytest.mark.parametrize(
@@ -222,22 +217,20 @@ class TestFleetFoldRefusal:
     def test_zero_tick_batch_still_checks_its_fleet_series(self, bad_w):
         # An empty flush folds nothing, but a fleet series that is not
         # one mean per tick is refused before the early return.
-        from repro.stream.session import FleetFold
-
         ids = np.arange(4)
-        fold = FleetFold((0.0, 100.0), required_interval_s=1.0)
+        fold = ComplianceMonitor((0.0, 100.0), required_interval_s=1.0)
         first = SampleBatch(
             times=np.arange(3.0), watts=np.full((3, 4), 250.0), node_ids=ids
         )
-        fold.push(first, first.fleet_means())
+        fold.observe(first, first.fleet_means())
         empty = SampleBatch(
             times=np.empty(0), watts=np.empty((0, 4)), node_ids=ids
         )
         before = pickle.dumps(fold)
         with pytest.raises(ValueError, match="fleet_w"):
-            fold.push(empty, np.array(bad_w))
+            fold.observe(empty, np.array(bad_w))
         assert pickle.dumps(fold) == before
-        fold.push(empty, empty.fleet_means())
+        fold.observe(empty, empty.fleet_means())
         assert pickle.dumps(fold) == before
 
 
@@ -275,13 +268,11 @@ class TestTinyFleetMean:
 
     @staticmethod
     def _fold(fleet: np.ndarray, watts: np.ndarray, ticks: range, fold=None):
-        from repro.stream.session import FleetFold
-
         if fold is None:
-            fold = FleetFold((0.0, 200.0), required_interval_s=1.0)
+            fold = ComplianceMonitor((0.0, 200.0), required_interval_s=1.0)
         ids = np.arange(watts.shape[1])
         for k in ticks:
-            fold.push(
+            fold.observe(
                 SampleBatch(times=np.array([float(k)]),
                             watts=watts[k:k + 1], node_ids=ids),
                 fleet[k:k + 1],
@@ -303,24 +294,25 @@ class TestTinyFleetMean:
         before = pickle.dumps(fold)
         self._fold(fleet, watts, range(40, 41), fold)
         after = pickle.loads(pickle.dumps(fold))
-        ratio = after.monitor._ratio_moments
+        ratio = after._ratio_moments
         assert np.isfinite(ratio.std()).all()
-        assert not after.monitor._excursions.any()
+        assert not after._excursions.any()
         # The tiny tick left the ratio moments as a tick at the control
         # mean (every ratio 1) would have.
         plain = self._fold(control, watts, range(40, 41),
                            pickle.loads(before))
+        plain.flush()
         for name in ("_s1", "_s2"):
             assert getattr(ratio, name).tobytes() == getattr(
-                plain.monitor._ratio_moments, name
+                plain._ratio_moments, name
             ).tobytes()
         self._fold(fleet, watts, range(41, 120), after)
         self._fold(control, watts, range(41, 120), plain)
         flags = {f.node_id: f.excursion_count
-                 for f in after.monitor.report().excursion_nodes}
+                 for f in after.report().excursion_nodes}
         assert flags[1] > 0
         assert flags == {f.node_id: f.excursion_count
-                         for f in plain.monitor.report().excursion_nodes}
+                         for f in plain.report().excursion_nodes}
 
 
 class TestOneDecisionPerFoldState:
@@ -356,7 +348,7 @@ class TestOneDecisionPerFoldState:
         for batch in batches[: len(batches) // 3]:
             state.push(batch)
         got = state.verdict().stopping
-        running = np.asarray(state.fold.monitor.node_moments.mean)
+        running = np.asarray(state.fold.node_moments.mean)
         assert got == SequentialStopper(
             accuracy=0.05, population=population
         ).update_many(running)

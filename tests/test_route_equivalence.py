@@ -278,20 +278,20 @@ def test_every_route_folds_the_same_bits(
     fleet = reduce_states(
         data.draw(st.permutations(states), label="arrival order"), plan
     )
-    assert fleet.fold.sketch.count == fleet.samples_ingested
+    assert fleet.sketch.count == fleet.samples_seen
     views["run_shard"] = _fold_view(
         fleet.node_moments,
-        quantiles_w=fleet.fold.quantiles_w(),
-        correlation=float(np.mean(fleet.fold.correlation())),
+        quantiles_w=fleet.quantiles_w(),
+        correlation=float(np.mean(fleet.correlation())),
         stopping=SequentialStopper.decide(fleet.node_moments.mean, **rule),
         rule=rule,
-        quality=unrepaired_label(fleet.node_moments, fleet.samples_ingested),
-        samples=fleet.samples_ingested,
+        quality=unrepaired_label(fleet.node_moments, fleet.samples_seen),
+        samples=fleet.samples_seen,
     )
     folds["run_shard"] = (
-        fleet.node_moments.pooled(), fleet.fold.quantiles_w()
+        fleet.node_moments.pooled(), fleet.quantiles_w()
     )
-    monitors["run_shard"] = (ticks, fleet.fold.monitor.report().to_dict())
+    monitors["run_shard"] = (ticks, fleet.report().to_dict())
 
     # -- sharded_session at an arbitrary shard count -----------------------
     ticks = batching("sharded_session ticks")
