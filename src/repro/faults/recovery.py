@@ -450,40 +450,58 @@ class RecoveryPipeline:
         self._usable_per_node = np.zeros(n, dtype=np.int64)
 
     def observe(self, batch: SampleBatch) -> None:
-        """Fold one (possibly faulty) batch into the pipeline."""
+        """Fold one (possibly faulty) batch into the pipeline.
+
+        Two whole-batch paths skip the per-tick loop, each bit-identical
+        to it: a batch :meth:`_is_clean` accepts, and a batch with no
+        finite reading at all (the gap batch a
+        :class:`~repro.wire.session.WireReader` emits for a lost frame),
+        which :meth:`_observe_missing` folds.  Any other batch goes
+        through :meth:`_observe_row` tick by tick.
+        """
         if self._nodes is None:
             self._start(batch)
         elif not np.array_equal(batch.node_ids, self._node_ids):
             raise ValueError("batch node_ids changed mid-stream")
         watts = np.asarray(batch.watts, dtype=float)
+        if watts.shape[0] == 0:
+            return
         if self._is_clean(watts):
             self._observe_clean(watts)
-            return
-        for row in watts:
-            self._observe_row(row)
+        elif not np.isfinite(watts).any():
+            self._observe_missing(watts)
+        else:
+            for row in watts:
+                self._observe_row(row)
 
     def _is_clean(self, watts: np.ndarray) -> bool:
         """Whether every cell of a non-empty batch is plainly usable.
 
-        True when every reading is finite, none exactly repeats the
-        node's previous reading, none is a :data:`SPIKE_RATIO` jump past
-        the previous reading, no node is quarantined and no
-        interpolation gap is open.  Each row's references are then the
-        row before it (or the node's last reading), because every
-        earlier row is usable too.  Any exact repeat falls back to the
-        per-tick loop, whatever ``stuck_min_repeats`` is: below the
-        threshold a repeat is usable but must still advance the node's
-        repeat run, which only the loop tracks.
+        True when every reading is finite, none is a :data:`SPIKE_RATIO`
+        jump past the previous reading, none can be stuck, no node is
+        quarantined and no interpolation gap is open.  Each row's
+        references are then the row before it (or the node's last
+        reading), because every earlier row is usable too.  No reading
+        can be stuck when none exactly repeats the node's previous one,
+        or when no node's repeat run can reach ``stuck_min_repeats``
+        within the batch, so every repeat stays usable.  A batch with no
+        finite reading is not clean either; :meth:`observe` then folds
+        it whole through :meth:`_observe_missing`.
         """
         nodes = self._nodes
-        if watts.shape[0] == 0 or nodes.quarantined.any():
+        if nodes.quarantined.any():
             return False
         if self.gap_policy == "interpolate" and nodes.gap_len.any():
             return False
         if not np.isfinite(watts).all():
             return False
         first, rest, prev = watts[0], watts[1:], watts[:-1]
-        if (first == nodes.last_raw).any() or (rest == prev).any():
+        can_stick = (
+            nodes.repeat_run.max() + watts.shape[0] >= self.stuck_min_repeats
+        )
+        if can_stick and (
+            (first == nodes.last_raw).any() or (rest == prev).any()
+        ):
             return False
         # NaN references (no reading yet) compare False, quietly.
         return not (
@@ -497,16 +515,68 @@ class RecoveryPipeline:
         Bit-identical to the per-tick loop: nothing is missing, stuck,
         spiked, repaired or quarantined, so every cell is valid, and one
         all-valid :meth:`MaskedRunningMoments.push_batch` adds the rows
-        in the order the loop's row pushes would.
+        in the order the loop's row pushes would.  A node's repeat run
+        ends as the loop leaves it: its trailing streak of exact
+        repeats, on top of the run before the batch if every row
+        repeats.
         """
         n_ticks = watts.shape[0]
         self._moments.push_batch(watts, np.ones(watts.shape, dtype=bool))
         nodes = self._nodes
-        nodes.repeat_run[:] = 0
+        repeats = np.empty(watts.shape, dtype=bool)
+        np.equal(watts[0], nodes.last_raw, out=repeats[0])
+        np.equal(watts[1:], watts[:-1], out=repeats[1:])
+        if repeats.any():
+            moved = ~repeats[::-1]
+            nodes.repeat_run = np.where(
+                moved.any(axis=0),
+                moved.argmax(axis=0),
+                nodes.repeat_run + n_ticks,
+            )
+        else:
+            nodes.repeat_run[:] = 0
         nodes.missing_run[:] = 0
         self._usable_per_node += n_ticks
         nodes.last_good = watts[-1].copy()
         nodes.last_raw = watts[-1].copy()
+        self.ticks_seen += n_ticks
+
+    def _observe_missing(self, watts: np.ndarray) -> None:
+        """Fold a non-empty batch with no finite reading, all rows at once.
+
+        Bit-identical to the per-tick loop.  No cell is usable, so no
+        reading, repeat or trusted value moves, and row ``t`` (1-based)
+        only extends each node's outage run to ``missing_run + t``.  A
+        node is quarantined from the row where that run reaches
+        ``quarantine_after`` (or throughout, if it already was); every
+        other cell of a node with a trusted reading is repaired, and the
+        rest are excluded.  Under ``hold`` the repaired cells are the
+        node's last trusted reading, folded as one masked
+        :meth:`MaskedRunningMoments.push_batch`, which adds them in the
+        order the loop's row pushes would; under ``interpolate`` they
+        lengthen the node's open gap.
+        """
+        nodes = self._nodes
+        n_ticks = watts.shape[0]
+        runs = nodes.missing_run + np.arange(1, n_ticks + 1)[:, None]
+        quarantined = nodes.quarantined | (runs >= self.quarantine_after)
+        if self.gap_policy == "exclude":
+            repaired = np.zeros_like(quarantined)
+        else:
+            repaired = ~quarantined & np.isfinite(nodes.last_good)
+        n_repaired = int(np.count_nonzero(repaired))
+        self.samples_missing += watts.size
+        self.samples_excluded += watts.size - n_repaired
+        if self.gap_policy == "hold" and n_repaired:
+            self.samples_held += n_repaired
+            self._moments.push_batch(
+                np.broadcast_to(nodes.last_good, watts.shape), repaired
+            )
+        elif self.gap_policy == "interpolate":
+            nodes.gap_len += repaired.sum(axis=0)
+        nodes.repeat_run[:] = 0
+        nodes.missing_run = runs[-1].copy()
+        nodes.quarantined |= quarantined[-1]
         self.ticks_seen += n_ticks
 
     def _observe_row(self, row: np.ndarray) -> None:

@@ -16,7 +16,11 @@ provenance.  Four base codecs, behind a registry/factory:
     is at most half a milliwatt and re-encoding the decoded matrix is
     bit-identical.  Both directions are vectorised (one numpy pass per
     varint byte position), which is what carries the ≥10 M samples/s
-    benchmark floor.
+    benchmark floor: the decoder gathers byte slot ``k`` of every
+    varint at ``start + k``, the starts read off the terminal bytes.
+    It refuses a 10-byte varint that carries more than bit 63 (a
+    value that would wrap past 2⁶⁴ − 1) like any other malformed
+    payload.
 ``quant8`` / ``quant12`` (ids 3 / 4)
     Lossy truncating codecs: per-frame affine quantisation to 8- or
     12-bit codes between the frame's min and max.  The per-sample
@@ -188,36 +192,54 @@ def _varint_encode(values: np.ndarray) -> bytes:
 
 
 def _varint_decode(data: np.ndarray, n_values: int) -> np.ndarray:
-    """Decode exactly ``n_values`` LEB128 varints; strict on layout."""
+    """Decode exactly ``n_values`` LEB128 varints; strict on layout.
+
+    Refuses a payload whose terminal bytes do not count ``n_values``,
+    one with bytes after the last varint, a varint longer than 10 bytes
+    and a 10-byte varint whose last byte carries more than bit 63.
+
+    Strategy: the terminal bytes (high bit clear) end the varints, so
+    the byte after each end starts the next.  Byte slot ``k`` of every
+    varint is then one gather at ``starts + k``, ORed in as is for the
+    slots every varint has.  Beyond the shortest varint the gather
+    runs over every value too (clipped at the payload's end) and the
+    values too short to reach slot ``k`` get zero: a gather plus a
+    zeroing costs a third of a scatter into just the longer values.
+    No per-value Python work and no ``(n, width)`` scratch matrix.
+    """
     if n_values == 0:
         if data.size:
             raise ValueError("varint payload has trailing bytes")
         return np.zeros(0, dtype=np.uint64)
-    terminal = (data & 0x80) == 0
-    ends = np.flatnonzero(terminal)
+    ends = np.flatnonzero(data < 0x80)
     if ends.size != n_values:
         raise ValueError(
             f"varint payload holds {ends.size} values, expected {n_values}"
         )
     if ends[-1] != data.size - 1:
         raise ValueError("varint payload has trailing bytes")
-    starts = np.empty(n_values, dtype=np.int64)
+    starts = np.empty(n_values, dtype=np.intp)
     starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    width = int(lengths.max())
+    np.add(ends[:-1], 1, out=starts[1:])
+    extra = ends - starts  # bytes past each varint's first
+    width = int(extra.max()) + 1
     if width > _MAX_VARINT_LEN:
         raise ValueError("varint longer than 10 bytes")
-    # Inverse of the encoder's compaction: scatter the byte stream back
-    # into a fixed-width (n, width) matrix in one boolean assignment,
-    # then fold the byte columns together — no per-value index math.
-    septets = np.zeros((n_values, width), dtype=np.uint8)
-    keep = np.arange(width, dtype=np.int64)[None, :] < lengths[:, None]
-    septets[keep] = data
-    values = (septets[:, 0] & 0x7F).astype(np.uint64)
-    for k in range(1, width):
-        column = (septets[:, k] & 0x7F).astype(np.uint64)
-        values |= np.left_shift(column, np.uint64(7 * k))
+    if width == _MAX_VARINT_LEN and (
+        data[ends[extra == _MAX_VARINT_LEN - 1]] > 0x01
+    ).any():
+        # The 10th byte holds bit 63 only; anything more would wrap.
+        raise ValueError("varint overflows 64 bits")
+    septets = (data & 0x7F).astype(np.uint64)
+    values = septets[starts]
+    shortest = int(extra.min()) + 1
+    for k in range(1, shortest):
+        values |= septets[starts + k] << np.uint64(7 * k)
+    for k in range(shortest, width):
+        slot = septets.take(starts + k, mode="clip")
+        slot[extra < k] = 0
+        slot <<= np.uint64(7 * k)
+        values |= slot
     return values
 
 

@@ -143,7 +143,9 @@ def encode_frame(
     return header + payload + struct.pack("<I", crc)
 
 
-def _parse_header(buf: bytes, pos: int) -> tuple[FrameHeader | None, str]:
+def _parse_header(
+    buf: bytes | bytearray, pos: int
+) -> tuple[FrameHeader | None, str]:
     """Try to read a header at ``pos``; returns ``(header, reason)``.
 
     ``header is None`` with an empty reason means "not enough bytes
@@ -240,7 +242,7 @@ class FrameParser:
             # Leftover bytes start with MAGIC (otherwise _scan would
             # have discarded them as garbage) but never completed.
             self.truncated_frames += 1
-            header, _ = _parse_header(bytes(self._buf), 0)
+            header, _ = _parse_header(self._buf, 0)
             events.append(
                 FrameEvent(
                     kind="corrupt",
@@ -275,7 +277,7 @@ class FrameParser:
             if idx > 0:
                 self.garbage_bytes += idx
                 self._discard(idx)
-            header, reason = _parse_header(bytes(self._buf), 0)
+            header, reason = _parse_header(self._buf, 0)
             if header is None and not reason:
                 return events  # need more bytes for the header
             if header is None:
@@ -293,11 +295,15 @@ class FrameParser:
             frame_len = HEADER_LEN + header.payload_len + TRAILER_LEN
             if len(self._buf) < frame_len:
                 return events  # need more bytes for payload + CRC
-            stored = struct.unpack_from(
-                "<I", self._buf, HEADER_LEN + header.payload_len
-            )[0]
-            body = bytes(self._buf[: HEADER_LEN + header.payload_len])
-            if zlib.crc32(body) & 0xFFFFFFFF != stored:
+            body_len = HEADER_LEN + header.payload_len
+            stored = struct.unpack_from("<I", self._buf, body_len)[0]
+            # CRC and payload read the buffer in place; only the payload
+            # of a good frame is copied out.  The view is released
+            # before the buffer is trimmed.
+            with memoryview(self._buf) as view:
+                good = zlib.crc32(view[:body_len]) & 0xFFFFFFFF == stored
+                payload = bytes(view[HEADER_LEN:body_len]) if good else b""
+            if not good:
                 self.crc_failures += 1
                 events.append(
                     FrameEvent(
@@ -310,7 +316,6 @@ class FrameParser:
                 # Trust the declared extent: skip the whole frame.
                 self._discard(frame_len)
                 continue
-            payload = body[HEADER_LEN:]
             self.frames_ok += 1
             events.append(
                 FrameEvent(kind="ok", header=header, payload=payload)

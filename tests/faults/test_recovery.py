@@ -384,6 +384,41 @@ class TestCleanBatchPath:
             expected_ticks=80
         )
 
+    @pytest.mark.parametrize("per", [1, 3, 4, 7, 80])
+    def test_repeats_below_the_stuck_threshold_stay_clean(
+        self, monkeypatch, per
+    ):
+        rows = 100.0 + np.arange(40)[:, None] * [0.1, 0.2, 0.3]
+        rows[10:16, 0] = rows[9, 0]    # a streak across batch edges
+        rows[20, 1] = rows[19, 1]
+        rows[28:40, 2] = rows[27, 2]   # still repeating at the end
+        kwargs = dict(stuck_min_repeats=50)
+        calls = []
+        original = RecoveryPipeline._observe_row
+        monkeypatch.setattr(
+            RecoveryPipeline, "_observe_row",
+            lambda self, row: calls.append(1) or original(self, row),
+        )
+        fast = _feed(RecoveryPipeline(**kwargs), rows, per=per)
+        assert calls == []
+        assert fast._nodes.repeat_run.tolist() == [0, 0, 12]
+        monkeypatch.setattr(
+            RecoveryPipeline, "_is_clean", lambda self, watts: False
+        )
+        slow = _feed(RecoveryPipeline(**kwargs), rows, per=per)
+        assert _pipeline_bits(fast) == _pipeline_bits(slow)
+        assert fast.finalize(expected_ticks=40) == slow.finalize(
+            expected_ticks=40
+        )
+
+    def test_a_repeat_that_can_reach_the_threshold_falls_back(self):
+        rows = 100.0 + np.arange(16)[:, None] * [0.1, 0.2]
+        rows[5:9, 0] = rows[4, 0]  # a run of 3 entering the batch
+        pipe = _feed(RecoveryPipeline(stuck_min_repeats=6), rows[:8], 8)
+        assert pipe._nodes.repeat_run.tolist() == [3, 0]
+        assert pipe._is_clean(rows[8:10])          # 3 + 2 < 6
+        assert not pipe._is_clean(rows[8:11])      # 3 + 3 may stick
+
     def test_clean_batches_take_the_batch_path(self, monkeypatch):
         calls = []
         original = RecoveryPipeline._observe_row
@@ -431,12 +466,22 @@ class TestCleanBatchPath:
         assert held._is_clean(rows[8:])
 
 
-class _CellByCellOracle(RecoveryPipeline):
+class _PerTickLoop(RecoveryPipeline):
+    """The reference for the all-missing path: such a batch goes through
+    the per-tick loop like any other faulty batch."""
+
+    def _observe_missing(self, watts) -> None:
+        for row in watts:
+            self._observe_row(row)
+
+
+class _CellByCellOracle(_PerTickLoop):
     """The general path as it was written cell by cell: one Python call
     per unusable cell and one one-hot row push per interpolation fill.
 
     Kept as the scalar reference the vectorised repair must match bit
-    for bit; the clean-batch path is inherited unchanged.
+    for bit; the clean-batch path is inherited unchanged, and a batch
+    with no finite reading goes through the cell-by-cell rows too.
     """
 
     def _push_value(self, component: int, value: float) -> None:
@@ -597,3 +642,120 @@ class TestRepairMatchesTheCellByCellOracle:
         assert report.samples_repaired == (
             report.samples_missing + report.samples_flagged
         )
+
+
+def _gap_case(name: str) -> tuple[np.ndarray, list[int], int]:
+    """``(rows, cuts, quarantine_after)`` where a cut-out batch has no
+    finite reading."""
+    t = np.arange(30)[:, None]
+    rows = 100.0 + 3.0 * np.arange(3)[None, :] + 0.011 * t + 0.0007 * t**2
+    if name == "quarantine-mid-batch":
+        # Node 1's outage opens before the gap batch, so it reaches the
+        # threshold two rows in; the other nodes reach it at row six.
+        rows[8:20] = np.nan
+        rows[8:12, [0, 2]] = rows[7, [0, 2]] + 0.5 * np.arange(1, 5)[:, None]
+        return rows, [12, 20], 6
+    if name == "no-trusted-reading":
+        rows[:12, 2] = np.nan
+        rows[5:10] = np.nan
+        return rows, [5, 10], 20
+    if name == "after-open-gap":
+        rows[6:12, 0] = np.nan  # open when the gap batch arrives
+        rows[8:12] = np.nan
+        return rows, [8, 12], 30
+    if name == "first-batch":
+        rows[:4] = np.nan
+        return rows, [4, 9], 30
+    if name == "tail":
+        rows[22:] = np.nan
+        rows[22:, 1] = np.inf  # not finite, so missing all the same
+        return rows, [22], 5
+    if name == "one-node":
+        rows = rows[:, :1].copy()
+        rows[10:17] = np.nan
+        return rows, [10, 17], 4
+    raise AssertionError(name)
+
+
+_GAP_CASES = (
+    "quarantine-mid-batch", "no-trusted-reading", "after-open-gap",
+    "first-batch", "tail", "one-node",
+)
+
+
+class TestMissingBatchPath:
+    """A batch with no finite reading folds at once, bit-identically to
+    the per-tick loop."""
+
+    @pytest.mark.parametrize("policy", GAP_POLICIES)
+    @pytest.mark.parametrize("case", _GAP_CASES)
+    def test_matches_the_per_tick_loop(self, policy, case):
+        rows, cuts, quarantine_after = _gap_case(case)
+        kwargs = dict(gap_policy=policy, quarantine_after=quarantine_after)
+        fast = _feed_at(RecoveryPipeline(**kwargs), rows, cuts)
+        loop = _feed_at(_PerTickLoop(**kwargs), rows, cuts)
+        assert _pipeline_bits(fast) == _pipeline_bits(loop)
+        report = fast.finalize(expected_ticks=rows.shape[0] + 2)
+        assert report == loop.finalize(expected_ticks=rows.shape[0] + 2)
+        assert _pipeline_bits(fast) == _pipeline_bits(loop)
+
+    def test_the_cases_hold_what_they_name(self):
+        def before_gap(case, policy="hold"):
+            rows, cuts, quarantine_after = _gap_case(case)
+            gap = rows[cuts[0]: (cuts[1:] or [None])[0]]
+            assert not np.isfinite(gap).any()
+            pipe = RecoveryPipeline(
+                gap_policy=policy, quarantine_after=quarantine_after
+            )
+            return _feed_at(pipe, rows[: cuts[0]], []), gap.shape[0]
+
+        pipe, n_gap = before_gap("quarantine-mid-batch")
+        runs = pipe._nodes.missing_run + np.arange(1, n_gap + 1)[:, None]
+        assert not (runs[0] >= pipe.quarantine_after).any()
+        assert (runs[-1] >= pipe.quarantine_after).all()
+        pipe, _ = before_gap("no-trusted-reading")
+        assert np.isnan(pipe._nodes.last_good[2])
+        pipe, _ = before_gap("after-open-gap", "interpolate")
+        assert pipe._nodes.gap_len[0] == 2
+        pipe, n_gap = before_gap("tail")
+        assert (pipe._nodes.missing_run + n_gap >= pipe.quarantine_after).all()
+        assert not np.isfinite(_gap_case("first-batch")[0][:4]).any()
+        assert _gap_case("one-node")[0].shape[1] == 1
+
+    def test_an_all_missing_batch_skips_the_loop(self, monkeypatch):
+        rows, cuts, quarantine_after = _gap_case("quarantine-mid-batch")
+        pipe = _feed_at(
+            RecoveryPipeline(quarantine_after=quarantine_after),
+            rows[:12], [],
+        )
+        calls = []
+        monkeypatch.setattr(
+            RecoveryPipeline, "_observe_row",
+            lambda self, row: calls.append(1),
+        )
+        pipe.observe(
+            SampleBatch(
+                times=np.arange(12, 20) * 2.0,
+                watts=rows[12:20],
+                node_ids=np.arange(3, dtype=np.int64),
+            )
+        )
+        assert calls == []
+        assert pipe.ticks_seen == 20
+        assert pipe._nodes.quarantined.all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_degraded_streams(), st.data())
+    def test_blanked_batches_match_the_loop(self, case, data):
+        rows, kwargs, cuts = case
+        rows = rows.copy()
+        edges = [0, *cuts, rows.shape[0]]
+        for lo, hi in zip(edges, edges[1:]):
+            if data.draw(st.booleans()):
+                rows[lo:hi] = np.nan
+        fast = _feed_at(RecoveryPipeline(**kwargs), rows, cuts)
+        loop = _feed_at(_PerTickLoop(**kwargs), rows, cuts)
+        assert _pipeline_bits(fast) == _pipeline_bits(loop)
+        report = fast.finalize(expected_ticks=rows.shape[0])
+        assert report == loop.finalize(expected_ticks=rows.shape[0])
+        assert _pipeline_bits(fast) == _pipeline_bits(loop)

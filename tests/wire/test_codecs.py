@@ -9,11 +9,13 @@ from repro.units import MILLIWATTS_PER_WATT
 from repro.wire.codecs import (
     CODEC_NAMES,
     ZlibCodec,
+    _varint_decode,
     available_codecs,
     codec_for_frame,
     make_codec,
 )
-from repro.wire.framing import FLAG_ZLIB
+from repro.wire.framing import FLAG_ZLIB, encode_frame
+from repro.wire.session import WireReader
 
 
 @pytest.fixture()
@@ -145,6 +147,31 @@ class TestDecodeValidation:
             # A dangling continuation byte: value count still matches,
             # but the stream doesn't end on the last value.
             codec.decode(payload + b"\x80", 2, 2)
+
+    @pytest.mark.parametrize(
+        "varint", [b"\x80" * 9 + b"\x02", b"\xff" * 9 + b"\x7f"]
+    )
+    def test_varint_overflowing_64_bits_is_rejected(self, varint):
+        # The 10th byte of a uint64 varint holds bit 63 alone; these
+        # used to wrap silently to 0 and 2**64 - 1.
+        with pytest.raises(ValueError, match="overflows 64 bits"):
+            make_codec("delta-varint").decode(varint, 1, 1)
+
+    def test_varint_reaching_bit_63_still_decodes(self):
+        top = np.frombuffer(b"\xff" * 9 + b"\x01", dtype=np.uint8)
+        assert _varint_decode(top, 1).tolist() == [2**64 - 1]
+
+    def test_reader_books_an_overflowing_frame_as_undecodable(self):
+        reader = WireReader(dt_s=1.0)
+        payload = np.zeros(1, dtype="<f8").tobytes() + b"\x80" * 9 + b"\x02"
+        data = encode_frame(
+            codec_id=make_codec("delta-varint").codec_id, flags=0, seq=0,
+            node_lo=0, n_nodes=1, n_ticks=1, tick=0, payload=payload,
+        )
+        (gap,) = reader.feed(data) + reader.close()
+        assert np.isnan(gap.watts).all()  # the frame's rows, as a gap
+        assert reader.frames_undecodable == 1
+        assert reader.frames_ok == 0
 
     def test_quant_header_must_be_finite(self):
         codec = make_codec("quant8")

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.wire.framing import (
     HEADER_LEN,
@@ -160,3 +163,70 @@ class TestParserCorruption:
         with pytest.raises(ValueError, match="closed"):
             parser.feed(b"x")
         assert parser.close() == []  # idempotent
+
+
+def _counters(parser: FrameParser) -> tuple[int, ...]:
+    return (
+        parser.frames_ok, parser.crc_failures, parser.header_rejects,
+        parser.truncated_frames, parser.garbage_bytes, parser.bytes_fed,
+        parser.buffered,
+    )
+
+
+class TestChunkingDoesNotChangeParsing:
+    """Events and counters depend on the bytes, not on how they were cut."""
+
+    @staticmethod
+    def _stream() -> tuple[bytes, list[int]]:
+        """Leading garbage, good frames, a CRC failure, a bad version,
+        garbage between frames and a truncated tail; returns the bytes
+        and the frame boundaries."""
+        crc_bad = bytearray(frame(seq=2, payload=MAGIC + b"q" * 37))
+        crc_bad[HEADER_LEN + 9] ^= 0x40
+        bad_version = bytearray(frame(seq=4))
+        bad_version[4] = 7
+        pieces = [
+            b"\x00junk" + MAGIC[:3],
+            frame(seq=0, payload=b"a" * 17),
+            frame(seq=1, payload=bytes(range(200))),
+            bytes(crc_bad),
+            frame(seq=3),
+            bytes(bad_version),
+            b"zz",
+            *(frame(seq=5 + i, payload=bytes([i]) * (3 * i)) for i in range(8)),
+            frame(seq=13, payload=b"t" * 25)[:-6],
+        ]
+        edges = np.cumsum([0] + [len(p) for p in pieces]).tolist()
+        return b"".join(pieces), edges
+
+    def _parse(self, data: bytes, cuts: list[int]):
+        parser = FrameParser()
+        events = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            events += parser.feed(data[lo:hi])
+        before_close = _counters(parser)
+        events += parser.close()
+        return events, before_close, _counters(parser)
+
+    def test_one_chunk_per_frame_and_byte_by_byte_agree(self):
+        data, edges = self._stream()
+        whole = self._parse(data, [0, len(data)])
+        events = whole[0]
+        assert [e.header.seq for e in events if e.ok] == [
+            0, 1, 3, *range(5, 13)
+        ]
+        # The garbage's "RPW" and the next frame's "R" make a false
+        # magic, whose version byte is "P" (80).
+        assert [e.reason for e in events if not e.ok] == [
+            "unsupported version 80", "crc mismatch",
+            "unsupported version 7", "truncated at end of stream",
+        ]
+        assert self._parse(data, edges) == whole
+        assert self._parse(data, list(range(len(data) + 1))) == whole
+
+    @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=40))
+    @settings(max_examples=60)
+    def test_any_split_agrees(self, cut_points):
+        data, _ = self._stream()
+        cuts = sorted({0, len(data), *(c % len(data) for c in cut_points)})
+        assert self._parse(data, cuts) == self._parse(data, [0, len(data)])

@@ -12,13 +12,19 @@ Three contracts the ISSUE pins down:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.stream.ingest import SampleBatch
 from repro.units import MILLIWATTS_PER_WATT
-from repro.wire.codecs import CODEC_NAMES, make_codec
+from repro.wire.codecs import (
+    CODEC_NAMES,
+    _varint_decode,
+    _varint_encode,
+    make_codec,
+)
 from repro.wire.framing import FrameParser, encode_frame
 from repro.wire.session import WireReader, WireWriter
 
@@ -72,6 +78,70 @@ class TestCodecProperties:
         b, bound_b = make_codec(spec).encode(watts)
         assert a == b
         assert bound_a == bound_b
+
+
+def _leb128_reference(data: bytes) -> list[int]:
+    """Plain-Python LEB128: seven bits a byte, low group first."""
+    values, value, shift = [], 0, 0
+    for byte in data:
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            values.append(value)
+            value, shift = 0, 0
+    assert shift == 0, "dangling continuation byte"
+    return values
+
+
+#: A uint64 whose varint is exactly ``n`` bytes long, for n in 1..10.
+def _of_varint_length(n: int):
+    lo = 0 if n == 1 else 1 << (7 * (n - 1))
+    hi = min((1 << (7 * n)) - 1, 2**64 - 1)
+    return st.integers(min_value=lo, max_value=hi)
+
+
+uint64_vectors = st.lists(
+    st.one_of(
+        st.integers(1, 10).flatmap(_of_varint_length),
+        st.sampled_from([0, 127, 128, 2**63 - 1, 2**63, 2**64 - 1]),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+class TestVarintDecoder:
+    """The byte-slot gather decoder agrees with a plain LEB128 loop."""
+
+    @given(uint64_vectors, st.integers(0, 9))
+    def test_matches_the_reference_loop(self, values, floor):
+        # ``floor`` lifts every value to at least ``floor + 1`` bytes,
+        # so the shortest varint of a frame is not always one byte.
+        if floor:
+            values = [max(v, 1 << (7 * floor)) for v in values]
+        vector = np.array(values, dtype=np.uint64)
+        data = _varint_encode(vector)
+        assert _leb128_reference(data) == values
+        decoded = _varint_decode(np.frombuffer(data, np.uint8), len(values))
+        assert decoded.dtype == np.uint64
+        assert decoded.tolist() == values
+
+    @given(uint64_vectors, st.integers(min_value=1, max_value=3))
+    def test_value_count_mismatch_is_refused(self, values, off):
+        data = np.frombuffer(
+            _varint_encode(np.array(values, dtype=np.uint64)), np.uint8
+        )
+        for n_values in (len(values) + off, max(len(values) - off, 1)):
+            if n_values != len(values):
+                with pytest.raises(ValueError, match="expected"):
+                    _varint_decode(data, n_values)
+
+    @given(uint64_vectors, st.integers(min_value=0, max_value=0x7F))
+    def test_an_eleven_byte_varint_is_refused(self, values, last):
+        data = _varint_encode(np.array(values, dtype=np.uint64))
+        data += b"\x80" * 10 + bytes([last])
+        with pytest.raises(ValueError, match="longer than 10 bytes"):
+            _varint_decode(np.frombuffer(data, np.uint8), len(values) + 1)
 
 
 class TestParserNeverCrashes:
