@@ -58,10 +58,12 @@ python -m repro.cli wire --system l-csc --max-nodes 12 \
     --core-seconds 600 --codecs delta-varint,quant8 \
     --drop 0 0.1 --corrupt 0.1
 
-echo "== shard smoke (inline vs fork pool, one-tick core phase)"
+echo "== shard smoke (inline vs fork pool vs stream, one-tick core phase)"
 # The same sharded session inline and over a two-worker fork pool must
-# print byte-identical JSON; a core phase of a single tick has no
-# correlation and must still summarise (NaN), not crash.
+# print byte-identical JSON, and the stream route over the same run and
+# batching the same result outside each route's declared provenance,
+# the per-batch monitor and the snapshots; a core phase of a single
+# tick has no correlation and must still summarise (NaN), not crash.
 shard_dir=$(mktemp -d)
 trap 'rm -rf "$shard_dir"' EXIT
 for procs in 0 2; do
@@ -70,6 +72,21 @@ for procs in 0 2; do
         > "$shard_dir/processes-$procs.json"
 done
 cmp "$shard_dir/processes-0.json" "$shard_dir/processes-2.json"
+python -m repro.cli stream --system calcul-quebec --core-seconds 60 \
+    --format json > "$shard_dir/stream.json"
+python - "$shard_dir/processes-0.json" "$shard_dir/stream.json" <<'PY'
+import json, sys
+skip = {"n_shards", "quality", "queue_stalls", "queue_high_watermark",
+        "monitor", "snapshots"}
+shard, stream = (
+    {k: v for k, v in json.load(open(path)).items() if k not in skip}
+    for path in sys.argv[1:]
+)
+assert shard == stream, sorted(
+    k for k in shard.keys() | stream.keys()
+    if shard.get(k) != stream.get(k)
+)
+PY
 python -m repro.cli shard --system calcul-quebec --core-seconds 0.5 \
     > /dev/null
 

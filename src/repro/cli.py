@@ -319,31 +319,44 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if not findings else 1
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.stream.session import stream_session
+def _session_run(args: argparse.Namespace, system, workload):
+    """The simulated run ``repro stream`` and ``repro shard`` replay."""
     from repro.traces.synth import simulate_run
     from repro.workloads.base import ConstantWorkload
 
-    system, workload = _registry_system(args.system)
     if workload is None:
         workload = ConstantWorkload(
             utilisation=workload_utilisation(args.system),
             core_s=args.core_seconds,
         )
+    return simulate_run(system, workload, dt=args.dt, seed=args.seed)
+
+
+def _print_session(result, fmt: str) -> int:
+    """Print a session result; exit 0 when the sampling interval held
+    and the stopping target was met."""
+    import json
+
+    if fmt == "json":
+        print(json.dumps(result.to_dict(), indent=2, default=float))
+    else:
+        print(result.render_text())
+    ok = result.monitor_report.interval_ok and result.stopping.should_stop
+    return 0 if ok else 1
+
+
+def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.stream.session import stream_session
 
     quantiles = tuple(
         float(q) for q in args.quantiles.split(",") if q.strip()
     )
     if not quantiles or not all(0.0 < q < 1.0 for q in quantiles):
         raise SystemExit("error: quantiles must be in (0, 1)")
-
+    system, workload = _registry_system(args.system)
     node_indices = _node_indices(args.max_nodes, system.n_nodes)
-
-    run = simulate_run(system, workload, dt=args.dt, seed=args.seed)
     result = stream_session(
-        run,
+        _session_run(args, system, workload),
         node_indices=node_indices,
         ticks_per_batch=args.ticks_per_batch,
         quantiles=quantiles,
@@ -351,31 +364,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         confidence=args.confidence,
         report_every_s=args.report_every,
     )
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2, default=float))
-    else:
-        print(result.render_text())
-    ok = (
-        result.monitor_report.interval_ok
-        and result.stopping.should_stop
-    )
-    return 0 if ok else 1
+    return _print_session(result, args.format)
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from repro.shard import sharded_session
-    from repro.traces.synth import simulate_run
-    from repro.workloads.base import ConstantWorkload
-
-    system, workload = _registry_system(args.system)
-    if workload is None:
-        workload = ConstantWorkload(
-            utilisation=workload_utilisation(args.system),
-            core_s=args.core_seconds,
-        )
 
     if args.shards < 1:
         raise SystemExit("error: --shards must be >= 1")
@@ -384,25 +379,16 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         processes = min(args.shards, os.cpu_count() or 1)
     if processes < 0:
         raise SystemExit("error: --processes must be >= 0")
-
-    run = simulate_run(system, workload, dt=args.dt, seed=args.seed)
+    system, workload = _registry_system(args.system)
     result = sharded_session(
-        run,
+        _session_run(args, system, workload),
         n_shards=min(args.shards, system.n_nodes),
         ticks_per_batch=args.ticks_per_batch,
         accuracy=args.accuracy,
         confidence=args.confidence,
         processes=processes,
     )
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2, default=float))
-    else:
-        print(result.render_text())
-    ok = (
-        result.monitor_report.interval_ok
-        and result.stopping.should_stop
-    )
-    return 0 if ok else 1
+    return _print_session(result, args.format)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -702,7 +688,6 @@ def _serve_self_test(seed: int) -> int:
         run, ticks_per_batch=ticks_per_batch, accuracy=accuracy,
         report_every_s=report_every_s,
     )
-    want = json.loads(json.dumps(direct.to_dict(), default=float))
     t0_s, t1_s = run.core_window
     config = {
         "population": run.system.n_nodes,
@@ -713,7 +698,7 @@ def _serve_self_test(seed: int) -> int:
         "report_every_s": report_every_s,
     }
 
-    async def scenario() -> dict:
+    async def scenario():
         app = TelemetryApp(SimClock(dt_s=1.0), ServiceConfig())
         server = await app.serve_tcp("127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
@@ -728,6 +713,7 @@ def _serve_self_test(seed: int) -> int:
             )
             assert status == 201, f"create -> {status}"
             sid = payload["session"]["session_id"]
+            session = app.registry.get("selftest", sid)
             for batch in batches:
                 body = json.dumps({
                     "times": batch.times.tolist(),
@@ -750,19 +736,24 @@ def _serve_self_test(seed: int) -> int:
                 ),
             )
             assert status == 200, f"close -> {status}"
-            return payload["summary"]
+            return payload["summary"], session.final_result()
         finally:
             writer.close()
             server.close()
             await server.wait_closed()
             await app.shutdown()
 
-    got = asyncio.run(scenario())
-    # Queue bookkeeping belongs to the driver, not the verdict.
-    for key in ("queue_stalls", "queue_high_watermark", "session_id",
-                "quality"):
-        want.pop(key, None)
-        got.pop(key, None)
+    got, served = asyncio.run(scenario())
+
+    def verdict(result, rendered: dict) -> dict:
+        """A rendered result without the provenance its route declares."""
+        d = json.loads(json.dumps(rendered, default=float))
+        return {k: v for k, v in d.items() if k not in result.provenance}
+
+    if got != json.loads(json.dumps(served.to_dict(), default=float)):
+        print("serve self-test: the close summary is not the session result")
+        return 1
+    got, want = verdict(served, got), verdict(direct, direct.to_dict())
     if got != want:
         diff = sorted(
             k for k in set(want) | set(got)

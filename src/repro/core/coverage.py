@@ -26,18 +26,15 @@ Determinism and parallelism: the ``n_sims`` replicates for each
 ``(n, level)`` point are partitioned into fixed-size *blocks* of
 :data:`RNG_BLOCK` replicates, and every block draws from its own
 :class:`numpy.random.SeedSequence` child (spawned point-by-point,
-block-by-block, in a fixed order from the caller's generator).  The
-block — not the worker — is the unit of randomness, so executing the
-blocks serially, on 2 workers, or on 7 workers produces bit-identical
-coverage counts: per-block hit counts are integers and integer addition
-is exact and order-independent.  ``jobs > 1`` farms block groups out to
-a process pool.
+block-by-block, in a fixed order from the caller's generator), so the
+draws depend only on ``n_sims`` and the generator.  Per-block hit counts
+are integers, and integer addition is exact and order-independent.  The
+study runs serially; the experiment runner parallelises across
+experiments.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,8 +45,7 @@ from repro.core.confidence import t_quantile, z_quantile
 __all__ = ["CoverageResult", "coverage_study", "RNG_BLOCK"]
 
 #: Replicates per RNG block — the unit of the draw stream.  Fixed so the
-#: draws (and therefore the coverage counts) do not depend on how blocks
-#: are grouped into worker chunks.
+#: draws (and therefore the coverage counts) depend only on ``n_sims``.
 RNG_BLOCK = 5_000
 
 _EXACT_REST_MAX = 2_000  # largest remainder drawn by exact multinomial
@@ -121,8 +117,7 @@ def _block_hits(
     """Hit counts (per confidence level) for one block of replicates.
 
     The block's draws come only from ``seed_seq``, so the result is a
-    pure function of the arguments — independent of which worker runs
-    it and of every other block.
+    pure function of the arguments — independent of every other block.
     """
     rng = np.random.default_rng(seed_seq)
     k = values.size
@@ -163,28 +158,6 @@ def _block_hits(
     return hits
 
 
-def _chunk_hits(
-    values: np.ndarray,
-    population: int,
-    conf: tuple,
-    method: str,
-    tasks: list[tuple[int, int, int, np.random.SeedSequence]],
-) -> dict[int, np.ndarray]:
-    """Sum block hit counts for one worker's share of the blocks.
-
-    ``tasks`` is a list of ``(point_index, n, n_block, seed_seq)``
-    entries; the return maps point index → summed hit counts.
-    """
-    out: dict[int, np.ndarray] = {}
-    for j, n, n_block, seq in tasks:
-        hits = _block_hits(values, population, n, conf, method, n_block, seq)
-        if j in out:
-            out[j] = out[j] + hits
-        else:
-            out[j] = hits
-    return out
-
-
 def coverage_study(
     pilot_watts,
     *,
@@ -195,7 +168,6 @@ def coverage_study(
     method: str = "t",
     rng: np.random.Generator | None = None,
     system: str = "",
-    jobs: int | None = None,
 ) -> CoverageResult:
     """Run the Figure 3 calibration simulation.
 
@@ -217,10 +189,6 @@ def coverage_study(
         ``"t"`` for Equation 1 (the paper's procedure) or ``"z"`` for
         the Equation 2 approximation — comparing the two reproduces the
         Section 4.2 under-coverage discussion.
-    jobs:
-        Worker processes for the replicate blocks.  ``None`` or ``1``
-        runs serially; any value produces bit-identical coverage (the
-        RNG block, not the worker, is the unit of randomness).
     """
     values = np.asarray(pilot_watts, dtype=float).ravel()
     if values.size < 2:
@@ -237,48 +205,20 @@ def coverage_study(
         raise ValueError(f"method must be 't' or 'z', got {method!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    n_jobs = 1 if jobs is None else int(jobs)
-    if n_jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
     conf = tuple(float(c) for c in confidences)
     sizes = tuple(int(n) for n in sample_sizes)
 
     # One SeedSequence child per (point, block), spawned in a fixed
-    # order so every execution layout sees the same streams.
+    # order so the draws depend only on n_sims and the generator.
     point_seqs = rng.bit_generator.seed_seq.spawn(len(sizes))
     blocks = _block_sizes(int(n_sims))
-    tasks: list[tuple[int, int, int, np.random.SeedSequence]] = []
+    hits = {j: np.zeros(len(conf), dtype=np.int64) for j in range(len(sizes))}
     for j, n in enumerate(sizes):
         for n_block, seq in zip(blocks, point_seqs[j].spawn(len(blocks))):
-            tasks.append((j, n, n_block, seq))
-
-    hits = {j: np.zeros(len(conf), dtype=np.int64) for j in range(len(sizes))}
-    if n_jobs == 1 or len(tasks) == 1:
-        for j, partial in _chunk_hits(
-            values, population, conf, method, tasks
-        ).items():
-            hits[j] += partial
-    else:
-        n_chunks = min(n_jobs * 2, len(tasks))
-        chunks = [tasks[c::n_chunks] for c in range(n_chunks)]
-        ctx = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        with ProcessPoolExecutor(
-            max_workers=min(n_jobs, len(chunks)), mp_context=ctx
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _chunk_hits, values, population, conf, method, chunk
-                )
-                for chunk in chunks
-            ]
-            for fut in futures:
-                for j, partial in fut.result().items():
-                    hits[j] += partial
+            hits[j] += _block_hits(
+                values, population, n, conf, method, n_block, seq
+            )
 
     cov = np.empty((len(conf), len(sizes)))
     se = np.empty_like(cov)

@@ -146,7 +146,6 @@ def run(
     pilot_size: int = PILOT_SIZE,
     method: str = "t",
     seed: int = 0,
-    jobs: int | None = None,
 ) -> Figure3Result:
     """Run the Figure 3 study.
 
@@ -160,10 +159,6 @@ def run(
         Pilot sample size (516 per the figure caption).
     method:
         ``"t"`` (Eq. 1, the paper's procedure) or ``"z"``.
-    jobs:
-        Worker processes for the bootstrap replicate blocks; any value
-        (including ``None``, serial) produces bit-identical coverage —
-        see :mod:`repro.core.coverage`.
     """
     model = get_system(system)
     sample = model.node_sample(workload_utilisation(system))
@@ -177,6 +172,5 @@ def run(
         method=method,
         rng=rng,
         system=system,
-        jobs=jobs,
     )
     return Figure3Result(coverage=result, pilot_size=len(pilot))

@@ -32,7 +32,7 @@ import numpy as np
 from repro.faults.quality import QualityReport
 from repro.faults.recovery import fold_quality_report
 from repro.stream.ingest import SampleBatch
-from repro.stream.session import LiveStreamState
+from repro.stream.session import LiveStreamState, SessionResult
 from repro.units import SECONDS_PER_HOUR
 from repro.wire.session import WireReader
 
@@ -458,7 +458,8 @@ class TelemetrySession:
         )
 
     def final_summary(self) -> dict:
-        """The close/eviction response body."""
+        """The close/eviction response body: :meth:`final_result`
+        rendered, or an insufficient-data body before any sample."""
         state = self.state
         if state.samples_ingested == 0:
             return {
@@ -468,14 +469,19 @@ class TelemetrySession:
                 "stopping": state.decision.to_dict(),
                 "monitor": state.fold.report().to_dict(),
             }
-        result = state.result(
+        return self.final_result().to_dict()
+
+    def final_result(self) -> SessionResult:
+        """The state's session result, with the ``session_id`` and the
+        quality label declared as provenance after the stream's own."""
+        result = self.state.result(
             queue_high_watermark=self.queue_high_watermark
         )
-        out = result.to_dict()
-        out["session_id"] = self.session_id
-        quality = self.quality_report()
-        out["quality"] = quality.to_dict() if quality else None
-        return out
+        return replace(result, provenance={
+            **result.provenance,
+            "session_id": self.session_id,
+            "quality": self.quality_report(),
+        })
 
 
 class SessionRegistry:

@@ -11,7 +11,6 @@ estimator states reassemble by node-order concatenation
 
 from repro.shard.engine import (
     RowTable,
-    ShardSessionResult,
     fleet_reference,
     run_shard,
     run_sharded,
@@ -24,7 +23,6 @@ from repro.shard.reduce import reduce_states
 __all__ = [
     "RowTable",
     "ShardPlan",
-    "ShardSessionResult",
     "ShardSpec",
     "fleet_reference",
     "plan_shards",

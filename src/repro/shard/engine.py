@@ -17,14 +17,12 @@ The driver for the million-node hot path:
 * :func:`run_sharded` — fan the plan's shards over a ``fork`` worker
   pool (or run them inline when ``processes`` is 0, the deterministic
   default), then reduce by exact node-order concatenation.
-* :func:`sharded_session` — the full-session entry point: the Eq. 1–5
-  stopping decision every route shares
-  (:meth:`~repro.stream.stopping.SequentialStopper.decide`), the merged
-  :class:`MonitorReport` and the
+* :func:`sharded_session` — the full-session entry point: the merged
+  fold as the :class:`~repro.stream.session.SessionResult` every route
+  returns, with the shard count and the
   :class:`~repro.faults.quality.QualityReport`
   (:func:`~repro.faults.recovery.fold_quality_report` over the merged
-  node moments) all rendered from merged shard state, bit-identical
-  for any shard count.
+  node moments) as its provenance, bit-identical for any shard count.
 """
 
 from __future__ import annotations
@@ -35,13 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.quality import QualityReport
 from repro.faults.recovery import fold_quality_report
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 from repro.shard.reduce import reduce_states
-from repro.stream.estimators import QUANTILE_REL_ERROR, RunningMoments
-from repro.stream.monitor import ComplianceMonitor, MonitorReport
-from repro.stream.stopping import SequentialStopper, StoppingDecision
+from repro.stream.monitor import ComplianceMonitor
+from repro.stream.session import SessionResult
 from repro.traces.synth import SimulatedRun
 
 __all__ = [
@@ -50,7 +46,6 @@ __all__ = [
     "run_shard",
     "run_sharded",
     "shard_rows",
-    "ShardSessionResult",
     "sharded_session",
 ]
 
@@ -225,79 +220,6 @@ def run_sharded(
     return reduce_states(folds, plan)
 
 
-@dataclass
-class ShardSessionResult:
-    """A finished sharded session: fleet statistics plus provenance."""
-
-    plan: ShardPlan
-    monitor_report: MonitorReport
-    stopping: StoppingDecision
-    quality: QualityReport
-    node_moments: RunningMoments
-    node_fleet_correlation: float
-    quantiles_w: dict[float, float]
-    samples_ingested: int
-
-    @property
-    def fleet_moments(self) -> RunningMoments:
-        """Pooled moments over every node's every sample."""
-        return self.node_moments.pooled()
-
-    def to_dict(self) -> dict:
-        """JSON-friendly rendering of the final state."""
-        pooled = self.fleet_moments
-        return {
-            "n_shards": self.plan.n_shards,
-            "samples_ingested": self.samples_ingested,
-            "fleet_mean_w": float(np.asarray(pooled.mean)),
-            "fleet_std_w": float(np.asarray(pooled.std())),
-            "quantiles_w": {
-                f"{q:g}": v for q, v in self.quantiles_w.items()
-            },
-            "quantile_rel_error": QUANTILE_REL_ERROR,
-            "node_fleet_correlation": self.node_fleet_correlation,
-            "stopping": self.stopping.to_dict(),
-            "monitor": self.monitor_report.to_dict(),
-            "quality": self.quality.to_dict(),
-        }
-
-    def render_text(self) -> str:
-        """Plain-text session summary."""
-        lines = [
-            f"== sharded session ({self.plan.n_shards} shards, "
-            f"{self.plan.n_nodes} nodes) ==",
-            f"samples ingested: {self.samples_ingested}",
-            f"fleet per-node power: mean "
-            f"{float(np.asarray(self.fleet_moments.mean)):.1f} W, "
-            f"sd {float(np.asarray(self.fleet_moments.std())):.1f} W",
-        ]
-        for q, v in self.quantiles_w.items():
-            lines.append(
-                f"  p{int(round(q * 100))}: {v:.1f} W "
-                f"(+/-{QUANTILE_REL_ERROR:.1%})"
-            )
-        lines.append(
-            f"node-vs-fleet correlation: {self.node_fleet_correlation:.3f}"
-        )
-        lines.extend(self.monitor_report.lines())
-        d = self.stopping
-        verdict = "met" if d.should_stop else "NOT met"
-        lam = (
-            f"{d.achieved_lambda:.2%}"
-            if np.isfinite(d.achieved_lambda)
-            else "inf"
-        )
-        lines.append(
-            f"sequential stopping: target {verdict} at n={d.n_observed} "
-            f"nodes (achieved lambda {lam})"
-        )
-        lines.append(
-            f"quality: coverage {self.quality.effective_coverage:.1%}, "
-            f"effective level L{self.quality.effective_level}"
-        )
-        return "\n".join(lines)
-
-
 def sharded_session(
     run: SimulatedRun,
     *,
@@ -306,16 +228,15 @@ def sharded_session(
     accuracy: float = 0.01,
     confidence: float = 0.95,
     processes: int = 0,
-) -> ShardSessionResult:
+) -> SessionResult:
     """Run a full streaming session through the shard engine.
 
     The sharded counterpart of
-    :func:`~repro.stream.session.stream_session`: the same Eq. 1–5
-    stopping decision
-    (:meth:`~repro.stream.stopping.SequentialStopper.decide` over the
-    merged node means), compliance monitoring and quality labelling,
-    evaluated over merged shard state, so its verdict equals a stream
-    session's over the same run.  The result is **bit-identical
+    :func:`~repro.stream.session.stream_session`: the merged fold is
+    rendered by the same :class:`~repro.stream.session.SessionResult`,
+    with the same Eq. 1–5 stopping rule, so its verdict equals a stream
+    session's over the same run.  It declares ``n_shards`` and its
+    ``quality`` label as provenance.  The result is **bit-identical
     for any ``n_shards``** — the per-node reductions are exact
     concatenations, the quantile sketches merge by integer count
     addition, and every fleet scalar derives from the merged vectors by
@@ -325,23 +246,16 @@ def sharded_session(
         run.system.n_nodes, n_shards, ticks_per_batch=ticks_per_batch
     )
     fleet = run_sharded(run, plan, processes=processes)
-    return ShardSessionResult(
-        plan=plan,
-        monitor_report=fleet.report(),
-        stopping=SequentialStopper.decide(
-            fleet.node_moments.mean,
-            accuracy=accuracy,
-            population=run.system.n_nodes,
-            confidence=confidence,
-        ),
-        quality=fold_quality_report(
+    rule = dict(
+        accuracy=accuracy, population=run.system.n_nodes,
+        confidence=confidence,
+    )
+    return SessionResult.of(fleet, rule, provenance={
+        "n_shards": plan.n_shards,
+        "quality": fold_quality_report(
             fleet.node_moments,
             cells_folded=fleet.samples_seen,
             cells_written_off=0,
             original_level=2,
         ),
-        node_moments=fleet.node_moments,
-        node_fleet_correlation=fleet.mean_correlation(),
-        quantiles_w=fleet.quantiles_w(),
-        samples_ingested=fleet.samples_seen,
-    )
+    })

@@ -18,7 +18,8 @@ the samples arrive*:
   stopping decision over the node means every route reads, and the
   sequential stop signal;
 * :mod:`repro.stream.session` — the orchestration the ``repro stream``
-  CLI subcommand drives.
+  CLI subcommand drives, and the one session result every route
+  returns.
 
 Everything in this package is a pure function of ``(inputs, seed)``:
 time advances only via the simulated tick clock, never the wall clock.
@@ -34,7 +35,7 @@ from repro.stream.ingest import SampleBatch, SimClock, replay_run
 from repro.stream.monitor import ComplianceMonitor, MonitorReport
 from repro.stream.session import (
     LiveStreamState,
-    StreamSessionResult,
+    SessionResult,
     StreamSnapshot,
     StreamVerdict,
     stream_session,
@@ -52,7 +53,7 @@ __all__ = [
     "ComplianceMonitor",
     "MonitorReport",
     "LiveStreamState",
-    "StreamSessionResult",
+    "SessionResult",
     "StreamSnapshot",
     "StreamVerdict",
     "stream_session",

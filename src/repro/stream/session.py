@@ -16,10 +16,12 @@ when read.  Two drivers share it:
 
 Because both paths push identical batches through the *same* update
 code, a verdict served over the wire is bit-identical to the verdict a
-direct :func:`stream_session` call computes — the route-equivalence
-property in ``tests/test_route_equivalence.py`` holds every route
-(stream, shard, served JSON and RPWR, wire chaos) to the same fold
-state.
+direct :func:`stream_session` call computes.  Every route — these two
+and :func:`~repro.shard.engine.sharded_session` — returns one
+:class:`SessionResult`, and the route-equivalence property in
+``tests/test_route_equivalence.py`` holds every route (stream, shard,
+served JSON and RPWR, wire chaos) to the same result outside the
+provenance each route declares.
 
 The session is deterministic: the simulated tick clock is the only
 time source, and all estimator state is a pure function of the replayed
@@ -28,6 +30,8 @@ samples.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +45,7 @@ from repro.traces.synth import SimulatedRun
 __all__ = [
     "StreamSnapshot",
     "StreamVerdict",
-    "StreamSessionResult",
+    "SessionResult",
     "LiveStreamState",
     "stream_session",
 ]
@@ -64,6 +68,43 @@ class StreamSnapshot:
     n_outliers: int
     achieved_lambda: float
     should_stop: bool
+
+    @classmethod
+    def of(
+        cls,
+        t_s: float,
+        node_moments: RunningMoments,
+        samples_seen: int,
+        quantiles_w: dict[float, float],
+        report: MonitorReport,
+        decision: StoppingDecision,
+    ) -> StreamSnapshot:
+        """The snapshot, stamped ``t_s``, of a fold's per-node moments,
+        sample count and quantiles, its ``report`` and its stopping
+        ``decision``."""
+        fleet = node_moments.pooled()
+        node_means = np.asarray(node_moments.mean)
+        mu = float(node_means.mean())
+        sd_nodes = (
+            float(node_means.std(ddof=1)) if node_means.size > 1 else 0.0
+        )
+        return cls(
+            t_s=float(t_s),
+            samples_seen=samples_seen,
+            fleet_mean_w=float(np.asarray(fleet.mean)),
+            fleet_std_w=(
+                float(np.asarray(fleet.std())) if fleet.count >= 2 else 0.0
+            ),
+            node_cv=(sd_nodes / mu if mu > 0 else 0.0),
+            quantiles_w=quantiles_w,
+            rolling_mean_w=report.rolling_mean_w,
+            coverage=report.window_fraction_covered,
+            interval_ok=report.interval_ok,
+            legal_level1_window=report.legal_level1_window,
+            n_outliers=len(report.outlier_nodes),
+            achieved_lambda=decision.achieved_lambda,
+            should_stop=decision.should_stop,
+        )
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering."""
@@ -131,29 +172,89 @@ class StreamVerdict:
         }
 
 
-@dataclass
-class StreamSessionResult:
-    """Everything a finished streaming session produced."""
+@dataclass(frozen=True)
+class SessionResult:
+    """A finished session: one folded monitor, rendered the same way for
+    every route, then the provenance the route declares.
 
-    snapshots: list[StreamSnapshot]
+    Every route builds its result with :meth:`of`, from the folded
+    :class:`~repro.stream.monitor.ComplianceMonitor`, the stopping
+    ``rule`` (``accuracy``, ``population``, ``confidence``) and the
+    route's ``periodic`` snapshots: :meth:`LiveStreamState.result` (the
+    replay and the service), :func:`~repro.shard.engine.sharded_session`
+    and a reduce over :func:`~repro.shard.engine.run_shard` folds.  The
+    result keeps what it reads from the fold, not the fold; the first
+    stopping prefix and the closing snapshot are computed when first
+    read.
+
+    ``provenance`` holds the keys a route adds after the fold part, in
+    order: how the samples were carried, not what they say.  A value
+    with ``to_dict``/``lines`` (a quality label) renders through them.
+    Two routes over the same samples differ only in their provenance,
+    and in ``monitor`` and the periodic snapshots, which depend on
+    batching.
+    """
+
+    node_moments: RunningMoments
+    samples_ingested: int
+    quantiles_w: dict[float, float]
+    node_fleet_correlation: float
     monitor_report: MonitorReport
     stopping: StoppingDecision
-    node_moments: RunningMoments
-    node_fleet_correlation: float
-    quantiles_w: dict[float, float]
-    queue_high_watermark: int
-    samples_ingested: int
-    stopped_at_nodes: int | None = field(default=None)
+    rule: Mapping[str, float]
+    periodic: tuple[StreamSnapshot, ...] = ()
+    provenance: Mapping[str, object] = field(default_factory=dict)
+
+    @classmethod
+    def of(
+        cls,
+        fold: ComplianceMonitor,
+        rule: Mapping[str, float],
+        periodic: tuple[StreamSnapshot, ...] = (),
+        provenance: Mapping[str, object] | None = None,
+    ) -> SessionResult:
+        """The result of the folded ``fold``, with the Eq. 1–5 decision
+        over its node means under ``rule``."""
+        if not fold.samples_seen:
+            raise ValueError("cannot summarise an empty stream")
+        return cls(
+            node_moments=fold.node_moments,
+            samples_ingested=fold.samples_seen,
+            quantiles_w=fold.quantiles_w(),
+            node_fleet_correlation=fold.mean_correlation(),
+            monitor_report=fold.report(),
+            stopping=SequentialStopper.decide(fold.node_moments.mean, **rule),
+            rule=dict(rule),
+            periodic=tuple(periodic),
+            provenance=dict(provenance or {}),
+        )
 
     @property
     def fleet_moments(self) -> RunningMoments:
         """Pooled moments over every node's every sample."""
         return self.node_moments.pooled()
 
+    @functools.cached_property
+    def stopped_at_nodes(self) -> int | None:
+        """The first node-order prefix of the node means that meets the
+        target (``None`` if none does)."""
+        prefixes = SequentialStopper(**self.rule)
+        prefixes.update_many(self.node_moments.mean)
+        return prefixes.stopped_at
+
+    @functools.cached_property
+    def snapshots(self) -> tuple[StreamSnapshot, ...]:
+        """The periodic snapshots, or the closing one if there are none."""
+        report = self.monitor_report
+        return self.periodic or (StreamSnapshot.of(
+            report.t_now_s, self.node_moments, self.samples_ingested,
+            self.quantiles_w, report, self.stopping,
+        ),)
+
     def to_dict(self) -> dict:
-        """JSON-friendly rendering of the final state."""
+        """JSON-friendly rendering: the fold part, then the provenance."""
         pooled = self.fleet_moments
-        return {
+        out = {
             "samples_ingested": self.samples_ingested,
             "fleet_mean_w": float(np.asarray(pooled.mean)),
             "fleet_std_w": float(np.asarray(pooled.std())),
@@ -162,31 +263,28 @@ class StreamSessionResult:
             "quantiles_w": {f"{q:g}": v for q, v in self.quantiles_w.items()},
             "quantile_rel_error": QUANTILE_REL_ERROR,
             "node_fleet_correlation": self.node_fleet_correlation,
-            # No driver stalls its producer (a full serve queue answers
-            # 429 instead); the always-0 key stays for its readers.
-            "queue_stalls": 0,
-            "queue_high_watermark": self.queue_high_watermark,
             "stopped_at_nodes": self.stopped_at_nodes,
             "stopping": self.stopping.to_dict(),
             "monitor": self.monitor_report.to_dict(),
             "snapshots": [s.to_dict() for s in self.snapshots],
         }
+        for key, value in self.provenance.items():
+            out[key] = value.to_dict() if hasattr(value, "to_dict") else value
+        return out
 
     def render_text(self) -> str:
-        """Full plain-text session report."""
+        """Plain-text report: the fold part, then the provenance."""
+        pooled = self.fleet_moments
         lines = [s.line() for s in self.snapshots]
         lines.append("")
         lines.append("== final stream state ==")
-        lines.append(
-            f"samples ingested: {self.samples_ingested} "
-            f"(queue high-water {self.queue_high_watermark})"
-        )
+        lines.append(f"samples ingested: {self.samples_ingested}")
         lines.append(
             f"fleet per-node power: mean "
-            f"{float(np.asarray(self.fleet_moments.mean)):.1f} W, "
-            f"sd {float(np.asarray(self.fleet_moments.std())):.1f} W, "
-            f"range [{float(np.asarray(self.fleet_moments.minimum)):.1f}, "
-            f"{float(np.asarray(self.fleet_moments.maximum)):.1f}] W"
+            f"{float(np.asarray(pooled.mean)):.1f} W, "
+            f"sd {float(np.asarray(pooled.std())):.1f} W, "
+            f"range [{float(np.asarray(pooled.minimum)):.1f}, "
+            f"{float(np.asarray(pooled.maximum)):.1f}] W"
         )
         for q, v in self.quantiles_w.items():
             lines.append(
@@ -213,6 +311,11 @@ class StreamSessionResult:
             lines.append(
                 f"stop signal first fired with {self.stopped_at_nodes} nodes"
             )
+        for key, value in self.provenance.items():
+            if hasattr(value, "lines"):
+                lines.extend(value.lines())
+            else:
+                lines.append(f"{key}: {value}")
         return "\n".join(lines)
 
 
@@ -281,7 +384,6 @@ class LiveStreamState:
         self._decided = (0, SequentialStopper.decide((), **self._rule))
         self.snapshots: list[StreamSnapshot] = []
         self.report_every_s = float(report_every_s)
-        self.samples_ingested = 0
         self.batches_ingested = 0
         self._next_report_s: float | None = None
         self._finalized = False
@@ -296,6 +398,11 @@ class LiveStreamState:
                 SequentialStopper.decide(self._node_means(), **self._rule),
             )
         return self._decided[1]
+
+    @property
+    def samples_ingested(self) -> int:
+        """Samples folded so far."""
+        return self.fold.samples_seen
 
     @property
     def finalized(self) -> bool:
@@ -313,7 +420,6 @@ class LiveStreamState:
         if batch.n_nodes > self._rule["population"]:
             raise ValueError("more node measurements than the population")
         self.fold.observe(batch)
-        self.samples_ingested += batch.n_samples
         self.batches_ingested += 1
 
         t_now = batch.t1_s
@@ -328,28 +434,9 @@ class LiveStreamState:
     def snapshot_at(self, t_s: float, report: MonitorReport) -> StreamSnapshot:
         """Build a snapshot of the current state, stamped ``t_s``, from
         the monitor's current ``report``."""
-        decision = self.decision
-        fleet = self.fold.node_moments.pooled()
-        have_sd = fleet.count >= 2
-        node_means = np.asarray(self.fold.node_moments.mean)
-        mu = float(node_means.mean())
-        sd_nodes = (
-            float(node_means.std(ddof=1)) if node_means.size > 1 else 0.0
-        )
-        return StreamSnapshot(
-            t_s=float(t_s),
-            samples_seen=self.fold.samples_seen,
-            fleet_mean_w=float(np.asarray(fleet.mean)),
-            fleet_std_w=(float(np.asarray(fleet.std())) if have_sd else 0.0),
-            node_cv=(sd_nodes / mu if mu > 0 else 0.0),
-            quantiles_w=self.fold.quantiles_w(),
-            rolling_mean_w=report.rolling_mean_w,
-            coverage=report.window_fraction_covered,
-            interval_ok=report.interval_ok,
-            legal_level1_window=report.legal_level1_window,
-            n_outliers=len(report.outlier_nodes),
-            achieved_lambda=decision.achieved_lambda,
-            should_stop=decision.should_stop,
+        return StreamSnapshot.of(
+            t_s, self.fold.node_moments, self.fold.samples_seen,
+            self.fold.quantiles_w(), report, self.decision,
         )
 
     def verdict(self) -> StreamVerdict:
@@ -377,36 +464,22 @@ class LiveStreamState:
         self._finalized = True
         return self.decision
 
-    def result(self, *, queue_high_watermark: int = 0) -> StreamSessionResult:
-        """Assemble the final :class:`StreamSessionResult`.
+    def result(self, *, queue_high_watermark: int = 0) -> SessionResult:
+        """The final :class:`SessionResult`.
 
-        Must run after :meth:`finalize`; the queue high-water mark is
-        the driver's to report (a service session's; a replay has no
-        queue).  ``stopped_at_nodes`` is the first node-order prefix of
-        the final node means that meets the target.
+        Must run after :meth:`finalize`.  The stream driver declares its
+        ingest queue as provenance: ``queue_stalls`` (always 0 — no
+        driver stalls its producer; a full serve queue answers 429
+        instead) and ``queue_high_watermark``, the driver's to report
+        (a service session's; a replay has no queue).
         """
         if not self._finalized:
             raise ValueError("finalize() the state before result()")
-        if self.samples_ingested == 0:
-            raise ValueError("cannot summarise an empty stream")
-        prefixes = SequentialStopper(**self._rule)
-        prefixes.update_many(self._node_means())
-        final_monitor = self.fold.report()
-        snapshots = list(self.snapshots)
-        if not snapshots:
-            snapshots.append(
-                self.snapshot_at(final_monitor.t_now_s, final_monitor)
-            )
-        return StreamSessionResult(
-            snapshots=snapshots,
-            monitor_report=final_monitor,
-            stopping=self.decision,
-            node_moments=self.fold.node_moments,
-            node_fleet_correlation=self.fold.mean_correlation(),
-            quantiles_w=self.fold.quantiles_w(),
-            queue_high_watermark=queue_high_watermark,
-            samples_ingested=self.samples_ingested,
-            stopped_at_nodes=prefixes.stopped_at,
+        return SessionResult.of(
+            self.fold,
+            self._rule,
+            self.snapshots,
+            {"queue_stalls": 0, "queue_high_watermark": queue_high_watermark},
         )
 
     def _node_means(self) -> np.ndarray:
@@ -426,7 +499,7 @@ def stream_session(
     confidence: float = 0.95,
     report_every_s: float = 600.0,
     core_only: bool = True,
-) -> StreamSessionResult:
+) -> SessionResult:
     """Replay a run through the full streaming pipeline.
 
     Parameters

@@ -92,25 +92,6 @@ class TestCoverageStudy:
         )
         assert res.max_miscalibration() < 0.02
 
-    def test_chunked_bit_identical_to_serial(self, normal_pilot):
-        # Multiple RNG blocks (n_sims > RNG_BLOCK) exercised on 1, 2
-        # and 7 workers: hit counts are per-block integers, so every
-        # grouping sums to exactly the same coverage.
-        results = [
-            coverage_study(
-                normal_pilot, population=9216, sample_sizes=(3, 10),
-                n_sims=12_345, rng=np.random.default_rng(7), jobs=jobs,
-            )
-            for jobs in (1, 2, 7)
-        ]
-        for chunked in results[1:]:
-            np.testing.assert_array_equal(
-                results[0].coverage, chunked.coverage
-            )
-            np.testing.assert_array_equal(
-                results[0].standard_error, chunked.standard_error
-            )
-
     def test_partial_trailing_block(self, normal_pilot):
         # n_sims that is not a multiple of RNG_BLOCK still runs every
         # replicate (coverage is a fraction of exactly n_sims).
@@ -128,9 +109,6 @@ class TestCoverageStudy:
     def test_validation(self, normal_pilot, rng):
         with pytest.raises(ValueError, match="at least two"):
             coverage_study([1.0], population=100, rng=rng)
-        with pytest.raises(ValueError, match="jobs"):
-            coverage_study(normal_pilot, population=100,
-                           sample_sizes=(5,), jobs=0, rng=rng)
         with pytest.raises(ValueError, match="smaller than"):
             coverage_study(normal_pilot, population=5,
                            sample_sizes=(10,), rng=rng)

@@ -110,23 +110,6 @@ class TestFigure3:
         res = figure3.run(n_sims=5_000, sample_sizes=(5,))
         assert res.pilot_size == 516
 
-    def test_chunked_equals_serial_across_chunk_counts(self):
-        # The determinism contract of the bootstrap hot path: the RNG
-        # block, not the worker, is the unit of randomness, so 1, 2 and
-        # 7 workers all reproduce the serial draws bit for bit.
-        serial = figure3.run(n_sims=12_000, sample_sizes=(3, 10))
-        for jobs in (1, 2, 7):
-            chunked = figure3.run(
-                n_sims=12_000, sample_sizes=(3, 10), jobs=jobs
-            )
-            np.testing.assert_array_equal(
-                serial.coverage.coverage, chunked.coverage.coverage
-            )
-            np.testing.assert_array_equal(
-                serial.coverage.standard_error,
-                chunked.coverage.standard_error,
-            )
-
 
 class TestFigure4:
     def test_all_ok(self):

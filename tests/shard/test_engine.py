@@ -61,7 +61,7 @@ class TestShardCountInvariance:
             # The label's fleet statistics are the fold's node moments.
             means = np.asarray(result.node_moments.mean)
             stds = np.asarray(result.node_moments.std())
-            quality = result.quality
+            quality = result.provenance["quality"]
             assert quality.fleet_mean_w == float(means.mean()), k
             assert quality.sigma_node_w == float(means.std(ddof=1)), k
             assert quality.sigma_tick_w == float(stds.mean()), k
@@ -266,7 +266,7 @@ class TestValidation:
     def test_render_text_and_to_dict_are_complete(self, tiny_run):
         result = sharded_session(tiny_run, n_shards=2, ticks_per_batch=16)
         text = result.render_text()
-        assert "sharded session (2 shards" in text
+        assert "n_shards: 2" in text
         assert "sequential stopping" in text
         d = result.to_dict()
         assert d["n_shards"] == 2

@@ -17,13 +17,16 @@ folded through every route:
 * the wire chaos harness, :func:`~repro.wire.chaos.run_wire_chaos`,
   with an empty fault plan.
 
-Every route must give the same bits for the node moments, the pooled
-fleet moments, the quantiles, the node-vs-fleet correlation, the
-stopping decision and the first stopping prefix, the same quality label
-(wire provenance aside) and the same sample count.  The monitor judges
-excursions per batch, so each route's monitor report is compared with
-the replay's at that route's own batching.  Every route's output is
-also held to the bounds the estimators state.
+Every route returns one :class:`~repro.stream.session.SessionResult`,
+and every route's ``to_dict()`` must be the same, bit for bit, once the
+provenance that route declares is dropped: the fleet moments, the
+quantiles, the node-vs-fleet correlation, the stopping decision and the
+first stopping prefix, the closing snapshot and the sample count.  The
+node moments must share their bits too, and every quality label must
+agree (wire provenance aside).  The monitor judges excursions per
+batch, so each route's ``monitor`` is compared with the replay's at
+that route's own batching.  Every route's output is also held to the
+bounds the estimators state.
 """
 
 from __future__ import annotations
@@ -54,8 +57,7 @@ from repro.shard.plan import ShardPlan, ShardSpec
 from repro.shard.reduce import reduce_states
 from repro.stream.estimators import QUANTILE_REL_ERROR
 from repro.stream.ingest import SimClock, replay_run
-from repro.stream.session import stream_session
-from repro.stream.stopping import SequentialStopper
+from repro.stream.session import SessionResult, stream_session
 from repro.traces.synth import simulate_run
 from repro.wire.chaos import WireScenario, run_wire_chaos
 from repro.wire.session import WireWriter
@@ -124,38 +126,32 @@ def _quality(label: dict) -> dict:
     return {k: v for k, v in label.items() if k not in _WIRE_PROVENANCE}
 
 
-def _fold_view(
-    node_moments, *, quantiles_w, correlation, stopping, rule, quality,
-    samples,
-) -> dict:
-    """Everything a route's fold state must share with every other."""
-    prefixes = SequentialStopper(**rule)
-    prefixes.update_many(node_moments.mean)
-    pooled = node_moments.pooled()
-    m = node_moments
+def _canonical(d: dict) -> str:
+    """Order-independent JSON text; floats keep their bits."""
+    return json.dumps(d, sort_keys=True, default=float)
+
+
+def _view(result: SessionResult, rendered: dict | None = None) -> dict:
+    """What a route's result must share with every other: its rendering
+    (``rendered``, else ``to_dict()``) without the provenance the route
+    declares or the per-batch ``monitor``, and the node moments' bits."""
+    d = result.to_dict() if rendered is None else rendered
+    m = result.node_moments
     return {
+        "result": _canonical({
+            k: v for k, v in d.items()
+            if k not in result.provenance and k != "monitor"
+        }),
         "node": tuple(
             _bits(v) for v in (m.mean, m.variance(), m.minimum, m.maximum)
         ),
-        "pooled": (
-            pooled.count,
-            *(_bits(v) for v in (
-                pooled.mean, pooled.variance(), pooled.minimum,
-                pooled.maximum,
-            )),
-        ),
-        "quantiles_w": repr(quantiles_w),
-        "correlation": _bits(correlation),
-        "stopping": repr(stopping.to_dict()),
-        "stopped_at_nodes": prefixes.stopped_at,
-        "quality": _quality(quality),
-        "samples_ingested": samples,
+        "pooled": _bits(result.fleet_moments.variance()),
     }
 
 
 def _served(run, bodies, content_type, *, accuracy, n_batches):
-    """Open a session, POST ``bodies``, close; returns the session
-    (its state folded and finalized) and the close summary."""
+    """Open a session, POST ``bodies``, close; returns the session's
+    result and the close summary, which must be that result rendered."""
     t0_s, t1_s = run.core_window
     config = {
         "population": run.system.n_nodes,
@@ -188,17 +184,10 @@ def _served(run, bodies, content_type, *, accuracy, n_batches):
         assert closed.status == 200, closed.body
         return session, json.loads(closed.body)["summary"]
 
-    return asyncio.run(scenario())
-
-
-def _summary_bits(d: dict) -> dict:
-    """A session summary's fold fields after the JSON round trip a
-    served summary takes (snapshots and monitor depend on batching)."""
-    d = json.loads(json.dumps(d, default=float))
-    for key in ("snapshots", "monitor", "queue_stalls",
-                "queue_high_watermark", "session_id", "quality"):
-        d.pop(key, None)
-    return d
+    session, summary = asyncio.run(scenario())
+    result = session.final_result()
+    assert _canonical(summary) == _canonical(result.to_dict())
+    return result, summary
 
 
 @settings(max_examples=6, deadline=None)
@@ -229,34 +218,21 @@ def test_every_route_folds_the_same_bits(
             )
         return replays[ticks]
 
-    def stream_view(result, quality):
-        return _fold_view(
-            result.node_moments,
-            quantiles_w=result.quantiles_w,
-            correlation=result.node_fleet_correlation,
-            stopping=result.stopping,
-            rule=rule,
-            quality=quality,
-            samples=result.samples_ingested,
-        )
-
-    def unrepaired_label(node_moments, samples):
+    def unrepaired_label(result):
         return fold_quality_report(
-            node_moments, cells_folded=samples, cells_written_off=0,
-            original_level=2,
+            result.node_moments, cells_folded=result.samples_ingested,
+            cells_written_off=0, original_level=2,
         ).to_dict()
 
+    results: dict[str, SessionResult] = {}
     views: dict[str, dict] = {}
-    folds: dict[str, tuple] = {}  # route -> (pooled moments, quantiles)
+    labels: dict[str, dict] = {}
     monitors: dict[str, tuple[int, dict]] = {}
 
     # -- the replay -------------------------------------------------------
     ticks = batching("stream ticks")
-    direct = replay(ticks)
-    views["stream"] = stream_view(
-        direct, unrepaired_label(direct.node_moments, direct.samples_ingested)
-    )
-    folds["stream"] = (direct.fleet_moments, direct.quantiles_w)
+    direct = results["stream"] = replay(ticks)
+    labels["stream"] = unrepaired_label(direct)
 
     # -- the shard kernel over an arbitrary contiguous partition -----------
     ticks = batching("shard ticks")
@@ -279,30 +255,18 @@ def test_every_route_folds_the_same_bits(
         data.draw(st.permutations(states), label="arrival order"), plan
     )
     assert fleet.sketch.count == fleet.samples_seen
-    views["run_shard"] = _fold_view(
-        fleet.node_moments,
-        quantiles_w=fleet.quantiles_w(),
-        correlation=float(np.mean(fleet.correlation())),
-        stopping=SequentialStopper.decide(fleet.node_moments.mean, **rule),
-        rule=rule,
-        quality=unrepaired_label(fleet.node_moments, fleet.samples_seen),
-        samples=fleet.samples_seen,
-    )
-    folds["run_shard"] = (
-        fleet.node_moments.pooled(), fleet.quantiles_w()
-    )
-    monitors["run_shard"] = (ticks, fleet.report().to_dict())
+    reduced = results["run_shard"] = SessionResult.of(fleet, rule)
+    labels["run_shard"] = unrepaired_label(reduced)
+    monitors["run_shard"] = (ticks, reduced.monitor_report.to_dict())
 
     # -- sharded_session at an arbitrary shard count -----------------------
     ticks = batching("sharded_session ticks")
     n_shards = data.draw(st.integers(1, n_nodes), label="n_shards")
-    sharded = sharded_session(
+    sharded = results["sharded_session"] = sharded_session(
         run, n_shards=n_shards, ticks_per_batch=ticks, accuracy=accuracy
     )
-    views["sharded_session"] = stream_view(
-        sharded, sharded.quality.to_dict()
-    )
-    folds["sharded_session"] = (sharded.fleet_moments, sharded.quantiles_w)
+    assert sharded.provenance["n_shards"] == n_shards
+    labels["sharded_session"] = sharded.provenance["quality"].to_dict()
     monitors["sharded_session"] = (ticks, sharded.monitor_report.to_dict())
 
     # -- the service: JSON bodies at an arbitrary batching -----------------
@@ -316,15 +280,14 @@ def test_every_route_folds_the_same_bits(
         }).encode()
         for b in batches
     ]
-    session, summary = _served(
+    served, summary = _served(
         run, bodies, "application/json",
         accuracy=accuracy, n_batches=len(batches),
     )
-    served = session.state.result()
-    views["serve json"] = stream_view(served, summary["quality"])
-    folds["serve json"] = (served.fleet_moments, served.quantiles_w)
+    results["serve json"] = served
+    views["serve json"] = _view(served, summary)
+    labels["serve json"] = summary["quality"]
     monitors["serve json"] = (ticks, summary["monitor"])
-    assert _summary_bits(summary) == _summary_bits(direct.to_dict())
 
     # -- the service: raw64 frames, byte stream cut anywhere ---------------
     ticks = batching("rpwr ticks")
@@ -338,15 +301,14 @@ def test_every_route_folds_the_same_bits(
     ))
     bounds = [0, *cuts, len(wire)]
     chunks = [wire[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    session, summary = _served(
+    served, summary = _served(
         run, chunks, RPWR_CONTENT_TYPE,
         accuracy=accuracy, n_batches=len(batches),
     )
-    served = session.state.result()
-    views["serve rpwr"] = stream_view(served, summary["quality"])
-    folds["serve rpwr"] = (served.fleet_moments, served.quantiles_w)
+    results["serve rpwr"] = served
+    views["serve rpwr"] = _view(served, summary)
+    labels["serve rpwr"] = summary["quality"]
     monitors["serve rpwr"] = (ticks, summary["monitor"])
-    assert _summary_bits(summary) == _summary_bits(direct.to_dict())
     assert summary["quality"]["codec"] == "raw64"
     assert summary["quality"]["frames_dropped"] == 0
     assert summary["quality"]["frames_corrupt"] == 0
@@ -358,15 +320,19 @@ def test_every_route_folds_the_same_bits(
         seed=seed, ticks_per_batch=ticks,
     )
     report = outcome.report
+    labels["wire chaos"] = report.to_dict()
 
-    # -- one fold state ----------------------------------------------------
+    # -- one session result ------------------------------------------------
+    for route, result in results.items():
+        views.setdefault(route, _view(result))
     expected = views["stream"]
     for route, view in views.items():
         assert view == expected, route
-    assert _quality(report.to_dict()) == expected["quality"]
-    assert report.samples_arrived == expected["samples_ingested"]
+    for route, label in labels.items():
+        assert _quality(label) == _quality(labels["stream"]), route
+    assert report.samples_arrived == direct.samples_ingested
     assert outcome.ok(), outcome.reconciliation
-    assert expected["samples_ingested"] == watts.size
+    assert direct.samples_ingested == watts.size
 
     # -- the monitor, at each route's own batching -------------------------
     for route, (ticks, monitor) in monitors.items():
@@ -378,11 +344,11 @@ def test_every_route_folds_the_same_bits(
     mu = math.fsum(x.tolist()) / x.size
     m2 = math.fsum(((x - mu) ** 2).tolist())
     n = x.size
-    for route, (pooled, quantiles_w) in folds.items():
-        for q, est in quantiles_w.items():
+    for route, result in results.items():
+        for q, est in result.quantiles_w.items():
             exact = float(np.quantile(x, q, method="lower"))
             assert abs(est - exact) <= (
                 QUANTILE_REL_ERROR * (1 + 1e-9) * exact
             ), (route, q)
-        got = float(pooled.variance(ddof=0)) * n
+        got = float(result.fleet_moments.variance(ddof=0)) * n
         assert abs(got - m2) <= 4 * n * (n + 3) * _U * m2 + 4 * _U * m2, route
