@@ -13,7 +13,10 @@ repo's own layout.  Keys may be spelled with dashes or underscores::
     experiments-packages = ["repro/experiments"]
     experiments-exempt = ["__init__.py", "base.py", "runner.py"]
     rng-modules = ["repro/rng.py"]
-    jobs = 0                          # 0 = auto
+
+Every value is a list of strings; anything else is a ``ValueError``
+naming the key, so a bare string cannot turn into per-character
+patterns.
 """
 
 from __future__ import annotations
@@ -68,8 +71,6 @@ class LintConfig:
     #: points for the RPX102 seed-provenance taint (they map a missing
     #: seed to the fixed paper seed, never to OS entropy).
     rng_modules: tuple[str, ...] = ("repro/rng.py",)
-    #: Worker threads for the parallel scan (0 = auto-size).
-    jobs: int = 0
 
     def fingerprint(self) -> str:
         """Stable digest of every field, folded into the cache key."""
@@ -101,7 +102,8 @@ def load_config(start: Path | str = ".") -> LintConfig:
     """Load ``[tool.repro.lint]`` from the nearest ``pyproject.toml``.
 
     Unknown keys are ignored so older engines tolerate newer configs;
-    a missing file or table yields the defaults.
+    a missing file or table yields the defaults.  A known key whose
+    value is not a list of strings raises ``ValueError``.
     """
     pyproject = find_pyproject(Path(start))
     if pyproject is None:
@@ -120,8 +122,12 @@ def load_config(start: Path | str = ".") -> LintConfig:
         key = raw_key.replace("-", "_")
         if key not in known:
             continue
-        if key == "jobs":
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = tuple(str(v) for v in value)
+        if not isinstance(value, list) or not all(
+            isinstance(v, str) for v in value
+        ):
+            raise ValueError(
+                f"[tool.repro.lint] {raw_key} must be a list of strings, "
+                f"got {value!r}"
+            )
+        kwargs[key] = tuple(value)
     return LintConfig(**kwargs)  # type: ignore[arg-type]

@@ -16,10 +16,11 @@ Architecture
   split lines, the parsed AST, the file's project-relative path and the
   active :class:`~repro.checks.config.LintConfig`.
 * :func:`check_source` / :func:`check_file` — lint one unit.
-* :func:`run_lint` — walk paths, fan files out over a
-  :class:`concurrent.futures.ThreadPoolExecutor`, consult the optional
-  per-file cache (keyed on content hash + rule set + config) and return
-  a deterministic, sorted :class:`LintReport`.
+* :func:`run_lint` — walk paths, lint each file in turn, consult the
+  optional per-file cache (keyed on content hash + rule set + config)
+  and return a deterministic, sorted :class:`LintReport`.  The work is
+  pure-Python AST parsing and walking, which holds the GIL, so it runs
+  on one thread.
 
 Suppression
 -----------
@@ -34,7 +35,6 @@ Multiple ids are comma-separated (``# repro: noqa RPX002,RPX003``).
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import gc
 import hashlib
 import json
@@ -457,7 +457,7 @@ class LintReport:
 def _lint_one(
     path: Path, rules: list[Rule], config: LintConfig, cache: LintCache | None
 ) -> tuple[list[Finding], bool]:
-    """Worker: lint one file, consulting the cache. Returns (findings, hit)."""
+    """Lint one file, consulting the cache. Returns (findings, hit)."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
@@ -490,15 +490,13 @@ def run_lint(
     paths: Iterable[Path | str],
     rules: Iterable[Rule] | None = None,
     config: LintConfig | None = None,
-    jobs: int | None = None,
     cache: LintCache | None = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) with the given rule set.
 
-    Files are scanned in parallel; the report is deterministic regardless
-    of worker scheduling because findings are sorted at the end.  Pass a
-    :class:`LintCache` to skip files whose content (and rule/config
-    state) has not changed since the previous run.
+    Findings are sorted at the end, so the report is deterministic.
+    Pass a :class:`LintCache` to skip files whose content (and
+    rule/config state) has not changed since the previous run.
     """
     if rules is None:
         from repro.checks.rules import default_rules
@@ -507,18 +505,10 @@ def run_lint(
     rules = list(rules)
     config = config or LintConfig()
     files = iter_python_files([Path(p) for p in paths], config)
-    workers = jobs or config.jobs or min(32, (os.cpu_count() or 1) + 4)
-    workers = max(1, min(workers, max(1, len(files))))
     findings: list[Finding] = []
     cache_hits = 0
-    if workers == 1 or len(files) <= 1:
-        results = [_lint_one(f, rules, config, cache) for f in files]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda f: _lint_one(f, rules, config, cache), files)
-            )
-    for file_findings, hit in results:
+    for path in files:
+        file_findings, hit = _lint_one(path, rules, config, cache)
         findings.extend(file_findings)
         cache_hits += int(hit)
     if cache is not None:

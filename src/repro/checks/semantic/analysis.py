@@ -3,7 +3,7 @@
 :func:`run_semantic_lint` is the programmatic entry point behind
 ``repro lint --semantic``:
 
-1. build the :class:`ProjectContext` (parallel parse, cached
+1. build the :class:`ProjectContext` (one parse per module, cached
    summaries),
 2. build the :class:`CallGraph` and run every enabled RPX1xx rule,
 3. apply the same ``# repro: noqa`` suppression contract the per-file
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.checks.config import LintConfig
-from repro.checks.engine import Finding, LintCache, noqa_map
+from repro.checks.engine import Finding, LintCache, _apply_noqa, noqa_map
 from repro.checks.semantic.callgraph import CallGraph
 from repro.checks.semantic.project import ProjectContext
 from repro.checks.semantic.rpx101_purity import PurityRule
@@ -67,7 +67,6 @@ def run_semantic_lint(
     paths: Iterable[Path | str],
     config: LintConfig | None = None,
     cache: LintCache | None = None,
-    jobs: int | None = None,
     project: ProjectContext | None = None,
 ) -> SemanticReport:
     """Run the RPX1xx interprocedural rules over a whole project.
@@ -78,14 +77,14 @@ def run_semantic_lint(
     """
     config = config or LintConfig()
     if project is None:
-        project = ProjectContext.build(paths, config, cache=cache, jobs=jobs)
+        project = ProjectContext.build(paths, config, cache=cache)
     graph = CallGraph(project)
     findings: list[Finding] = []
     for rule in SEMANTIC_RULES:
         if not config.rule_enabled(rule.rule_id):
             continue
         findings.extend(rule.check_project(project, graph))
-    findings = _apply_noqa(project, findings)
+    findings = _suppress_noqa(project, findings)
     if cache is not None:
         cache.save()
     return SemanticReport(
@@ -96,21 +95,15 @@ def run_semantic_lint(
     )
 
 
-def _apply_noqa(
+def _suppress_noqa(
     project: ProjectContext, findings: list[Finding]
 ) -> list[Finding]:
     """Honour ``# repro: noqa`` lines for semantic findings too."""
-    suppressions: dict[str, dict[int, frozenset[str] | None]] = {}
-    for info in project.modules.values():
-        if any("noqa" in line for line in info.lines):
-            suppressions[info.path] = noqa_map(info.lines)
-    if not suppressions:
-        return findings
-    kept: list[Finding] = []
+    lines = {info.path: info.lines for info in project.modules.values()}
+    by_path: dict[str, list[Finding]] = {}
     for finding in findings:
-        per_line = suppressions.get(finding.path, {})
-        rule_ids = per_line.get(finding.line, frozenset())
-        if rule_ids is None or finding.rule_id in (rule_ids or ()):
-            continue
-        kept.append(finding)
+        by_path.setdefault(finding.path, []).append(finding)
+    kept: list[Finding] = []
+    for path, group in by_path.items():
+        kept.extend(_apply_noqa(group, noqa_map(lines.get(path, []))))
     return kept

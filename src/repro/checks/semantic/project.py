@@ -5,8 +5,7 @@ rules run on.  Building one:
 
 1. expands the scan paths with the engine's
    :func:`~repro.checks.engine.iter_python_files`,
-2. parses every file (fanned out over the same thread pool shape
-   ``run_lint`` uses — parsing dominates the cold cost),
+2. parses every file once (parsing dominates the cold cost),
 3. extracts each module's :class:`~repro.checks.semantic.summaries.ModuleSummary`,
    consulting the :class:`~repro.checks.engine.LintCache` under an
    AST-normalised key so reformatting never re-analyses,
@@ -21,8 +20,6 @@ Module names are derived from the filesystem (walking up while an
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -71,7 +68,6 @@ class ModuleInfo:
 
     name: str
     path: str  # posix, as scanned
-    source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     imports: ImportMap = field(init=False)
@@ -123,37 +119,24 @@ class ProjectContext:
         paths: Iterable[Path | str],
         config: LintConfig | None = None,
         cache: LintCache | None = None,
-        jobs: int | None = None,
     ) -> "ProjectContext":
         """Parse and summarise every Python file under ``paths``."""
         config = config or LintConfig()
         project = cls(config)
-        files = iter_python_files([Path(p) for p in paths], config)
-        workers = jobs or config.jobs or min(32, (os.cpu_count() or 1) + 4)
-        workers = max(1, min(workers, max(1, len(files))))
-
-        def load(path: Path):
+        for path in iter_python_files([Path(p) for p in paths], config):
             try:
                 source = path.read_text(encoding="utf-8", errors="replace")
             except OSError as exc:
-                return (path, None, None, f"cannot read file: {exc}")
+                project.parse_errors.append(
+                    (path.as_posix(), f"cannot read file: {exc}")
+                )
+                continue
             try:
                 tree = _parse(source, path.as_posix())
             except SyntaxError as exc:
-                return (path, source, None, f"syntax error: {exc.msg}")
-            return (path, source, tree, None)
-
-        if workers == 1 or len(files) <= 1:
-            loaded = [load(f) for f in files]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                loaded = list(pool.map(load, files))
-
-        for path, source, tree, error in loaded:
-            if error is not None:
-                project.parse_errors.append((path.as_posix(), error))
+                project.parse_errors.append(
+                    (path.as_posix(), f"syntax error: {exc.msg}")
+                )
                 continue
             name = module_name_for(path)
             if name in project.modules:
@@ -163,47 +146,40 @@ class ProjectContext:
             project.modules[name] = ModuleInfo(
                 name=name,
                 path=path.as_posix(),
-                source=source,
                 tree=tree,
                 lines=source.splitlines(),
             )
-        project._summarise(cache, workers)
+        project._summarise(cache)
         return project
 
-    def _summarise(self, cache: LintCache | None, workers: int) -> None:
+    def _summarise(self, cache: LintCache | None) -> None:
         """Fill ``self.summaries``, consulting the cache per module."""
+        for info in sorted(self.modules.values(), key=lambda m: m.name):
+            self.summaries[info.name] = self._summary(info, cache)
 
-        def summarise(info: ModuleInfo) -> tuple[str, ModuleSummary, bool]:
-            key = (
-                summary_cache_key(info.source, self.config)
-                if cache is not None
-                else ""
-            )
-            if cache is not None:
-                raw = cache.get_raw(key)
-                if raw is not None:
-                    try:
-                        return info.name, ModuleSummary.from_dict(raw), True
-                    except (KeyError, TypeError, ValueError):
-                        pass  # corrupt entry: fall through to extraction
-            summary = extract_module_summary(
+    def _summary(
+        self, info: ModuleInfo, cache: LintCache | None
+    ) -> ModuleSummary:
+        """One module's summary, from the cache or freshly extracted."""
+        if cache is None:
+            return extract_module_summary(
                 info.name, info.tree, info.imports, self.config
             )
-            if cache is not None:
-                cache.put_raw(key, summary.to_dict())
-            return info.name, summary, False
-
-        infos = sorted(self.modules.values(), key=lambda m: m.name)
-        if workers == 1 or len(infos) <= 1:
-            results = [summarise(info) for info in infos]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                results = list(pool.map(summarise, infos))
-        for name, summary, hit in results:
-            self.summaries[name] = summary
-            self.summary_cache_hits += int(hit)
+        key = summary_cache_key(info.tree, self.config)
+        raw = cache.get_raw(key)
+        if raw is not None:
+            try:
+                summary = ModuleSummary.from_dict(raw)
+            except (KeyError, TypeError, ValueError):
+                pass  # corrupt entry: fall through to extraction
+            else:
+                self.summary_cache_hits += 1
+                return summary
+        summary = extract_module_summary(
+            info.name, info.tree, info.imports, self.config
+        )
+        cache.put_raw(key, summary.to_dict())
+        return summary
 
     # -- name resolution ----------------------------------------------
 

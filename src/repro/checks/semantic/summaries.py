@@ -184,17 +184,14 @@ def resolve_node_path(tree: ast.AST, path: tuple[int, ...]) -> ast.AST | None:
     return node
 
 
-def summary_cache_key(source: str, config: LintConfig) -> str:
+def summary_cache_key(tree: ast.Module, config: LintConfig) -> str:
     """Content-addressed key for one module's cached summary.
 
-    Keyed on the AST dump, not the bytes: comments, blank lines and
-    reformatting re-use the cached summary; any change the parser can
-    see invalidates it.  Unparseable sources fall back to a raw hash.
+    Keyed on the dump of the already-parsed AST, not the bytes:
+    comments, blank lines and reformatting re-use the cached summary;
+    any change the parser can see invalidates it.
     """
-    try:
-        payload = ast.dump(ast.parse(source))
-    except (SyntaxError, ValueError):
-        payload = source
+    payload = ast.dump(tree)
     hasher = hashlib.sha256()
     hasher.update(b"semantic\x00")
     hasher.update(SEMANTIC_VERSION.encode())

@@ -235,7 +235,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.checks import LintCache, LintConfig, LintReport, load_config, run_lint
 
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
-    config = load_config(paths[0])
+    try:
+        config = load_config(paths[0])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     overrides = {}
     known_ids = _known_lint_rule_ids()
     for option in ("select", "ignore"):
@@ -259,16 +263,25 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
     if args.write_baseline and not args.semantic:
         raise SystemExit("error: --write-baseline requires --semantic")
+    if not args.semantic:
+        from repro.checks.semantic import semantic_rule_index
+
+        selected = set(overrides.get("select", ()))
+        semantic = sorted(selected & set(semantic_rule_index()))
+        if semantic:
+            print(f"error: --select {','.join(semantic)} requires --semantic",
+                  file=sys.stderr)
+            return 2
     cache = None
     if not args.no_cache:
         cache = LintCache(Path(args.cache_file))
-    report = run_lint(paths, config=config, jobs=args.jobs, cache=cache)
+    report = run_lint(paths, config=config, cache=cache)
     findings = list(report.findings)
     summary_hits = 0
     if args.semantic:
         from repro.checks.semantic import run_semantic_lint
 
-        sem = run_semantic_lint(paths, config=config, cache=cache, jobs=args.jobs)
+        sem = run_semantic_lint(paths, config=config, cache=cache)
         findings = sorted(findings + sem.findings)
         summary_hits = sem.summary_cache_hits
     accepted = None
@@ -1121,8 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--ignore", default=None,
                       help="comma-separated rule ids to skip; unknown ids "
                            "are an error")
-    lint.add_argument("--jobs", type=int, default=None,
-                      help="worker threads for the parallel scan")
     lint.add_argument("--no-cache", action="store_true",
                       help="disable the findings/summary cache")
     lint.add_argument("--cache-file", default=".repro_lint_cache.json",

@@ -7,6 +7,7 @@ The same stability contract matters for ``noqa_map``: the suppression
 a comment requests must not depend on how it is spaced.
 """
 
+import ast
 import string
 
 from hypothesis import given, settings
@@ -34,6 +35,11 @@ def total_j(power_w, runtime_s):
 """
 
 CONFIG = LintConfig()
+
+
+def _key(source: str, config: LintConfig = CONFIG) -> str:
+    return summary_cache_key(ast.parse(source), config)
+
 
 comments = st.text(
     alphabet=string.ascii_letters + string.digits + " ",
@@ -64,9 +70,7 @@ def commented_variants(draw):
 @settings(max_examples=50, deadline=None)
 @given(variant=commented_variants())
 def test_cache_key_stable_across_comment_edits(variant):
-    assert summary_cache_key(variant, CONFIG) == summary_cache_key(
-        BASE_SOURCE, CONFIG
-    )
+    assert _key(variant) == _key(BASE_SOURCE)
 
 
 @settings(max_examples=50, deadline=None)
@@ -74,7 +78,6 @@ def test_cache_key_stable_across_comment_edits(variant):
 def test_summaries_identical_across_comment_edits(variant):
     """The key is honest: equal keys really do mean equal summaries,
     up to the node locators that findings resolve per-run anyway."""
-    import ast
 
     def summarise(source):
         tree = ast.parse(source)
@@ -101,24 +104,12 @@ def test_summaries_identical_across_comment_edits(variant):
 @given(name=st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True))
 def test_cache_key_changes_when_code_changes(name):
     renamed = BASE_SOURCE.replace("values", f"renamed_{name}")
-    assert summary_cache_key(renamed, CONFIG) != summary_cache_key(
-        BASE_SOURCE, CONFIG
-    )
+    assert _key(renamed) != _key(BASE_SOURCE)
 
 
 def test_cache_key_depends_on_config():
     other = LintConfig(rng_modules=("elsewhere.py",))
-    assert summary_cache_key(BASE_SOURCE, CONFIG) != summary_cache_key(
-        BASE_SOURCE, other
-    )
-
-
-def test_cache_key_survives_syntax_errors():
-    bad = "def broken(:\n"
-    assert summary_cache_key(bad, CONFIG) == summary_cache_key(bad, CONFIG)
-    assert summary_cache_key(bad, CONFIG) != summary_cache_key(
-        bad + "# comment\n", CONFIG
-    )
+    assert _key(BASE_SOURCE) != _key(BASE_SOURCE, other)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 """Tests for [tool.repro.lint] loading and path matching."""
 
+import pytest
+
 from repro.checks import LintConfig, load_config, path_matches
 
 
@@ -26,16 +28,14 @@ class TestLoadConfig:
             "[tool.repro.lint]\n"
             'ignore = ["RPX006"]\n'
             'units-modules = ["mylib/units.py"]\n'
-            "jobs = 2\n"
         )
         config = load_config(tmp_path)
         assert config.ignore == ("RPX006",)
         assert config.units_modules == ("mylib/units.py",)
-        assert config.jobs == 2
 
     def test_unknown_keys_ignored(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\nfuture-option = true\n"
+            "[tool.repro.lint]\nfuture-option = true\njobs = 0\n"
         )
         assert load_config(tmp_path) == LintConfig()
 
@@ -46,6 +46,17 @@ class TestLoadConfig:
         nested = tmp_path / "src" / "pkg"
         nested.mkdir(parents=True)
         assert load_config(nested).ignore == ("RPX001",)
+
+    @pytest.mark.parametrize("key, value", [
+        ("exclude", '"*/fixtures/*"'),  # would exclude every file
+        ("ignore", '"RPX006"'),  # would ignore nothing
+    ])
+    def test_bare_string_value_is_refused(self, tmp_path, key, value):
+        (tmp_path / "pyproject.toml").write_text(
+            f"[tool.repro.lint]\n{key} = {value}\n"
+        )
+        with pytest.raises(ValueError, match=f"{key} must be a list"):
+            load_config(tmp_path)
 
     def test_malformed_toml_gives_defaults(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("not [valid toml")
@@ -66,4 +77,5 @@ class TestRuleEnabled:
         assert not config.rule_enabled("RPX002")
 
     def test_fingerprint_tracks_fields(self):
-        assert LintConfig().fingerprint() != LintConfig(jobs=3).fingerprint()
+        other = LintConfig(ignore=("RPX006",))
+        assert LintConfig().fingerprint() != other.fingerprint()

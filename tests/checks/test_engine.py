@@ -76,12 +76,6 @@ class TestRunLint:
         assert [f.rule_id for f in report.findings] == ["RPX002"]
         assert report.findings[0].path.endswith("dirty.py")
 
-    def test_parallel_and_serial_agree(self, tmp_path):
-        root = self.make_tree(tmp_path)
-        serial = run_lint([root], jobs=1)
-        parallel = run_lint([root], jobs=4)
-        assert serial.findings == parallel.findings
-
     def test_exclude_patterns(self, tmp_path):
         root = self.make_tree(tmp_path)
         config = LintConfig(exclude=("dirty.py",))

@@ -261,6 +261,22 @@ class TestLint:
         rc = main(["lint", str(tmp_path), "--no-cache", "--select", "RPX001"])
         assert rc == 0
 
+    def test_semantic_select_without_semantic_is_refused(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "mod.py").write_text(self.DIRTY)
+        rc = main(["lint", str(tmp_path), "--no-cache", "--select", "RPX101"])
+        assert rc == 2
+        assert "--select RPX101 requires --semantic" in capsys.readouterr().err
+
+    def test_bare_string_config_value_is_refused(self, tmp_path, capsys):
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro.lint]\nexclude = "*/fixtures/*"\n'
+        )
+        (tmp_path / "mod.py").write_text(self.DIRTY)
+        rc = main(["lint", str(tmp_path), "--no-cache"])
+        assert rc == 2
+        assert "exclude must be a list of strings" in capsys.readouterr().err
+
     def test_cache_round_trip(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text(self.DIRTY)
         cache = tmp_path / "cache.json"
